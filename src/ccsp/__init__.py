@@ -2,20 +2,8 @@
 flat, hyperbolic and spherical spaces: an exact derivation engine, a
 verified solution catalog, and a numerical checking layer."""
 
-from .geometry import RadialDomain, Regime, Space, metric_C, metric_S, metric_T, sphere_area, volume_weight
-from .symbolic import (
-    Basis,
-    Graded,
-    Monomial,
-    RadialExpr,
-    collect,
-    expr_add,
-    expr_div_exact,
-    expr_eval,
-    expr_mul,
-    laplacian,
-    limit_at_infinity,
-)
+from .geometry import Regime, Space, metric_C, metric_S, metric_T, sphere_area
+from .symbolic import Basis, Graded, Monomial, RadialExpr
 from .derivation import (
     AlphaSign,
     AnsatzFamily,

@@ -614,12 +614,11 @@ def compactness_obstruction_check(sol: Solution, kappa: float = 1.0, alpha: Opti
         )
     u = sol.u_fn(kappa, alpha)
     rho = sol.rho_fn(kappa, alpha)
-    mu = math.sqrt(kappa)
+    s_fn = space.metric.S
 
     def integrand(r):
         r = np.asarray(r, dtype=float)
-        s = np.sin(mu * r) / mu
-        return (u(r) ** 2 + rho(r)) * s ** (sol.dim - 1)
+        return (u(r) ** 2 + rho(r)) * s_fn(r) ** (sol.dim - 1)
 
     total = numeric.integrate_radial(integrand, space, 0.0, space.r_max, rel_tol=1e-12)
     if isinstance(total, numeric.Divergent):

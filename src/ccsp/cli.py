@@ -336,7 +336,7 @@ def _cmd_pohozaev(args) -> int:
             "T": str(rep.functionals.kinetic_T),
             "N": str(rep.functionals.N),
             "Q": str(rep.functionals.Q),
-            "defect": str(rep.defect),
+            "defect": "-" if rep.defect is None else str(rep.defect),
         }
     ]
     _emit_rows(rows, args.format, payload)

@@ -1,4 +1,4 @@
-"""Constant-curvature geometry: metric functions, volume weights, radial domains.
+"""Constant-curvature geometry: the curvature regimes and their metric functions.
 
 The three maximally symmetric spaces are described by a signed sectional
 curvature kappa (zero: Euclidean, negative: hyperbolic, positive: sphere).
@@ -12,8 +12,10 @@ Radial formulas use the curvature-scaled functions
 
 which satisfy S' = C, C' = -kappa*S and C^2 - (-kappa)*S^2 = 1 in every
 regime, so each identity in this package is stated once with a signed
-curvature.  All functions here are pure; callers are responsible for
-keeping numerical grids away from the coordinate singularities.
+curvature.  :attr:`Space.metric` holds the only regime branch for S, C
+and 1/T: every vectorized evaluation in the package goes through it.  All
+functions here are pure; callers are responsible for keeping numerical
+grids away from the coordinate singularities.
 """
 
 from __future__ import annotations
@@ -21,6 +23,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
+from typing import Callable, NamedTuple
+
+import numpy as np
 
 
 class Regime(str, Enum):
@@ -31,6 +37,14 @@ class Regime(str, Enum):
 
 class PoleError(ValueError):
     """A metric factor vanishes where a division is required."""
+
+
+class Metric(NamedTuple):
+    """Vectorized metric functions of one space (r must be a float array)."""
+
+    S: Callable
+    C: Callable
+    inv_T: Callable
 
 
 @dataclass(frozen=True)
@@ -80,17 +94,24 @@ class Space:
             return math.pi / math.sqrt(self.kappa)
         return math.inf
 
-    def domain(self, singularities: tuple[float, ...] = ()) -> "RadialDomain":
-        return RadialDomain(0.0, self.r_max, tuple(sorted(singularities)))
-
-
-@dataclass(frozen=True)
-class RadialDomain:
-    """Radial coordinate range plus the radii where catalog factors vanish."""
-
-    r_min: float
-    r_max: float
-    boundary_singularities: tuple[float, ...] = ()
+    @cached_property
+    def metric(self) -> Metric:
+        """S, C and 1/T as array functions, built once per space."""
+        if self.regime is Regime.FLAT:
+            return Metric(lambda r: r, lambda r: np.ones_like(r), lambda r: 1.0 / r)
+        if self.regime is Regime.HYPERBOLIC:
+            lam = math.sqrt(-self.kappa)
+            return Metric(
+                lambda r: np.sinh(lam * r) / lam,
+                lambda r: np.cosh(lam * r),
+                lambda r: lam / np.tanh(lam * r),
+            )
+        mu = math.sqrt(self.kappa)
+        return Metric(
+            lambda r: np.sin(mu * r) / mu,
+            lambda r: np.cos(mu * r),
+            lambda r: mu / np.tan(mu * r),
+        )
 
 
 def _check_r(space: Space, r: float) -> None:
@@ -103,23 +124,13 @@ def _check_r(space: Space, r: float) -> None:
 def metric_S(space: Space, r: float) -> float:
     """Curvature-scaled sine: the radius of the geodesic sphere at r."""
     _check_r(space, r)
-    if space.regime is Regime.FLAT:
-        return r
-    if space.regime is Regime.HYPERBOLIC:
-        lam = math.sqrt(-space.kappa)
-        return math.sinh(lam * r) / lam
-    mu = math.sqrt(space.kappa)
-    return math.sin(mu * r) / mu
+    return float(space.metric.S(r))
 
 
 def metric_C(space: Space, r: float) -> float:
     """Derivative of metric_S; equals 1 identically in flat space."""
     _check_r(space, r)
-    if space.regime is Regime.FLAT:
-        return 1.0
-    if space.regime is Regime.HYPERBOLIC:
-        return math.cosh(math.sqrt(-space.kappa) * r)
-    return math.cos(math.sqrt(space.kappa) * r)
+    return float(space.metric.C(r))
 
 
 def metric_T(space: Space, r: float) -> float:
@@ -140,8 +151,3 @@ def sphere_area(dim: int) -> float:
     if dim < 1:
         raise ValueError(f"dimension must be >= 1, got {dim}")
     return 2.0 * math.pi ** (dim / 2.0) / math.gamma(dim / 2.0)
-
-
-def volume_weight(space: Space, r: float) -> float:
-    """Radial volume element S(r)^(D-1)."""
-    return metric_S(space, r) ** (space.dim - 1)

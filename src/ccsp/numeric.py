@@ -13,9 +13,13 @@ with independent machinery:
   giving PDE residuals for both field equations on singularity-avoiding
   grids;
 * radial inversion of -Lap with decay normalization, via nested adaptive
-  quadrature whose inner cumulative integral is continued incrementally
-  from cached anchors (exact to quadrature tolerance, no interpolation);
-* the variational functionals T, N, Q and their flat-space identities.
+  quadrature whose cumulative integrals are continued incrementally from
+  cached anchors (exact to quadrature tolerance, no interpolation), the
+  outer one seeded with dyadic anchors so slowly decaying potentials are
+  resolved;
+* the variational functionals T, N, Q and their flat-space identities, Q
+  from the energy form int |grad W|^2 with one cumulative charge integral
+  (no inversion of -Lap).
 """
 
 from __future__ import annotations
@@ -210,20 +214,12 @@ def mass(
     """
     space = sol.space(kappa)
     u = sol.u_fn(kappa, alpha)
-
-    if space.regime is Regime.FLAT:
-        weight = lambda r: r ** (sol.dim - 1)
-    elif space.regime is Regime.HYPERBOLIC:
-        lam = math.sqrt(-kappa)
-        weight = lambda r: (np.sinh(lam * r) / lam) ** (sol.dim - 1)
-    else:
-        mu = math.sqrt(kappa)
-        weight = lambda r: (np.sin(mu * r) / mu) ** (sol.dim - 1)
+    s_fn = space.metric.S
 
     def f(r):
         r = np.asarray(r, dtype=float)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            return u(r) ** 2 * weight(r)
+            return u(r) ** 2 * s_fn(r) ** (sol.dim - 1)
 
     # split at the genuine poles of the profile so that every singular
     # radius is probed as an improper endpoint, never evaluated across
@@ -326,15 +322,7 @@ def fd_residual(
     omega = sol.omega_value(kappa)
     r = grid.r_values
     h = grid.h
-
-    if space.regime is Regime.FLAT:
-        inv_t = 1.0 / r
-    elif space.regime is Regime.HYPERBOLIC:
-        lam = math.sqrt(-kappa)
-        inv_t = lam / np.tanh(lam * r)
-    else:
-        mu = math.sqrt(kappa)
-        inv_t = mu / np.tan(mu * r)
+    inv_t = space.metric.inv_T(r)
 
     def lap(fn):
         fp, f0, fm = fn(r + h), fn(r), fn(r - h)
@@ -399,7 +387,6 @@ def poisson_invert(
     space: Space,
     dim: int,
     rel_tol: float = 1e-11,
-    r_far: Optional[float] = None,
 ) -> Callable:
     """Return V with -Lap(V) = f and V -> 0 at infinity (radial, decaying).
 
@@ -414,11 +401,8 @@ def poisson_invert(
     if dim < 2:
         raise ValueError("radial inversion requires D >= 2")
 
-    if space.regime is Regime.FLAT:
-        s_pow = lambda s, p: np.asarray(s, dtype=float) ** p
-    else:
-        lam = math.sqrt(-space.kappa)
-        s_pow = lambda s, p: (np.sinh(lam * np.asarray(s, dtype=float)) / lam) ** p
+    s_fn = space.metric.S
+    s_pow = lambda s, p: s_fn(np.asarray(s, dtype=float)) ** p
 
     def inner(t):
         return f(t) * s_pow(t, dim - 1)
@@ -430,16 +414,21 @@ def poisson_invert(
         m = m_cum.many(np.atleast_1d(s)).reshape(np.shape(s))
         return s_pow(s, 1 - dim) * m
 
-    if r_far is None:
-        # push until the remaining tail is negligible
-        r_far = 20.0 if space.regime is Regime.FLAT else 40.0 / math.sqrt(-space.kappa)
-        while True:
-            g = float(outer(r_far))
-            tail_est = abs(g) * r_far  # decays at least like s^(1-D), D >= 3 safe
-            if tail_est < 1e-13 or r_far > 1e7:
-                break
-            r_far *= 2.0
+    # push until the remaining tail is negligible
+    r_far = 20.0 if space.regime is Regime.FLAT else 40.0 / math.sqrt(-space.kappa)
+    while True:
+        g = float(outer(r_far))
+        tail_est = abs(g) * r_far  # decays at least like s^(1-D), D >= 3 safe
+        if tail_est < 1e-13 or r_far > 1e7:
+            break
+        r_far *= 2.0
     v_cum = _Cumulative(outer, r_far, rel_tol)
+    # dyadic anchors down to r = 1, so that no single panel spans decades
+    # of a slowly decaying integrand and misses where its mass lies
+    anchor = r_far / 2.0
+    while anchor >= 1.0:
+        v_cum(anchor)
+        anchor /= 2.0
     tail = _cauchy_windows(
         outer,
         ((r_far * 2.0**k, r_far * 2.0 ** (k + 1)) for k in range(10**6)),
@@ -483,7 +472,12 @@ def pohozaev_functionals(
     alpha: float,
     rel_tol: float = 1e-11,
 ) -> PohozaevFunctionals:
-    """T = int |grad u|^2, N = int u^2, Q = int u^2 (-Lap)^-1 u^2 (flat, D > 2)."""
+    """T = int |grad u|^2, N = int u^2, Q = int u^2 (-Lap)^-1 u^2 (flat, D > 2).
+
+    Q comes from the energy form: with -Lap W = u^2 and W decaying,
+    Q = int u^2 W = int |grad W|^2 = S_(D-1) int_0^inf M(r)^2 r^(1-D) dr,
+    where M(r) = int_0^r u^2 t^(D-1) dt is the charge inside radius r.
+    """
     if sol.regime is not Regime.FLAT:
         raise ValueError("functional identities are derived in the flat case")
     if sol.dim <= 2:
@@ -515,19 +509,17 @@ def pohozaev_functionals(
 
     u = sol.u_fn(kappa, alpha)
 
-    def u2(r):
+    def charge_density(t):
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            return u(r) ** 2
+            return u(t) ** 2 * t ** (dim - 1)
 
-    try:
-        v_f = poisson_invert(u2, space, dim, rel_tol=max(rel_tol, 1e-11))
-    except ValueError:
-        return PohozaevFunctionals(t_val, n_val, Divergent("large-r"))
+    m_cum = _Cumulative(charge_density, 0.0, max(rel_tol, 1e-11))
 
     def q_integrand(r):
         r = np.asarray(r, dtype=float)
+        m = m_cum.many(np.atleast_1d(r)).reshape(np.shape(r))
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            return u2(r) * v_f(r) * r ** (dim - 1)
+            return m**2 * r ** (1 - dim)
 
     q_val = integrate_radial(q_integrand, space, 0.0, math.inf, max(rel_tol, 1e-9))
     if not isinstance(q_val, Divergent):
@@ -539,7 +531,7 @@ def pohozaev_functionals(
 class PohozaevReport:
     functionals: PohozaevFunctionals
     identities: Optional[dict]
-    defect: Quadrature
+    defect: Optional[Quadrature]
 
     def to_json_obj(self) -> dict:
         def enc(x):
@@ -561,9 +553,13 @@ def pohozaev_check(sol: "Solution", kappa: float, alpha: float) -> PohozaevRepor
         (D-2) T - D omega N + (D+2)/2 alpha Q = 0
         4 T + (D-2) alpha Q = 0
 
-    The defect is the largest |left-hand side| normalized by T.
+    The defect is the largest |left-hand side| normalized by T.  The
+    identities hold for the homogeneous system only: for an entry with a
+    background source rho, identities and defect are None.
     """
     fns = pohozaev_functionals(sol, kappa, alpha)
+    if not sol.rho.is_zero:
+        return PohozaevReport(fns, None, None)
     if not fns.all_finite:
         return PohozaevReport(fns, None, Divergent("functionals"))
     t, n, q = fns.kinetic_T, fns.N, fns.Q
@@ -628,7 +624,7 @@ def verify_solution(
     Checks the finite-difference residuals of both equations, the mass
     against the stored closed form (or, for infinite-mass entries, that
     the divergence detector agrees), and optionally the flat variational
-    identities.
+    identities (homogeneous entries only).
     """
     if grid is None:
         grid = default_grid(sol, kappa)
@@ -646,7 +642,13 @@ def verify_solution(
         ok = ok and isinstance(m_num, Divergent)
 
     p_defect: Optional[Quadrature] = None
-    if with_pohozaev and sol.regime is Regime.FLAT and sol.dim > 2 and sol.finite_mass:
+    if (
+        with_pohozaev
+        and sol.regime is Regime.FLAT
+        and sol.dim > 2
+        and sol.finite_mass
+        and sol.rho.is_zero
+    ):
         rep = pohozaev_check(sol, kappa, alpha)
         p_defect = rep.defect
         ok = ok and not isinstance(p_defect, Divergent) and p_defect <= 1e-6

@@ -19,7 +19,7 @@ The odd exponent is capped at one; squares are reduced eagerly through the
 relations above, which makes the normal form unique.  The curved relations
 use the *signed* quantity (-kappa) (positive hyperbolic, negative
 spherical), so a single expression serves both curved regimes and is
-evaluated with the right signs by :func:`expr_eval`.  Expressions are
+evaluated with the right signs by :meth:`RadialExpr.eval`.  Expressions are
 immutable values; everything here is pure and safe to share across threads.
 """
 
@@ -43,13 +43,6 @@ __all__ = [
     "Graded",
     "DIVERGES",
     "NOT_APPLICABLE",
-    "expr_add",
-    "expr_mul",
-    "expr_div_exact",
-    "laplacian",
-    "collect",
-    "expr_eval",
-    "limit_at_infinity",
 ]
 
 
@@ -429,22 +422,15 @@ class RadialExpr:
         if self.basis.is_flat:
             if space.regime is not Regime.FLAT:
                 raise ValueError("flat expression evaluated on a curved space")
-            if self.basis is Basis.FLAT_R:
-                return (lambda r: r), (lambda r: np.ones_like(r))
-            return (lambda r: np.sqrt(1.0 + r * r)), (lambda r: r)
-        if space.regime is Regime.FLAT:
+            if self.basis is Basis.FLAT_C:
+                return (lambda r: np.sqrt(1.0 + r * r)), (lambda r: r)
+        elif space.regime is Regime.FLAT:
             raise ValueError("curved expression evaluated on flat space")
-        if space.regime is Regime.HYPERBOLIC:
-            lam = math.sqrt(-space.kappa)
-            c_fn = lambda r: np.cosh(lam * r)
-            s_fn = lambda r: np.sinh(lam * r) / lam
-        else:
-            mu = math.sqrt(space.kappa)
-            c_fn = lambda r: np.cos(mu * r)
-            s_fn = lambda r: np.sin(mu * r) / mu
+        metric = space.metric
         if self.basis is Basis.CURVED_C:
-            return c_fn, s_fn
-        return s_fn, c_fn
+            return metric.C, metric.S
+        # flat-r and curved-s: base S (flat: r), odd factor C (flat: 1)
+        return metric.S, metric.C
 
     def compile(self, space: Space, alpha: float, amp_sq: float) -> Callable:
         """Vectorized evaluator r -> value (floats; poles become inf/nan)."""
@@ -562,34 +548,3 @@ class RadialExpr:
                 bits.append(f"{base_name[0]}^{t.base}" if t.base != 1 else base_name[0])
             parts.append("*".join(bits))
         return " + ".join(parts)
-
-
-# -- module-level operation surface ------------------------------------
-
-
-def expr_add(a: RadialExpr, b: RadialExpr) -> RadialExpr:
-    return a + b
-
-
-def expr_mul(a: RadialExpr, b: RadialExpr) -> RadialExpr:
-    return a * b
-
-
-def expr_div_exact(a: RadialExpr, b: RadialExpr) -> RadialExpr:
-    return a.div_monomial(b)
-
-
-def laplacian(e: RadialExpr, dim: int) -> RadialExpr:
-    return e.laplacian(dim)
-
-
-def collect(e: RadialExpr):
-    return e.collect()
-
-
-def expr_eval(e: RadialExpr, space: Space, r: float, alpha: float = 1.0, amp_sq: float = 1.0) -> float:
-    return e.eval(space, r, alpha, amp_sq)
-
-
-def limit_at_infinity(e: RadialExpr, regime: Regime | None = None):
-    return e.limit_at_infinity(regime)

@@ -1,10 +1,15 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
+import ccsp
 from ccsp.cli import main
 
 
@@ -175,6 +180,15 @@ def test_pohozaev_defect():
     assert payload["T"] == pytest.approx(payload["Q"], rel=1e-6)
 
 
+def test_verify_with_pohozaev():
+    code, out, _ = run(["verify", "FLAT_CSV", "--with-pohozaev"])
+    assert code == 0 and json.loads(out)["pohozaev_defect"] <= 1e-6
+    # background entries are not held to the homogeneous identities
+    code, out, _ = run(["verify", "BG_FLAT_N3_D4", "--with-pohozaev"])
+    assert code == 0
+    assert json.loads(out)["pohozaev_defect"] is None
+
+
 # -- eval ----------------------------------------------------------------------
 
 
@@ -221,3 +235,17 @@ def test_json_outputs_reserialize_identically():
         _, out2, _ = run(args)
         assert out == out2
         assert json.loads(out2) == parsed
+
+
+# -- python -m ccsp ---------------------------------------------------------------
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(ccsp.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "ccsp", "catalog", "--format", "csv"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == run(["catalog", "--format", "csv"])[1]

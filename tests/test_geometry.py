@@ -1,17 +1,16 @@
 import math
 
+import numpy as np
 import pytest
 
 from ccsp.geometry import (
     PoleError,
-    RadialDomain,
     Regime,
     Space,
     metric_C,
     metric_S,
     metric_T,
     sphere_area,
-    volume_weight,
 )
 
 HYP = Space.hyperbolic(-1.0, 3)
@@ -52,14 +51,6 @@ def test_sphere_area():
         sphere_area(0)
 
 
-def test_volume_weight():
-    assert volume_weight(FLAT, 2.0) == pytest.approx(32.0, rel=1e-14)
-    assert volume_weight(HYP, 1.0) == pytest.approx(math.sinh(1.0) ** 2, rel=1e-14)
-    for space in (FLAT, HYP, SPH):
-        one_d = Space(space.regime, space.kappa, 1)
-        assert volume_weight(one_d, 0.7) == 1.0
-
-
 @pytest.mark.parametrize(
     "space",
     [FLAT, HYP, SPH, Space.hyperbolic(-4.0, 5), Space.spherical(2.25, 4)],
@@ -71,6 +62,17 @@ def test_structure_identity(space):
         r = r_hi * i / 20.0
         s, c = metric_S(space, r), metric_C(space, r)
         assert -space.kappa * s * s == pytest.approx(c * c - 1.0, rel=1e-13, abs=1e-13)
+
+
+@pytest.mark.parametrize("space", [FLAT, HYP, SPH, Space.spherical(2.25, 4)])
+def test_vectorized_metric(space):
+    # array S and C agree with the scalar functions, and 1/T = C/S
+    r_hi = space.r_max if math.isfinite(space.r_max) else 5.0
+    r = np.linspace(0.05, 0.45, 9) * r_hi
+    m = space.metric
+    assert np.allclose(m.S(r), [metric_S(space, x) for x in r], rtol=1e-14, atol=0.0)
+    assert np.allclose(m.C(r), [metric_C(space, x) for x in r], rtol=1e-14, atol=0.0)
+    assert np.allclose(m.inv_T(r) * m.S(r), m.C(r), rtol=1e-14, atol=0.0)
 
 
 @pytest.mark.parametrize("space", [HYP, SPH, Space.hyperbolic(-0.25, 2)])
@@ -100,8 +102,6 @@ def test_domain_checks():
     with pytest.raises(ValueError):
         metric_S(SPH, math.pi + 0.1)
     assert SPH.r_max == math.pi / math.sqrt(SPH.kappa)
-    dom = SPH.domain((math.pi / 2,))
-    assert dom == RadialDomain(0.0, SPH.r_max, (math.pi / 2,))
     assert HYP.r_max == math.inf
 
 

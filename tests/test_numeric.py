@@ -204,6 +204,16 @@ def test_poisson_invert_flat_oracle():
     assert np.max(np.abs(v(rs) - expected) / expected) < 1e-7
 
 
+def test_poisson_invert_slowly_decaying_potential():
+    # -Lap of 18/(1+r^2) at D = 4 is 144 (1+r^2)^-3; the potential's r^-2
+    # tail pushes the far end of the inversion out to about 1e7
+    f = lambda r: 144.0 / (1.0 + np.asarray(r, dtype=float) ** 2) ** 3
+    v = numeric.poisson_invert(f, Space.flat(4), 4)
+    rs = np.array([0.1, 0.5, 1.0, 2.0, 3.0, 5.0, 10.0])
+    expected = 18.0 / (1.0 + rs**2)
+    assert np.max(np.abs(v(rs) - expected) / expected) < 1e-8
+
+
 def test_poisson_invert_zero():
     v = numeric.poisson_invert(lambda r: np.zeros_like(np.asarray(r, dtype=float)), FLAT6, 6)
     assert abs(float(v(1.0))) < 1e-12
@@ -250,17 +260,37 @@ def test_pohozaev_flat_csv():
     assert fns.Q == pytest.approx(1152.0 / 5.0 * pi3, rel=1e-8)
     rep = numeric.pohozaev_check(sol, 0.0, -1.0)
     assert rep.defect <= 1e-6
-    # independent route: integration by parts gives Q = S_5 int M^2 s^(1-D)
+    # independent route: Q = S_5 int u^2 V r^(D-1) with V from the nested
+    # inversion of -Lap, not from the energy form
     u = sol.u_fn(0.0, -1.0)
-    cum = numeric._Cumulative(lambda t: u(t) ** 2 * t**5, 0.0, 1e-12)
-    by_parts = integrate_radial(
-        lambda s: np.asarray([cum(float(x)) ** 2 * float(x) ** -5 for x in np.atleast_1d(s)]).reshape(np.shape(s)),
-        FLAT6,
-        0.0,
-        math.inf,
-        rel_tol=1e-10,
+    v = numeric.poisson_invert(lambda r: u(r) ** 2, FLAT6, 6)
+    direct = integrate_radial(
+        lambda r: u(r) ** 2 * v(r) * r**5, FLAT6, 0.0, math.inf, rel_tol=1e-9
     ) * sphere_area(6)
-    assert fns.Q == pytest.approx(by_parts, rel=1e-7)
+    assert fns.Q == pytest.approx(direct, rel=1e-7)
+
+
+@pytest.mark.parametrize(
+    "sid, alpha, q_exact",
+    [
+        # Q = S_(D-1) int M^2 r^(1-D) dr with closed-form charges M, e.g.
+        # BG_FLAT_N3_D4: M = 36 r^4/(1+r^2)^2, Q = 2 pi^2 1296 (1/2) B(3,1)
+        ("FLAT_CSV", -1.0, 1152.0 * math.pi**3 / 5.0),
+        ("BG_FLAT_N3_D4", 1.0, 432.0 * math.pi**2),
+        ("BG_FLAT_N3_D5", 1.0, 75.0 * math.pi**3 / 4.0),
+        ("BG_FLAT_N4_D4", -1.0, 9216.0 * math.pi**2 / 5.0),
+    ],
+)
+def test_pohozaev_q_closed_forms(sid, alpha, q_exact):
+    fns = numeric.pohozaev_functionals(get_solution(sid), 0.0, alpha)
+    assert fns.Q == pytest.approx(q_exact, rel=1e-8)
+
+
+def test_pohozaev_identities_skip_background_entries():
+    # the identities are derived for rho = 0; a source adds terms they omit
+    rep = numeric.pohozaev_check(get_solution("BG_FLAT_N3_D4"), 0.0, 1.0)
+    assert rep.identities is None and rep.defect is None
+    assert rep.to_json_obj()["defect"] is None
 
 
 def test_pohozaev_zero_profile():
