@@ -13,6 +13,7 @@ import argparse
 import json
 import math
 import sys
+from functools import cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -80,13 +81,25 @@ def _parse_grid(text: str) -> np.ndarray:
     return np.linspace(lo, hi, n)
 
 
+def _is_negative_number(tok: str) -> bool:
+    try:
+        float(tok)
+    except ValueError:
+        return False
+    return tok.startswith("-")
+
+
 def _preprocess_argv(argv: list[str]) -> list[str]:
-    # argparse treats "-8..-1" as an option; glue range values to their flag
+    # argparse takes "-8..-1" and "-4e-2" for options; glue range values and
+    # negative numbers to the flag before them
     out = []
     i = 0
     while i < len(argv):
         tok = argv[i]
-        if tok in _RANGE_FLAGS and i + 1 < len(argv):
+        if i + 1 < len(argv) and (
+            tok in _RANGE_FLAGS
+            or (tok.startswith("--") and tok != "--" and _is_negative_number(argv[i + 1]))
+        ):
             out.append(f"{tok}={argv[i + 1]}")
             i += 2
         else:
@@ -95,7 +108,10 @@ def _preprocess_argv(argv: list[str]) -> list[str]:
     return out
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built on first use and reused: parse_args fills a fresh namespace
+    # from the defaults on every call
     p = argparse.ArgumentParser(
         prog="ccsp",
         description="Exact stationary radial solutions of the Schrodinger-Poisson "
@@ -123,8 +139,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--family", required=True, choices=[f.value for f in Family])
     sp.add_argument("--regime", choices=[r.value for r in Regime])
     sp.add_argument("--mode", choices=("homogeneous", "background"), default="homogeneous")
-    sp.add_argument("-n", "--n-range", type=_parse_int_range, default=list(range(-8, 0)))
-    sp.add_argument("-D", "--dim-range", type=_parse_int_range, default=list(range(1, 13)))
+    sp.add_argument("-n", "--n-range", type=_parse_int_range, default=range(-8, 0))
+    sp.add_argument("-D", "--dim-range", type=_parse_int_range, default=range(1, 13))
     sp.add_argument("--max-rho-terms", type=int, default=1)
 
     sp = sub.add_parser("verify", help="numerically verify a solution")
@@ -333,10 +349,10 @@ def _cmd_pohozaev(args) -> int:
     rows = [
         {
             "id": sol.id,
-            "T": str(rep.functionals.kinetic_T),
-            "N": str(rep.functionals.N),
-            "Q": str(rep.functionals.Q),
-            "defect": "-" if rep.defect is None else str(rep.defect),
+            "T": rep.functionals.kinetic_T,
+            "N": rep.functionals.N,
+            "Q": rep.functionals.Q,
+            "defect": "-" if rep.defect is None else rep.defect,
         }
     ]
     _emit_rows(rows, args.format, payload)

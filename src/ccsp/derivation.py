@@ -15,6 +15,24 @@ monomial of the geometric part and the rest vanishes (homogeneous mode) or
 is simple enough to serve as a background source rho (background mode).
 Everything here is exact rational arithmetic; hits report amplitude laws as
 graded rationals X = q * (-kappa)^g, whose sign fixes the sign of alpha.
+
+The search never rebuilds Lap(Lap(u)/u) cell by cell.  The Laplacian is
+d^2 + m T^-1 d with m = D - 1, linear in m, so with a = (u'')/u and
+b = (T^-1 u')/u
+
+    Lap(u)/u = a + m b,
+    G = Lap(Lap(u)/u) = A0 + m A1 + m^2 A2,
+    A0 = a'',  A1 = T^-1 a' + b'',  A2 = T^-1 b',
+
+and (a, b, A0, A1, A2) are computed once per (family, n).  For u = base^n
+the base powers of a, b and G do not depend on n (dividing by u removes
+it), and their coefficients are polynomials of degree at most 2 in n.  A
+hit needs X != 0, so the u^2 power base^(2n) must be one of G's powers:
+n = p/2 for p in the fixed support P of G, which is the union of the
+supports of A0, A1, A2 at any three distinct n (a nonzero polynomial of
+degree 2 has at most two roots).  P/2 is {-4, -3, -2} for flat-c, {-2} for
+flat-r and {-2, -1} for curved-c and curved-s; the searches evaluate only
+the cells with n in that set.
 """
 
 from __future__ import annotations
@@ -22,6 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
+from functools import cache
 from typing import Iterable, Optional, Sequence
 
 from .geometry import Regime
@@ -199,15 +218,59 @@ def _check_family_regime(family: Family, regime: Regime) -> None:
         raise ValueError(f"family {family.value} requires a curved regime")
 
 
-def _shape(fam: AnsatzFamily) -> RadialExpr:
-    return RadialExpr.monomial(fam.family.basis, 1, base=fam.n)
+def _check_search(family: Family, regime: Regime, mode: str) -> None:
+    _check_family_regime(family, regime)
+    if mode not in ("homogeneous", "background"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if mode == "background" and family is Family.FLAT_POWER_R:
+        raise ValueError("pure power-of-r profiles are homogeneous-search only")
+
+
+@cache
+def _potential_parts(fam: AnsatzFamily) -> tuple[RadialExpr, RadialExpr]:
+    """(a, b) with Lap(u)/u = a + (D-1) b: a = u''/u, b = (u'/T)/u."""
+    shape = RadialExpr.monomial(fam.family.basis, 1, base=fam.n)
+    d1 = shape.diff()
+    return d1.diff().div_monomial(shape), d1.div_T().div_monomial(shape)
+
+
+@cache
+def _geometry_parts(fam: AnsatzFamily) -> tuple[RadialExpr, RadialExpr, RadialExpr]:
+    """(A0, A1, A2) with Lap(Lap(u)/u) = A0 + (D-1) A1 + (D-1)^2 A2."""
+    a, b = _potential_parts(fam)
+    da, db = a.diff(), b.diff()
+    return da.diff(), da.div_T() + db.diff(), db.div_T()
+
+
+def _at_dimension(parts: tuple[RadialExpr, ...], dim: int) -> RadialExpr:
+    """sum_k (D-1)^k parts[k]."""
+    if dim < 1:
+        raise ValueError(f"dimension must be >= 1, got {dim}")
+    m = dim - 1
+    total = parts[0]
+    for k, part in enumerate(parts[1:], start=1):
+        total = total + m**k * part
+    return total
+
+
+@cache
+def _candidate_exponents(family: Family) -> frozenset[int]:
+    """Every n for which some dimension can give a hit: n = p/2 for the
+    even powers p of G's fixed support (see the module docstring)."""
+    support = {
+        t.base
+        for n in (1, 2, 3)
+        for part in _geometry_parts(AnsatzFamily(family, n))
+        for t in part.terms
+        if t.odd == 0
+    }
+    return frozenset(p // 2 for p in support if p % 2 == 0)
 
 
 def potential_term(fam: AnsatzFamily, regime: Regime, dim: int) -> RadialExpr:
     """Lap(u)/u for the trial profile: equals alpha*V - omega exactly."""
     _check_family_regime(fam.family, regime)
-    shape = _shape(fam)
-    return shape.laplacian(dim).div_monomial(shape)
+    return _at_dimension(_potential_parts(fam), dim)
 
 
 def omega_of(fam: AnsatzFamily, regime: Regime, dim: int) -> OmegaValue:
@@ -231,8 +294,7 @@ def omega_of(fam: AnsatzFamily, regime: Regime, dim: int) -> OmegaValue:
 
 def _geometry_part(fam: AnsatzFamily, dim: int) -> RadialExpr:
     # alpha*Lap(V) = Lap(Lap(u)/u): the constant omega drops under Lap.
-    shape = _shape(fam)
-    return shape.laplacian(dim).div_monomial(shape).laplacian(dim)
+    return _at_dimension(_geometry_parts(fam), dim)
 
 
 def consistency_residual(fam: AnsatzFamily, regime: Regime, dim: int) -> RadialExpr:
@@ -295,11 +357,7 @@ def evaluate_candidate(
     max_rho_terms: int = 1,
 ) -> Candidate:
     """Run the matching procedure for a single (family, n, D) cell."""
-    _check_family_regime(fam.family, regime)
-    if mode not in ("homogeneous", "background"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == "background" and fam.family is Family.FLAT_POWER_R:
-        raise ValueError("pure power-of-r profiles are homogeneous-search only")
+    _check_search(fam.family, regime, mode)
 
     geom = _geometry_part(fam, dim)
     basis = fam.family.basis
@@ -353,6 +411,27 @@ def _check_ranges(n_range: Sequence[int], d_range: Sequence[int]) -> None:
         raise ValueError("dimensions must be >= 1")
 
 
+def _search(
+    family: Family,
+    regime: Regime,
+    n_range: Iterable[int],
+    d_range: Iterable[int],
+    mode: str,
+    max_rho_terms: int = 1,
+) -> list[DerivationHit]:
+    ns, ds = sorted(set(n_range)), sorted(set(d_range))
+    _check_ranges(ns, ds)
+    _check_search(family, regime, mode)
+    hits = []
+    for n in sorted(_candidate_exponents(family).intersection(ns)):
+        for d in ds:
+            cand = evaluate_candidate(AnsatzFamily(family, n), regime, d, mode, max_rho_terms)
+            if cand.status is CandidateStatus.HIT:
+                hits.append(cand.hit)
+    hits.sort(key=DerivationHit.sort_key)
+    return hits
+
+
 def solve_homogeneous(
     family: Family,
     regime: Regime,
@@ -365,17 +444,14 @@ def solve_homogeneous(
     residual with A^2 != 0 (the sign of alpha is then forced).  n = 0 and
     positive exponents fall out of the same criterion rather than being
     special-cased.
+
+    Only exponents n with base^(2n) in the fixed support of
+    G = Lap(Lap(u)/u) are evaluated: elsewhere X has nothing to cancel and
+    the forced amplitude is zero, whatever D.  For the others, G is built
+    as A0 + (D-1) A1 + (D-1)^2 A2 from parts cached per (family, n); see
+    the module docstring.
     """
-    ns, ds = sorted(set(n_range)), sorted(set(d_range))
-    _check_ranges(ns, ds)
-    hits = []
-    for n in ns:
-        for d in ds:
-            cand = evaluate_candidate(AnsatzFamily(family, n), regime, d, "homogeneous")
-            if cand.status is CandidateStatus.HIT:
-                hits.append(cand.hit)
-    hits.sort(key=DerivationHit.sort_key)
-    return hits
+    return _search(family, regime, n_range, d_range, "homogeneous")
 
 
 def solve_singular_flat(d_range: Iterable[int]) -> list[DerivationHit]:
@@ -403,19 +479,9 @@ def solve_background(
     After the amplitude cancels one residual monomial, the leftover becomes
     rho = -leftover/alpha; cells are kept when rho has at most
     `max_rho_terms` monomials and u has no poles on the closed domain.
+    Like `solve_homogeneous`, it evaluates only the exponents that can hit.
     """
-    ns, ds = sorted(set(n_range)), sorted(set(d_range))
-    _check_ranges(ns, ds)
-    hits = []
-    for n in ns:
-        for d in ds:
-            cand = evaluate_candidate(
-                AnsatzFamily(family, n), regime, d, "background", max_rho_terms
-            )
-            if cand.status is CandidateStatus.HIT:
-                hits.append(cand.hit)
-    hits.sort(key=DerivationHit.sort_key)
-    return hits
+    return _search(family, regime, n_range, d_range, "background", max_rho_terms)
 
 
 def classify_alpha_sign(hit: DerivationHit) -> DerivationHit:

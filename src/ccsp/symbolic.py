@@ -297,7 +297,7 @@ class RadialExpr:
             out.extend(_diff_monomial(self.basis, t))
         return RadialExpr.from_terms(self.basis, out)
 
-    def _div_T(self) -> "RadialExpr":
+    def div_T(self) -> "RadialExpr":
         """Exact division by T = S/C (flat: by r)."""
         if self.basis is Basis.FLAT_R:
             return RadialExpr(
@@ -332,7 +332,7 @@ class RadialExpr:
         d2 = d1.diff()
         if dim == 1:
             return d2
-        return d2 + (dim - 1) * d1._div_T()
+        return d2 + (dim - 1) * d1.div_T()
 
     def div_monomial(self, divisor: "RadialExpr") -> "RadialExpr":
         """Exact quotient by a single-monomial expression."""

@@ -99,6 +99,24 @@ def test_derive_empty_is_success():
 def test_derive_invalid_combination():
     code, _, err = run(["derive", "--family", "flat-c", "--regime", "hyperbolic", "-n", "-4..-4", "-D", "6..6"])
     assert code == 2
+    # also when no exponent of the window can hit, so no cell is evaluated
+    code, _, err = run(["derive", "--family", "flat-c", "--regime", "hyperbolic", "-n", "-8..-5", "-D", "6..6"])
+    assert code == 2
+    code, _, err = run(["derive", "--family", "flat-r", "--mode", "background", "-n", "-8..-5", "-D", "6..6"])
+    assert code == 2
+
+
+def test_parser_reused_across_calls_keeps_defaults():
+    from ccsp.cli import _build_parser
+
+    assert _build_parser() is _build_parser()
+    code, out, _ = run(["derive", "--family", "curved-s", "-n", "-1..-1", "-D", "1..12"])
+    assert code == 0
+    assert [(h["n"], h["dim"]) for h in json.loads(out)] == [(-1, 4)]
+    # the second call gets the default range -8..-1 back
+    code, out, _ = run(["derive", "--family", "curved-s", "-D", "1..12"])
+    assert code == 0
+    assert [(h["n"], h["dim"]) for h in json.loads(out)] == [(-2, 3), (-1, 4)]
 
 
 # -- verify ---------------------------------------------------------------
@@ -178,6 +196,20 @@ def test_pohozaev_defect():
     payload = json.loads(out)
     assert payload["defect"] <= 1e-6
     assert payload["T"] == pytest.approx(payload["Q"], rel=1e-6)
+
+
+@pytest.mark.parametrize(
+    "argv, flag, value",
+    [
+        (["mass", "HYP_U1"], "--kappa", "-4e-2"),
+        (["pohozaev", "FLAT_CSV"], "--alpha", "-1e4"),
+    ],
+)
+def test_negative_exponent_value_after_flag(argv, flag, value):
+    spaced = run(argv + [flag, value])
+    glued = run(argv + [f"{flag}={value}"])
+    assert spaced[0] == glued[0] == 0
+    assert spaced[1] == glued[1]
 
 
 def test_verify_with_pohozaev():

@@ -1,8 +1,9 @@
 """Golden CLI output: stdout and exit code, byte for byte.
 
 Covers `catalog --format json`, `mass` and `verify` of every catalog entry
-at default parameters, two `eval` grids and the `derive` examples of the
-README's CLI section.  The golden file records one block per command:
+at default parameters, two `eval` grids, the `derive` examples of the
+README's CLI section and `pohozaev` tables and CSV of the four flat
+finite-mass entries.  The golden file records one block per command:
 
     $ ccsp <args>
     [exit <code>]
@@ -38,6 +39,9 @@ COMMANDS = [
     ["derive", "--family", "curved-c", "--regime", "hyperbolic", "--mode", "background",
      "-n", "-1..-1", "-D", "1..6"],
     ["derive", "--family", "curved-s", "--regime", "hyperbolic", "-n", "-8..-1", "-D", "1..12"],
+    *(["pohozaev", sid, "--format", fmt]
+      for sid in ("FLAT_CSV", "BG_FLAT_N3_D4", "BG_FLAT_N3_D5", "BG_FLAT_N4_D4")
+      for fmt in ("table", "csv")),
 ]
 
 

@@ -1,9 +1,12 @@
+import json
 import math
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
 from conftest import fd_laplacian
+from ccsp import derivation
 from ccsp.derivation import (
     AlphaSign,
     AnsatzFamily,
@@ -22,6 +25,8 @@ from ccsp.derivation import (
 )
 from ccsp.geometry import Regime, Space
 from ccsp.symbolic import Basis, Graded, RadialExpr
+
+REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
 
 N_BOX = range(-8, 0)
 D_BOX = range(1, 13)
@@ -342,3 +347,117 @@ def test_hit_json_round_trip():
         obj = hit.to_json_obj()
         back = DerivationHit.from_json_obj(obj)
         assert back == hit
+
+
+# -- the search against the direct-Laplacian oracle ---------------------------
+
+COMBOS = [
+    (Family.FLAT_POWER_C, Regime.FLAT, "homogeneous"),
+    (Family.FLAT_POWER_C, Regime.FLAT, "background"),
+    (Family.FLAT_POWER_R, Regime.FLAT, "homogeneous"),
+    *(
+        (family, regime, mode)
+        for family in (Family.CURVED_POWER_C, Family.CURVED_POWER_S)
+        for regime in (Regime.HYPERBOLIC, Regime.SPHERICAL)
+        for mode in ("homogeneous", "background")
+    ),
+]
+
+
+def _direct_potential(fam, dim):
+    shape = RadialExpr.monomial(fam.family.basis, 1, base=fam.n)
+    return shape.laplacian(dim).div_monomial(shape)
+
+
+_DIRECT_GEOMETRY = {}
+
+
+def _direct_geometry(fam, dim):
+    if (fam, dim) not in _DIRECT_GEOMETRY:
+        _DIRECT_GEOMETRY[fam, dim] = _direct_potential(fam, dim).laplacian(dim)
+    return _DIRECT_GEOMETRY[fam, dim]
+
+
+def _solve(family, regime, mode, ns, ds, max_rho_terms):
+    if mode == "homogeneous":
+        return solve_homogeneous(family, regime, ns, ds)
+    return solve_background(family, regime, ns, ds, max_rho_terms)
+
+
+def test_parts_equal_the_direct_laplacian():
+    for family in Family:
+        for n in range(-8, 9):
+            fam = AnsatzFamily(family, n)
+            regime = Regime.FLAT if family.is_flat else Regime.HYPERBOLIC
+            for d in range(1, 13):
+                assert derivation._geometry_part(fam, d) == _direct_geometry(fam, d), (fam, d)
+                assert potential_term(fam, regime, d) == _direct_potential(fam, d), (fam, d)
+
+
+@pytest.mark.parametrize("family, regime, mode", COMBOS, ids=lambda x: getattr(x, "value", x))
+def test_search_equals_brute_force_oracle(family, regime, mode, monkeypatch):
+    ns, ds = range(-12, 13), range(1, 17)
+    rho_caps = (0, 1, 2) if mode == "background" else (1,)
+    fast = {cap: _solve(family, regime, mode, ns, ds, cap) for cap in rho_caps}
+    monkeypatch.setattr(derivation, "_geometry_part", _direct_geometry)
+    monkeypatch.setattr(
+        derivation, "potential_term", lambda fam, regime, dim: _direct_potential(fam, dim)
+    )
+    for cap in rho_caps:
+        brute = []
+        for n in ns:
+            for d in ds:
+                cand = evaluate_candidate(AnsatzFamily(family, n), regime, d, mode, cap)
+                if cand.status is CandidateStatus.HIT:
+                    brute.append(cand.hit)
+        assert fast[cap] == sorted(brute, key=lambda h: h.sort_key()), (mode, cap)
+
+
+def test_candidate_exponents_cover_the_support():
+    expected = {
+        Family.FLAT_POWER_C: {-4, -3, -2},
+        Family.FLAT_POWER_R: {-2},
+        Family.CURVED_POWER_C: {-2, -1},
+        Family.CURVED_POWER_S: {-2, -1},
+    }
+    for family in Family:
+        support = {
+            t.base
+            for n in range(-64, 64)
+            for part in derivation._geometry_parts(AnsatzFamily(family, n))
+            for t in part.terms
+            if t.odd == 0
+        }
+        from_support = {p // 2 for p in support if p % 2 == 0}
+        assert derivation._candidate_exponents(family) == from_support == expected[family]
+
+
+def test_universe_hits_equal_the_reference():
+    ref = json.loads(REFERENCE.read_text())
+    (n_lo, n_hi), (d_lo, d_hi) = ref["universe"]["n"], ref["universe"]["dim"]
+    total = 0
+    for family, regime, mode in COMBOS:
+        hits = []
+        for lo in range(n_lo, n_hi + 1, 64):  # windows of at most 64 exponents
+            hits += _solve(family, regime, mode, range(lo, min(lo + 64, n_hi + 1)),
+                            range(d_lo, d_hi + 1), 1)
+        got = [
+            {
+                "n": h.n,
+                "dim": h.dim,
+                "x": [str(h.x_law.coef), h.x_law.kappa],
+                "omega": [str(h.omega.value.coef), h.omega.value.kappa],
+                "alpha_rho": sorted(
+                    [str(t.coeff), t.base, t.kappa] for t in h.rho.terms if t.alpha == -1
+                ),
+            }
+            for h in hits
+        ]
+        want = [
+            {k: h[k] for k in ("n", "dim", "x", "omega", "alpha_rho")}
+            for h in ref["hits"][f"{family.value}:{regime.value}:{mode}"]
+        ]
+        key = lambda h: (h["n"], h["dim"])
+        assert sorted(got, key=key) == sorted(want, key=key), (family, regime, mode)
+        total += len(got)
+    assert total == 201
