@@ -3,9 +3,10 @@
 Each entry is materialized by actually running the derivation engine for
 its (family, exponent, dimension) cell and re-substituting the resulting
 profile into both field equations symbolically; construction fails loudly
-if either residual is nonzero.  Masses are stored as exact graded
-constants (rational * sphere area * pi^p * |kappa|^(k/2) * |alpha|^a) so
-the numerical layer can verify them at any curvature and coupling.
+if either residual is nonzero.  Masses come from the exponents
+(:func:`ccsp.derivation.exact_mass`) as exact graded constants
+(rational * sphere area * pi^p * |kappa|^(k/2) * |alpha|^a), so the
+numerical layer can verify them at any curvature and coupling.
 
 Flat homogeneous entries form a scaling family u_a(r) = a^-2 u(r/a); the
 curved entries do not scale (the curved Laplacian has no scale symmetry),
@@ -29,8 +30,10 @@ from .derivation import (
     CandidateStatus,
     DerivationHit,
     Family,
+    GradedMass,
     OmegaValue,
     evaluate_candidate,
+    exact_mass,
     resubstitution_defects,
     singular_radius_tags,
     solution_exprs,
@@ -59,53 +62,6 @@ class NotScalableError(ValueError):
     """Only flat homogeneous solutions form a scaling family."""
 
 
-@dataclass(frozen=True)
-class GradedMass:
-    """Exact closed-form mass: coef * S_sub * pi^p * |kappa|^(k2/2) * |alpha|^a.
-
-    sphere_sub is the subscript of the unit-sphere area factor (S_5 for six
-    ambient dimensions), or None when no sphere factor is included (the
-    radial-integral convention).
-    """
-
-    coef: Fraction
-    sphere_sub: Optional[int] = None
-    pi_pow: int = 0
-    kappa_pow2: int = 0
-    alpha_pow: int = -1
-
-    def value(self, kappa: float, alpha: float) -> float:
-        v = float(self.coef)
-        if self.sphere_sub is not None:
-            v *= sphere_area(self.sphere_sub + 1)
-        if self.pi_pow:
-            v *= math.pi**self.pi_pow
-        if self.kappa_pow2:
-            v *= abs(kappa) ** (self.kappa_pow2 / 2.0)
-        if self.alpha_pow:
-            v *= abs(alpha) ** self.alpha_pow
-        return v
-
-    def to_json_obj(self) -> dict:
-        return {
-            "coef": str(self.coef),
-            "sphere_sub": self.sphere_sub,
-            "pi_pow": self.pi_pow,
-            "kappa_pow2": self.kappa_pow2,
-            "alpha_pow": self.alpha_pow,
-        }
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "GradedMass":
-        return cls(
-            Fraction(obj["coef"]),
-            obj["sphere_sub"],
-            int(obj["pi_pow"]),
-            int(obj["kappa_pow2"]),
-            int(obj["alpha_pow"]),
-        )
-
-
 _TAG_RADII: dict[str, Callable[[float], float]] = {
     "origin": lambda kappa: 0.0,
     "equator": lambda kappa: math.pi / (2.0 * math.sqrt(kappa)),
@@ -127,13 +83,16 @@ class Solution:
     alpha_sign: Optional[AlphaSign]     # None: valid for either coupling sign
     x_law: Optional[Graded]             # X = alpha*A^2; None: amplitude-free
     singular_radii: tuple[str, ...]
-    mass: Optional[GradedMass]
+    mass: Optional[GradedMass]          # None: the mass diverges
     mass_convention: str
-    finite_mass: bool
     provenance: str
     scale: float = 1.0
     family: Optional[Family] = None
     n: Optional[int] = None
+
+    @property
+    def finite_mass(self) -> bool:
+        return self.mass is not None
 
     # -- parameter handling -------------------------------------------
 
@@ -232,7 +191,6 @@ class Solution:
             singular_radii=tuple(obj["singular_radii"]),
             mass=GradedMass.from_json_obj(obj["mass"]) if obj["mass"] else None,
             mass_convention=obj["mass_convention"],
-            finite_mass=obj["mass"] is not None,
             provenance=obj["provenance"],
             scale=float(obj.get("scale", 1.0)),
         )
@@ -245,12 +203,11 @@ class Solution:
 def solution_from_hit(
     hit: DerivationHit,
     id: str,
-    mass: Optional[GradedMass] = None,
     mass_convention: str = FULL,
     provenance: str = "",
 ) -> Solution:
     """Materialize a derivation hit into a full record, re-checking both
-    field equations symbolically."""
+    field equations symbolically; the mass is the hit's exact Beta value."""
     u, v = solution_exprs(hit)
     schro, poisson = resubstitution_defects(u, v, hit.rho, hit.omega, hit.x_law, hit.dim)
     if not schro.is_zero or not poisson.is_zero:
@@ -266,9 +223,8 @@ def solution_from_hit(
         alpha_sign=hit.alpha_sign,
         x_law=hit.x_law,
         singular_radii=singular_radius_tags(AnsatzFamily(hit.family, hit.n), hit.regime),
-        mass=mass,
+        mass=exact_mass(hit, sphere_factor=mass_convention == FULL),
         mass_convention=mass_convention,
-        finite_mass=mass is not None,
         provenance=provenance,
         family=hit.family,
         n=hit.n,
@@ -282,14 +238,13 @@ def _entry(
     regime: Regime,
     dim: int,
     mode: str,
-    mass: Optional[GradedMass] = None,
     mass_convention: str = FULL,
     provenance: str = "",
 ) -> Solution:
     cand = evaluate_candidate(AnsatzFamily(family, n), regime, dim, mode)
     if cand.status is not CandidateStatus.HIT:
         raise AssertionError(f"{id}: expected a hit, got {cand.status.value} ({cand.detail})")
-    return solution_from_hit(cand.hit, id, mass, mass_convention, provenance)
+    return solution_from_hit(cand.hit, id, mass_convention, provenance)
 
 
 def _trivial_sphere_entry() -> Solution:
@@ -310,7 +265,6 @@ def _trivial_sphere_entry() -> Solution:
         singular_radii=(),
         mass=GradedMass(Fraction(2), None, pi_pow=2, kappa_pow2=-3, alpha_pow=0),
         mass_convention=FULL,
-        finite_mass=True,
         provenance=(
             "Constant profile on the 3-sphere with u^2 = -rho = 1 and V = 0; the only "
             "background solution regular on the whole sphere.  Works for either coupling "
@@ -320,11 +274,9 @@ def _trivial_sphere_entry() -> Solution:
 
 
 def _build_catalog() -> tuple[Solution, ...]:
-    F_ = Fraction
     entries = [
         _entry(
             "FLAT_CSV", Family.FLAT_POWER_C, -4, Regime.FLAT, 6, "homogeneous",
-            mass=GradedMass(F_(96), sphere_sub=5),
             provenance=(
                 "Self-attractive profile A (1+r^2)^-2 in dimension six, amplitude "
                 "A = 24/sqrt(-alpha); smooth, square-integrable, and a member of the "
@@ -351,7 +303,6 @@ def _build_catalog() -> tuple[Solution, ...]:
         ),
         _entry(
             "BG_FLAT_N3_D4", Family.FLAT_POWER_C, -3, Regime.FLAT, 4, "background",
-            mass=GradedMass(F_(36), sphere_sub=3),
             provenance=(
                 "Repulsive background profile u = 12 c^-3/sqrt(alpha) at D = 4 with "
                 "source rho = -360/(alpha c^8).  Mass is finite, N = 36 S_3/alpha "
@@ -361,7 +312,6 @@ def _build_catalog() -> tuple[Solution, ...]:
         ),
         _entry(
             "BG_FLAT_N3_D5", Family.FLAT_POWER_C, -3, Regime.FLAT, 5, "background",
-            mass=GradedMass(F_(45, 4), sphere_sub=4, pi_pow=1),
             provenance=(
                 "Repulsive background profile u = sqrt(60/alpha) c^-3 at D = 5, same "
                 "source rho = -360/(alpha c^8).  Mass is finite, N = (45 pi/4) S_4/alpha."
@@ -369,7 +319,6 @@ def _build_catalog() -> tuple[Solution, ...]:
         ),
         _entry(
             "BG_FLAT_N4_D4", Family.FLAT_POWER_C, -4, Regime.FLAT, 4, "background",
-            mass=GradedMass(F_(48), sphere_sub=3),
             provenance=(
                 "Attractive background companion of the D = 6 profile, taken at D = 4: "
                 "u = 24 c^-4/sqrt(-alpha), rho = 256/(alpha c^6).  For alpha < 0 the "
@@ -380,7 +329,6 @@ def _build_catalog() -> tuple[Solution, ...]:
         ),
         _entry(
             "HYP_U1", Family.CURVED_POWER_C, -2, Regime.HYPERBOLIC, 3, "homogeneous",
-            mass=GradedMass(F_(12), sphere_sub=2, kappa_pow2=1),
             provenance=(
                 "Attractive inverse-C-squared profile in hyperbolic 3-space, amplitude "
                 "A = 6(-kappa)/sqrt(-alpha), omega = 0; smooth and square-integrable "
@@ -408,7 +356,6 @@ def _build_catalog() -> tuple[Solution, ...]:
         ),
         _entry(
             "BG_HYP_N2_D1", Family.CURVED_POWER_C, -2, Regime.HYPERBOLIC, 1, "background",
-            mass=GradedMass(F_(24), sphere_sub=0, kappa_pow2=3),
             provenance=(
                 "D = 1 member of the attractive inverse-C-squared background family; "
                 "the source rho = -24 (-kappa)^2/((-alpha) C^2) is negative, so it "
@@ -418,7 +365,6 @@ def _build_catalog() -> tuple[Solution, ...]:
         ),
         _entry(
             "BG_HYP_N2_D2", Family.CURVED_POWER_C, -2, Regime.HYPERBOLIC, 2, "background",
-            mass=GradedMass(F_(12), sphere_sub=1, kappa_pow2=2),
             provenance=(
                 "D = 2 member of the attractive inverse-C-squared background family "
                 "(negative source, as below three dimensions); finite mass "
@@ -427,7 +373,6 @@ def _build_catalog() -> tuple[Solution, ...]:
         ),
         _entry(
             "BG_HYP_N2_D4", Family.CURVED_POWER_C, -2, Regime.HYPERBOLIC, 4, "background",
-            mass=GradedMass(F_(24), sphere_sub=3),
             provenance=(
                 "Attractive inverse-C-squared profile continued to D = 4 with source "
                 "rho = 12 (-kappa)^2/((-alpha) C^2) >= 0; finite mass "
@@ -450,7 +395,6 @@ def _build_catalog() -> tuple[Solution, ...]:
         ),
         _entry(
             "BG_HYP_N1_D2", Family.CURVED_POWER_C, -1, Regime.HYPERBOLIC, 2, "background",
-            mass=GradedMass(F_(4), sphere_sub=1, kappa_pow2=2),
             provenance=(
                 "Repulsive inverse-C profile at D = 2 (below three dimensions the "
                 "amplitude law forces alpha > 0, so the source rho = -12 (-kappa)^2/"
@@ -480,7 +424,6 @@ def _build_catalog() -> tuple[Solution, ...]:
         ),
         _entry(
             "BG_1D_SECH", Family.CURVED_POWER_C, -1, Regime.HYPERBOLIC, 1, "background",
-            mass=GradedMass(F_(8), sphere_sub=0, kappa_pow2=3),
             provenance=(
                 "One-dimensional sech profile: with kappa = -1/R^2 the line metric is "
                 "Euclidean and u = sqrt(8/alpha)/(R^2 cosh(r/R)), "
@@ -507,7 +450,6 @@ def _build_catalog() -> tuple[Solution, ...]:
         ),
         _entry(
             "SPH_U3", Family.CURVED_POWER_S, -1, Regime.SPHERICAL, 4, "homogeneous",
-            mass=GradedMass(F_(4)),
             mass_convention=RADIAL_INTEGRAL,
             provenance=(
                 "Spherical inverse-S profile at D = 4.  Direct substitution forces the "

@@ -59,7 +59,7 @@ def _jenc(obj):
     return json.dumps(walk(obj), indent=2)
 
 
-def _parse_int_range(text: str) -> list[int]:
+def _parse_int_range(text: str) -> range:
     try:
         lo_s, hi_s = text.split("..")
         lo, hi = int(lo_s), int(hi_s)
@@ -67,7 +67,7 @@ def _parse_int_range(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"expected a..b, got {text!r}")
     if hi < lo:
         raise argparse.ArgumentTypeError(f"empty range {text!r}")
-    return list(range(lo, hi + 1))
+    return range(lo, hi + 1)
 
 
 def _parse_grid(text: str) -> np.ndarray:
@@ -119,12 +119,14 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
+    # each subcommand registers only the flags it reads
     def common(sp, fmt_default):
         sp.add_argument("--format", choices=("json", "csv", "table"), default=fmt_default)
+
+    def params(sp):
         sp.add_argument("--kappa", type=float, default=None, help="sectional curvature")
         sp.add_argument("--R", type=float, default=None, help="curvature radius; kappa = -1/R^2")
         sp.add_argument("--alpha", type=float, default=None, help="coupling (sign matters)")
-        sp.add_argument("--rel-tol", type=float, default=numeric.DEFAULT_REL_TOL)
 
     sp = sub.add_parser("catalog", help="list the verified solution catalog")
     common(sp, "table")
@@ -145,6 +147,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="numerically verify a solution")
     common(sp, "json")
+    params(sp)
     sp.add_argument("id", nargs="?", help="catalog id")
     sp.add_argument("--hit-file", help="JSON hits from `derive` ('-' for stdin)")
     sp.add_argument("--grid-points", type=int, default=2000)
@@ -154,15 +157,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("mass", help="total mass integral of u^2")
     common(sp, "json")
+    params(sp)
     sp.add_argument("id")
+    sp.add_argument("--rel-tol", type=float, default=numeric.DEFAULT_REL_TOL)
     sp.add_argument("--radial-only", action="store_true", help="omit the sphere-area factor")
 
     sp = sub.add_parser("pohozaev", help="variational functionals and identities")
     common(sp, "json")
+    params(sp)
     sp.add_argument("id")
 
     sp = sub.add_parser("eval", help="export (r, u, V, rho) profiles")
     common(sp, "csv")
+    params(sp)
     sp.add_argument("id")
     sp.add_argument("--r", type=_parse_grid, required=True, metavar="lo:hi:count")
     return p

@@ -33,17 +33,23 @@ supports of A0, A1, A2 at any three distinct n (a nonzero polynomial of
 degree 2 has at most two roots).  P/2 is {-4, -3, -2} for flat-c, {-2} for
 flat-r and {-2, -1} for curved-c and curved-s; the searches evaluate only
 the cells with n in that set.
+
+Masses and frequencies come from the exponents as well.  The mass of a
+hit is a half-Beta integral fixed by (family, n, D, regime) and X (see
+`exact_mass`), and since Lap(u)/u has only even terms with non-positive
+base powers, omega is minus its constant term in every regime.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from functools import cache
 from typing import Iterable, Optional, Sequence
 
-from .geometry import Regime
+from .geometry import Regime, sphere_area
 from .symbolic import Basis, Graded, Monomial, RadialExpr, ZERO_GRADED
 
 __all__ = [
@@ -52,12 +58,14 @@ __all__ = [
     "AlphaSign",
     "OmegaValue",
     "DerivationHit",
+    "GradedMass",
     "CandidateStatus",
     "Candidate",
     "potential_term",
     "omega_of",
     "consistency_residual",
     "evaluate_candidate",
+    "exact_mass",
     "solve_homogeneous",
     "solve_singular_flat",
     "solve_background",
@@ -274,22 +282,16 @@ def potential_term(fam: AnsatzFamily, regime: Regime, dim: int) -> RadialExpr:
 
 
 def omega_of(fam: AnsatzFamily, regime: Regime, dim: int) -> OmegaValue:
-    """Frequency fixed as -lim_{r->inf} Lap(u)/u.
+    """Frequency: minus the constant term of Lap(u)/u.
 
-    The flat power families always give zero.  On the sphere there is no
-    such limit; the same constant split of Lap(u)/u is reported with the
-    `conventional` flag set.
+    Lap(u)/u has only even terms with non-positive base powers, so off the
+    sphere this is -lim_{r->inf} Lap(u)/u (zero for the flat families).  On
+    the sphere there is no such limit; the same constant split is reported
+    with the `conventional` flag set.
     """
-    pot = potential_term(fam, regime, dim)
-    if regime is Regime.SPHERICAL:
-        const = [t for t in pot.terms if t.base == 0 and t.odd == 0]
-        if not const:
-            return OmegaValue(ZERO_GRADED, conventional=True)
-        return OmegaValue(Graded(-const[0].coeff, const[0].kappa), conventional=True)
-    limit = pot.limit_at_infinity(regime)
-    if not isinstance(limit, Graded):
-        raise ValueError(f"Lap(u)/u has no limit at infinity: {limit}")
-    return OmegaValue(-limit, conventional=False)
+    const = [t for t in potential_term(fam, regime, dim).terms if t.base == 0]
+    value = Graded(-const[0].coeff, const[0].kappa) if const else ZERO_GRADED
+    return OmegaValue(value, conventional=regime is Regime.SPHERICAL)
 
 
 def _geometry_part(fam: AnsatzFamily, dim: int) -> RadialExpr:
@@ -310,21 +312,6 @@ def consistency_residual(fam: AnsatzFamily, regime: Regime, dim: int) -> RadialE
     return geom + x_term
 
 
-def _u_is_singular(fam: AnsatzFamily, regime: Regime) -> bool:
-    """Does u = base^n have a pole anywhere on the closed radial domain?"""
-    if fam.n >= 0:
-        return False
-    basis = fam.family.basis
-    if basis is Basis.FLAT_C:
-        return False                       # c >= 1 everywhere
-    if basis is Basis.FLAT_R:
-        return True                        # pole at the origin
-    if basis is Basis.CURVED_S:
-        return True                        # S vanishes at r = 0 (and antipode)
-    # CURVED_C: cosh never vanishes, cos vanishes on the equator
-    return regime is Regime.SPHERICAL
-
-
 def singular_radius_tags(fam: AnsatzFamily, regime: Regime) -> tuple[str, ...]:
     """Symbolic labels of the genuine poles of u = base^n."""
     if fam.n >= 0:
@@ -341,12 +328,94 @@ def singular_radius_tags(fam: AnsatzFamily, regime: Regime) -> tuple[str, ...]:
     return ()
 
 
-def _alpha_sign_of(x: Graded, regime: Regime) -> AlphaSign:
-    # sign of X = alpha*A^2 evaluated with the regime's sign of (-kappa)
-    s = 1 if x.coef > 0 else -1
-    if regime is Regime.SPHERICAL and x.kappa % 2:
-        s = -s
-    return AlphaSign.ATTRACTIVE if s < 0 else AlphaSign.REPULSIVE
+@dataclass(frozen=True)
+class GradedMass:
+    """Exact closed-form mass: coef * S_sub * pi^p * |kappa|^(k2/2) * |alpha|^a.
+
+    sphere_sub is the subscript of the unit-sphere area factor (S_5 for six
+    ambient dimensions), or None when no sphere factor is included (the
+    radial-integral convention).
+    """
+
+    coef: Fraction
+    sphere_sub: Optional[int] = None
+    pi_pow: int = 0
+    kappa_pow2: int = 0
+    alpha_pow: int = -1
+
+    def value(self, kappa: float, alpha: float) -> float:
+        v = float(self.coef)
+        if self.sphere_sub is not None:
+            v *= sphere_area(self.sphere_sub + 1)
+        if self.pi_pow:
+            v *= math.pi**self.pi_pow
+        if self.kappa_pow2:
+            v *= abs(kappa) ** (self.kappa_pow2 / 2.0)
+        if self.alpha_pow:
+            v *= abs(alpha) ** self.alpha_pow
+        return v
+
+    def to_json_obj(self) -> dict:
+        return {
+            "coef": str(self.coef),
+            "sphere_sub": self.sphere_sub,
+            "pi_pow": self.pi_pow,
+            "kappa_pow2": self.kappa_pow2,
+            "alpha_pow": self.alpha_pow,
+        }
+
+    @classmethod
+    def from_json_obj(cls, obj: dict) -> "GradedMass":
+        return cls(
+            Fraction(obj["coef"]),
+            obj["sphere_sub"],
+            int(obj["pi_pow"]),
+            int(obj["kappa_pow2"]),
+            int(obj["alpha_pow"]),
+        )
+
+
+_HALF = Fraction(1, 2)
+
+# int u^2 S^(D-1) dr = |X/alpha| f B(x, y) lambda^p with lambda = |kappa|^(1/2);
+# (x, y, f, p) from (n, h = D/2).  flat-r and hyperbolic curved-s are never
+# integrable: S^(2n+D-1) fails at the origin or at infinity.
+_MASS_BETA = {
+    (Family.FLAT_POWER_C, Regime.FLAT): lambda n, h: (h, -n - h, _HALF, 0),
+    (Family.CURVED_POWER_C, Regime.HYPERBOLIC): lambda n, h: (h, _HALF - n - h, _HALF, -2 * h),
+    (Family.CURVED_POWER_C, Regime.SPHERICAL): lambda n, h: (n + _HALF, h, 1, -2 * h),
+    (Family.CURVED_POWER_S, Regime.SPHERICAL): lambda n, h: (_HALF, n + h, 1, -2 * (n + h)),
+}
+
+
+def _gamma_half(z: Fraction) -> tuple[Fraction, int]:
+    """Gamma(z) for z in Z/2, z > 0, as (q, k) with Gamma(z) = q sqrt(pi)^k."""
+    if z.denominator == 1:
+        return Fraction(math.factorial(int(z) - 1)), 0
+    k = int(z - _HALF)
+    return Fraction(math.factorial(2 * k), 4**k * math.factorial(k)), 1
+
+
+def exact_mass(hit: DerivationHit, sphere_factor: bool = True) -> Optional[GradedMass]:
+    """Closed-form mass int u^2 dvol of a hit, or None where it diverges.
+
+    The integral is finite exactly when both Beta arguments are positive.
+    They are half-integers, so B(x, y) is a rational times pi^0 or pi^1.
+    Without `sphere_factor` the mass is the bare radial integral.
+    """
+    rule = _MASS_BETA.get((hit.family, hit.regime))
+    if rule is None:
+        return None
+    x, y, f, p = rule(hit.n, Fraction(hit.dim, 2))
+    if x <= 0 or y <= 0:
+        return None
+    (gx, kx), (gy, ky), (gxy, kxy) = (_gamma_half(z) for z in (x, y, x + y))
+    return GradedMass(
+        abs(hit.x_law.coef) * f * gx * gy / gxy,
+        sphere_sub=hit.dim - 1 if sphere_factor else None,
+        pi_pow=(kx + ky - kxy) // 2,
+        kappa_pow2=2 * hit.x_law.kappa + int(p),
+    )
 
 
 def evaluate_candidate(
@@ -377,7 +446,7 @@ def evaluate_candidate(
             return Candidate(CandidateStatus.LEFTOVER_TERMS, detail=f"residual leftover: {rest}")
         rho = RadialExpr.zero(basis)
     else:
-        if _u_is_singular(fam, regime):
+        if singular_radius_tags(fam, regime):
             return Candidate(CandidateStatus.SINGULAR_U, detail="profile has poles on the closed domain")
         rho = (-rest).scale_grades(alpha=-1)
         if len(rho.terms) > max_rho_terms:
@@ -395,7 +464,7 @@ def evaluate_candidate(
         regime=regime,
         mode=mode,
         x_law=x_law,
-        alpha_sign=_alpha_sign_of(x_law, regime),
+        alpha_sign=AlphaSign.REPULSIVE if x_law.sign(regime) > 0 else AlphaSign.ATTRACTIVE,
         omega=omega_of(fam, regime, dim),
         rho=rho,
     )
@@ -403,6 +472,7 @@ def evaluate_candidate(
 
 
 def _check_ranges(n_range: Sequence[int], d_range: Sequence[int]) -> None:
+    # sizes only: a lazy range is never materialized before the cap
     if not n_range or not d_range:
         raise ValueError("empty search range")
     if len(n_range) > _MAX_RANGE or len(d_range) > _MAX_RANGE:
@@ -414,16 +484,16 @@ def _check_ranges(n_range: Sequence[int], d_range: Sequence[int]) -> None:
 def _search(
     family: Family,
     regime: Regime,
-    n_range: Iterable[int],
-    d_range: Iterable[int],
+    n_range: Sequence[int],
+    d_range: Sequence[int],
     mode: str,
     max_rho_terms: int = 1,
 ) -> list[DerivationHit]:
-    ns, ds = sorted(set(n_range)), sorted(set(d_range))
-    _check_ranges(ns, ds)
+    _check_ranges(n_range, d_range)
     _check_search(family, regime, mode)
+    ds = sorted(set(d_range))
     hits = []
-    for n in sorted(_candidate_exponents(family).intersection(ns)):
+    for n in sorted(n for n in _candidate_exponents(family) if n in n_range):
         for d in ds:
             cand = evaluate_candidate(AnsatzFamily(family, n), regime, d, mode, max_rho_terms)
             if cand.status is CandidateStatus.HIT:
@@ -435,8 +505,8 @@ def _search(
 def solve_homogeneous(
     family: Family,
     regime: Regime,
-    n_range: Iterable[int],
-    d_range: Iterable[int],
+    n_range: Sequence[int],
+    d_range: Sequence[int],
 ) -> list[DerivationHit]:
     """Enumerate exponents and dimensions; keep exact homogeneous solutions.
 
@@ -470,8 +540,8 @@ def solve_singular_flat(d_range: Iterable[int]) -> list[DerivationHit]:
 def solve_background(
     family: Family,
     regime: Regime,
-    n_range: Iterable[int],
-    d_range: Iterable[int],
+    n_range: Sequence[int],
+    d_range: Sequence[int],
     max_rho_terms: int = 1,
 ) -> list[DerivationHit]:
     """Search with a background source: -Lap(V) = u^2 + rho.
@@ -490,10 +560,7 @@ def classify_alpha_sign(hit: DerivationHit) -> DerivationHit:
     note = f"coupling sign: {hit.alpha_sign.value}"
     if not hit.rho.is_zero:
         lead = hit.rho.terms[0]
-        s = 1 if lead.coeff > 0 else -1
-        if hit.regime is Regime.SPHERICAL and lead.kappa % 2:
-            s = -s
-        s *= hit.alpha_sign.sign ** lead.alpha
+        s = Graded(lead.coeff, lead.kappa).sign(hit.regime) * hit.alpha_sign.sign ** lead.alpha
         note += f"; background source is {'positive' if s > 0 else 'negative'}"
     elif hit.mode == "background":
         note += "; background source vanishes"

@@ -41,8 +41,6 @@ __all__ = [
     "Monomial",
     "RadialExpr",
     "Graded",
-    "DIVERGES",
-    "NOT_APPLICABLE",
 ]
 
 
@@ -110,6 +108,11 @@ class Graded:
             return float(self.coef)
         return float(self.coef) * neg_kappa**self.kappa
 
+    def sign(self, regime: Regime) -> int:
+        """Sign of the value in `regime`: (-kappa) is negative on the sphere."""
+        s = 1 if self.coef > 0 else -1
+        return -s if regime is Regime.SPHERICAL and self.kappa % 2 else s
+
     def __neg__(self) -> "Graded":
         return Graded(-self.coef, self.kappa)
 
@@ -128,10 +131,6 @@ class Graded:
 
 
 ZERO_GRADED = Graded(Fraction(0), 0)
-
-# sentinels returned by limit_at_infinity
-DIVERGES = "DIVERGES"
-NOT_APPLICABLE = "NOT_APPLICABLE"
 
 # odd^2 rewrite rules: odd^2 * base^b -> sum of (coeff sign, base shift,
 # kappa shift) applied to the even part.
@@ -385,36 +384,6 @@ class RadialExpr:
     def collect(self) -> list[tuple[tuple[int, int, int, int, int], Fraction]]:
         """Deterministically ordered (key, coefficient) pairs."""
         return [(t.key, t.coeff) for t in self.terms]
-
-    # -- analysis ------------------------------------------------------
-
-    def limit_at_infinity(self, regime: Regime | None = None):
-        """Limit as r -> infinity: a Graded constant, DIVERGES, or
-        NOT_APPLICABLE (spherical: the domain is compact)."""
-        if regime is Regime.SPHERICAL:
-            return NOT_APPLICABLE
-        consts: list[Monomial] = []
-        for t in self.terms:
-            growth = t.base + t.odd
-            if growth > 0:
-                return DIVERGES
-            if growth == 0:
-                if t.odd:
-                    # r/c -> 1 in flat mode, S/C -> (-kappa)^(-1/2) curved:
-                    # the curved value is not rational-graded.
-                    if self.basis is Basis.FLAT_C:
-                        consts.append(Monomial(t.coeff, 0, 0, t.kappa, t.alpha, t.amp))
-                    else:
-                        raise ClosureError("odd/base balanced curved term has no graded limit")
-                else:
-                    consts.append(t)
-        if not consts:
-            return ZERO_GRADED
-        kappas = {t.kappa for t in consts}
-        alphas = {(t.alpha, t.amp) for t in consts}
-        if len(kappas) > 1 or alphas != {(0, 0)}:
-            raise ClosureError("limit mixes grades; not a single graded constant")
-        return Graded(sum(t.coeff for t in consts), consts[0].kappa)
 
     # -- evaluation ----------------------------------------------------
 

@@ -6,6 +6,7 @@ import pytest
 
 from ccsp.catalog import (
     CATALOG,
+    GradedMass,
     NotScalableError,
     Solution,
     catalog_list,
@@ -66,8 +67,25 @@ def test_finite_mass_flags():
         "SPH_U3",
         "SPH_TRIVIAL",
     }
-    for s in CATALOG:
-        assert s.finite_mass == (s.mass is not None)
+
+
+def test_masses_from_the_exponents_equal_the_closed_forms():
+    # half-Beta integrals worked by hand: (coef, sphere_sub, pi_pow, kappa_pow2)
+    expected = {
+        "FLAT_CSV": (F(96), 5, 0, 0),
+        "BG_FLAT_N3_D4": (F(36), 3, 0, 0),
+        "BG_FLAT_N3_D5": (F(45, 4), 4, 1, 0),
+        "BG_FLAT_N4_D4": (F(48), 3, 0, 0),
+        "HYP_U1": (F(12), 2, 0, 1),
+        "BG_HYP_N2_D1": (F(24), 0, 0, 3),
+        "BG_HYP_N2_D2": (F(12), 1, 0, 2),
+        "BG_HYP_N2_D4": (F(24), 3, 0, 0),
+        "BG_HYP_N1_D2": (F(4), 1, 0, 2),
+        "BG_1D_SECH": (F(8), 0, 0, 3),
+        "SPH_U3": (F(4), None, 0, 0),  # radial-integral convention
+    }
+    for sid, (coef, sub, pi_pow, kappa_pow2) in expected.items():
+        assert get_solution(sid).mass == GradedMass(coef, sub, pi_pow, kappa_pow2), sid
 
 
 def test_every_entry_resubstitutes_exactly():

@@ -4,13 +4,14 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 
 import ccsp
-from ccsp.cli import main
+from ccsp.cli import _parse_int_range, main
 
 
 def run(args, stdin_text=None):
@@ -157,6 +158,59 @@ def test_derive_pipe_to_verify():
     assert code == 0, err
     reports = json.loads(out2)
     assert len(reports) == 2 and all(r["passed"] for r in reports)
+
+
+@pytest.mark.parametrize(
+    "derive_args, count",
+    [
+        (["--family", "flat-c"], 1),
+        (["--family", "curved-c", "--regime", "hyperbolic", "--mode", "background"], 23),
+    ],
+)
+def test_derive_pipe_verifies_finite_mass_hits(derive_args, count):
+    # finite-mass hits carry their exact Beta mass through the pipe
+    _, out, _ = run(["derive", *derive_args])
+    code, out2, err = run(["verify", "--hit-file", "-"], stdin_text=out)
+    assert code == 0, err
+    reports = json.loads(out2)
+    reports = reports if isinstance(reports, list) else [reports]
+    assert len(reports) == count and all(r["passed"] for r in reports)
+    assert any(r["mass_expected"] is not None for r in reports)
+
+
+def test_derive_range_is_lazy():
+    assert isinstance(_parse_int_range("-1000000..1000000"), range)
+    run(["derive", "--family", "flat-c"])  # build the cached parser first
+    tracemalloc.start()
+    try:
+        code, _, err = run(["derive", "--family", "flat-c", "-n", "-1000000..1000000"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and "wider than 64" in err
+    assert peak < 1_000_000
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["catalog", "--kappa", "5"],
+        ["catalog", "--rel-tol", "3"],
+        ["derive", "--family", "flat-c", "--kappa", "-1"],
+        ["derive", "--family", "flat-c", "--alpha", "1"],
+        ["derive", "--family", "flat-c", "--R", "2"],
+        ["verify", "FLAT_CSV", "--rel-tol", "1e-3"],
+        ["pohozaev", "FLAT_CSV", "--rel-tol", "1e-3"],
+        ["eval", "FLAT_CSV", "--r", "0:1:3", "--rel-tol", "1e-3"],
+    ],
+)
+def test_unread_flags_are_rejected(args):
+    assert run(args)[0] == 2
+
+
+def test_mass_reads_rel_tol():
+    code, out, _ = run(["mass", "HYP_U1", "--rel-tol", "1e-8"])
+    assert code == 0 and json.loads(out)["mass"] is not None
 
 
 # -- mass / pohozaev ---------------------------------------------------------

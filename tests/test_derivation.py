@@ -6,7 +6,8 @@ from pathlib import Path
 import pytest
 
 from conftest import fd_laplacian
-from ccsp import derivation
+from ccsp import derivation, numeric
+from ccsp.catalog import solution_from_hit
 from ccsp.derivation import (
     AlphaSign,
     AnsatzFamily,
@@ -15,6 +16,7 @@ from ccsp.derivation import (
     classify_alpha_sign,
     consistency_residual,
     evaluate_candidate,
+    exact_mass,
     omega_of,
     potential_term,
     resubstitution_defects,
@@ -98,6 +100,25 @@ def test_omega_curved_values():
     u = lambda r: 1.0 / math.sinh(r)
     limit = -fd_laplacian(u, space, 30.0) / u(30.0)
     assert w.evaluate(1.0) == pytest.approx(limit, abs=1e-7)
+
+
+def test_omega_curved_constant_split():
+    # u = C^n: the constant term of Lap(u)/u is n(D+n-1)(-kappa) in both regimes
+    n, dim = -2, 5
+    for regime in (Regime.HYPERBOLIC, Regime.SPHERICAL):
+        w = omega_of(AnsatzFamily(Family.CURVED_POWER_C, n), regime, dim)
+        assert w.value == Graded(F(-n * (dim + n - 1)), 1)
+        assert w.conventional == (regime is Regime.SPHERICAL)
+
+
+def test_potential_term_has_only_even_nonpositive_powers():
+    # why omega is minus the constant term: every other term decays at infinity
+    for family in Family:
+        regime = Regime.FLAT if family.is_flat else Regime.HYPERBOLIC
+        for n in range(-12, 13):
+            for d in range(1, 17):
+                pot = potential_term(AnsatzFamily(family, n), regime, d)
+                assert all(t.odd == 0 and t.base <= 0 for t in pot.terms), (family, n, d)
 
 
 def test_omega_spherical_is_conventional():
@@ -461,3 +482,40 @@ def test_universe_hits_equal_the_reference():
         assert sorted(got, key=key) == sorted(want, key=key), (family, regime, mode)
         total += len(got)
     assert total == 201
+
+
+# -- masses from the exponents ------------------------------------------------
+
+
+def test_exact_mass_equals_the_reference():
+    ref = json.loads(REFERENCE.read_text())
+    finite = 0
+    for family, regime, mode in COMBOS:
+        for want in ref["hits"][f"{family.value}:{regime.value}:{mode}"]:
+            hit = evaluate_candidate(AnsatzFamily(family, want["n"]), regime, want["dim"], mode).hit
+            assert [str(hit.x_law.coef), hit.x_law.kappa] == want["x"]
+            got, ref_mass = exact_mass(hit), want["mass"]
+            assert (got is None) == bool(ref_mass["divergent_ends"]), (family, regime, want["n"], want["dim"])
+            if got is not None:
+                assert got.kappa_pow2 == ref_mass["lam_pow"]
+                assert got.alpha_pow == -ref_mass["alpha_pow"]
+                assert got.value(-1.0, 1.0) == pytest.approx(ref_mass["mass1"], rel=1e-12)
+                finite += 1
+    assert finite == 13
+
+
+def test_exact_mass_agrees_with_quadrature():
+    # the numeric divergence detector and Beta values on every small hit
+    hits = [h for combo in COMBOS for h in _solve(*combo, range(-16, 0), range(1, 17), 1)]
+    assert len(hits) == 57
+    finite = 0
+    for hit in hits:
+        sol = solution_from_hit(hit, id=f"{hit.family.value}:n{hit.n}:D{hit.dim}")
+        kappa = {Regime.FLAT: 0.0, Regime.HYPERBOLIC: -1.0, Regime.SPHERICAL: 1.0}[hit.regime]
+        alpha = float(hit.alpha_sign.sign)
+        got = numeric.mass(sol, kappa, alpha)
+        assert isinstance(got, numeric.Divergent) == (sol.mass is None), sol.id
+        if sol.mass is not None:
+            assert got == pytest.approx(sol.expected_mass_value(kappa, alpha), rel=1e-8), sol.id
+            finite += 1
+    assert finite == 13

@@ -7,14 +7,7 @@ import pytest
 
 from conftest import fd_laplacian
 from ccsp.geometry import PoleError, Regime, Space
-from ccsp.symbolic import (
-    DIVERGES,
-    NOT_APPLICABLE,
-    Basis,
-    Graded,
-    Monomial,
-    RadialExpr,
-)
+from ccsp.symbolic import Basis, Graded, Monomial, RadialExpr
 
 FLAT = Space.flat(6)
 HYP = Space.hyperbolic(-1.0, 3)
@@ -233,25 +226,16 @@ def test_eval_pole_error():
         e.eval(Space.flat(3), 0.0)
 
 
-# -- limits -----------------------------------------------------------------
+# -- graded constants ---------------------------------------------------------
 
 
-def test_limit_flat_decaying():
-    e = mono(Basis.FLAT_C, 5, base=-2) + mono(Basis.FLAT_C, -3, base=-4)
-    assert e.limit_at_infinity(Regime.FLAT) == Graded(F(0))
-
-
-def test_limit_curved_constant_split():
-    n, dim = -2, 5
-    shape = mono(Basis.CURVED_C, 1, base=n)
-    pot = shape.laplacian(dim).div_monomial(shape)
-    assert pot.limit_at_infinity(Regime.HYPERBOLIC) == Graded(F(n * (dim + n - 1)), 1)
-
-
-def test_limit_diverges_and_not_applicable():
-    e = mono(Basis.FLAT_C, 1, base=2)
-    assert e.limit_at_infinity(Regime.FLAT) is DIVERGES
-    assert e.limit_at_infinity(Regime.SPHERICAL) is NOT_APPLICABLE
+def test_graded_sign_flips_odd_grades_on_the_sphere():
+    for regime in Regime:
+        assert Graded(F(3)).sign(regime) == 1
+        assert Graded(F(-3), 2).sign(regime) == -1
+    assert Graded(F(2), 1).sign(Regime.HYPERBOLIC) == 1
+    assert Graded(F(2), 1).sign(Regime.SPHERICAL) == -1
+    assert Graded(F(-2), 3).sign(Regime.SPHERICAL) == 1
 
 
 # -- ring axioms and normal form ---------------------------------------------
