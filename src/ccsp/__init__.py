@@ -8,7 +8,6 @@ from .derivation import (
     AlphaSign,
     AnsatzFamily,
     DerivationHit,
-    Family,
     OmegaValue,
     classify_alpha_sign,
     consistency_residual,
@@ -16,7 +15,6 @@ from .derivation import (
     potential_term,
     solve_background,
     solve_homogeneous,
-    solve_singular_flat,
 )
 from .catalog import (
     CATALOG,

@@ -29,7 +29,6 @@ from .derivation import (
     AnsatzFamily,
     CandidateStatus,
     DerivationHit,
-    Family,
     GradedMass,
     OmegaValue,
     evaluate_candidate,
@@ -87,7 +86,7 @@ class Solution:
     mass_convention: str
     provenance: str
     scale: float = 1.0
-    family: Optional[Family] = None
+    family: Optional[Basis] = None
     n: Optional[int] = None
 
     @property
@@ -233,7 +232,7 @@ def solution_from_hit(
 
 def _entry(
     id: str,
-    family: Family,
+    family: Basis,
     n: int,
     regime: Regime,
     dim: int,
@@ -276,7 +275,7 @@ def _trivial_sphere_entry() -> Solution:
 def _build_catalog() -> tuple[Solution, ...]:
     entries = [
         _entry(
-            "FLAT_CSV", Family.FLAT_POWER_C, -4, Regime.FLAT, 6, "homogeneous",
+            "FLAT_CSV", Basis.FLAT_C, -4, Regime.FLAT, 6, "homogeneous",
             provenance=(
                 "Self-attractive profile A (1+r^2)^-2 in dimension six, amplitude "
                 "A = 24/sqrt(-alpha); smooth, square-integrable, and a member of the "
@@ -285,7 +284,7 @@ def _build_catalog() -> tuple[Solution, ...]:
             ),
         ),
         _entry(
-            "FLAT_SINGULAR_D3", Family.FLAT_POWER_R, -2, Regime.FLAT, 3, "homogeneous",
+            "FLAT_SINGULAR_D3", Basis.FLAT_R, -2, Regime.FLAT, 3, "homogeneous",
             provenance=(
                 "Inverse-square profile u = 2|D-4| r^-2/sqrt(-alpha) at D = 3; singular "
                 "at the origin, infinite mass.  Quotes of the amplitude as "
@@ -294,7 +293,7 @@ def _build_catalog() -> tuple[Solution, ...]:
             ),
         ),
         _entry(
-            "FLAT_SINGULAR_D6", Family.FLAT_POWER_R, -2, Regime.FLAT, 6, "homogeneous",
+            "FLAT_SINGULAR_D6", Basis.FLAT_R, -2, Regime.FLAT, 6, "homogeneous",
             provenance=(
                 "Inverse-square profile at D = 6, amplitude 4/sqrt(-alpha); singular at "
                 "the origin, infinite mass (the D = 4 member has zero amplitude and "
@@ -302,7 +301,7 @@ def _build_catalog() -> tuple[Solution, ...]:
             ),
         ),
         _entry(
-            "BG_FLAT_N3_D4", Family.FLAT_POWER_C, -3, Regime.FLAT, 4, "background",
+            "BG_FLAT_N3_D4", Basis.FLAT_C, -3, Regime.FLAT, 4, "background",
             provenance=(
                 "Repulsive background profile u = 12 c^-3/sqrt(alpha) at D = 4 with "
                 "source rho = -360/(alpha c^8).  Mass is finite, N = 36 S_3/alpha "
@@ -311,14 +310,14 @@ def _build_catalog() -> tuple[Solution, ...]:
             ),
         ),
         _entry(
-            "BG_FLAT_N3_D5", Family.FLAT_POWER_C, -3, Regime.FLAT, 5, "background",
+            "BG_FLAT_N3_D5", Basis.FLAT_C, -3, Regime.FLAT, 5, "background",
             provenance=(
                 "Repulsive background profile u = sqrt(60/alpha) c^-3 at D = 5, same "
                 "source rho = -360/(alpha c^8).  Mass is finite, N = (45 pi/4) S_4/alpha."
             ),
         ),
         _entry(
-            "BG_FLAT_N4_D4", Family.FLAT_POWER_C, -4, Regime.FLAT, 4, "background",
+            "BG_FLAT_N4_D4", Basis.FLAT_C, -4, Regime.FLAT, 4, "background",
             provenance=(
                 "Attractive background companion of the D = 6 profile, taken at D = 4: "
                 "u = 24 c^-4/sqrt(-alpha), rho = 256/(alpha c^6).  For alpha < 0 the "
@@ -328,7 +327,7 @@ def _build_catalog() -> tuple[Solution, ...]:
             ),
         ),
         _entry(
-            "HYP_U1", Family.CURVED_POWER_C, -2, Regime.HYPERBOLIC, 3, "homogeneous",
+            "HYP_U1", Basis.CURVED_C, -2, Regime.HYPERBOLIC, 3, "homogeneous",
             provenance=(
                 "Attractive inverse-C-squared profile in hyperbolic 3-space, amplitude "
                 "A = 6(-kappa)/sqrt(-alpha), omega = 0; smooth and square-integrable "
@@ -337,7 +336,7 @@ def _build_catalog() -> tuple[Solution, ...]:
             ),
         ),
         _entry(
-            "HYP_U2", Family.CURVED_POWER_S, -2, Regime.HYPERBOLIC, 3, "homogeneous",
+            "HYP_U2", Basis.CURVED_S, -2, Regime.HYPERBOLIC, 3, "homogeneous",
             provenance=(
                 "Attractive inverse-S-squared profile, D = 3.  With the metric function "
                 "S the exact amplitude is 2/sqrt(-alpha); quotes of 2(-kappa)/sqrt(-alpha) "
@@ -346,7 +345,7 @@ def _build_catalog() -> tuple[Solution, ...]:
             ),
         ),
         _entry(
-            "HYP_U3", Family.CURVED_POWER_S, -1, Regime.HYPERBOLIC, 4, "homogeneous",
+            "HYP_U3", Basis.CURVED_S, -1, Regime.HYPERBOLIC, 4, "homogeneous",
             provenance=(
                 "Attractive inverse-S profile, D = 4, amplitude sqrt(2(-kappa)/(-alpha)) "
                 "in the metric-S normalization (unscaled-sinh quotes carry an extra "
@@ -355,7 +354,7 @@ def _build_catalog() -> tuple[Solution, ...]:
             ),
         ),
         _entry(
-            "BG_HYP_N2_D1", Family.CURVED_POWER_C, -2, Regime.HYPERBOLIC, 1, "background",
+            "BG_HYP_N2_D1", Basis.CURVED_C, -2, Regime.HYPERBOLIC, 1, "background",
             provenance=(
                 "D = 1 member of the attractive inverse-C-squared background family; "
                 "the source rho = -24 (-kappa)^2/((-alpha) C^2) is negative, so it "
@@ -364,7 +363,7 @@ def _build_catalog() -> tuple[Solution, ...]:
             ),
         ),
         _entry(
-            "BG_HYP_N2_D2", Family.CURVED_POWER_C, -2, Regime.HYPERBOLIC, 2, "background",
+            "BG_HYP_N2_D2", Basis.CURVED_C, -2, Regime.HYPERBOLIC, 2, "background",
             provenance=(
                 "D = 2 member of the attractive inverse-C-squared background family "
                 "(negative source, as below three dimensions); finite mass "
@@ -372,7 +371,7 @@ def _build_catalog() -> tuple[Solution, ...]:
             ),
         ),
         _entry(
-            "BG_HYP_N2_D4", Family.CURVED_POWER_C, -2, Regime.HYPERBOLIC, 4, "background",
+            "BG_HYP_N2_D4", Basis.CURVED_C, -2, Regime.HYPERBOLIC, 4, "background",
             provenance=(
                 "Attractive inverse-C-squared profile continued to D = 4 with source "
                 "rho = 12 (-kappa)^2/((-alpha) C^2) >= 0; finite mass "
@@ -381,20 +380,20 @@ def _build_catalog() -> tuple[Solution, ...]:
             ),
         ),
         _entry(
-            "BG_HYP_N2_D5", Family.CURVED_POWER_C, -2, Regime.HYPERBOLIC, 5, "background",
+            "BG_HYP_N2_D5", Basis.CURVED_C, -2, Regime.HYPERBOLIC, 5, "background",
             provenance=(
                 "D = 5 member of the inverse-C-squared background family; the mass "
                 "integrand tends to a nonzero constant, so the mass diverges."
             ),
         ),
         _entry(
-            "BG_HYP_N2_D6", Family.CURVED_POWER_C, -2, Regime.HYPERBOLIC, 6, "background",
+            "BG_HYP_N2_D6", Basis.CURVED_C, -2, Regime.HYPERBOLIC, 6, "background",
             provenance=(
                 "D = 6 member of the inverse-C-squared background family; infinite mass."
             ),
         ),
         _entry(
-            "BG_HYP_N1_D2", Family.CURVED_POWER_C, -1, Regime.HYPERBOLIC, 2, "background",
+            "BG_HYP_N1_D2", Basis.CURVED_C, -1, Regime.HYPERBOLIC, 2, "background",
             provenance=(
                 "Repulsive inverse-C profile at D = 2 (below three dimensions the "
                 "amplitude law forces alpha > 0, so the source rho = -12 (-kappa)^2/"
@@ -402,7 +401,7 @@ def _build_catalog() -> tuple[Solution, ...]:
             ),
         ),
         _entry(
-            "BG_HYP_N1_D4", Family.CURVED_POWER_C, -1, Regime.HYPERBOLIC, 4, "background",
+            "BG_HYP_N1_D4", Basis.CURVED_C, -1, Regime.HYPERBOLIC, 4, "background",
             provenance=(
                 "Attractive inverse-C profile at D = 4 with positive source "
                 "rho = 12 (-kappa)^2/((-alpha) C^4); infinite mass (finite only below "
@@ -411,19 +410,19 @@ def _build_catalog() -> tuple[Solution, ...]:
             ),
         ),
         _entry(
-            "BG_HYP_N1_D5", Family.CURVED_POWER_C, -1, Regime.HYPERBOLIC, 5, "background",
+            "BG_HYP_N1_D5", Basis.CURVED_C, -1, Regime.HYPERBOLIC, 5, "background",
             provenance=(
                 "Attractive inverse-C profile at D = 5; infinite mass."
             ),
         ),
         _entry(
-            "BG_HYP_N1_D6", Family.CURVED_POWER_C, -1, Regime.HYPERBOLIC, 6, "background",
+            "BG_HYP_N1_D6", Basis.CURVED_C, -1, Regime.HYPERBOLIC, 6, "background",
             provenance=(
                 "Attractive inverse-C profile at D = 6; infinite mass."
             ),
         ),
         _entry(
-            "BG_1D_SECH", Family.CURVED_POWER_C, -1, Regime.HYPERBOLIC, 1, "background",
+            "BG_1D_SECH", Basis.CURVED_C, -1, Regime.HYPERBOLIC, 1, "background",
             provenance=(
                 "One-dimensional sech profile: with kappa = -1/R^2 the line metric is "
                 "Euclidean and u = sqrt(8/alpha)/(R^2 cosh(r/R)), "
@@ -433,7 +432,7 @@ def _build_catalog() -> tuple[Solution, ...]:
             ),
         ),
         _entry(
-            "SPH_U1", Family.CURVED_POWER_C, -2, Regime.SPHERICAL, 3, "homogeneous",
+            "SPH_U1", Basis.CURVED_C, -2, Regime.SPHERICAL, 3, "homogeneous",
             provenance=(
                 "Spherical continuation of the inverse-C-squared profile (C = cos): "
                 "attractive, amplitude 6 kappa/sqrt(-alpha), omega = 0.  Singular on "
@@ -441,7 +440,7 @@ def _build_catalog() -> tuple[Solution, ...]:
             ),
         ),
         _entry(
-            "SPH_U2", Family.CURVED_POWER_S, -2, Regime.SPHERICAL, 3, "homogeneous",
+            "SPH_U2", Basis.CURVED_S, -2, Regime.SPHERICAL, 3, "homogeneous",
             provenance=(
                 "Spherical inverse-S-squared profile: attractive, amplitude "
                 "2/sqrt(-alpha) (metric-S normalization).  Singular at both antipodes; "
@@ -449,7 +448,7 @@ def _build_catalog() -> tuple[Solution, ...]:
             ),
         ),
         _entry(
-            "SPH_U3", Family.CURVED_POWER_S, -1, Regime.SPHERICAL, 4, "homogeneous",
+            "SPH_U3", Basis.CURVED_S, -1, Regime.SPHERICAL, 4, "homogeneous",
             mass_convention=RADIAL_INTEGRAL,
             provenance=(
                 "Spherical inverse-S profile at D = 4.  Direct substitution forces the "
@@ -562,7 +561,7 @@ def compactness_obstruction_check(sol: Solution, kappa: float = 1.0, alpha: Opti
         r = np.asarray(r, dtype=float)
         return (u(r) ** 2 + rho(r)) * s_fn(r) ** (sol.dim - 1)
 
-    total = numeric.integrate_radial(integrand, space, 0.0, space.r_max, rel_tol=1e-12)
+    total = numeric.integrate_radial(integrand, 0.0, space.r_max, rel_tol=1e-12)
     if isinstance(total, numeric.Divergent):
         return CompactnessReport(sol.id, bool(sol.singular_radii), False, None, "charge integral diverges")
     total *= sphere_area(sol.dim)

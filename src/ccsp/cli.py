@@ -29,11 +29,11 @@ from .catalog import (
 from .derivation import (
     AlphaSign,
     DerivationHit,
-    Family,
     solve_background,
     solve_homogeneous,
 )
 from .geometry import PoleError, Regime
+from .symbolic import Basis
 
 _RANGE_FLAGS = ("-n", "--n-range", "-D", "--dim-range", "--r")
 
@@ -138,12 +138,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("derive", help="run the closed-form ansatz search")
     common(sp, "json")
-    sp.add_argument("--family", required=True, choices=[f.value for f in Family])
+    sp.add_argument("--family", required=True, choices=[b.value for b in Basis])
     sp.add_argument("--regime", choices=[r.value for r in Regime])
     sp.add_argument("--mode", choices=("homogeneous", "background"), default="homogeneous")
     sp.add_argument("-n", "--n-range", type=_parse_int_range, default=range(-8, 0))
     sp.add_argument("-D", "--dim-range", type=_parse_int_range, default=range(1, 13))
-    sp.add_argument("--max-rho-terms", type=int, default=1)
+    sp.add_argument("--max-rho-terms", type=int, default=None, help="background mode; default 1")
 
     sp = sub.add_parser("verify", help="numerically verify a solution")
     common(sp, "json")
@@ -251,15 +251,18 @@ def _cmd_catalog(args) -> int:
 
 
 def _cmd_derive(args) -> int:
-    family = Family(args.family)
+    family = Basis(args.family)
     if args.regime is None:
         regime = Regime.FLAT if family.is_flat else Regime.HYPERBOLIC
     else:
         regime = Regime(args.regime)
     if args.mode == "homogeneous":
+        if args.max_rho_terms is not None:
+            raise ValueError("--max-rho-terms applies to --mode background only")
         hits = solve_homogeneous(family, regime, args.n_range, args.dim_range)
     else:
-        hits = solve_background(family, regime, args.n_range, args.dim_range, args.max_rho_terms)
+        cap = 1 if args.max_rho_terms is None else args.max_rho_terms
+        hits = solve_background(family, regime, args.n_range, args.dim_range, cap)
     rows = [
         {
             "family": h.family.value,
@@ -279,6 +282,8 @@ def _cmd_derive(args) -> int:
 
 def _solutions_for_verify(args) -> list[Solution]:
     if args.hit_file:
+        if args.id:
+            raise ValueError("give a catalog id or --hit-file, not both")
         text = sys.stdin.read() if args.hit_file == "-" else open(args.hit_file).read()
         data = json.loads(text)
         hits = [DerivationHit.from_json_obj(obj) for obj in data]
@@ -313,13 +318,13 @@ def _cmd_verify(args) -> int:
             "id": r.solution_id,
             "schrodinger": r.schrodinger_residual_max,
             "poisson": r.poisson_residual_max,
-            "mass": str(r.mass_numeric) if r.mass_numeric is not None else "-",
+            "mass": r.mass_numeric if r.mass_numeric is not None else "-",
             "passed": r.passed,
         }
         for r in reports
     ]
     payload = [r.to_json_obj() for r in reports]
-    _emit_rows(rows, args.format, payload if len(payload) > 1 else payload[0])
+    _emit_rows(rows, args.format, payload[0] if len(payload) == 1 else payload)
     return 0 if all_passed else 1
 
 

@@ -47,13 +47,12 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from functools import cache
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .geometry import Regime, sphere_area
 from .symbolic import Basis, Graded, Monomial, RadialExpr, ZERO_GRADED
 
 __all__ = [
-    "Family",
     "AnsatzFamily",
     "AlphaSign",
     "OmegaValue",
@@ -67,7 +66,6 @@ __all__ = [
     "evaluate_candidate",
     "exact_mass",
     "solve_homogeneous",
-    "solve_singular_flat",
     "solve_background",
     "classify_alpha_sign",
     "solution_exprs",
@@ -75,21 +73,6 @@ __all__ = [
 ]
 
 _MAX_RANGE = 64
-
-
-class Family(str, Enum):
-    FLAT_POWER_C = "flat-c"
-    FLAT_POWER_R = "flat-r"
-    CURVED_POWER_C = "curved-c"
-    CURVED_POWER_S = "curved-s"
-
-    @property
-    def basis(self) -> Basis:
-        return Basis(self.value)
-
-    @property
-    def is_flat(self) -> bool:
-        return self in (Family.FLAT_POWER_C, Family.FLAT_POWER_R)
 
 
 class AlphaSign(str, Enum):
@@ -105,7 +88,7 @@ class AlphaSign(str, Enum):
 class AnsatzFamily:
     """A trial-profile family together with its integer exponent."""
 
-    family: Family
+    family: Basis
     n: int
 
 
@@ -146,7 +129,7 @@ class CandidateStatus(str, Enum):
 class DerivationHit:
     """One verified (family, n, D) solution of the matching problem."""
 
-    family: Family
+    family: Basis
     n: int
     dim: int
     regime: Regime
@@ -197,7 +180,7 @@ class DerivationHit:
     @classmethod
     def from_json_obj(cls, obj: dict) -> "DerivationHit":
         return cls(
-            family=Family(obj["family"]),
+            family=Basis(obj["family"]),
             n=int(obj["n"]),
             dim=int(obj["dim"]),
             regime=Regime(obj["regime"]),
@@ -219,25 +202,25 @@ class Candidate:
     detail: str = ""
 
 
-def _check_family_regime(family: Family, regime: Regime) -> None:
+def _check_family_regime(family: Basis, regime: Regime) -> None:
     if family.is_flat and regime is not Regime.FLAT:
         raise ValueError(f"family {family.value} requires the flat regime")
     if not family.is_flat and regime is Regime.FLAT:
         raise ValueError(f"family {family.value} requires a curved regime")
 
 
-def _check_search(family: Family, regime: Regime, mode: str) -> None:
+def _check_search(family: Basis, regime: Regime, mode: str) -> None:
     _check_family_regime(family, regime)
     if mode not in ("homogeneous", "background"):
         raise ValueError(f"unknown mode {mode!r}")
-    if mode == "background" and family is Family.FLAT_POWER_R:
+    if mode == "background" and family is Basis.FLAT_R:
         raise ValueError("pure power-of-r profiles are homogeneous-search only")
 
 
 @cache
 def _potential_parts(fam: AnsatzFamily) -> tuple[RadialExpr, RadialExpr]:
     """(a, b) with Lap(u)/u = a + (D-1) b: a = u''/u, b = (u'/T)/u."""
-    shape = RadialExpr.monomial(fam.family.basis, 1, base=fam.n)
+    shape = RadialExpr.monomial(fam.family, 1, base=fam.n)
     d1 = shape.diff()
     return d1.diff().div_monomial(shape), d1.div_T().div_monomial(shape)
 
@@ -262,7 +245,7 @@ def _at_dimension(parts: tuple[RadialExpr, ...], dim: int) -> RadialExpr:
 
 
 @cache
-def _candidate_exponents(family: Family) -> frozenset[int]:
+def _candidate_exponents(family: Basis) -> frozenset[int]:
     """Every n for which some dimension can give a hit: n = p/2 for the
     even powers p of G's fixed support (see the module docstring)."""
     support = {
@@ -308,24 +291,23 @@ def consistency_residual(fam: AnsatzFamily, regime: Regime, dim: int) -> RadialE
     """
     _check_family_regime(fam.family, regime)
     geom = _geometry_part(fam, dim)
-    x_term = RadialExpr.monomial(fam.family.basis, 1, base=2 * fam.n, alpha=1, amp=2)
+    x_term = RadialExpr.monomial(fam.family, 1, base=2 * fam.n, alpha=1, amp=2)
     return geom + x_term
+
+
+# zeros of the base function on the closed domain, keyed like _MASS_BETA:
+# there u = base^n with n < 0 has its poles
+_BASE_ZEROS = {
+    (Basis.FLAT_R, Regime.FLAT): ("origin",),
+    (Basis.CURVED_C, Regime.SPHERICAL): ("equator",),
+    (Basis.CURVED_S, Regime.HYPERBOLIC): ("origin",),
+    (Basis.CURVED_S, Regime.SPHERICAL): ("origin", "antipode"),
+}
 
 
 def singular_radius_tags(fam: AnsatzFamily, regime: Regime) -> tuple[str, ...]:
     """Symbolic labels of the genuine poles of u = base^n."""
-    if fam.n >= 0:
-        return ()
-    basis = fam.family.basis
-    if basis is Basis.FLAT_R:
-        return ("origin",)
-    if basis is Basis.CURVED_S:
-        if regime is Regime.SPHERICAL:
-            return ("origin", "antipode")
-        return ("origin",)
-    if basis is Basis.CURVED_C and regime is Regime.SPHERICAL:
-        return ("equator",)
-    return ()
+    return _BASE_ZEROS.get((fam.family, regime), ()) if fam.n < 0 else ()
 
 
 @dataclass(frozen=True)
@@ -381,10 +363,10 @@ _HALF = Fraction(1, 2)
 # (x, y, f, p) from (n, h = D/2).  flat-r and hyperbolic curved-s are never
 # integrable: S^(2n+D-1) fails at the origin or at infinity.
 _MASS_BETA = {
-    (Family.FLAT_POWER_C, Regime.FLAT): lambda n, h: (h, -n - h, _HALF, 0),
-    (Family.CURVED_POWER_C, Regime.HYPERBOLIC): lambda n, h: (h, _HALF - n - h, _HALF, -2 * h),
-    (Family.CURVED_POWER_C, Regime.SPHERICAL): lambda n, h: (n + _HALF, h, 1, -2 * h),
-    (Family.CURVED_POWER_S, Regime.SPHERICAL): lambda n, h: (_HALF, n + h, 1, -2 * (n + h)),
+    (Basis.FLAT_C, Regime.FLAT): lambda n, h: (h, -n - h, _HALF, 0),
+    (Basis.CURVED_C, Regime.HYPERBOLIC): lambda n, h: (h, _HALF - n - h, _HALF, -2 * h),
+    (Basis.CURVED_C, Regime.SPHERICAL): lambda n, h: (n + _HALF, h, 1, -2 * h),
+    (Basis.CURVED_S, Regime.SPHERICAL): lambda n, h: (_HALF, n + h, 1, -2 * (n + h)),
 }
 
 
@@ -429,11 +411,12 @@ def evaluate_candidate(
     _check_search(fam.family, regime, mode)
 
     geom = _geometry_part(fam, dim)
-    basis = fam.family.basis
     u2_base = 2 * fam.n
 
     matching = [t for t in geom.terms if t.base == u2_base and t.odd == 0]
-    rest = RadialExpr.from_terms(basis, (t for t in geom.terms if t.base != u2_base or t.odd != 0))
+    rest = RadialExpr.from_terms(
+        fam.family, (t for t in geom.terms if t.base != u2_base or t.odd != 0)
+    )
     if len(matching) > 1:
         # distinct curvature grades at one power cannot be cancelled by one X
         return Candidate(CandidateStatus.NO_CANCELLATION, detail="mixed grades at the u^2 power")
@@ -444,7 +427,7 @@ def evaluate_candidate(
     if mode == "homogeneous":
         if not rest.is_zero:
             return Candidate(CandidateStatus.LEFTOVER_TERMS, detail=f"residual leftover: {rest}")
-        rho = RadialExpr.zero(basis)
+        rho = RadialExpr.zero(fam.family)
     else:
         if singular_radius_tags(fam, regime):
             return Candidate(CandidateStatus.SINGULAR_U, detail="profile has poles on the closed domain")
@@ -482,7 +465,7 @@ def _check_ranges(n_range: Sequence[int], d_range: Sequence[int]) -> None:
 
 
 def _search(
-    family: Family,
+    family: Basis,
     regime: Regime,
     n_range: Sequence[int],
     d_range: Sequence[int],
@@ -503,7 +486,7 @@ def _search(
 
 
 def solve_homogeneous(
-    family: Family,
+    family: Basis,
     regime: Regime,
     n_range: Sequence[int],
     d_range: Sequence[int],
@@ -524,21 +507,8 @@ def solve_homogeneous(
     return _search(family, regime, n_range, d_range, "homogeneous")
 
 
-def solve_singular_flat(d_range: Iterable[int]) -> list[DerivationHit]:
-    """Pure power-of-r solutions: the inverse-square profile, any D != 4."""
-    hits = []
-    for d in sorted(set(d_range)):
-        if d < 1:
-            raise ValueError("dimensions must be >= 1")
-        hits.extend(
-            solve_homogeneous(Family.FLAT_POWER_R, Regime.FLAT, range(-8, 0), [d])
-        )
-    hits.sort(key=DerivationHit.sort_key)
-    return hits
-
-
 def solve_background(
-    family: Family,
+    family: Basis,
     regime: Regime,
     n_range: Sequence[int],
     d_range: Sequence[int],
@@ -575,11 +545,9 @@ def classify_alpha_sign(hit: DerivationHit) -> DerivationHit:
 def solution_exprs(hit: DerivationHit) -> tuple[RadialExpr, RadialExpr]:
     """Exact (u, V) for a hit: u = A*base^n (amplitude grade 1) and
     V = (Lap(u)/u + omega)/alpha."""
-    fam = AnsatzFamily(hit.family, hit.n)
-    basis = hit.family.basis
-    u = RadialExpr.monomial(basis, 1, base=hit.n, amp=1)
-    pot = potential_term(fam, hit.regime, hit.dim)
-    alpha_v = pot + RadialExpr.const(basis, hit.omega.value)
+    u = RadialExpr.monomial(hit.family, 1, base=hit.n, amp=1)
+    pot = potential_term(AnsatzFamily(hit.family, hit.n), hit.regime, hit.dim)
+    alpha_v = pot + RadialExpr.const(hit.family, hit.omega.value)
     v = alpha_v.scale_grades(alpha=-1)
     return u, v
 

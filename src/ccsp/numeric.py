@@ -149,7 +149,6 @@ def _cauchy_windows(
 
 def integrate_radial(
     f: Callable,
-    space: Space,
     r_lo: float,
     r_hi: float,
     rel_tol: float = DEFAULT_REL_TOL,
@@ -228,7 +227,7 @@ def mass(
     cuts = [0.0] + interior + [r_hi]
     total = 0.0
     for i, (lo, hi) in enumerate(zip(cuts[:-1], cuts[1:])):
-        part = integrate_radial(f, space, lo, hi, rel_tol)
+        part = integrate_radial(f, lo, hi, rel_tol)
         if isinstance(part, Divergent):
             where = part.where
             if where == "small-r" and i > 0:
@@ -490,18 +489,14 @@ def pohozaev_functionals(
         return PohozaevFunctionals(0.0, 0.0, 0.0)
 
     amp = sol.amp_sq(kappa, alpha)
-    du = sol.u.diff().compile(space, alpha, amp)
-    a = sol.scale
-    if a != 1.0:
-        du_base = du
-        du = lambda r: du_base(r / a) * a**-3
+    du = sol._scaled(sol.u.diff().compile(space, alpha, amp), -3)
 
     def t_integrand(r):
         r = np.asarray(r, dtype=float)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             return du(r) ** 2 * r ** (dim - 1)
 
-    t_val = integrate_radial(t_integrand, space, 0.0, math.inf, rel_tol)
+    t_val = integrate_radial(t_integrand, 0.0, math.inf, rel_tol)
     if not isinstance(t_val, Divergent):
         t_val *= area
 
@@ -521,7 +516,7 @@ def pohozaev_functionals(
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             return m**2 * r ** (1 - dim)
 
-    q_val = integrate_radial(q_integrand, space, 0.0, math.inf, max(rel_tol, 1e-9))
+    q_val = integrate_radial(q_integrand, 0.0, math.inf, max(rel_tol, 1e-9))
     if not isinstance(q_val, Divergent):
         q_val *= area
     return PohozaevFunctionals(t_val, n_val, q_val)

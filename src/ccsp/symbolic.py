@@ -16,7 +16,13 @@ addition, multiplication, d/dr and the radial Laplace-Beltrami operator are
 all exact: no floating point enters until evaluation.
 
 The odd exponent is capped at one; squares are reduced eagerly through the
-relations above, which makes the normal form unique.  The curved relations
+relations above, which makes the normal form unique.  Each basis is one
+row of `_RULES`: B', O' and 1/T as unit monomials, the O^2 reduction, the
+print names and the evaluation functions.  d/dr is the product rule and
+1/T a multiplication by a unit monomial; both pass each product through
+the normal-form step of multiplication, which reduces O^2 and raises
+:class:`ClosureError` where an odd power would turn negative (1/T of an
+even flat-c or curved-c term needs 1/r resp. 1/S).  The curved relations
 use the *signed* quantity (-kappa) (positive hyperbolic, negative
 spherical), so a single expression serves both curved regimes and is
 evaluated with the right signs by :meth:`RadialExpr.eval`.  Expressions are
@@ -30,11 +36,11 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Union
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Union
 
 import numpy as np
 
-from .geometry import PoleError, Regime, Space
+from .geometry import Metric, PoleError, Regime, Space
 
 __all__ = [
     "Basis",
@@ -60,7 +66,7 @@ class Basis(str, Enum):
 
     @property
     def has_odd(self) -> bool:
-        return self is not Basis.FLAT_R
+        return _RULES[self].d_odd is not None
 
 
 RatLike = Union[Fraction, int]
@@ -132,65 +138,83 @@ class Graded:
 
 ZERO_GRADED = Graded(Fraction(0), 0)
 
-# odd^2 rewrite rules: odd^2 * base^b -> sum of (coeff sign, base shift,
-# kappa shift) applied to the even part.
-_REDUCTIONS: dict[Basis, tuple[tuple[int, int, int], ...]] = {
-    Basis.FLAT_C: ((1, 2, 0), (-1, 0, 0)),      # r^2 = c^2 - 1
-    Basis.CURVED_C: ((1, 2, -1), (-1, 0, -1)),  # S^2 = (C^2 - 1)/(-kappa)
-    Basis.CURVED_S: ((1, 0, 0), (1, 2, 1)),     # C^2 = 1 + (-kappa) S^2
+
+_Unit = tuple[int, int, int]  # powers (base, odd, kappa) of a unit monomial
+
+
+class _Rules(NamedTuple):
+    """Every basis-specific fact, for base function B and odd factor O.
+
+    d_base, d_odd and inv_T are the unit monomials B', O' and 1/T; inv_T
+    may carry O^-1, which only an odd term absorbs.  odd_sq rewrites O^2
+    as (sign, base shift, kappa shift) terms.  names print B and O, and
+    fns picks the array functions of B and O from a space's metric.
+    """
+
+    d_base: _Unit
+    d_odd: Optional[_Unit]
+    inv_T: _Unit
+    odd_sq: tuple[tuple[int, int, int], ...]
+    names: tuple[str, str]
+    fns: Callable[[Metric], tuple[Callable, Callable]]
+
+
+_RULES: dict[Basis, _Rules] = {
+    # c' = r c^-1, r' = 1, 1/T = r^-1; r^2 = c^2 - 1
+    Basis.FLAT_C: _Rules(
+        (-1, 1, 0), (0, 0, 0), (0, -1, 0), ((1, 2, 0), (-1, 0, 0)), ("c", "r"),
+        lambda m: ((lambda r: np.sqrt(1.0 + r * r)), m.S),
+    ),
+    # r' = 1, 1/T = r^-1
+    Basis.FLAT_R: _Rules((0, 0, 0), None, (-1, 0, 0), (), ("r", ""), lambda m: (m.S, m.C)),
+    # C' = (-kappa) S, S' = C, 1/T = C S^-1; S^2 = (C^2 - 1)/(-kappa)
+    Basis.CURVED_C: _Rules(
+        (0, 1, 1), (1, 0, 0), (1, -1, 0), ((1, 2, -1), (-1, 0, -1)), ("C", "S"),
+        lambda m: (m.C, m.S),
+    ),
+    # S' = C, C' = (-kappa) S, 1/T = C S^-1; C^2 = 1 + (-kappa) S^2
+    Basis.CURVED_S: _Rules(
+        (0, 1, 0), (1, 0, 1), (-1, 1, 0), ((1, 0, 0), (1, 2, 1)), ("S", "C"),
+        lambda m: (m.S, m.C),
+    ),
 }
 
 
-def _mul_monomials(basis: Basis, a: Monomial, b: Monomial) -> Iterator[Monomial]:
-    coeff = a.coeff * b.coeff
-    base = a.base + b.base
-    kappa = a.kappa + b.kappa
-    alpha = a.alpha + b.alpha
-    amp = a.amp + b.amp
-    odd = a.odd + b.odd
+def _normal(
+    rules: _Rules, coeff: Fraction, base: int, odd: int, kappa: int, alpha: int, amp: int
+) -> tuple[Monomial, ...]:
+    """coeff B^base O^odd (-kappa)^kappa alpha^alpha A^amp in normal form."""
+    if odd < 0:
+        raise ClosureError(f"a negative power of {rules.names[1]} leaves the basis")
     if odd <= 1:
-        yield Monomial(coeff, base, odd, kappa, alpha, amp)
-        return
-    for sign, dbase, dkappa in _REDUCTIONS[basis]:
-        yield Monomial(coeff * sign, base + dbase, 0, kappa + dkappa, alpha, amp)
+        return (Monomial(coeff, base, odd, kappa, alpha, amp),)
+    return tuple(
+        Monomial(coeff * sign, base + dbase, 0, kappa + dkappa, alpha, amp)
+        for sign, dbase, dkappa in rules.odd_sq
+    )
 
 
-def _diff_monomial(basis: Basis, m: Monomial) -> Iterator[Monomial]:
-    b = m.base
-    if basis is Basis.FLAT_R:
-        if b != 0:
-            yield Monomial(m.coeff * b, b - 1, 0, m.kappa, m.alpha, m.amp)
-    elif basis is Basis.FLAT_C:
-        if m.odd == 0:
-            if b != 0:
-                yield Monomial(m.coeff * b, b - 2, 1, m.kappa, m.alpha, m.amp)
-        else:
-            # d/dr (r c^b) = (1+b) c^b - b c^(b-2)
-            yield Monomial(m.coeff * (1 + b), b, 0, m.kappa, m.alpha, m.amp)
-            if b != 0:
-                yield Monomial(-m.coeff * b, b - 2, 0, m.kappa, m.alpha, m.amp)
-    elif basis is Basis.CURVED_C:
-        if m.odd == 0:
-            # d/dr C^b = b (-kappa) S C^(b-1)
-            if b != 0:
-                yield Monomial(m.coeff * b, b - 1, 1, m.kappa + 1, m.alpha, m.amp)
-        else:
-            # d/dr (S C^b) = (1+b) C^(b+1) - b C^(b-1)
-            yield Monomial(m.coeff * (1 + b), b + 1, 0, m.kappa, m.alpha, m.amp)
-            if b != 0:
-                yield Monomial(-m.coeff * b, b - 1, 0, m.kappa, m.alpha, m.amp)
-    elif basis is Basis.CURVED_S:
-        if m.odd == 0:
-            # d/dr S^b = b C S^(b-1)
-            if b != 0:
-                yield Monomial(m.coeff * b, b - 1, 1, m.kappa, m.alpha, m.amp)
-        else:
-            # d/dr (C S^b) = (1+b)(-kappa) S^(b+1) + b S^(b-1)
-            yield Monomial(m.coeff * (1 + b), b + 1, 0, m.kappa + 1, m.alpha, m.amp)
-            if b != 0:
-                yield Monomial(m.coeff * b, b - 1, 0, m.kappa, m.alpha, m.amp)
-    else:  # pragma: no cover
-        raise AssertionError(basis)
+def _mul_monomials(rules: _Rules, a: Monomial, b: Monomial) -> tuple[Monomial, ...]:
+    return _normal(
+        rules, a.coeff * b.coeff, a.base + b.base, a.odd + b.odd,
+        a.kappa + b.kappa, a.alpha + b.alpha, a.amp + b.amp,
+    )
+
+
+def _times_unit(rules: _Rules, coeff: Fraction, m: Monomial, unit: _Unit) -> tuple[Monomial, ...]:
+    """coeff times m's powers times unit (m's own coefficient is not used)."""
+    base, odd, kappa = unit
+    return _normal(rules, coeff, m.base + base, m.odd + odd, m.kappa + kappa, m.alpha, m.amp)
+
+
+def _diff_monomial(rules: _Rules, m: Monomial) -> Iterator[Monomial]:
+    # product rule on B^b O^o: b B^(b-1) O^o B' + o B^b O^(o-1) O', o in {0, 1}
+    if m.base:
+        base, odd, kappa = rules.d_base
+        yield from _times_unit(rules, m.coeff * m.base, m, (base - 1, odd, kappa))
+    if m.odd:
+        base, odd, kappa = rules.d_odd
+        yield from _times_unit(rules, m.coeff, m, (base, odd - 1, kappa))
 
 
 @dataclass(frozen=True)
@@ -208,7 +232,7 @@ class RadialExpr:
         for t in terms:
             if t.odd not in (0, 1):
                 raise ValueError(f"odd power must be 0 or 1, got {t.odd}")
-            if not basis.has_odd and t.odd != 0:
+            if t.odd and not basis.has_odd:
                 raise ValueError(f"{basis.value} basis has no odd factor")
             acc[t.key] = acc.get(t.key, Fraction(0)) + Fraction(t.coeff)
         kept = [
@@ -272,10 +296,11 @@ class RadialExpr:
                 self.basis, (Monomial(t.coeff * q, *t.key) for t in self.terms)
             )
         self._require_same_basis(other)
+        rules = _RULES[self.basis]
         out: list[Monomial] = []
         for a in self.terms:
             for b in other.terms:
-                out.extend(_mul_monomials(self.basis, a, b))
+                out.extend(_mul_monomials(rules, a, b))
         return RadialExpr.from_terms(self.basis, out)
 
     __rmul__ = __mul__
@@ -291,32 +316,19 @@ class RadialExpr:
         )
 
     def diff(self) -> "RadialExpr":
+        rules = _RULES[self.basis]
         out: list[Monomial] = []
         for t in self.terms:
-            out.extend(_diff_monomial(self.basis, t))
+            out.extend(_diff_monomial(rules, t))
         return RadialExpr.from_terms(self.basis, out)
 
     def div_T(self) -> "RadialExpr":
         """Exact division by T = S/C (flat: by r)."""
-        if self.basis is Basis.FLAT_R:
-            return RadialExpr(
-                self.basis,
-                tuple(Monomial(t.coeff, t.base - 1, 0, t.kappa, t.alpha, t.amp) for t in self.terms),
-            )
-        if self.basis is Basis.CURVED_S:
-            # multiply by the monomial C * S^-1, reducing C^2 where it appears
-            return self * RadialExpr.monomial(self.basis, 1, base=-1, odd=1)
-        out = []
-        for t in self.terms:
-            if t.odd != 1:
-                raise ClosureError(
-                    f"1/T of an even {self.basis.value} term leaves the basis"
-                )
-            if self.basis is Basis.FLAT_C:
-                out.append(Monomial(t.coeff, t.base, 0, t.kappa, t.alpha, t.amp))
-            else:  # CURVED_C: S C^b / T = C^(b+1)
-                out.append(Monomial(t.coeff, t.base + 1, 0, t.kappa, t.alpha, t.amp))
-        return RadialExpr.from_terms(self.basis, out)
+        rules = _RULES[self.basis]
+        return RadialExpr.from_terms(
+            self.basis,
+            (m for t in self.terms for m in _times_unit(rules, t.coeff, t, rules.inv_T)),
+        )
 
     def laplacian(self, dim: int) -> "RadialExpr":
         """Radial Laplace-Beltrami image: f'' + (D-1)/T f'.
@@ -387,25 +399,15 @@ class RadialExpr:
 
     # -- evaluation ----------------------------------------------------
 
-    def _base_odd_fns(self, space: Space) -> tuple[Callable, Callable]:
-        if self.basis.is_flat:
-            if space.regime is not Regime.FLAT:
-                raise ValueError("flat expression evaluated on a curved space")
-            if self.basis is Basis.FLAT_C:
-                return (lambda r: np.sqrt(1.0 + r * r)), (lambda r: r)
-        elif space.regime is Regime.FLAT:
-            raise ValueError("curved expression evaluated on flat space")
-        metric = space.metric
-        if self.basis is Basis.CURVED_C:
-            return metric.C, metric.S
-        # flat-r and curved-s: base S (flat: r), odd factor C (flat: 1)
-        return metric.S, metric.C
-
     def compile(self, space: Space, alpha: float, amp_sq: float) -> Callable:
         """Vectorized evaluator r -> value (floats; poles become inf/nan)."""
         if amp_sq < 0:
             raise ValueError(f"amplitude squared must be nonnegative, got {amp_sq}")
-        base_fn, odd_fn = self._base_odd_fns(space)
+        if self.basis.is_flat != (space.regime is Regime.FLAT):
+            raise ValueError(
+                f"{self.basis.value} expression evaluated on {space.regime.value} space"
+            )
+        base_fn, odd_fn = _RULES[self.basis].fns(space.metric)
         nk = space.neg_kappa
         amp = math.sqrt(amp_sq)
         pre: list[tuple[float, int, int]] = []
@@ -496,12 +498,7 @@ class RadialExpr:
     def __str__(self) -> str:
         if not self.terms:
             return "0"
-        base_name = {
-            Basis.FLAT_C: ("c", "r"),
-            Basis.FLAT_R: ("r", ""),
-            Basis.CURVED_C: ("C", "S"),
-            Basis.CURVED_S: ("S", "C"),
-        }[self.basis]
+        base_name = _RULES[self.basis].names
         parts = []
         for t in self.terms:
             bits = [f"({t.coeff})"]

@@ -17,10 +17,8 @@ from ccsp import numeric
 from ccsp.catalog import CATALOG, get_solution, scale_flat_solution, compactness_obstruction_check, NotScalableError
 from ccsp.derivation import (
     AlphaSign,
-    Family,
     solve_background,
     solve_homogeneous,
-    solve_singular_flat,
 )
 from ccsp.geometry import Regime, sphere_area
 from ccsp.numeric import Divergent
@@ -44,7 +42,7 @@ def mono(basis, coeff, **kw):
 
 def test_criterion_1_flat_uniqueness():
     t0 = time.time()
-    hits = solve_homogeneous(Family.FLAT_POWER_C, Regime.FLAT, range(-8, 0), range(1, 13))
+    hits = solve_homogeneous(Basis.FLAT_C, Regime.FLAT, range(-8, 0), range(1, 13))
     dt = time.time() - t0
     ok = (
         len(hits) == 1
@@ -58,8 +56,8 @@ def test_criterion_1_flat_uniqueness():
 
 
 def test_criterion_2_curved_searches_exact():
-    c_hits = solve_homogeneous(Family.CURVED_POWER_C, Regime.HYPERBOLIC, range(-8, 0), range(1, 13))
-    s_hits = solve_homogeneous(Family.CURVED_POWER_S, Regime.HYPERBOLIC, range(-8, 0), range(1, 13))
+    c_hits = solve_homogeneous(Basis.CURVED_C, Regime.HYPERBOLIC, range(-8, 0), range(1, 13))
+    s_hits = solve_homogeneous(Basis.CURVED_S, Regime.HYPERBOLIC, range(-8, 0), range(1, 13))
     ok = (
         [(h.n, h.dim) for h in c_hits] == [(-2, 3)]
         and c_hits[0].x_law == Graded(F(-36), 2)          # A = 6(-kappa)/sqrt(-alpha)
@@ -75,8 +73,8 @@ def test_criterion_2_curved_searches_exact():
 
 
 def test_criterion_3_background_derivations():
-    flat = {(h.n, h.dim): h for h in solve_background(Family.FLAT_POWER_C, Regime.FLAT, range(-8, 0), range(1, 13))}
-    curved = {(h.n, h.dim): h for h in solve_background(Family.CURVED_POWER_C, Regime.HYPERBOLIC, range(-8, 0), range(1, 7))}
+    flat = {(h.n, h.dim): h for h in solve_background(Basis.FLAT_C, Regime.FLAT, range(-8, 0), range(1, 13))}
+    curved = {(h.n, h.dim): h for h in solve_background(Basis.CURVED_C, Regime.HYPERBOLIC, range(-8, 0), range(1, 7))}
     rho_n3 = mono(Basis.FLAT_C, -360, base=-8, alpha=-1)
     checks = [
         flat[(-3, 4)].rho == rho_n3 and flat[(-3, 4)].x_law == Graded(F(144)),

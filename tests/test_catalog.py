@@ -16,11 +16,9 @@ from ccsp.catalog import (
 )
 from ccsp.derivation import (
     AlphaSign,
-    Family,
     resubstitution_defects,
     solve_background,
     solve_homogeneous,
-    solve_singular_flat,
 )
 from ccsp.geometry import Regime
 from ccsp.symbolic import Basis, Graded, RadialExpr
@@ -261,18 +259,18 @@ def _signature(family, n, dim, regime, x_law, rho):
 def test_catalog_matches_derivation_union():
     n_box, d_box = range(-8, 0), range(1, 13)
     hits = []
-    hits += solve_homogeneous(Family.FLAT_POWER_C, Regime.FLAT, n_box, d_box)
-    hits += solve_homogeneous(Family.CURVED_POWER_C, Regime.HYPERBOLIC, n_box, d_box)
-    hits += solve_homogeneous(Family.CURVED_POWER_S, Regime.HYPERBOLIC, n_box, d_box)
-    hits += solve_homogeneous(Family.CURVED_POWER_C, Regime.SPHERICAL, n_box, d_box)
-    hits += solve_homogeneous(Family.CURVED_POWER_S, Regime.SPHERICAL, n_box, d_box)
-    hits += solve_background(Family.FLAT_POWER_C, Regime.FLAT, n_box, d_box)
-    hits += solve_background(Family.CURVED_POWER_C, Regime.HYPERBOLIC, n_box, range(1, 7))
+    hits += solve_homogeneous(Basis.FLAT_C, Regime.FLAT, n_box, d_box)
+    hits += solve_homogeneous(Basis.CURVED_C, Regime.HYPERBOLIC, n_box, d_box)
+    hits += solve_homogeneous(Basis.CURVED_S, Regime.HYPERBOLIC, n_box, d_box)
+    hits += solve_homogeneous(Basis.CURVED_C, Regime.SPHERICAL, n_box, d_box)
+    hits += solve_homogeneous(Basis.CURVED_S, Regime.SPHERICAL, n_box, d_box)
+    hits += solve_background(Basis.FLAT_C, Regime.FLAT, n_box, d_box)
+    hits += solve_background(Basis.CURVED_C, Regime.HYPERBOLIC, n_box, range(1, 7))
     hit_sigs = {
         _signature(h.family, h.n, h.dim, h.regime, h.x_law, h.rho) for h in hits
     }
     # the singular and trivial families come from their dedicated operations
-    singular = solve_singular_flat([3, 6])
+    singular = solve_homogeneous(Basis.FLAT_R, Regime.FLAT, range(-8, 0), [3, 6])
     hit_sigs |= {_signature(h.family, h.n, h.dim, h.regime, h.x_law, h.rho) for h in singular}
 
     cat_sigs = set()
@@ -288,7 +286,7 @@ def test_catalog_matches_derivation_union():
     # inverse-square family is materialized at D in {3, 6} only
     unmatched = hit_sigs - cat_sigs
     for fam, n, dim, regime, x_law, rho in unmatched:
-        if fam is Family.FLAT_POWER_R:
+        if fam is Basis.FLAT_R:
             assert dim not in (3, 6)
         else:
             assert rho.is_zero, (fam, n, dim)

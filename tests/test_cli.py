@@ -178,6 +178,24 @@ def test_derive_pipe_verifies_finite_mass_hits(derive_args, count):
     assert any(r["mass_expected"] is not None for r in reports)
 
 
+@pytest.mark.parametrize("fmt,expected", [("json", "[]\n"), ("csv", ""), ("table", "(empty)\n")])
+def test_verify_empty_hit_list(fmt, expected):
+    # flat-r has no hit at n = -1: an empty pipe is an empty result, as in derive
+    _, hits, _ = run(["derive", "--family", "flat-r", "-n", "-1..-1"])
+    assert json.loads(hits) == []
+    code, out, err = run(["verify", "--hit-file", "-", "--format", fmt], stdin_text=hits)
+    assert (code, out, err) == (0, expected, "")
+
+
+def test_verify_rows_print_mass_with_12_digits():
+    _, hits, _ = run(["derive", "--family", "flat-c"])
+    code, out, _ = run(["verify", "--hit-file", "-", "--format", "csv"], stdin_text=hits)
+    assert code == 0
+    assert out.splitlines()[1].split(",")[3] == "2976.60256131"
+    code, out, _ = run(["verify", "HYP_U2", "--format", "table"])
+    assert code == 0 and "divergent:small-r" in out
+
+
 def test_derive_range_is_lazy():
     assert isinstance(_parse_int_range("-1000000..1000000"), range)
     run(["derive", "--family", "flat-c"])  # build the cached parser first
@@ -202,6 +220,8 @@ def test_derive_range_is_lazy():
         ["verify", "FLAT_CSV", "--rel-tol", "1e-3"],
         ["pohozaev", "FLAT_CSV", "--rel-tol", "1e-3"],
         ["eval", "FLAT_CSV", "--r", "0:1:3", "--rel-tol", "1e-3"],
+        ["derive", "--family", "flat-c", "--max-rho-terms", "7"],
+        ["verify", "NO_SUCH_ID", "--hit-file", "-"],
     ],
 )
 def test_unread_flags_are_rejected(args):

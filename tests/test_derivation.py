@@ -12,7 +12,6 @@ from ccsp.derivation import (
     AlphaSign,
     AnsatzFamily,
     CandidateStatus,
-    Family,
     classify_alpha_sign,
     consistency_residual,
     evaluate_candidate,
@@ -23,7 +22,6 @@ from ccsp.derivation import (
     solution_exprs,
     solve_background,
     solve_homogeneous,
-    solve_singular_flat,
 )
 from ccsp.geometry import Regime, Space
 from ccsp.symbolic import Basis, Graded, RadialExpr
@@ -42,12 +40,12 @@ def mono(basis, coeff, **kw):
 
 
 def test_potential_term_flat_csv():
-    got = potential_term(AnsatzFamily(Family.FLAT_POWER_C, -4), Regime.FLAT, 6)
+    got = potential_term(AnsatzFamily(Basis.FLAT_C, -4), Regime.FLAT, 6)
     assert got == mono(Basis.FLAT_C, -24, base=-4)
 
 
 def test_potential_term_curved_c_with_fd_oracle():
-    fam = AnsatzFamily(Family.CURVED_POWER_C, -2)
+    fam = AnsatzFamily(Basis.CURVED_C, -2)
     got = potential_term(fam, Regime.HYPERBOLIC, 3)
     assert got == mono(Basis.CURVED_C, -6, base=-2, kappa=1)
     # brute-force check of Lap(u)/u at sample radii
@@ -73,7 +71,7 @@ def test_potential_term_inverse_s_coefficients_fixed_by_oracle():
     assert a == pytest.approx(-1.0, rel=1e-5)
     assert b == pytest.approx(-2.0, rel=1e-4)
 
-    got = potential_term(AnsatzFamily(Family.CURVED_POWER_S, -1), Regime.HYPERBOLIC, 4)
+    got = potential_term(AnsatzFamily(Basis.CURVED_S, -1), Regime.HYPERBOLIC, 4)
     expected = mono(Basis.CURVED_S, -1, base=-2) + mono(Basis.CURVED_S, -2, kappa=1)
     assert got == expected
 
@@ -84,16 +82,16 @@ def test_potential_term_inverse_s_coefficients_fixed_by_oracle():
 def test_omega_flat_zero():
     for n in (-4, -3, -2):
         for d in (3, 6):
-            w = omega_of(AnsatzFamily(Family.FLAT_POWER_C, n), Regime.FLAT, d)
+            w = omega_of(AnsatzFamily(Basis.FLAT_C, n), Regime.FLAT, d)
             assert w.value == Graded(F(0)) and not w.conventional
-    w = omega_of(AnsatzFamily(Family.FLAT_POWER_R, -2), Regime.FLAT, 6)
+    w = omega_of(AnsatzFamily(Basis.FLAT_R, -2), Regime.FLAT, 6)
     assert w.value == Graded(F(0))
 
 
 def test_omega_curved_values():
-    w = omega_of(AnsatzFamily(Family.CURVED_POWER_C, -2), Regime.HYPERBOLIC, 3)
+    w = omega_of(AnsatzFamily(Basis.CURVED_C, -2), Regime.HYPERBOLIC, 3)
     assert w.value == Graded(F(0))  # D + n - 1 = 0
-    w = omega_of(AnsatzFamily(Family.CURVED_POWER_S, -1), Regime.HYPERBOLIC, 4)
+    w = omega_of(AnsatzFamily(Basis.CURVED_S, -1), Regime.HYPERBOLIC, 4)
     assert w.value == Graded(F(2), 1)
     # numeric limit of -Lap(u)/u at large r
     space = Space.hyperbolic(-1.0, 4)
@@ -106,14 +104,14 @@ def test_omega_curved_constant_split():
     # u = C^n: the constant term of Lap(u)/u is n(D+n-1)(-kappa) in both regimes
     n, dim = -2, 5
     for regime in (Regime.HYPERBOLIC, Regime.SPHERICAL):
-        w = omega_of(AnsatzFamily(Family.CURVED_POWER_C, n), regime, dim)
+        w = omega_of(AnsatzFamily(Basis.CURVED_C, n), regime, dim)
         assert w.value == Graded(F(-n * (dim + n - 1)), 1)
         assert w.conventional == (regime is Regime.SPHERICAL)
 
 
 def test_potential_term_has_only_even_nonpositive_powers():
     # why omega is minus the constant term: every other term decays at infinity
-    for family in Family:
+    for family in Basis:
         regime = Regime.FLAT if family.is_flat else Regime.HYPERBOLIC
         for n in range(-12, 13):
             for d in range(1, 17):
@@ -122,7 +120,7 @@ def test_potential_term_has_only_even_nonpositive_powers():
 
 
 def test_omega_spherical_is_conventional():
-    w = omega_of(AnsatzFamily(Family.CURVED_POWER_S, -1), Regime.SPHERICAL, 4)
+    w = omega_of(AnsatzFamily(Basis.CURVED_S, -1), Regime.SPHERICAL, 4)
     assert w.conventional
     assert w.value == Graded(F(2), 1)
     assert w.evaluate(-1.0) == -2.0  # kappa = +1
@@ -132,7 +130,7 @@ def test_omega_spherical_is_conventional():
 
 
 def test_residual_curved_c_n2_d3():
-    res = consistency_residual(AnsatzFamily(Family.CURVED_POWER_C, -2), Regime.HYPERBOLIC, 3)
+    res = consistency_residual(AnsatzFamily(Basis.CURVED_C, -2), Regime.HYPERBOLIC, 3)
     # (36 (-kappa)^2 + X) / C^4
     expected = mono(Basis.CURVED_C, 36, base=-4, kappa=2) + mono(
         Basis.CURVED_C, 1, base=-4, alpha=1, amp=2
@@ -142,7 +140,7 @@ def test_residual_curved_c_n2_d3():
 
 
 def test_residual_inverse_s_d3_has_no_solution():
-    cand = evaluate_candidate(AnsatzFamily(Family.CURVED_POWER_S, -1), Regime.HYPERBOLIC, 3)
+    cand = evaluate_candidate(AnsatzFamily(Basis.CURVED_S, -1), Regime.HYPERBOLIC, 3)
     assert cand.status is CandidateStatus.NO_SOLUTION
 
 
@@ -150,7 +148,7 @@ def test_residual_inverse_s_d3_has_no_solution():
 
 
 def test_flat_homogeneous_unique():
-    hits = solve_homogeneous(Family.FLAT_POWER_C, Regime.FLAT, N_BOX, D_BOX)
+    hits = solve_homogeneous(Basis.FLAT_C, Regime.FLAT, N_BOX, D_BOX)
     assert [(h.n, h.dim) for h in hits] == [(-4, 6)]
     h = hits[0]
     assert h.x_law == Graded(F(-576))
@@ -160,7 +158,7 @@ def test_flat_homogeneous_unique():
 
 
 def test_curved_c_homogeneous_unique():
-    hits = solve_homogeneous(Family.CURVED_POWER_C, Regime.HYPERBOLIC, N_BOX, D_BOX)
+    hits = solve_homogeneous(Basis.CURVED_C, Regime.HYPERBOLIC, N_BOX, D_BOX)
     assert [(h.n, h.dim) for h in hits] == [(-2, 3)]
     assert hits[0].x_law == Graded(F(-36), 2)
     assert hits[0].omega.value == Graded(F(0))
@@ -169,7 +167,7 @@ def test_curved_c_homogeneous_unique():
 
 
 def test_curved_s_homogeneous_pair():
-    hits = solve_homogeneous(Family.CURVED_POWER_S, Regime.HYPERBOLIC, N_BOX, D_BOX)
+    hits = solve_homogeneous(Basis.CURVED_S, Regime.HYPERBOLIC, N_BOX, D_BOX)
     assert [(h.n, h.dim) for h in hits] == [(-2, 3), (-1, 4)]
     by_n = {h.n: h for h in hits}
     assert by_n[-2].x_law == Graded(F(-4))
@@ -181,7 +179,7 @@ def test_curved_s_homogeneous_pair():
 
 
 def test_spherical_s_pair_and_sign_flip():
-    hits = solve_homogeneous(Family.CURVED_POWER_S, Regime.SPHERICAL, N_BOX, D_BOX)
+    hits = solve_homogeneous(Basis.CURVED_S, Regime.SPHERICAL, N_BOX, D_BOX)
     by_n = {h.n: h for h in hits}
     assert set(by_n) == {-2, -1}
     assert by_n[-2].alpha_sign is AlphaSign.ATTRACTIVE
@@ -194,7 +192,7 @@ def test_spherical_s_pair_and_sign_flip():
 
 
 def test_singular_flat_search():
-    hits = solve_singular_flat(range(1, 13))
+    hits = solve_homogeneous(Basis.FLAT_R, Regime.FLAT, range(-8, 0), range(1, 13))
     assert all(h.n == -2 for h in hits)
     assert [h.dim for h in hits] == [d for d in range(1, 13) if d != 4]
     by_d = {h.dim: h for h in hits}
@@ -208,7 +206,7 @@ def test_singular_flat_search():
 
 
 def test_flat_background_hits():
-    hits = solve_background(Family.FLAT_POWER_C, Regime.FLAT, N_BOX, D_BOX)
+    hits = solve_background(Basis.FLAT_C, Regime.FLAT, N_BOX, D_BOX)
     sigs = {(h.n, h.dim): h for h in hits}
     assert set(sigs) == {(-4, 4), (-4, 6), (-3, 4), (-3, 5)}
     rho_n3 = mono(Basis.FLAT_C, -360, base=-8, alpha=-1)
@@ -225,12 +223,12 @@ def test_flat_background_hits():
 
 
 def test_flat_background_n2_has_no_integer_dimension():
-    hits = solve_background(Family.FLAT_POWER_C, Regime.FLAT, [-2], D_BOX)
+    hits = solve_background(Basis.FLAT_C, Regime.FLAT, [-2], D_BOX)
     assert hits == []
 
 
 def test_curved_background_families():
-    hits = solve_background(Family.CURVED_POWER_C, Regime.HYPERBOLIC, N_BOX, range(1, 7))
+    hits = solve_background(Basis.CURVED_C, Regime.HYPERBOLIC, N_BOX, range(1, 7))
     sigs = {(h.n, h.dim): h for h in hits}
     assert set(sigs) == {(-2, d) for d in range(1, 7)} | {(-1, d) for d in (1, 2, 4, 5, 6)}
     for d in range(1, 7):
@@ -250,7 +248,7 @@ def test_curved_background_families():
 
 
 def test_sech_line_solution():
-    hits = solve_background(Family.CURVED_POWER_C, Regime.HYPERBOLIC, [-1], [1])
+    hits = solve_background(Basis.CURVED_C, Regime.HYPERBOLIC, [-1], [1])
     (h,) = hits
     assert h.x_law == Graded(F(8), 2)
     assert h.alpha_sign is AlphaSign.REPULSIVE
@@ -260,26 +258,26 @@ def test_sech_line_solution():
 
 
 def test_spherical_background_only_trivial():
-    for family in (Family.CURVED_POWER_C, Family.CURVED_POWER_S):
+    for family in (Basis.CURVED_C, Basis.CURVED_S):
         assert solve_background(family, Regime.SPHERICAL, N_BOX, range(1, 7)) == []
 
 
 def test_background_rejects_pure_power_family():
     with pytest.raises(ValueError):
-        solve_background(Family.FLAT_POWER_R, Regime.FLAT, [-2], [6])
+        solve_background(Basis.FLAT_R, Regime.FLAT, [-2], [6])
 
 
 # -- alpha-sign classification ----------------------------------------------------
 
 
 def test_classify_inverse_c_n1():
-    hits = solve_background(Family.CURVED_POWER_C, Regime.HYPERBOLIC, [-1], [5])
+    hits = solve_background(Basis.CURVED_C, Regime.HYPERBOLIC, [-1], [5])
     h = classify_alpha_sign(hits[0])
     assert h.alpha_sign is AlphaSign.ATTRACTIVE
     assert "positive" in h.notes
-    cand = evaluate_candidate(AnsatzFamily(Family.CURVED_POWER_C, -1), Regime.HYPERBOLIC, 3, "background")
+    cand = evaluate_candidate(AnsatzFamily(Basis.CURVED_C, -1), Regime.HYPERBOLIC, 3, "background")
     assert cand.status is CandidateStatus.NO_SOLUTION
-    hits = solve_background(Family.CURVED_POWER_C, Regime.HYPERBOLIC, [-1], [2])
+    hits = solve_background(Basis.CURVED_C, Regime.HYPERBOLIC, [-1], [2])
     h = classify_alpha_sign(hits[0])
     assert h.alpha_sign is AlphaSign.REPULSIVE
     assert "negative" in h.notes
@@ -287,7 +285,7 @@ def test_classify_inverse_c_n1():
 
 def test_classify_inverse_c_n2():
     for d in (3, 4, 5):
-        hits = solve_background(Family.CURVED_POWER_C, Regime.HYPERBOLIC, [-2], [d])
+        hits = solve_background(Basis.CURVED_C, Regime.HYPERBOLIC, [-2], [d])
         h = classify_alpha_sign(hits[0])
         assert h.alpha_sign is AlphaSign.ATTRACTIVE
         if d == 3:
@@ -301,14 +299,14 @@ def test_classify_inverse_c_n2():
 
 def _all_default_hits():
     hits = []
-    hits += solve_homogeneous(Family.FLAT_POWER_C, Regime.FLAT, N_BOX, D_BOX)
-    hits += solve_homogeneous(Family.CURVED_POWER_C, Regime.HYPERBOLIC, N_BOX, D_BOX)
-    hits += solve_homogeneous(Family.CURVED_POWER_S, Regime.HYPERBOLIC, N_BOX, D_BOX)
-    hits += solve_homogeneous(Family.CURVED_POWER_C, Regime.SPHERICAL, N_BOX, D_BOX)
-    hits += solve_homogeneous(Family.CURVED_POWER_S, Regime.SPHERICAL, N_BOX, D_BOX)
-    hits += solve_singular_flat(range(1, 13))
-    hits += solve_background(Family.FLAT_POWER_C, Regime.FLAT, N_BOX, D_BOX)
-    hits += solve_background(Family.CURVED_POWER_C, Regime.HYPERBOLIC, N_BOX, range(1, 7))
+    hits += solve_homogeneous(Basis.FLAT_C, Regime.FLAT, N_BOX, D_BOX)
+    hits += solve_homogeneous(Basis.CURVED_C, Regime.HYPERBOLIC, N_BOX, D_BOX)
+    hits += solve_homogeneous(Basis.CURVED_S, Regime.HYPERBOLIC, N_BOX, D_BOX)
+    hits += solve_homogeneous(Basis.CURVED_C, Regime.SPHERICAL, N_BOX, D_BOX)
+    hits += solve_homogeneous(Basis.CURVED_S, Regime.SPHERICAL, N_BOX, D_BOX)
+    hits += solve_homogeneous(Basis.FLAT_R, Regime.FLAT, range(-8, 0), range(1, 13))
+    hits += solve_background(Basis.FLAT_C, Regime.FLAT, N_BOX, D_BOX)
+    hits += solve_background(Basis.CURVED_C, Regime.HYPERBOLIC, N_BOX, range(1, 7))
     return hits
 
 
@@ -350,15 +348,15 @@ def test_omega_agreement_with_numeric_limit():
 
 def test_range_guards():
     with pytest.raises(ValueError):
-        solve_homogeneous(Family.FLAT_POWER_C, Regime.FLAT, range(-100, 0), [6])
+        solve_homogeneous(Basis.FLAT_C, Regime.FLAT, range(-100, 0), [6])
     with pytest.raises(ValueError):
-        solve_homogeneous(Family.FLAT_POWER_C, Regime.FLAT, [], [6])
+        solve_homogeneous(Basis.FLAT_C, Regime.FLAT, [], [6])
     with pytest.raises(ValueError):
-        solve_homogeneous(Family.FLAT_POWER_C, Regime.FLAT, [-4], [0])
+        solve_homogeneous(Basis.FLAT_C, Regime.FLAT, [-4], [0])
     with pytest.raises(ValueError):
-        potential_term(AnsatzFamily(Family.FLAT_POWER_C, -4), Regime.HYPERBOLIC, 3)
+        potential_term(AnsatzFamily(Basis.FLAT_C, -4), Regime.HYPERBOLIC, 3)
     with pytest.raises(ValueError):
-        potential_term(AnsatzFamily(Family.CURVED_POWER_C, -2), Regime.FLAT, 3)
+        potential_term(AnsatzFamily(Basis.CURVED_C, -2), Regime.FLAT, 3)
 
 
 def test_hit_json_round_trip():
@@ -373,12 +371,12 @@ def test_hit_json_round_trip():
 # -- the search against the direct-Laplacian oracle ---------------------------
 
 COMBOS = [
-    (Family.FLAT_POWER_C, Regime.FLAT, "homogeneous"),
-    (Family.FLAT_POWER_C, Regime.FLAT, "background"),
-    (Family.FLAT_POWER_R, Regime.FLAT, "homogeneous"),
+    (Basis.FLAT_C, Regime.FLAT, "homogeneous"),
+    (Basis.FLAT_C, Regime.FLAT, "background"),
+    (Basis.FLAT_R, Regime.FLAT, "homogeneous"),
     *(
         (family, regime, mode)
-        for family in (Family.CURVED_POWER_C, Family.CURVED_POWER_S)
+        for family in (Basis.CURVED_C, Basis.CURVED_S)
         for regime in (Regime.HYPERBOLIC, Regime.SPHERICAL)
         for mode in ("homogeneous", "background")
     ),
@@ -386,7 +384,7 @@ COMBOS = [
 
 
 def _direct_potential(fam, dim):
-    shape = RadialExpr.monomial(fam.family.basis, 1, base=fam.n)
+    shape = RadialExpr.monomial(fam.family, 1, base=fam.n)
     return shape.laplacian(dim).div_monomial(shape)
 
 
@@ -406,7 +404,7 @@ def _solve(family, regime, mode, ns, ds, max_rho_terms):
 
 
 def test_parts_equal_the_direct_laplacian():
-    for family in Family:
+    for family in Basis:
         for n in range(-8, 9):
             fam = AnsatzFamily(family, n)
             regime = Regime.FLAT if family.is_flat else Regime.HYPERBOLIC
@@ -436,12 +434,12 @@ def test_search_equals_brute_force_oracle(family, regime, mode, monkeypatch):
 
 def test_candidate_exponents_cover_the_support():
     expected = {
-        Family.FLAT_POWER_C: {-4, -3, -2},
-        Family.FLAT_POWER_R: {-2},
-        Family.CURVED_POWER_C: {-2, -1},
-        Family.CURVED_POWER_S: {-2, -1},
+        Basis.FLAT_C: {-4, -3, -2},
+        Basis.FLAT_R: {-2},
+        Basis.CURVED_C: {-2, -1},
+        Basis.CURVED_S: {-2, -1},
     }
-    for family in Family:
+    for family in Basis:
         support = {
             t.base
             for n in range(-64, 64)

@@ -3,11 +3,12 @@ import math
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from conftest import fd_laplacian
 from ccsp.geometry import PoleError, Regime, Space
-from ccsp.symbolic import Basis, Graded, Monomial, RadialExpr
+from ccsp.symbolic import Basis, ClosureError, Graded, Monomial, RadialExpr
 
 FLAT = Space.flat(6)
 HYP = Space.hyperbolic(-1.0, 3)
@@ -152,9 +153,9 @@ def test_div_rejects_polynomials():
 def test_collect_cleared_flat_consistency_polynomial(n, dim):
     # clearing denominators of the flat residual must give exactly
     # 24n(n-2) + 4n(Dn-8n-4D+16) c^2 - 2n(D-4)(D+n-2) c^4 + X c^(2n+8)
-    from ccsp.derivation import AnsatzFamily, Family, consistency_residual
+    from ccsp.derivation import AnsatzFamily, consistency_residual
 
-    res = consistency_residual(AnsatzFamily(Family.FLAT_POWER_C, n), Regime.FLAT, dim)
+    res = consistency_residual(AnsatzFamily(Basis.FLAT_C, n), Regime.FLAT, dim)
     cleared = res * mono(Basis.FLAT_C, 1, base=8)
     got = {(key[0], key[3], key[4]): coeff for key, coeff in cleared.collect()}
     expect = {
@@ -183,9 +184,9 @@ def test_collect_s_profile_condition(n, dim):
     # The rational coefficients match the classical form; the curvature
     # grades (0 on S^0, 1 on S^2) follow from the metric normalization of S
     # and are what the finite-difference oracle reproduces.
-    from ccsp.derivation import AnsatzFamily, Family, consistency_residual
+    from ccsp.derivation import AnsatzFamily, consistency_residual
 
-    res = consistency_residual(AnsatzFamily(Family.CURVED_POWER_S, n), Regime.HYPERBOLIC, dim)
+    res = consistency_residual(AnsatzFamily(Basis.CURVED_S, n), Regime.HYPERBOLIC, dim)
     cleared = res * mono(Basis.CURVED_S, 1, base=4)
     got = {(key[0], key[2], key[3], key[4]): coeff for key, coeff in cleared.collect()}
     c0 = F(-2 * n * (dim + n - 2) * (dim - 4))
@@ -345,6 +346,40 @@ def test_laplacian_matches_fd_oracle():
                 assert abs(value - oracle) <= max(1e-5 * abs(oracle), floor)
                 checked += 1
     assert checked >= 50 * 20
+
+
+@pytest.mark.parametrize("basis", list(Basis))
+def test_diff_and_div_T_match_fd_oracle(basis):
+    # d/dr against a central difference of the compiled monomial, and 1/T
+    # against value * metric.inv_T; 1/T of an even flat-c or curved-c term
+    # would need 1/r resp. 1/S and must be refused
+    spaces = [Space.flat(3)] if basis.is_flat else [
+        Space.hyperbolic(-2.25, 3), Space.spherical(2.0, 4)
+    ]
+    h = 1e-5
+    checked = 0
+    for space in spaces:
+        r_lo, r_hi = (0.1, 0.45) if math.isfinite(space.r_max) else (0.2, 2.5)
+        if math.isfinite(space.r_max):  # stay inside the C > 0 hemisphere
+            r_lo, r_hi = r_lo * space.r_max, r_hi * space.r_max
+        radii = np.linspace(r_lo, r_hi, 7)
+        inv_t = space.metric.inv_T(radii)
+        for odd in (0, 1) if basis.has_odd else (0,):
+            for base in range(-5, 4):
+                m = mono(basis, F(-3, 2), base=base, odd=odd, kappa=0 if basis.is_flat else 1)
+                f = m.compile(space, 1.0, 1.0)
+                df = m.diff().compile(space, 1.0, 1.0)
+                oracle = (f(radii + h) - f(radii - h)) / (2.0 * h)
+                scale = np.maximum(np.maximum(abs(oracle), abs(f(radii))), 1.0)
+                assert np.all(abs(df(radii) - oracle) <= 1e-7 * scale), (space, odd, base)
+                if odd == 0 and basis in (Basis.FLAT_C, Basis.CURVED_C):
+                    with pytest.raises(ClosureError):
+                        m.div_T()
+                else:
+                    got = m.div_T().compile(space, 1.0, 1.0)(radii)
+                    assert np.allclose(got, f(radii) * inv_t, rtol=1e-12, atol=0.0)
+                checked += 1
+    assert checked == len(spaces) * 9 * (2 if basis.has_odd else 1)
 
 
 # -- serialization -------------------------------------------------------------
