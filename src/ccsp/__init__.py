@@ -8,7 +8,6 @@ from .derivation import (
     AlphaSign,
     AnsatzFamily,
     DerivationHit,
-    OmegaValue,
     classify_alpha_sign,
     consistency_residual,
     omega_of,
@@ -21,7 +20,6 @@ from .catalog import (
     GradedMass,
     Solution,
     catalog_list,
-    compactness_obstruction_check,
     get_solution,
     scale_flat_solution,
     solution_from_hit,
@@ -31,6 +29,7 @@ from .numeric import (
     Grid,
     PohozaevFunctionals,
     VerificationReport,
+    compactness_obstruction_check,
     default_grid,
     fd_residual,
     integrate_radial,

@@ -21,18 +21,15 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Optional
 
-import numpy as np
-
-from . import numeric
 from .derivation import (
     AlphaSign,
     AnsatzFamily,
     CandidateStatus,
     DerivationHit,
     GradedMass,
-    OmegaValue,
     evaluate_candidate,
     exact_mass,
+    omega_json,
     resubstitution_defects,
     singular_radius_tags,
     solution_exprs,
@@ -49,8 +46,6 @@ __all__ = [
     "get_solution",
     "solution_from_hit",
     "scale_flat_solution",
-    "compactness_obstruction_check",
-    "CompactnessReport",
 ]
 
 FULL = "FULL"
@@ -61,10 +56,11 @@ class NotScalableError(ValueError):
     """Only flat homogeneous solutions form a scaling family."""
 
 
-_TAG_RADII: dict[str, Callable[[float], float]] = {
-    "origin": lambda kappa: 0.0,
-    "equator": lambda kappa: math.pi / (2.0 * math.sqrt(kappa)),
-    "antipode": lambda kappa: math.pi / math.sqrt(kappa),
+# halving r_max is exact, so the equator is bit-identical to pi/(2 sqrt(kappa))
+_TAG_RADII: dict[str, Callable[[Space], float]] = {
+    "origin": lambda space: 0.0,
+    "equator": lambda space: space.r_max / 2,
+    "antipode": lambda space: space.r_max,
 }
 
 
@@ -78,8 +74,7 @@ class Solution:
     u: RadialExpr
     V: RadialExpr
     rho: RadialExpr
-    omega: OmegaValue
-    alpha_sign: Optional[AlphaSign]     # None: valid for either coupling sign
+    omega: Graded
     x_law: Optional[Graded]             # X = alpha*A^2; None: amplitude-free
     singular_radii: tuple[str, ...]
     mass: Optional[GradedMass]          # None: the mass diverges
@@ -93,10 +88,20 @@ class Solution:
     def finite_mass(self) -> bool:
         return self.mass is not None
 
+    @property
+    def alpha_sign(self) -> Optional[AlphaSign]:
+        """None: valid for either coupling sign."""
+        return AlphaSign.of(self.x_law, self.regime)
+
+    @property
+    def default_alpha(self) -> float:
+        """Unit coupling of the required sign; attractive when either works."""
+        return 1.0 if self.alpha_sign is AlphaSign.REPULSIVE else -1.0
+
     # -- parameter handling -------------------------------------------
 
     def space(self, kappa: float) -> Space:
-        return Space(self.regime, kappa if self.regime is not Regime.FLAT else 0.0, self.dim)
+        return Space(self.regime, kappa, self.dim)
 
     def check_alpha(self, alpha: float) -> None:
         if alpha == 0 or not math.isfinite(alpha):
@@ -137,7 +142,8 @@ class Solution:
         return self.omega.evaluate(-kappa) / self.scale**2
 
     def singular_radii_values(self, kappa: float) -> tuple[float, ...]:
-        return tuple(sorted(_TAG_RADII[t](kappa) * (self.scale if t == "origin" else 1.0)
+        space = self.space(kappa)
+        return tuple(sorted(_TAG_RADII[t](space) * (self.scale if t == "origin" else 1.0)
                             for t in self.singular_radii))
 
     def expected_mass_value(self, kappa: float, alpha: float) -> Optional[float]:
@@ -159,7 +165,7 @@ class Solution:
             "u": self.u.to_json_obj(),
             "V": self.V.to_json_obj(),
             "rho": None if self.rho.is_zero else self.rho.to_json_obj(),
-            "omega": self.omega.to_json_obj(),
+            "omega": omega_json(self.omega, self.regime),
             "alpha_sign": self.alpha_sign.value if self.alpha_sign else "any",
             "amp_law": self.x_law.to_json_obj() if self.x_law else None,
             "singular_radii": list(self.singular_radii),
@@ -176,7 +182,6 @@ class Solution:
     def from_json_obj(cls, obj: dict) -> "Solution":
         rho = obj["rho"]
         u = RadialExpr.from_json_obj(obj["u"])
-        sign = obj["alpha_sign"]
         return cls(
             id=obj["id"],
             regime=Regime(obj["regime"]),
@@ -184,8 +189,7 @@ class Solution:
             u=u,
             V=RadialExpr.from_json_obj(obj["V"]),
             rho=RadialExpr.zero(u.basis) if rho is None else RadialExpr.from_json_obj(rho),
-            omega=OmegaValue.from_json_obj(obj["omega"]),
-            alpha_sign=None if sign == "any" else AlphaSign(sign),
+            omega=Graded.from_json_obj(obj["omega"]),
             x_law=Graded.from_json_obj(obj["amp_law"]) if obj["amp_law"] else None,
             singular_radii=tuple(obj["singular_radii"]),
             mass=GradedMass.from_json_obj(obj["mass"]) if obj["mass"] else None,
@@ -210,7 +214,7 @@ def solution_from_hit(
     u, v = solution_exprs(hit)
     schro, poisson = resubstitution_defects(u, v, hit.rho, hit.omega, hit.x_law, hit.dim)
     if not schro.is_zero or not poisson.is_zero:
-        raise AssertionError(f"{id}: re-substitution defect (schro={schro}, poisson={poisson})")
+        raise ValueError(f"{id}: re-substitution defect (schro={schro}, poisson={poisson})")
     return Solution(
         id=id,
         regime=hit.regime,
@@ -219,7 +223,6 @@ def solution_from_hit(
         V=v,
         rho=hit.rho,
         omega=hit.omega,
-        alpha_sign=hit.alpha_sign,
         x_law=hit.x_law,
         singular_radii=singular_radius_tags(AnsatzFamily(hit.family, hit.n), hit.regime),
         mass=exact_mass(hit, sphere_factor=mass_convention == FULL),
@@ -258,8 +261,7 @@ def _trivial_sphere_entry() -> Solution:
         u=u,
         V=v,
         rho=rho,
-        omega=OmegaValue(ZERO_GRADED, conventional=True),
-        alpha_sign=None,
+        omega=ZERO_GRADED,
         x_law=None,
         singular_radii=(),
         mass=GradedMass(Fraction(2), None, pi_pow=2, kappa_pow2=-3, alpha_pow=0),
@@ -519,57 +521,3 @@ def scale_flat_solution(sol: Solution, a: float) -> Solution:
     if not sol.rho.is_zero:
         raise NotScalableError(f"{sol.id}: background solutions are not rescaled here")
     return replace(sol, scale=sol.scale * a)
-
-
-@dataclass(frozen=True)
-class CompactnessReport:
-    """Outcome of the compact-manifold charge-balance check."""
-
-    solution_id: str
-    has_singularity: bool
-    consistent: bool
-    total_charge: Optional[float]   # background entries only
-    detail: str
-
-
-def compactness_obstruction_check(sol: Solution, kappa: float = 1.0, alpha: Optional[float] = None) -> CompactnessReport:
-    """On the sphere a regular homogeneous solution would force
-    integral(u^2) = 0, a contradiction; so homogeneous entries must be
-    singular somewhere, and background entries must balance charge:
-    integral(u^2 + rho) = 0 over the whole manifold."""
-    if sol.regime is not Regime.SPHERICAL:
-        raise ValueError("compactness check applies to spherical solutions")
-    if alpha is None:
-        alpha = -1.0 if sol.alpha_sign in (AlphaSign.ATTRACTIVE, None) else 1.0
-    space = sol.space(kappa)
-    if sol.rho.is_zero:
-        has_sing = bool(sol.singular_radii)
-        return CompactnessReport(
-            solution_id=sol.id,
-            has_singularity=has_sing,
-            consistent=has_sing,
-            total_charge=None,
-            detail="singular set nonempty, as the charge-balance obstruction requires"
-            if has_sing
-            else "CONTRADICTION: regular homogeneous solution on a compact manifold",
-        )
-    u = sol.u_fn(kappa, alpha)
-    rho = sol.rho_fn(kappa, alpha)
-    s_fn = space.metric.S
-
-    def integrand(r):
-        r = np.asarray(r, dtype=float)
-        return (u(r) ** 2 + rho(r)) * s_fn(r) ** (sol.dim - 1)
-
-    total = numeric.integrate_radial(integrand, 0.0, space.r_max, rel_tol=1e-12)
-    if isinstance(total, numeric.Divergent):
-        return CompactnessReport(sol.id, bool(sol.singular_radii), False, None, "charge integral diverges")
-    total *= sphere_area(sol.dim)
-    ok = abs(total) <= 1e-10
-    return CompactnessReport(
-        solution_id=sol.id,
-        has_singularity=bool(sol.singular_radii),
-        consistent=ok,
-        total_charge=total,
-        detail=f"total charge {total:.3e}",
-    )

@@ -13,6 +13,7 @@ import argparse
 import json
 import math
 import sys
+from contextlib import nullcontext
 from functools import cache
 from typing import Optional, Sequence
 
@@ -32,7 +33,7 @@ from .derivation import (
     solve_background,
     solve_homogeneous,
 )
-from .geometry import PoleError, Regime
+from .geometry import PoleError, Regime, Space, sphere_area
 from .symbolic import Basis
 
 _RANGE_FLAGS = ("-n", "--n-range", "-D", "--dim-range", "--r")
@@ -150,8 +151,6 @@ def _build_parser() -> argparse.ArgumentParser:
     params(sp)
     sp.add_argument("id", nargs="?", help="catalog id")
     sp.add_argument("--hit-file", help="JSON hits from `derive` ('-' for stdin)")
-    sp.add_argument("--grid-points", type=int, default=2000)
-    sp.add_argument("--h", type=float, default=1e-4)
     sp.add_argument("--residual-tol", type=float, default=1e-6)
     sp.add_argument("--with-pohozaev", action="store_true")
 
@@ -183,17 +182,10 @@ def _default_params(sol: Solution, kappa: Optional[float], R: Optional[float], a
             raise ValueError("--R must be positive")
         kappa = -1.0 / R**2
     if kappa is None:
-        kappa = {Regime.FLAT: 0.0, Regime.HYPERBOLIC: -1.0, Regime.SPHERICAL: 1.0}[sol.regime]
-    if not math.isfinite(kappa):
-        raise ValueError("kappa must be finite")
-    if sol.regime is Regime.FLAT and kappa != 0.0:
-        raise ValueError(f"{sol.id} lives in flat space; kappa must be 0")
-    if sol.regime is Regime.HYPERBOLIC and not kappa < 0:
-        raise ValueError(f"{sol.id} needs kappa < 0")
-    if sol.regime is Regime.SPHERICAL and not kappa > 0:
-        raise ValueError(f"{sol.id} needs kappa > 0")
+        kappa = Space.unit_kappa(sol.regime)
+    sol.space(kappa)  # validates kappa for the regime
     if alpha is None:
-        alpha = -1.0 if sol.alpha_sign in (AlphaSign.ATTRACTIVE, None) else 1.0
+        alpha = sol.default_alpha
     sol.check_alpha(alpha)
     return kappa, alpha
 
@@ -240,7 +232,7 @@ def _cmd_catalog(args) -> int:
             "regime": s.regime.value,
             "dim": s.dim,
             "alpha_sign": s.alpha_sign.value if s.alpha_sign else "any",
-            "omega": str(s.omega.value),
+            "omega": str(s.omega),
             "finite_mass": s.finite_mass,
             "singular": ";".join(s.singular_radii) or "-",
         }
@@ -271,7 +263,7 @@ def _cmd_derive(args) -> int:
             "mode": h.mode,
             "alpha_sign": h.alpha_sign.value,
             "amp_sq": h.amp_sq_str(),
-            "omega": str(h.omega.value),
+            "omega": str(h.omega),
             "rho": str(h.rho),
         }
         for h in hits
@@ -280,13 +272,33 @@ def _cmd_derive(args) -> int:
     return 0
 
 
+def _read_hits(path: str) -> list[DerivationHit]:
+    """Parse a `derive` JSON list; every malformed input is a ValueError."""
+    try:
+        with nullcontext(sys.stdin) if path == "-" else open(path) as fh:
+            data = json.load(fh)
+    except OSError as exc:
+        raise ValueError(f"cannot read hit file: {exc}") from None
+    if not isinstance(data, list):
+        raise ValueError("hit file must hold a JSON list of hits")
+    hits = []
+    for i, obj in enumerate(data):
+        if not isinstance(obj, dict):
+            raise ValueError(f"hit {i} is not a JSON object")
+        try:
+            hits.append(DerivationHit.from_json_obj(obj))
+        except KeyError as exc:
+            raise ValueError(f"hit {i} lacks the field {exc}") from None
+        except TypeError as exc:
+            raise ValueError(f"hit {i} is malformed: {exc}") from None
+    return hits
+
+
 def _solutions_for_verify(args) -> list[Solution]:
     if args.hit_file:
         if args.id:
             raise ValueError("give a catalog id or --hit-file, not both")
-        text = sys.stdin.read() if args.hit_file == "-" else open(args.hit_file).read()
-        data = json.loads(text)
-        hits = [DerivationHit.from_json_obj(obj) for obj in data]
+        hits = _read_hits(args.hit_file)
         return [
             solution_from_hit(h, id=f"hit:{h.family.value}:n{h.n}:D{h.dim}:{h.regime.value}")
             for h in hits
@@ -302,12 +314,10 @@ def _cmd_verify(args) -> int:
     all_passed = True
     for sol in sols:
         kappa, alpha = _default_params(sol, args.kappa, args.R, args.alpha)
-        grid = numeric.default_grid(sol, kappa, n_points=args.grid_points, h=args.h)
         rep = numeric.verify_solution(
             sol,
             kappa,
             alpha,
-            grid=grid,
             residual_tol=args.residual_tol,
             with_pohozaev=args.with_pohozaev,
         )
@@ -336,8 +346,6 @@ def _cmd_mass(args) -> int:
     )
     expected = sol.expected_mass_value(kappa, alpha)
     if args.radial_only and expected is not None:
-        from .geometry import sphere_area
-
         expected /= sphere_area(sol.dim)
     divergent = isinstance(value, numeric.Divergent)
     payload = {
@@ -383,26 +391,14 @@ def _cmd_eval(args) -> int:
             raise ValueError(f"grid crosses the singular radius r = {s:.6g} of {sol.id}")
     u = sol.u_fn(kappa, alpha)(rs)
     v = sol.v_fn(kappa, alpha)(rs)
-    rho = sol.rho_fn(kappa, alpha)(rs) if not sol.rho.is_zero else None
-    rows = [
-        {
-            "r": float(r),
-            "u": float(uu),
-            "V": float(vv),
-            "rho": float(rho[i]) if rho is not None else "",
-        }
-        for i, (r, uu, vv) in enumerate(zip(rs, u, v))
+    rho = sol.rho_fn(kappa, alpha)(rs) if not sol.rho.is_zero else [None] * len(rs)
+    columns = ["r", "u", "V", "rho"]
+    data = [
+        [float(r), float(uu), float(vv), None if p is None else float(p)]
+        for r, uu, vv, p in zip(rs, u, v, rho)
     ]
-    payload = {
-        "id": sol.id,
-        "kappa": kappa,
-        "alpha": alpha,
-        "columns": ["r", "u", "V", "rho"],
-        "rows": [
-            [float(r), float(uu), float(vv), float(rho[i]) if rho is not None else None]
-            for i, (r, uu, vv) in enumerate(zip(rs, u, v))
-        ],
-    }
+    rows = [{c: "" if x is None else x for c, x in zip(columns, row)} for row in data]
+    payload = {"id": sol.id, "kappa": kappa, "alpha": alpha, "columns": columns, "rows": data}
     _emit_rows(rows, args.format, payload)
     return 0
 

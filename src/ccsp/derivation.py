@@ -55,7 +55,6 @@ from .symbolic import Basis, Graded, Monomial, RadialExpr, ZERO_GRADED
 __all__ = [
     "AnsatzFamily",
     "AlphaSign",
-    "OmegaValue",
     "DerivationHit",
     "GradedMass",
     "CandidateStatus",
@@ -83,6 +82,15 @@ class AlphaSign(str, Enum):
     def sign(self) -> int:
         return -1 if self is AlphaSign.ATTRACTIVE else 1
 
+    @classmethod
+    def of(cls, x_law: Optional[Graded], regime: Regime) -> Optional["AlphaSign"]:
+        """The coupling sign that makes A^2 = X/alpha positive: the sign of
+        X in `regime`.  None for an amplitude-free solution, which works
+        with either sign."""
+        if x_law is None:
+            return None
+        return cls.REPULSIVE if x_law.sign(regime) > 0 else cls.ATTRACTIVE
+
 
 @dataclass(frozen=True)
 class AnsatzFamily:
@@ -92,28 +100,11 @@ class AnsatzFamily:
     n: int
 
 
-@dataclass(frozen=True)
-class OmegaValue:
-    """Frequency as a graded constant.
-
-    `conventional` marks the spherical case, where no r -> infinity limit
-    exists and the value is defined as the constant split of Lap(u)/u.
-    """
-
-    value: Graded
-    conventional: bool = False
-
-    def evaluate(self, neg_kappa: float) -> float:
-        return self.value.evaluate(neg_kappa)
-
-    def to_json_obj(self) -> dict:
-        obj = self.value.to_json_obj()
-        obj["conventional"] = self.conventional
-        return obj
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "OmegaValue":
-        return cls(Graded.from_json_obj(obj), bool(obj.get("conventional", False)))
+def omega_json(omega: Graded, regime: Regime) -> dict:
+    """omega with its `conventional` flag: on the sphere there is no
+    r -> infinity limit, and omega is the constant split of Lap(u)/u by
+    convention.  Readers take the graded value and ignore the flag."""
+    return {**omega.to_json_obj(), "conventional": regime is Regime.SPHERICAL}
 
 
 class CandidateStatus(str, Enum):
@@ -135,10 +126,13 @@ class DerivationHit:
     regime: Regime
     mode: str                      # "homogeneous" | "background"
     x_law: Graded                  # X = alpha * A^2, exact
-    alpha_sign: AlphaSign
-    omega: OmegaValue
+    omega: Graded
     rho: RadialExpr                # empty in homogeneous mode
     notes: str = ""
+
+    @property
+    def alpha_sign(self) -> AlphaSign:
+        return AlphaSign.of(self.x_law, self.regime)
 
     def amp_sq_value(self, kappa: float, alpha: float) -> float:
         """Numeric A^2 = X/alpha; raises if the signs are incompatible."""
@@ -172,7 +166,7 @@ class DerivationHit:
             "x_law": self.x_law.to_json_obj(),
             "alpha_sign": self.alpha_sign.value,
             "amp_sq": self.amp_sq_str(),
-            "omega": self.omega.to_json_obj(),
+            "omega": omega_json(self.omega, self.regime),
             "rho": self.rho.to_json_obj(),
             "notes": self.notes,
         }
@@ -186,8 +180,7 @@ class DerivationHit:
             regime=Regime(obj["regime"]),
             mode=obj["mode"],
             x_law=Graded.from_json_obj(obj["x_law"]),
-            alpha_sign=AlphaSign(obj["alpha_sign"]),
-            omega=OmegaValue.from_json_obj(obj["omega"]),
+            omega=Graded.from_json_obj(obj["omega"]),
             rho=RadialExpr.from_json_obj(obj["rho"]),
             notes=obj.get("notes", ""),
         )
@@ -202,15 +195,8 @@ class Candidate:
     detail: str = ""
 
 
-def _check_family_regime(family: Basis, regime: Regime) -> None:
-    if family.is_flat and regime is not Regime.FLAT:
-        raise ValueError(f"family {family.value} requires the flat regime")
-    if not family.is_flat and regime is Regime.FLAT:
-        raise ValueError(f"family {family.value} requires a curved regime")
-
-
 def _check_search(family: Basis, regime: Regime, mode: str) -> None:
-    _check_family_regime(family, regime)
+    family.check_regime(regime)
     if mode not in ("homogeneous", "background"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "background" and family is Basis.FLAT_R:
@@ -260,21 +246,20 @@ def _candidate_exponents(family: Basis) -> frozenset[int]:
 
 def potential_term(fam: AnsatzFamily, regime: Regime, dim: int) -> RadialExpr:
     """Lap(u)/u for the trial profile: equals alpha*V - omega exactly."""
-    _check_family_regime(fam.family, regime)
+    fam.family.check_regime(regime)
     return _at_dimension(_potential_parts(fam), dim)
 
 
-def omega_of(fam: AnsatzFamily, regime: Regime, dim: int) -> OmegaValue:
+def omega_of(fam: AnsatzFamily, regime: Regime, dim: int) -> Graded:
     """Frequency: minus the constant term of Lap(u)/u.
 
     Lap(u)/u has only even terms with non-positive base powers, so off the
     sphere this is -lim_{r->inf} Lap(u)/u (zero for the flat families).  On
-    the sphere there is no such limit; the same constant split is reported
-    with the `conventional` flag set.
+    the sphere there is no such limit and the same constant split is the
+    convention (see `omega_json`).
     """
     const = [t for t in potential_term(fam, regime, dim).terms if t.base == 0]
-    value = Graded(-const[0].coeff, const[0].kappa) if const else ZERO_GRADED
-    return OmegaValue(value, conventional=regime is Regime.SPHERICAL)
+    return Graded(-const[0].coeff, const[0].kappa) if const else ZERO_GRADED
 
 
 def _geometry_part(fam: AnsatzFamily, dim: int) -> RadialExpr:
@@ -289,7 +274,7 @@ def consistency_residual(fam: AnsatzFamily, regime: Regime, dim: int) -> RadialE
     carries no coupling or amplitude grades.  The candidate is a solution
     exactly when a choice of X empties this expression (homogeneous mode).
     """
-    _check_family_regime(fam.family, regime)
+    fam.family.check_regime(regime)
     geom = _geometry_part(fam, dim)
     x_term = RadialExpr.monomial(fam.family, 1, base=2 * fam.n, alpha=1, amp=2)
     return geom + x_term
@@ -447,7 +432,6 @@ def evaluate_candidate(
         regime=regime,
         mode=mode,
         x_law=x_law,
-        alpha_sign=AlphaSign.REPULSIVE if x_law.sign(regime) > 0 else AlphaSign.ATTRACTIVE,
         omega=omega_of(fam, regime, dim),
         rho=rho,
     )
@@ -547,7 +531,7 @@ def solution_exprs(hit: DerivationHit) -> tuple[RadialExpr, RadialExpr]:
     V = (Lap(u)/u + omega)/alpha."""
     u = RadialExpr.monomial(hit.family, 1, base=hit.n, amp=1)
     pot = potential_term(AnsatzFamily(hit.family, hit.n), hit.regime, hit.dim)
-    alpha_v = pot + RadialExpr.const(hit.family, hit.omega.value)
+    alpha_v = pot + RadialExpr.const(hit.family, hit.omega)
     v = alpha_v.scale_grades(alpha=-1)
     return u, v
 
@@ -556,7 +540,7 @@ def resubstitution_defects(
     u: RadialExpr,
     v: RadialExpr,
     rho: RadialExpr,
-    omega: OmegaValue,
+    omega: Graded,
     x_law: Optional[Graded],
     dim: int,
 ) -> tuple[RadialExpr, RadialExpr]:
@@ -567,7 +551,7 @@ def resubstitution_defects(
     """
     basis = u.basis
     schro = -u.laplacian(dim) + v.scale_grades(alpha=1) * u \
-        - RadialExpr.const(basis, omega.value) * u
+        - RadialExpr.const(basis, omega) * u
     u2 = u * u
     if x_law is not None:
         u2 = u2.substitute_amp_sq(x_law)

@@ -52,7 +52,8 @@ class Space:
     """A simply connected space of constant sectional curvature.
 
     kappa < 0 for hyperbolic, kappa > 0 for spherical, and kappa == 0
-    (ignored) for flat.  dim is the dimension D >= 1.
+    for flat; this is the only place the sign and finiteness of kappa are
+    checked.  dim is the dimension D >= 1.
     """
 
     regime: Regime
@@ -62,14 +63,14 @@ class Space:
     def __post_init__(self) -> None:
         if self.dim < 1:
             raise ValueError(f"dimension must be >= 1, got {self.dim}")
+        if not math.isfinite(self.kappa):
+            raise ValueError("kappa must be finite")
         if self.regime is Regime.FLAT and self.kappa != 0.0:
             raise ValueError("flat space requires kappa == 0")
         if self.regime is Regime.HYPERBOLIC and not self.kappa < 0:
             raise ValueError("hyperbolic space requires kappa < 0")
         if self.regime is Regime.SPHERICAL and not self.kappa > 0:
             raise ValueError("spherical space requires kappa > 0")
-        if not math.isfinite(self.kappa):
-            raise ValueError("kappa must be finite")
 
     @classmethod
     def flat(cls, dim: int) -> "Space":
@@ -86,6 +87,11 @@ class Space:
     @property
     def neg_kappa(self) -> float:
         return -self.kappa
+
+    @staticmethod
+    def unit_kappa(regime: Regime) -> float:
+        """The default curvature of a regime: 0, -1 or +1."""
+        return {Regime.FLAT: 0.0, Regime.HYPERBOLIC: -1.0, Regime.SPHERICAL: 1.0}[regime]
 
     @property
     def r_max(self) -> float:

@@ -19,7 +19,8 @@ with independent machinery:
   resolved;
 * the variational functionals T, N, Q and their flat-space identities, Q
   from the energy form int |grad W|^2 with one cumulative charge integral
-  (no inversion of -Lap).
+  (no inversion of -Lap);
+* the charge balance int (u^2 + rho) = 0 that a compact manifold forces.
 """
 
 from __future__ import annotations
@@ -43,6 +44,8 @@ __all__ = [
     "default_grid",
     "integrate_radial",
     "mass",
+    "CompactnessReport",
+    "compactness_obstruction_check",
     "fd_residual",
     "poisson_invert",
     "PohozaevFunctionals",
@@ -71,6 +74,11 @@ class Divergent:
 
 
 Quadrature = Union[float, Divergent]
+
+
+def _json_value(x):
+    """A quadrature result as JSON: Divergent values print as their tag."""
+    return str(x) if isinstance(x, Divergent) else x
 
 
 def _panel(f: Callable, a: float, b: float) -> tuple[float, float]:
@@ -237,6 +245,50 @@ def mass(
             return Divergent(where)
         total += part
     return total * (sphere_area(sol.dim) if include_sphere_factor else 1.0)
+
+
+# -- charge balance on the sphere -------------------------------------------
+
+
+@dataclass(frozen=True)
+class CompactnessReport:
+    """Outcome of the compact-manifold charge-balance check."""
+
+    solution_id: str
+    has_singularity: bool
+    consistent: bool
+    total_charge: Optional[float]   # background entries only
+    detail: str
+
+
+def compactness_obstruction_check(sol: "Solution", kappa: float = 1.0, alpha: Optional[float] = None) -> CompactnessReport:
+    """On the sphere a regular homogeneous solution would force
+    integral(u^2) = 0, a contradiction; so homogeneous entries must be
+    singular somewhere, and background entries must balance charge:
+    integral(u^2 + rho) = 0 over the whole manifold."""
+    if sol.regime is not Regime.SPHERICAL:
+        raise ValueError("compactness check applies to spherical solutions")
+    if alpha is None:
+        alpha = sol.default_alpha
+    space = sol.space(kappa)
+    has_sing = bool(sol.singular_radii)
+    if sol.rho.is_zero:
+        detail = ("singular set nonempty, as the charge-balance obstruction requires" if has_sing
+                  else "CONTRADICTION: regular homogeneous solution on a compact manifold")
+        return CompactnessReport(sol.id, has_sing, has_sing, None, detail)
+    u = sol.u_fn(kappa, alpha)
+    rho = sol.rho_fn(kappa, alpha)
+    s_fn = space.metric.S
+
+    def integrand(r):
+        r = np.asarray(r, dtype=float)
+        return (u(r) ** 2 + rho(r)) * s_fn(r) ** (sol.dim - 1)
+
+    total = integrate_radial(integrand, 0.0, space.r_max, rel_tol=1e-12)
+    if isinstance(total, Divergent):
+        return CompactnessReport(sol.id, has_sing, False, None, "charge integral diverges")
+    total *= sphere_area(sol.dim)
+    return CompactnessReport(sol.id, has_sing, abs(total) <= 1e-10, total, f"total charge {total:.3e}")
 
 
 # -- finite-difference residuals -----------------------------------------
@@ -529,15 +581,12 @@ class PohozaevReport:
     defect: Optional[Quadrature]
 
     def to_json_obj(self) -> dict:
-        def enc(x):
-            return str(x) if isinstance(x, Divergent) else x
-
         return {
-            "T": enc(self.functionals.kinetic_T),
-            "N": enc(self.functionals.N),
-            "Q": enc(self.functionals.Q),
+            "T": _json_value(self.functionals.kinetic_T),
+            "N": _json_value(self.functionals.N),
+            "Q": _json_value(self.functionals.Q),
             "identities": self.identities,
-            "defect": enc(self.defect),
+            "defect": _json_value(self.defect),
         }
 
 
@@ -587,18 +636,15 @@ class VerificationReport:
     grid_meta: dict
 
     def to_json_obj(self) -> dict:
-        def enc(x):
-            return str(x) if isinstance(x, Divergent) else x
-
         return {
             "solution_id": self.solution_id,
             "kappa": self.kappa,
             "alpha": self.alpha,
             "schrodinger_residual_max": self.schrodinger_residual_max,
             "poisson_residual_max": self.poisson_residual_max,
-            "mass_numeric": enc(self.mass_numeric),
+            "mass_numeric": _json_value(self.mass_numeric),
             "mass_expected": self.mass_expected,
-            "pohozaev_defect": enc(self.pohozaev_defect),
+            "pohozaev_defect": _json_value(self.pohozaev_defect),
             "passed": self.passed,
             "tolerances": self.tolerances,
             "grid": self.grid_meta,

@@ -68,6 +68,12 @@ class Basis(str, Enum):
     def has_odd(self) -> bool:
         return _RULES[self].d_odd is not None
 
+    def check_regime(self, regime: Regime) -> None:
+        """Flat bases live in flat space only, curved bases in curved space only."""
+        if self.is_flat != (regime is Regime.FLAT):
+            need = "the flat regime" if self.is_flat else "a curved regime"
+            raise ValueError(f"{self.value} basis requires {need}, not {regime.value}")
+
 
 RatLike = Union[Fraction, int]
 
@@ -403,10 +409,7 @@ class RadialExpr:
         """Vectorized evaluator r -> value (floats; poles become inf/nan)."""
         if amp_sq < 0:
             raise ValueError(f"amplitude squared must be nonnegative, got {amp_sq}")
-        if self.basis.is_flat != (space.regime is Regime.FLAT):
-            raise ValueError(
-                f"{self.basis.value} expression evaluated on {space.regime.value} space"
-            )
+        self.basis.check_regime(space.regime)
         base_fn, odd_fn = _RULES[self.basis].fns(space.metric)
         nk = space.neg_kappa
         amp = math.sqrt(amp_sq)

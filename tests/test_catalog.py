@@ -10,7 +10,6 @@ from ccsp.catalog import (
     NotScalableError,
     Solution,
     catalog_list,
-    compactness_obstruction_check,
     get_solution,
     scale_flat_solution,
 )
@@ -21,6 +20,7 @@ from ccsp.derivation import (
     solve_homogeneous,
 )
 from ccsp.geometry import Regime
+from ccsp.numeric import compactness_obstruction_check
 from ccsp.symbolic import Basis, Graded, RadialExpr
 
 ALL_IDS = [s.id for s in CATALOG]
@@ -127,6 +127,27 @@ def test_singular_radii():
 
 
 # -- listing ---------------------------------------------------------------
+
+
+def test_singular_radii_values_are_exact():
+    # the pole radii come from Space.r_max: halving it is exact in floating point
+    for k in range(-4, 5):
+        kappa = 2.0 ** (k / 2)
+        equator, antipode = math.pi / (2 * math.sqrt(kappa)), math.pi / math.sqrt(kappa)
+        assert get_solution("SPH_U1").singular_radii_values(kappa) == (equator,)
+        for sid in ("SPH_U2", "SPH_U3"):
+            assert get_solution(sid).singular_radii_values(kappa) == (0.0, antipode)
+
+
+def test_default_alpha_has_the_required_sign():
+    for s in CATALOG:
+        want = 1.0 if s.alpha_sign is AlphaSign.REPULSIVE else -1.0
+        assert s.default_alpha == want, s.id
+    assert get_solution("FLAT_CSV").default_alpha == -1.0   # attractive
+    assert get_solution("SPH_TRIVIAL").default_alpha == -1.0  # amplitude-free
+    assert get_solution("SPH_TRIVIAL").alpha_sign is None
+    assert get_solution("SPH_U3").default_alpha == 1.0      # repulsive
+    assert get_solution("BG_1D_SECH").default_alpha == 1.0
 
 
 def test_list_all():

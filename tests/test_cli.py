@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
@@ -222,10 +223,83 @@ def test_derive_range_is_lazy():
         ["eval", "FLAT_CSV", "--r", "0:1:3", "--rel-tol", "1e-3"],
         ["derive", "--family", "flat-c", "--max-rho-terms", "7"],
         ["verify", "NO_SUCH_ID", "--hit-file", "-"],
+        ["verify", "FLAT_CSV", "--grid-points", "500"],
+        ["verify", "FLAT_CSV", "--h", "1e-3"],
     ],
 )
 def test_unread_flags_are_rejected(args):
     assert run(args)[0] == 2
+
+
+def _edited_hit(edit):
+    _, out, _ = run(["derive", "--family", "flat-c"])
+    hit = json.loads(out)[0]
+    edit(hit)
+    return json.dumps([hit])
+
+
+@pytest.mark.parametrize(
+    "path, stdin_text",
+    [
+        ("missing.json", None),     # no such file
+        (".", None),                # a directory: open() fails
+        ("-", '{"a": 1}'),          # not a list
+        ("-", "[1]"),               # an element that is not an object
+        ("-", "MISSING_FIELD"),     # a hit without "n"
+        ("-", "WRONG_LAW"),         # an amplitude law that fails re-substitution
+    ],
+    ids=["missing-file", "unreadable", "not-a-list", "not-an-object", "missing-field", "wrong-law"],
+)
+def test_verify_bad_hit_file_is_a_one_line_error(path, stdin_text, tmp_path):
+    if path != "-":
+        path = str(tmp_path / path)
+    if stdin_text == "MISSING_FIELD":
+        stdin_text = _edited_hit(lambda hit: hit.pop("n"))
+        expected = "lacks the field 'n'"
+    elif stdin_text == "WRONG_LAW":
+        stdin_text = _edited_hit(lambda hit: hit["x_law"].update(coef="-1"))
+        expected = "re-substitution defect"
+    else:
+        expected = "error: "
+    code, out, err = run(["verify", "--hit-file", path], stdin_text=stdin_text)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert expected in err, err
+
+
+_DEFAULT_DERIVES = [
+    ("flat-c", "flat", "homogeneous"),
+    ("flat-c", "flat", "background"),
+    ("flat-r", "flat", "homogeneous"),
+    *(
+        (family, regime, mode)
+        for family in ("curved-c", "curved-s")
+        for regime in ("hyperbolic", "spherical")
+        for mode in ("homogeneous", "background")
+    ),
+]
+
+
+def _sign_in_regime(x_law, regime):
+    # X = coef * (-kappa)^k at unit curvature, evaluated without the package
+    neg_kappa = {"flat": 0, "hyperbolic": 1, "spherical": -1}[regime]
+    x = F(x_law["coef"]) * F(neg_kappa) ** x_law["kappa_pow"]
+    return "repulsive" if x > 0 else "attractive"
+
+
+def test_json_sign_and_convention_follow_the_amplitude_law_and_regime():
+    _, out, _ = run(["catalog", "--format", "json"])
+    records = [(s["amp_law"], s) for s in json.loads(out)]
+    for family, regime, mode in _DEFAULT_DERIVES:
+        code, out, _ = run(["derive", "--family", family, "--regime", regime, "--mode", mode])
+        assert code == 0
+        records += [(h["x_law"], h) for h in json.loads(out)]
+    assert len(records) > 23
+    assert any(law is None for law, _ in records)
+    for law, obj in records:
+        want = "any" if law is None else _sign_in_regime(law, obj["regime"])
+        assert obj["alpha_sign"] == want, obj
+        assert obj["omega"]["conventional"] == (obj["regime"] == "spherical"), obj
 
 
 def test_mass_reads_rel_tol():

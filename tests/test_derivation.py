@@ -83,16 +83,16 @@ def test_omega_flat_zero():
     for n in (-4, -3, -2):
         for d in (3, 6):
             w = omega_of(AnsatzFamily(Basis.FLAT_C, n), Regime.FLAT, d)
-            assert w.value == Graded(F(0)) and not w.conventional
+            assert w == Graded(F(0))
     w = omega_of(AnsatzFamily(Basis.FLAT_R, -2), Regime.FLAT, 6)
-    assert w.value == Graded(F(0))
+    assert w == Graded(F(0))
 
 
 def test_omega_curved_values():
     w = omega_of(AnsatzFamily(Basis.CURVED_C, -2), Regime.HYPERBOLIC, 3)
-    assert w.value == Graded(F(0))  # D + n - 1 = 0
+    assert w == Graded(F(0))  # D + n - 1 = 0
     w = omega_of(AnsatzFamily(Basis.CURVED_S, -1), Regime.HYPERBOLIC, 4)
-    assert w.value == Graded(F(2), 1)
+    assert w == Graded(F(2), 1)
     # numeric limit of -Lap(u)/u at large r
     space = Space.hyperbolic(-1.0, 4)
     u = lambda r: 1.0 / math.sinh(r)
@@ -105,8 +105,7 @@ def test_omega_curved_constant_split():
     n, dim = -2, 5
     for regime in (Regime.HYPERBOLIC, Regime.SPHERICAL):
         w = omega_of(AnsatzFamily(Basis.CURVED_C, n), regime, dim)
-        assert w.value == Graded(F(-n * (dim + n - 1)), 1)
-        assert w.conventional == (regime is Regime.SPHERICAL)
+        assert w == Graded(F(-n * (dim + n - 1)), 1)
 
 
 def test_potential_term_has_only_even_nonpositive_powers():
@@ -121,8 +120,7 @@ def test_potential_term_has_only_even_nonpositive_powers():
 
 def test_omega_spherical_is_conventional():
     w = omega_of(AnsatzFamily(Basis.CURVED_S, -1), Regime.SPHERICAL, 4)
-    assert w.conventional
-    assert w.value == Graded(F(2), 1)
+    assert w == Graded(F(2), 1)
     assert w.evaluate(-1.0) == -2.0  # kappa = +1
 
 
@@ -154,14 +152,14 @@ def test_flat_homogeneous_unique():
     assert h.x_law == Graded(F(-576))
     assert h.alpha_sign is AlphaSign.ATTRACTIVE
     assert h.amp_sq_value(0.0, -1.0) == pytest.approx(576.0)
-    assert h.omega.value == Graded(F(0))
+    assert h.omega == Graded(F(0))
 
 
 def test_curved_c_homogeneous_unique():
     hits = solve_homogeneous(Basis.CURVED_C, Regime.HYPERBOLIC, N_BOX, D_BOX)
     assert [(h.n, h.dim) for h in hits] == [(-2, 3)]
     assert hits[0].x_law == Graded(F(-36), 2)
-    assert hits[0].omega.value == Graded(F(0))
+    assert hits[0].omega == Graded(F(0))
     # A = 6 (-kappa)/sqrt(-alpha) at kappa = -1, alpha = -1
     assert math.sqrt(hits[0].amp_sq_value(-1.0, -1.0)) == pytest.approx(6.0)
 
@@ -252,7 +250,7 @@ def test_sech_line_solution():
     (h,) = hits
     assert h.x_law == Graded(F(8), 2)
     assert h.alpha_sign is AlphaSign.REPULSIVE
-    assert h.omega.value == Graded(F(-1), 1)
+    assert h.omega == Graded(F(-1), 1)
     # with kappa = -1/R^2: u = sqrt(8/alpha)/(R^2 cosh(r/R)) at R = 1, alpha = 1
     assert math.sqrt(h.amp_sq_value(-1.0, 1.0)) == pytest.approx(math.sqrt(8.0))
 
@@ -465,7 +463,7 @@ def test_universe_hits_equal_the_reference():
                 "n": h.n,
                 "dim": h.dim,
                 "x": [str(h.x_law.coef), h.x_law.kappa],
-                "omega": [str(h.omega.value.coef), h.omega.value.kappa],
+                "omega": [str(h.omega.coef), h.omega.kappa],
                 "alpha_rho": sorted(
                     [str(t.coeff), t.base, t.kappa] for t in h.rho.terms if t.alpha == -1
                 ),

@@ -21,6 +21,17 @@ def _params(sol, curved_kappa=-1.0):
     return kappa, alpha
 
 
+def test_flat_entry_rejects_nonzero_kappa():
+    # Space is the one check of kappa: a flat entry is not silently moved to kappa = 0
+    sol = get_solution("FLAT_CSV")
+    with pytest.raises(ValueError):
+        mass(sol, 5.0, -1.0)
+    with pytest.raises(ValueError):
+        numeric.fd_residual(sol, 5.0, -1.0)
+    with pytest.raises(ValueError):
+        sol.u_fn(5.0, -1.0)
+
+
 # -- quadrature ----------------------------------------------------------------
 
 
