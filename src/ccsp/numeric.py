@@ -3,7 +3,8 @@
 Everything here treats the symbolic layer as ground truth and checks it
 with independent machinery:
 
-* adaptive quadrature built on an embedded Gauss 7/15 pair, with improper
+* adaptive quadrature on 15 + 7 Gauss-Legendre nodes evaluated in one
+  call per panel, stopping at the first non-finite panel, with improper
   endpoints probed by dyadic windows (halving toward a finite endpoint,
   doubling toward infinity).  A tail or endpoint whose window
   contributions stop shrinking (ratio >= 0.9 over eight consecutive
@@ -61,6 +62,7 @@ ABS_FLOOR = 1e-14
 
 _X7, _W7 = leggauss(7)
 _X15, _W15 = leggauss(15)
+_NODES = np.concatenate([_X15, _X7])
 
 
 @dataclass(frozen=True)
@@ -82,29 +84,35 @@ def _json_value(x):
 
 
 def _panel(f: Callable, a: float, b: float) -> tuple[float, float]:
-    """Embedded 7/15-point Gauss estimates of one panel; returns (I15, err)."""
+    """15- and 7-point Gauss-Legendre estimates of one panel from one call
+    of f on their 22 nodes (the rules share only the midpoint); returns
+    (I15, |I15 - I7|), or (nan, inf) when either estimate is not finite."""
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    f15 = np.asarray(f(mid + half * _X15), dtype=float)
-    i15 = half * float(np.dot(_W15, f15))
-    f7 = np.asarray(f(mid + half * _X7), dtype=float)
-    i7 = half * float(np.dot(_W7, f7))
+    fx = np.asarray(f(mid + half * _NODES), dtype=float)
+    i15 = half * float(np.dot(_W15, fx[:15]))
+    i7 = half * float(np.dot(_W7, fx[15:]))
     if not (math.isfinite(i15) and math.isfinite(i7)):
         return math.nan, math.inf
     return i15, abs(i15 - i7)
 
 
 def _adaptive(f: Callable, a: float, b: float, tol: float, depth: int = 30) -> float:
-    """Adaptive bisection with the embedded pair; deterministic order.
+    """Adaptive bisection with the 15/7 pair; deterministic order.
 
     A panel is accepted when its error estimate meets the absolute
     tolerance or is already at machine precision relative to the panel
-    value (further splitting cannot improve it).
+    value (further splitting cannot improve it).  A panel whose estimate
+    is not finite raises ValueError at once: its error is infinite, so it
+    could never be accepted, and bisecting it would only integrate its
+    finite parts before failing on the rest.  An integrand that is not
+    finite at a single node therefore raises too, where bisection might
+    have stepped around that node.
     """
     est, err = _panel(f, a, b)
+    if not math.isfinite(est):
+        raise ValueError(f"integrand not finite on [{a}, {b}]")
     if err <= tol or err <= 5e-15 * abs(est) or depth == 0:
-        if not math.isfinite(est):
-            raise ValueError(f"integrand not finite on [{a}, {b}]")
         return est
     mid = 0.5 * (a + b)
     half_tol = 0.5 * tol

@@ -428,22 +428,24 @@ class RadialExpr:
                 scale *= alpha**t.alpha
             if t.amp:
                 scale *= amp**t.amp
-            pre.append((scale, t.base, t.odd))
+            pre.append((scale, float(t.base), t.odd))
+        has_odd = any(op for _, _, op in pre)
 
         def fn(r):
             r = np.asarray(r, dtype=float)
+            if not pre:
+                return np.zeros_like(r)
             with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                total = np.zeros_like(r)
-                if pre:
-                    b = base_fn(r)
-                    o = odd_fn(r)
-                    for scale, bp, op in pre:
-                        term = np.full_like(r, scale)
-                        if bp:
-                            term = term * b ** float(bp)
-                        if op:
-                            term = term * o
-                        total = total + term
+                b = base_fn(r)
+                o = odd_fn(r) if has_odd else None
+                # b ** 0.0 is 1 everywhere, and a sum started from +0.0
+                # turns -0.0 into +0.0 as a zeros_like start would
+                total = 0.0
+                for scale, bp, op in pre:
+                    term = scale * b**bp
+                    if op:
+                        term = term * o
+                    total = total + term
             return total
 
         return fn

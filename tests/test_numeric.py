@@ -80,6 +80,94 @@ def test_integrable_endpoint_singularity():
     assert got == pytest.approx(2.0, rel=1e-8)
 
 
+def _reference_panel(f, a, b):
+    # the 15/7 pair as two separate integrand calls: the oracle for _panel
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    x15, w15 = np.polynomial.legendre.leggauss(15)
+    x7, w7 = np.polynomial.legendre.leggauss(7)
+    i15 = half * float(np.dot(w15, np.asarray(f(mid + half * x15), dtype=float)))
+    i7 = half * float(np.dot(w7, np.asarray(f(mid + half * x7), dtype=float)))
+    if not (math.isfinite(i15) and math.isfinite(i7)):
+        return math.nan, math.inf
+    return i15, abs(i15 - i7)
+
+
+def _count_panels(monkeypatch):
+    calls = []
+    panel = numeric._panel
+
+    def counted(f, a, b):
+        calls.append((a, b))
+        return panel(f, a, b)
+
+    monkeypatch.setattr(numeric, "_panel", counted)
+    return calls
+
+
+def test_panel_matches_two_call_reference():
+    sol = get_solution("BG_HYP_N1_D6")
+    u = sol.u_fn(-1.0, sol.default_alpha)
+    s_fn = Space.hyperbolic(-1.0, sol.dim).metric.S
+    integrands = [
+        lambda r: np.sinh(r) ** 2 / np.cosh(r) ** 4,
+        lambda r: r**5 * (1 + r**2) ** -4.0,
+        lambda r: 1.0 / np.sqrt(r),
+        lambda r: np.exp(-r) * np.sin(3.0 * r),
+        lambda r: u(r) ** 2 * s_fn(r) ** (sol.dim - 1),
+    ]
+    for f in integrands:
+        for a, b in [(1e-9, 1e-3), (0.0, 1.0), (0.3, 7.1), (10.0, 20.0), (80.0, 160.0)]:
+            with np.errstate(all="ignore"):
+                got, want = numeric._panel(f, a, b), _reference_panel(f, a, b)
+            assert got[0] == want[0] or (math.isnan(got[0]) and math.isnan(want[0]))
+            assert got[1] == want[1]
+
+
+def test_adaptive_raises_at_first_non_finite_panel(monkeypatch):
+    calls = _count_panels(monkeypatch)
+    f = lambda r: np.where(r < 3.0, 1.0, np.inf)
+    with pytest.raises(ValueError, match="not finite"):
+        numeric._adaptive(f, 0.0, 4.0, 1e-10)
+    assert len(calls) == 1
+
+
+def test_overflowing_tail_is_divergent(monkeypatch):
+    # grows like e^(3r), and sinh(r)^5 overflows to inf inside the tail windows
+    calls = _count_panels(monkeypatch)
+    f = lambda r: np.exp(-2.0 * r) * np.sinh(r) ** 5
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = integrate_radial(f, 0.0, math.inf)
+    assert got == Divergent("large-r")
+    assert len(calls) < 500
+
+
+def test_interior_core_pole_raises():
+    # the core of (0, inf) is [1, 10]: a pole at its midpoint sits on a node
+    # of the first panel, and a non-finite stretch meets every panel around it
+    def pole(r):
+        with np.errstate(divide="ignore"):
+            return 1.0 / (r - 5.5) ** 2 / (1.0 + r**4)
+
+    def stretch(r):
+        with np.errstate(invalid="ignore"):
+            return np.sqrt(r - 3.0) / (1.0 + r**4)
+
+    for f in (pole, stretch):
+        with pytest.raises(ValueError, match="not finite"):
+            integrate_radial(f, 0.0, math.inf)
+
+
+@pytest.mark.parametrize("kappa", [-2.0, -0.5])
+def test_divergence_probe_stops_at_first_non_finite_panel(monkeypatch, kappa):
+    # u^2 S^5 grows like e^(3 lambda r); S^5 overflows inside the Cauchy
+    # window [80, 160].  Bisecting that window down to depth 30 took
+    # about 25,000 panels.
+    calls = _count_panels(monkeypatch)
+    sol = get_solution("BG_HYP_N1_D6")
+    assert mass(sol, kappa, sol.default_alpha) == Divergent("large-r")
+    assert len(calls) < 2000
+
+
 # -- masses ----------------------------------------------------------------------
 
 

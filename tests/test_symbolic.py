@@ -8,7 +8,7 @@ import pytest
 
 from conftest import fd_laplacian
 from ccsp.geometry import PoleError, Regime, Space
-from ccsp.symbolic import Basis, ClosureError, Graded, Monomial, RadialExpr
+from ccsp.symbolic import _RULES, Basis, ClosureError, Graded, Monomial, RadialExpr
 
 FLAT = Space.flat(6)
 HYP = Space.hyperbolic(-1.0, 3)
@@ -225,6 +225,74 @@ def test_eval_pole_error():
     e = mono(Basis.FLAT_R, 1, base=-2)
     with pytest.raises(PoleError):
         e.eval(Space.flat(3), 0.0)
+
+
+def _reference_compile(expr, space, alpha, amp_sq):
+    # the evaluator as first written (zeros start, one full_like per term):
+    # the oracle that RadialExpr.compile must match bit for bit
+    base_fn, odd_fn = _RULES[expr.basis].fns(space.metric)
+    nk, amp = space.neg_kappa, math.sqrt(amp_sq)
+    pre = []
+    for t in expr.terms:
+        scale = float(t.coeff)
+        if t.kappa:
+            scale *= nk**t.kappa
+        if t.alpha:
+            scale *= alpha**t.alpha
+        if t.amp:
+            scale *= amp**t.amp
+        pre.append((scale, t.base, t.odd))
+
+    def fn(r):
+        r = np.asarray(r, dtype=float)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            total = np.zeros_like(r)
+            if pre:
+                b = base_fn(r)
+                o = odd_fn(r)
+                for scale, bp, op in pre:
+                    term = np.full_like(r, scale)
+                    if bp:
+                        term = term * b ** float(bp)
+                    if op:
+                        term = term * o
+                    total = total + term
+        return total
+
+    return fn
+
+
+def _assert_same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_compile_matches_reference_evaluator():
+    from ccsp.catalog import CATALOG
+    from ccsp.numeric import default_grid
+
+    unit = {Regime.FLAT: 0.0, Regime.HYPERBOLIC: -1.0, Regime.SPHERICAL: 1.0}
+    for sol in CATALOG:
+        kappa, alpha = unit[sol.regime], sol.default_alpha
+        space, amp_sq = sol.space(kappa), sol.amp_sq(kappa, alpha)
+        # the grid, plus the centre and the poles, where values are inf or nan
+        edges = [0.0, *sol.singular_radii_values(kappa)]
+        radii = np.concatenate([default_grid(sol, kappa).r_values, edges])
+        for expr in (sol.u, sol.V, sol.rho):
+            fn, ref = expr.compile(space, alpha, amp_sq), _reference_compile(expr, space, alpha, amp_sq)
+            _assert_same_bits(fn(radii), ref(radii))
+            for r in (0.0, 0.5, radii[-1]):
+                _assert_same_bits(fn(r), ref(r))
+    # no terms, and single terms that are -0.0 at r = 0 (the sum must give +0.0)
+    for expr, space in [
+        (RadialExpr.zero(Basis.CURVED_C), HYP),
+        (mono(Basis.CURVED_C, -3, odd=1), HYP),
+        (mono(Basis.FLAT_R, -2, base=1), FLAT),
+    ]:
+        for r in (0.0, 0.7, np.linspace(0.0, 2.0, 5)):
+            _assert_same_bits(expr.compile(space, 1.0, 1.0)(r), _reference_compile(expr, space, 1.0, 1.0)(r))
 
 
 # -- graded constants ---------------------------------------------------------
