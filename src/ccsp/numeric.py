@@ -3,10 +3,11 @@
 Everything here treats the symbolic layer as ground truth and checks it
 with independent machinery:
 
-* adaptive quadrature on 15 + 7 Gauss-Legendre nodes evaluated in one
-  call per panel, stopping at the first non-finite panel, with improper
-  endpoints probed by dyadic windows (halving toward a finite endpoint,
-  doubling toward infinity).  A tail or endpoint whose window
+* adaptive quadrature on 15 + 7 Gauss-Legendre nodes, the pending
+  panels of a bisection level evaluated in one call, stopping at the
+  first non-finite panel or at a panel unresolved at the depth cap, with
+  improper endpoints probed by dyadic windows (halving toward a finite
+  endpoint, doubling toward infinity).  A tail or endpoint whose window
   contributions stop shrinking (ratio >= 0.9 over eight consecutive
   windows) fails the Cauchy test and the integral is classified
   DIVERGENT -- a result, not an error;
@@ -15,7 +16,8 @@ with independent machinery:
   grids;
 * radial inversion of -Lap with decay normalization, via nested adaptive
   quadrature whose cumulative integrals are continued incrementally from
-  cached anchors (exact to quadrature tolerance, no interpolation), the
+  cached anchors (exact to quadrature tolerance, no interpolation; every
+  new point of a batch in one batched quadrature call), the
   outer one seeded with dyadic anchors so slowly decaying potentials are
   resolved;
 * the variational functionals T, N, Q and their flat-space identities, Q
@@ -26,7 +28,6 @@ with independent machinery:
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional, Union
@@ -59,6 +60,7 @@ __all__ = [
 
 DEFAULT_REL_TOL = 1e-10
 ABS_FLOOR = 1e-14
+MAX_DEPTH = 30
 
 _X7, _W7 = leggauss(7)
 _X15, _W15 = leggauss(15)
@@ -83,40 +85,78 @@ def _json_value(x):
     return str(x) if isinstance(x, Divergent) else x
 
 
-def _panel(f: Callable, a: float, b: float) -> tuple[float, float]:
-    """15- and 7-point Gauss-Legendre estimates of one panel from one call
-    of f on their 22 nodes (the rules share only the midpoint); returns
-    (I15, |I15 - I7|), or (nan, inf) when either estimate is not finite."""
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    fx = np.asarray(f(mid + half * _NODES), dtype=float)
-    i15 = half * float(np.dot(_W15, fx[:15]))
-    i7 = half * float(np.dot(_W7, fx[15:]))
-    if not (math.isfinite(i15) and math.isfinite(i7)):
-        return math.nan, math.inf
-    return i15, abs(i15 - i7)
+def _panels(f: Callable, lo: list, hi: list) -> tuple[list, list]:
+    """15- and 7-point Gauss-Legendre estimates of many panels from one
+    call of f on all their nodes (22 per panel; the rules share only the
+    midpoint).  Returns the lists of I15 and |I15 - I7| per panel, with
+    (nan, inf) for a panel whose estimates are not finite.  Each row is
+    reduced by its own np.dot, so a panel's bits do not depend on the
+    other panels evaluated with it."""
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    x = mid[:, None] + half[:, None] * _NODES
+    fx = np.asarray(f(x.ravel()), dtype=float).reshape(x.shape)
+    ests, errs = [], []
+    for h, row15, row7 in zip(half.tolist(), fx[:, :15], fx[:, 15:]):
+        i15 = h * float(np.dot(_W15, row15))
+        i7 = h * float(np.dot(_W7, row7))
+        if math.isfinite(i15) and math.isfinite(i7):
+            ests.append(i15)
+            errs.append(abs(i15 - i7))
+        else:
+            ests.append(math.nan)
+            errs.append(math.inf)
+    return ests, errs
 
 
-def _adaptive(f: Callable, a: float, b: float, tol: float, depth: int = 30) -> float:
-    """Adaptive bisection with the 15/7 pair; deterministic order.
+def _adaptive_many(f: Callable, jobs: list) -> list[float]:
+    """Adaptive bisection with the 15/7 pair on each job (a, b, tol),
+    with one call of f per bisection level for the pending panels of
+    every job.
 
-    A panel is accepted when its error estimate meets the absolute
-    tolerance or is already at machine precision relative to the panel
-    value (further splitting cannot improve it).  A panel whose estimate
-    is not finite raises ValueError at once: its error is infinite, so it
-    could never be accepted, and bisecting it would only integrate its
-    finite parts before failing on the rest.  An integrand that is not
-    finite at a single node therefore raises too, where bisection might
-    have stepped around that node.
+    A panel is accepted when its error estimate meets its tolerance or is
+    already at machine precision relative to the panel value (further
+    splitting cannot improve it); otherwise both halves go to the next
+    level with half the tolerance.  A panel whose estimate is not finite
+    raises ValueError at once: its error is infinite, so it could never
+    be accepted, and bisecting it would only integrate its finite parts
+    before failing on the rest.  An integrand that is not finite at a
+    single node therefore raises too, where bisection might have stepped
+    around that node.  A panel still unaccepted after MAX_DEPTH bisections
+    raises as well, so an interior pole is an error, not a number.  The
+    leaves are summed as left + right up the bisection tree, so each
+    result is the one recursive bisection of its job returns.
     """
-    est, err = _panel(f, a, b)
-    if not math.isfinite(est):
-        raise ValueError(f"integrand not finite on [{a}, {b}]")
-    if err <= tol or err <= 5e-15 * abs(est) or depth == 0:
-        return est
-    mid = 0.5 * (a + b)
-    half_tol = 0.5 * tol
-    return _adaptive(f, a, mid, half_tol, depth - 1) + _adaptive(f, mid, b, half_tol, depth - 1)
+    lo, hi, tol = map(list, zip(*jobs))
+    levels: list[tuple[list, list]] = []  # per level: values, split panels
+    while lo:
+        ests, errs = _panels(f, lo, hi)
+        split = []
+        for k, (est, err) in enumerate(zip(ests, errs)):
+            if not math.isfinite(est):
+                raise ValueError(f"integrand not finite on [{lo[k]}, {hi[k]}]")
+            if not (err <= tol[k] or err <= 5e-15 * abs(est)):
+                split.append(k)
+        if split and len(levels) == MAX_DEPTH:
+            k = split[0]
+            raise ValueError(f"no convergence after {MAX_DEPTH} bisections on [{lo[k]}, {hi[k]}]")
+        levels.append((ests, split))
+        lo, hi, tol = (
+            [x for k in split for x in (lo[k], 0.5 * (lo[k] + hi[k]))],
+            [x for k in split for x in (0.5 * (lo[k] + hi[k]), hi[k])],
+            [0.5 * tol[k] for k in split for _ in (0, 1)],
+        )
+    below: list[float] = []
+    for values, split in reversed(levels):
+        for i, k in enumerate(split):
+            values[k] = below[2 * i] + below[2 * i + 1]
+        below = values
+    return below
+
+
+def _adaptive(f: Callable, a: float, b: float, tol: float) -> float:
+    """:func:`_adaptive_many` on one job."""
+    return _adaptive_many(f, [(a, b, tol)])[0]
 
 
 def _cauchy_windows(
@@ -140,9 +180,7 @@ def _cauchy_windows(
         if idx >= max_windows:
             return Divergent(where)
         try:
-            w, werr = _panel(f, lo, hi)
-            if werr > max(tol_of(acc), ABS_FLOOR):
-                w = _adaptive(f, lo, hi, max(tol_of(acc), ABS_FLOOR))
+            w = _adaptive(f, lo, hi, max(tol_of(acc), ABS_FLOOR))
         except (ValueError, OverflowError):
             return Divergent(where)
         if not math.isfinite(w):
@@ -416,29 +454,46 @@ class _Cumulative:
     def __init__(self, f: Callable, start: float, tol: float) -> None:
         self._f = f
         self._tol = tol
-        self._xs: list[float] = [start]
-        self._vals: list[float] = [0.0]
+        self._xs = np.array([start], dtype=float)
+        self._vals = np.array([0.0])
 
     def __call__(self, s: float) -> float:
-        xs, vals = self._xs, self._vals
-        i = bisect.bisect_left(xs, s)
-        if i < len(xs) and xs[i] == s:
-            return vals[i]
-        j = i - 1 if i > 0 and (i == len(xs) or s - xs[i - 1] <= xs[i] - s) else i
-        s0, m0 = xs[j], vals[j]
-        lo, hi = (s0, s) if s > s0 else (s, s0)
-        inc = _adaptive(self._f, lo, hi, self._tol * max(1.0, hi - lo))
-        val = m0 + (inc if s > s0 else -inc)
-        xs.insert(i, s)
-        vals.insert(i, val)
-        return val
+        return float(self.many(np.array([s], dtype=float))[0])
 
     def many(self, s_values: np.ndarray) -> np.ndarray:
-        order = np.argsort(s_values)
-        out = np.empty_like(s_values, dtype=float)
-        for i in order:
-            out[i] = self(float(s_values[i]))
-        return out
+        """Values at every point, as if the new points were added one at a
+        time in ascending order: each extends from the nearer of its left
+        neighbour (the previous new point or a cached anchor) and its right
+        neighbour (a cached anchor), the left one on a tie.  All the gaps
+        are integrated in one batched call, then chained in that order."""
+        s_values = np.asarray(s_values, dtype=float)
+        xs, vals = self._xs, self._vals
+        last = len(xs) - 1
+        points, where = np.unique(s_values.ravel(), return_inverse=True)
+        at = np.searchsorted(xs, points)
+        out = vals[np.minimum(at, last)]
+        new = np.flatnonzero(xs[np.minimum(at, last)] != points)
+        if new.size:
+            s, i = points[new], at[new]
+            cached_left = np.where(i > 0, xs[np.maximum(i - 1, 0)], -math.inf)
+            prev = np.concatenate(([-math.inf], s[:-1]))
+            chained = prev > cached_left  # the previous new point is nearer
+            left = np.maximum(prev, cached_left)
+            right = np.where(i <= last, xs[np.minimum(i, last)], math.inf)
+            upward = (left > -math.inf) & (s - left <= right - s)
+            s0 = np.where(upward, left, right)
+            lo, hi = np.minimum(s0, s), np.maximum(s0, s)
+            tols = self._tol * np.maximum(1.0, hi - lo)
+            incs = _adaptive_many(self._f, list(zip(lo.tolist(), hi.tolist(), tols.tolist())))
+            m0s = np.where(upward, vals[np.maximum(i - 1, 0)], vals[np.minimum(i, last)])
+            new_vals: list[float] = []
+            for m0, chain, up, inc in zip(m0s.tolist(), (upward & chained).tolist(), upward.tolist(), incs):
+                m0 = new_vals[-1] if chain else m0
+                new_vals.append(m0 + (inc if up else -inc))
+            out[new] = new_vals
+            self._xs = np.insert(xs, i, s)
+            self._vals = np.insert(vals, i, new_vals)
+        return out[where].reshape(s_values.shape)
 
 
 def poisson_invert(
@@ -561,6 +616,9 @@ def pohozaev_functionals(
         t_val *= area
 
     n_val = mass(sol, kappa, alpha, rel_tol)
+    if n_val == Divergent("small-r"):
+        # u^2 > 0, so the charge M(r) inside every radius is infinite too
+        return PohozaevFunctionals(t_val, n_val, n_val)
 
     u = sol.u_fn(kappa, alpha)
 

@@ -1,3 +1,4 @@
+import bisect
 import math
 from dataclasses import replace
 
@@ -81,7 +82,7 @@ def test_integrable_endpoint_singularity():
 
 
 def _reference_panel(f, a, b):
-    # the 15/7 pair as two separate integrand calls: the oracle for _panel
+    # the 15/7 pair as two separate integrand calls: the oracle for _panels
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     x15, w15 = np.polynomial.legendre.leggauss(15)
     x7, w7 = np.polynomial.legendre.leggauss(7)
@@ -92,35 +93,192 @@ def _reference_panel(f, a, b):
     return i15, abs(i15 - i7)
 
 
+def _reference_adaptive(f, a, b, tol, depth=30):
+    # recursive bisection, one panel per call in depth-first order: the
+    # oracle for the level-batched _adaptive_many
+    est, err = _reference_panel(f, a, b)
+    if not math.isfinite(est):
+        raise ValueError(f"integrand not finite on [{a}, {b}]")
+    if err <= tol or err <= 5e-15 * abs(est) or depth == 0:
+        return est
+    mid = 0.5 * (a + b)
+    return _reference_adaptive(f, a, mid, 0.5 * tol, depth - 1) + _reference_adaptive(
+        f, mid, b, 0.5 * tol, depth - 1
+    )
+
+
+class _ReferenceCumulative:
+    # one new point at a time, each continued from its nearest anchor: the
+    # oracle for the one-pass _Cumulative.many
+    def __init__(self, f, start, tol):
+        self.f, self.tol, self.xs, self.vals = f, tol, [start], [0.0]
+
+    def __call__(self, s):
+        xs, vals = self.xs, self.vals
+        i = bisect.bisect_left(xs, s)
+        if i < len(xs) and xs[i] == s:
+            return vals[i]
+        j = i - 1 if i > 0 and (i == len(xs) or s - xs[i - 1] <= xs[i] - s) else i
+        s0, m0 = xs[j], vals[j]
+        lo, hi = (s0, s) if s > s0 else (s, s0)
+        inc = _reference_adaptive(self.f, lo, hi, self.tol * max(1.0, hi - lo))
+        val = m0 + (inc if s > s0 else -inc)
+        xs.insert(i, s)
+        vals.insert(i, val)
+        return val
+
+    def many(self, s_values):
+        out = np.empty_like(s_values, dtype=float)
+        for i in np.argsort(s_values):
+            out[i] = self(float(s_values[i]))
+        return out
+
+
+def _hex(values):
+    return [float(v).hex() for v in values]
+
+
 def _count_panels(monkeypatch):
+    # every panel the batched evaluator handles, in evaluation order
     calls = []
-    panel = numeric._panel
+    panels = numeric._panels
 
-    def counted(f, a, b):
-        calls.append((a, b))
-        return panel(f, a, b)
+    def counted(f, lo, hi):
+        calls.extend(zip(lo, hi))
+        return panels(f, lo, hi)
 
-    monkeypatch.setattr(numeric, "_panel", counted)
+    monkeypatch.setattr(numeric, "_panels", counted)
     return calls
 
 
-def test_panel_matches_two_call_reference():
+def _hyp_n1_d6_integrand():
     sol = get_solution("BG_HYP_N1_D6")
     u = sol.u_fn(-1.0, sol.default_alpha)
     s_fn = Space.hyperbolic(-1.0, sol.dim).metric.S
+    return lambda r: u(r) ** 2 * s_fn(r) ** (sol.dim - 1)
+
+
+def test_panel_matches_two_call_reference():
     integrands = [
         lambda r: np.sinh(r) ** 2 / np.cosh(r) ** 4,
         lambda r: r**5 * (1 + r**2) ** -4.0,
         lambda r: 1.0 / np.sqrt(r),
         lambda r: np.exp(-r) * np.sin(3.0 * r),
-        lambda r: u(r) ** 2 * s_fn(r) ** (sol.dim - 1),
+        _hyp_n1_d6_integrand(),
     ]
+    spans = [(1e-9, 1e-3), (0.0, 1.0), (0.3, 7.1), (10.0, 20.0), (80.0, 160.0)]
+    lo, hi = [a for a, _ in spans], [b for _, b in spans]
     for f in integrands:
-        for a, b in [(1e-9, 1e-3), (0.0, 1.0), (0.3, 7.1), (10.0, 20.0), (80.0, 160.0)]:
-            with np.errstate(all="ignore"):
-                got, want = numeric._panel(f, a, b), _reference_panel(f, a, b)
-            assert got[0] == want[0] or (math.isnan(got[0]) and math.isnan(want[0]))
-            assert got[1] == want[1]
+        with np.errstate(all="ignore"):
+            ests, errs = numeric._panels(f, lo, hi)
+            want = [_reference_panel(f, a, b) for a, b in spans]
+        for est, err, (w_est, w_err) in zip(ests, errs, want):
+            assert est == w_est or (math.isnan(est) and math.isnan(w_est))
+            assert err == w_err
+
+
+def test_adaptive_many_matches_recursive_reference():
+    # smooth, endpoint-singular, oscillatory and the BG_HYP_N1_D6 mass
+    # integrands one job at a time, then several jobs batched in one call
+    jobs = [
+        (lambda r: np.sinh(r) ** 2 / np.cosh(r) ** 4, 0.0, 6.0, 1e-12),
+        (lambda r: r**5 * (1 + r**2) ** -4.0, 0.0, 40.0, 1e-10),
+        (lambda r: r**1.5, 0.0, 1.0, 1e-12),
+        (lambda r: r**2.5 * np.exp(-r), 0.0, 4.0, 1e-13),
+        (lambda r: 1.0 / np.sqrt(r), 1e-6, 1.0, 1e-10),
+        (lambda r: np.log(r), 1e-8, 2.0, 1e-12),
+        (lambda r: np.exp(-r) * np.sin(30.0 * r), 0.0, 10.0, 1e-11),
+        (lambda r: np.cos(200.0 * r), 0.0, 3.0, 1e-9),
+        (_hyp_n1_d6_integrand(), 0.5, 20.0, 1e-10),
+        # only the 5e-15 relative rule can accept these panels
+        (lambda r: 1e3 * np.exp(r), 1.0, 2.0, 1e-300),
+        (lambda r: np.sqrt(r) * 1e8, 1e-3, 1.0, 1e-300),
+    ]
+    for f, a, b, tol in jobs:
+        got = numeric._adaptive(f, a, b, tol)
+        want = _reference_adaptive(f, a, b, tol)
+        assert type(got) is float
+        assert got.hex() == want.hex()
+    # one batch over shared nodes: a single integrand serving every job
+    f = lambda r: np.exp(-r) * np.sin(30.0 * r) / np.sqrt(r)
+    spans = [(1e-6, 1.0, 1e-10), (1.0, 5.0, 1e-12), (0.25, 0.5, 1e-300), (3.0, 80.0, 1e-11)]
+    got = numeric._adaptive_many(f, spans)
+    assert all(type(x) is float for x in got)
+    assert _hex(got) == _hex(_reference_adaptive(f, a, b, t) for a, b, t in spans)
+
+
+def test_adaptive_many_raises_where_reference_raises():
+    f = lambda r: np.where(r < 3.0, 1.0 / np.sqrt(np.abs(r - 2.0) + 1e-300), np.inf)
+    with pytest.raises(ValueError, match="not finite"):
+        _reference_adaptive(f, 0.0, 4.0, 1e-10)
+    with pytest.raises(ValueError, match="not finite"):
+        numeric._adaptive_many(f, [(0.0, 1.0, 1e-10), (0.0, 4.0, 1e-10)])
+
+
+def test_adaptive_calls_integrand_once_per_level():
+    def levels(a, b, tol, depth=0):
+        # bisection levels the recursive reference visits below [a, b]
+        est, err = _reference_panel(f, a, b)
+        if err <= tol or err <= 5e-15 * abs(est):
+            return depth + 1
+        mid = 0.5 * (a + b)
+        return max(levels(a, mid, 0.5 * tol, depth + 1), levels(mid, b, 0.5 * tol, depth + 1))
+
+    calls = []
+
+    def f(r):
+        calls.append(np.size(r))
+        return np.sqrt(r) * np.cos(5.0 * r)
+
+    n_levels = levels(1e-4, 2.0, 1e-12)
+    calls.clear()
+    numeric._adaptive(f, 1e-4, 2.0, 1e-12)
+    assert n_levels > 5 and len(calls) == n_levels
+    assert sum(calls) > 22 * n_levels
+
+
+def test_cumulative_many_matches_sequential_reference():
+    f = lambda t: t**2 * np.exp(-t) + np.cos(3.0 * t) ** 2
+    got, want = numeric._Cumulative(f, 1.0, 1e-11), _ReferenceCumulative(f, 1.0, 1e-11)
+    rng = np.random.default_rng(7)
+    batches = [
+        # left of, at, between and right of the anchors, with duplicates
+        [0.2, 0.5, 1.0, 1.5, 3.0, 3.0, 7.0, 0.5, 2.25],
+        # every cached anchor again, exact ties between anchors (2.0, 5.0),
+        # new points past both ends and inside every gap
+        [0.2, 0.5, 1.0, 1.5, 2.25, 3.0, 7.0, 2.0, 5.0, 0.05, 9.0, 1.2, 2.6, 6.9, 0.35, 9.0],
+        list(np.linspace(0.0, 10.0, 41)),
+        list(rng.uniform(0.0, 12.0, 60)),
+    ]
+    for batch in batches:
+        points = rng.permutation(np.array(batch))
+        assert _hex(got.many(points)) == _hex(want.many(points))
+        assert _hex(got._xs) == _hex(want.xs) and _hex(got._vals) == _hex(want.vals)
+    grid = np.array([[0.7, 4.4], [0.7, 11.0]])
+    assert got.many(grid).shape == (2, 2)
+    assert _hex(got.many(grid).ravel()) == _hex(want.many(grid.ravel()))
+    value = got(13.5)
+    assert type(value) is float and value.hex() == want(13.5).hex()
+
+
+@pytest.mark.parametrize("k", [-4, 0, 4])
+def test_mass_matches_recursive_reference(monkeypatch, k):
+    # every catalog entry, both coupling signs, batched against recursive
+    results = {}
+    for adaptive in (numeric._adaptive, _reference_adaptive):
+        monkeypatch.setattr(numeric, "_adaptive", adaptive)
+        for sol in CATALOG:
+            sign = {Regime.FLAT: 0.0, Regime.HYPERBOLIC: -1.0, Regime.SPHERICAL: 1.0}[sol.regime]
+            kappa = math.copysign(2.0 ** (k / 2.0), sign) if sign else 0.0
+            for alpha in (-1.0, 1.0):
+                try:
+                    with np.errstate(all="ignore"):
+                        m = mass(sol, kappa, alpha)
+                except ValueError as exc:
+                    m = str(exc)
+                results.setdefault((sol.id, alpha), []).append(m.hex() if isinstance(m, float) else m)
+    assert all(got == want for got, want in results.values()), results
+    assert sum(isinstance(v[0], str) and v[0].startswith("0x") for v in results.values()) >= 10
 
 
 def test_adaptive_raises_at_first_non_finite_panel(monkeypatch):
@@ -131,6 +289,29 @@ def test_adaptive_raises_at_first_non_finite_panel(monkeypatch):
     assert len(calls) == 1
 
 
+def test_interior_pole_off_the_nodes_raises():
+    # 1/(r-5)^2 in the core [1, 10] never meets a node; bisection toward the
+    # pole used to stop at the depth cap and return 1.9e7 after 16,647 panels
+    f = lambda r: 1.0 / (r - 5.0) ** 2 / (1.0 + r**4)
+    with pytest.raises(ValueError, match="30 bisections"):
+        integrate_radial(f, 0.0, math.inf)
+
+
+def test_window_accepted_at_first_panel_costs_one_panel():
+    # err = 9.1e-13 misses the 1e-14 floor but is at machine precision
+    # relative to the value 4670.8: the first panel is accepted, and the
+    # window must evaluate it once
+    points = []
+
+    def f(r):
+        points.append(np.size(r))
+        return 1e3 * np.exp(r)
+
+    w = numeric._cauchy_windows(f, [(1.0, 2.0)], lambda acc: 0.0, "large-r", max_windows=1)
+    assert w == Divergent("large-r")
+    assert points == [22]
+
+
 def test_overflowing_tail_is_divergent(monkeypatch):
     # grows like e^(3r), and sinh(r)^5 overflows to inf inside the tail windows
     calls = _count_panels(monkeypatch)
@@ -138,7 +319,7 @@ def test_overflowing_tail_is_divergent(monkeypatch):
     with np.errstate(over="ignore", invalid="ignore"):
         got = integrate_radial(f, 0.0, math.inf)
     assert got == Divergent("large-r")
-    assert len(calls) < 500
+    assert 0 < len(calls) < 500
 
 
 def test_interior_core_pole_raises():
@@ -165,7 +346,7 @@ def test_divergence_probe_stops_at_first_non_finite_panel(monkeypatch, kappa):
     calls = _count_panels(monkeypatch)
     sol = get_solution("BG_HYP_N1_D6")
     assert mass(sol, kappa, sol.default_alpha) == Divergent("large-r")
-    assert len(calls) < 2000
+    assert 0 < len(calls) < 2000
 
 
 # -- masses ----------------------------------------------------------------------
@@ -401,6 +582,10 @@ def test_pohozaev_zero_profile():
 def test_pohozaev_singular_profile_diverges():
     fns = numeric.pohozaev_functionals(get_solution("FLAT_SINGULAR_D6"), 0.0, -1.0)
     assert isinstance(fns.kinetic_T, Divergent)
+    # the charge inside any radius diverges at the origin, and so does Q;
+    # integrating it from r = 0 would stop at the bisection depth cap
+    fns = numeric.pohozaev_functionals(get_solution("FLAT_SINGULAR_D3"), 0.0, -1.0)
+    assert fns.kinetic_T == fns.N == fns.Q == Divergent("small-r")
 
 
 def test_pohozaev_requires_flat_high_dimension():
