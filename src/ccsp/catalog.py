@@ -1,12 +1,18 @@
 """Verified records of every closed-form solution the package knows.
 
-Each entry is materialized by actually running the derivation engine for
-its (family, exponent, dimension) cell and re-substituting the resulting
-profile into both field equations symbolically; construction fails loudly
-if either residual is nonzero.  Masses come from the exponents
-(:func:`ccsp.derivation.exact_mass`) as exact graded constants
-(rational * sphere area * pi^p * |kappa|^(k/2) * |alpha|^a), so the
-numerical layer can verify them at any curvature and coupling.
+An entry is a derivation hit plus its record (id, mass convention,
+provenance, scale).  Each is materialized by actually running the
+derivation engine for its (family, exponent, dimension) cell and
+re-substituting the resulting profile into both field equations
+symbolically; construction fails loudly if either residual is nonzero.
+SPH_TRIVIAL is the one hand-written hit: the amplitude-free constant
+profile, which the search cannot return (X = 0 at n = 0).
+
+Profile, potential, singular set and mass are functions of the hit.
+Masses come from the exponents (:func:`ccsp.derivation.exact_mass`) as
+exact graded constants (rational * sphere area * pi^p * |kappa|^(k/2) *
+|alpha|^a), so the numerical layer can verify them at any curvature and
+coupling.
 
 Flat homogeneous entries form a scaling family u_a(r) = a^-2 u(r/a); the
 curved entries do not scale (the curved Laplacian has no scale symmetry),
@@ -17,8 +23,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
-from fractions import Fraction
+from dataclasses import dataclass, fields, replace
+from functools import cached_property
 from typing import Callable, Optional
 
 from .derivation import (
@@ -64,34 +70,41 @@ _TAG_RADII: dict[str, Callable[[Space], float]] = {
 }
 
 
-@dataclass(frozen=True)
-class Solution:
-    """A complete, symbolically verified solution record."""
+@dataclass(frozen=True, kw_only=True)
+class Solution(DerivationHit):
+    """A derivation hit plus its record: every field but `id`,
+    `mass_convention`, `provenance` and `scale` is the hit's, and u, V, the
+    singular set and the mass are functions of it."""
 
     id: str
-    regime: Regime
-    dim: int
-    u: RadialExpr
-    V: RadialExpr
-    rho: RadialExpr
-    omega: Graded
-    x_law: Optional[Graded]             # X = alpha*A^2; None: amplitude-free
-    singular_radii: tuple[str, ...]
-    mass: Optional[GradedMass]          # None: the mass diverges
     mass_convention: str
     provenance: str
     scale: float = 1.0
-    family: Optional[Basis] = None
-    n: Optional[int] = None
+
+    @cached_property
+    def _exprs(self) -> tuple[RadialExpr, RadialExpr]:
+        return solution_exprs(self)
+
+    @property
+    def u(self) -> RadialExpr:
+        return self._exprs[0]
+
+    @property
+    def V(self) -> RadialExpr:
+        return self._exprs[1]
+
+    @property
+    def singular_radii(self) -> tuple[str, ...]:
+        return singular_radius_tags(AnsatzFamily(self.family, self.n), self.regime)
+
+    @cached_property
+    def mass(self) -> Optional[GradedMass]:
+        """None: the mass diverges."""
+        return exact_mass(self, sphere_factor=self.mass_convention == FULL)
 
     @property
     def finite_mass(self) -> bool:
         return self.mass is not None
-
-    @property
-    def alpha_sign(self) -> Optional[AlphaSign]:
-        """None: valid for either coupling sign."""
-        return AlphaSign.of(self.x_law, self.regime)
 
     @property
     def default_alpha(self) -> float:
@@ -103,23 +116,6 @@ class Solution:
     def space(self, kappa: float) -> Space:
         return Space(self.regime, kappa, self.dim)
 
-    def check_alpha(self, alpha: float) -> None:
-        if alpha == 0 or not math.isfinite(alpha):
-            raise ValueError("alpha must be finite and nonzero")
-        if self.alpha_sign is AlphaSign.ATTRACTIVE and alpha >= 0:
-            raise ValueError(f"{self.id} requires alpha < 0 (attractive)")
-        if self.alpha_sign is AlphaSign.REPULSIVE and alpha <= 0:
-            raise ValueError(f"{self.id} requires alpha > 0 (repulsive)")
-
-    def amp_sq(self, kappa: float, alpha: float) -> float:
-        self.check_alpha(alpha)
-        if self.x_law is None:
-            return 1.0
-        amp_sq = self.x_law.evaluate(-kappa) / alpha
-        if amp_sq <= 0:
-            raise ValueError(f"{self.id}: amplitude law gives A^2 = {amp_sq} <= 0")
-        return amp_sq
-
     def _scaled(self, fn: Callable, power: int) -> Callable:
         if self.scale == 1.0:
             return fn
@@ -127,15 +123,15 @@ class Solution:
         return lambda r: fn(r / a) * a**power
 
     def u_fn(self, kappa: float, alpha: float) -> Callable:
-        amp = self.amp_sq(kappa, alpha)
+        amp = self.amp_sq_value(kappa, alpha)
         return self._scaled(self.u.compile(self.space(kappa), alpha, amp), -2)
 
     def v_fn(self, kappa: float, alpha: float) -> Callable:
-        amp = self.amp_sq(kappa, alpha)
+        amp = self.amp_sq_value(kappa, alpha)
         return self._scaled(self.V.compile(self.space(kappa), alpha, amp), -2)
 
     def rho_fn(self, kappa: float, alpha: float) -> Callable:
-        amp = self.amp_sq(kappa, alpha)
+        amp = self.amp_sq_value(kappa, alpha)
         return self._scaled(self.rho.compile(self.space(kappa), alpha, amp), -4)
 
     def omega_value(self, kappa: float) -> float:
@@ -180,23 +176,28 @@ class Solution:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "Solution":
-        rho = obj["rho"]
+        """Re-derive a record from its cell: the hit is rebuilt from u's
+        basis and power, the amplitude law, omega and rho, re-checked
+        symbolically, and must reproduce the record exactly."""
         u = RadialExpr.from_json_obj(obj["u"])
-        return cls(
-            id=obj["id"],
-            regime=Regime(obj["regime"]),
+        if len(u.terms) != 1:
+            raise ValueError(f"{obj['id']}: u must be a single monomial A*base^n")
+        rho = obj["rho"]
+        hit = DerivationHit(
+            family=u.basis,
+            n=u.terms[0].base,
             dim=int(obj["dim"]),
-            u=u,
-            V=RadialExpr.from_json_obj(obj["V"]),
-            rho=RadialExpr.zero(u.basis) if rho is None else RadialExpr.from_json_obj(rho),
-            omega=Graded.from_json_obj(obj["omega"]),
+            regime=Regime(obj["regime"]),
+            mode="homogeneous" if rho is None else "background",
             x_law=Graded.from_json_obj(obj["amp_law"]) if obj["amp_law"] else None,
-            singular_radii=tuple(obj["singular_radii"]),
-            mass=GradedMass.from_json_obj(obj["mass"]) if obj["mass"] else None,
-            mass_convention=obj["mass_convention"],
-            provenance=obj["provenance"],
-            scale=float(obj.get("scale", 1.0)),
+            omega=Graded.from_json_obj(obj["omega"]),
+            rho=RadialExpr.zero(u.basis) if rho is None else RadialExpr.from_json_obj(rho),
         )
+        sol = solution_from_hit(hit, obj["id"], obj["mass_convention"], obj["provenance"])
+        sol = replace(sol, scale=float(obj["scale"]))
+        if sol.to_json_obj() != obj:
+            raise ValueError(f"{sol.id}: the record disagrees with its derivation")
+        return sol
 
     @classmethod
     def from_json(cls, text: str) -> "Solution":
@@ -211,26 +212,16 @@ def solution_from_hit(
 ) -> Solution:
     """Materialize a derivation hit into a full record, re-checking both
     field equations symbolically; the mass is the hit's exact Beta value."""
-    u, v = solution_exprs(hit)
-    schro, poisson = resubstitution_defects(u, v, hit.rho, hit.omega, hit.x_law, hit.dim)
-    if not schro.is_zero or not poisson.is_zero:
-        raise ValueError(f"{id}: re-substitution defect (schro={schro}, poisson={poisson})")
-    return Solution(
+    sol = Solution(
+        **{f.name: getattr(hit, f.name) for f in fields(DerivationHit)},
         id=id,
-        regime=hit.regime,
-        dim=hit.dim,
-        u=u,
-        V=v,
-        rho=hit.rho,
-        omega=hit.omega,
-        x_law=hit.x_law,
-        singular_radii=singular_radius_tags(AnsatzFamily(hit.family, hit.n), hit.regime),
-        mass=exact_mass(hit, sphere_factor=mass_convention == FULL),
         mass_convention=mass_convention,
         provenance=provenance,
-        family=hit.family,
-        n=hit.n,
     )
+    schro, poisson = resubstitution_defects(sol.u, sol.V, sol.rho, sol.omega, sol.x_law, sol.dim)
+    if not schro.is_zero or not poisson.is_zero:
+        raise ValueError(f"{id}: re-substitution defect (schro={schro}, poisson={poisson})")
+    return sol
 
 
 def _entry(
@@ -250,22 +241,22 @@ def _entry(
 
 
 def _trivial_sphere_entry() -> Solution:
+    # not a search hit: X = 0 at n = 0, so the constant profile is the
+    # amplitude-free cell with u^2 = -rho = 1
     basis = Basis.CURVED_C
-    u = RadialExpr.monomial(basis, 1)
-    v = RadialExpr.zero(basis)
-    rho = RadialExpr.monomial(basis, -1)
-    return Solution(
-        id="SPH_TRIVIAL",
-        regime=Regime.SPHERICAL,
+    hit = DerivationHit(
+        family=basis,
+        n=0,
         dim=3,
-        u=u,
-        V=v,
-        rho=rho,
-        omega=ZERO_GRADED,
+        regime=Regime.SPHERICAL,
+        mode="background",
         x_law=None,
-        singular_radii=(),
-        mass=GradedMass(Fraction(2), None, pi_pow=2, kappa_pow2=-3, alpha_pow=0),
-        mass_convention=FULL,
+        omega=ZERO_GRADED,
+        rho=RadialExpr.monomial(basis, -1),
+    )
+    return solution_from_hit(
+        hit,
+        "SPH_TRIVIAL",
         provenance=(
             "Constant profile on the 3-sphere with u^2 = -rho = 1 and V = 0; the only "
             "background solution regular on the whole sphere.  Works for either coupling "

@@ -186,7 +186,7 @@ def _default_params(sol: Solution, kappa: Optional[float], R: Optional[float], a
     sol.space(kappa)  # validates kappa for the regime
     if alpha is None:
         alpha = sol.default_alpha
-    sol.check_alpha(alpha)
+    sol.amp_sq_value(kappa, alpha)
     return kappa, alpha
 
 

@@ -125,21 +125,24 @@ class DerivationHit:
     dim: int
     regime: Regime
     mode: str                      # "homogeneous" | "background"
-    x_law: Graded                  # X = alpha * A^2, exact
+    x_law: Optional[Graded]        # X = alpha * A^2, exact; None: amplitude-free
     omega: Graded
     rho: RadialExpr                # empty in homogeneous mode
     notes: str = ""
 
     @property
-    def alpha_sign(self) -> AlphaSign:
+    def alpha_sign(self) -> Optional[AlphaSign]:
+        """None: valid for either coupling sign."""
         return AlphaSign.of(self.x_law, self.regime)
 
     def amp_sq_value(self, kappa: float, alpha: float) -> float:
-        """Numeric A^2 = X/alpha; raises if the signs are incompatible."""
-        x = self.x_law.evaluate(-kappa)
-        if alpha == 0:
-            raise ValueError("alpha must be nonzero")
-        amp_sq = x / alpha
+        """Numeric A^2 = X/alpha (1 when amplitude-free); raises if alpha is
+        zero or not finite, or if the signs are incompatible."""
+        if alpha == 0 or not math.isfinite(alpha):
+            raise ValueError("alpha must be finite and nonzero")
+        if self.x_law is None:
+            return 1.0
+        amp_sq = self.x_law.evaluate(-kappa) / alpha
         if amp_sq <= 0:
             raise ValueError(
                 f"alpha = {alpha} gives A^2 = {amp_sq} <= 0; "
@@ -368,7 +371,8 @@ def exact_mass(hit: DerivationHit, sphere_factor: bool = True) -> Optional[Grade
 
     The integral is finite exactly when both Beta arguments are positive.
     They are half-integers, so B(x, y) is a rational times pi^0 or pi^1.
-    Without `sphere_factor` the mass is the bare radial integral.
+    Without `sphere_factor` the mass is the bare radial integral.  An
+    amplitude-free hit has A = 1: X = 1 and no power of alpha.
     """
     rule = _MASS_BETA.get((hit.family, hit.regime))
     if rule is None:
@@ -377,11 +381,13 @@ def exact_mass(hit: DerivationHit, sphere_factor: bool = True) -> Optional[Grade
     if x <= 0 or y <= 0:
         return None
     (gx, kx), (gy, ky), (gxy, kxy) = (_gamma_half(z) for z in (x, y, x + y))
+    x_law = Graded(Fraction(1)) if hit.x_law is None else hit.x_law
     return GradedMass(
-        abs(hit.x_law.coef) * f * gx * gy / gxy,
+        abs(x_law.coef) * f * gx * gy / gxy,
         sphere_sub=hit.dim - 1 if sphere_factor else None,
         pi_pow=(kx + ky - kxy) // 2,
-        kappa_pow2=2 * hit.x_law.kappa + int(p),
+        kappa_pow2=2 * x_law.kappa + int(p),
+        alpha_pow=0 if hit.x_law is None else -1,
     )
 
 
@@ -527,9 +533,9 @@ def classify_alpha_sign(hit: DerivationHit) -> DerivationHit:
 
 
 def solution_exprs(hit: DerivationHit) -> tuple[RadialExpr, RadialExpr]:
-    """Exact (u, V) for a hit: u = A*base^n (amplitude grade 1) and
-    V = (Lap(u)/u + omega)/alpha."""
-    u = RadialExpr.monomial(hit.family, 1, base=hit.n, amp=1)
+    """Exact (u, V) for a hit: u = A*base^n (amplitude grade 1, or 0 when
+    amplitude-free) and V = (Lap(u)/u + omega)/alpha."""
+    u = RadialExpr.monomial(hit.family, 1, base=hit.n, amp=0 if hit.x_law is None else 1)
     pot = potential_term(AnsatzFamily(hit.family, hit.n), hit.regime, hit.dim)
     alpha_v = pot + RadialExpr.const(hit.family, hit.omega)
     v = alpha_v.scale_grades(alpha=-1)

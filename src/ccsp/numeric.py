@@ -61,6 +61,9 @@ __all__ = [
 DEFAULT_REL_TOL = 1e-10
 ABS_FLOOR = 1e-14
 MAX_DEPTH = 30
+NESTED_REL_TOL = 1e-11  # poisson_invert and pohozaev_functionals (Q's outer: 1e-9)
+MASS_REL_TOL = 1e-8     # verify: quadrature mass against the closed form
+GRID_R_CAP = 10.0       # noncompact default grids end here (times the flat scale)
 
 _X7, _W7 = leggauss(7)
 _X15, _W15 = leggauss(15)
@@ -365,7 +368,6 @@ def default_grid(
     kappa: float,
     n_points: int = 2000,
     h: float = 1e-4,
-    r_cap: float = 10.0,
 ) -> Grid:
     """Per-solution verification grid.
 
@@ -378,9 +380,9 @@ def default_grid(
     sing = sol.singular_radii_values(kappa)
     lo = 0.0
     if space.regime is Regime.FLAT:
-        hi = r_cap * sol.scale
+        hi = GRID_R_CAP * sol.scale
     elif space.regime is Regime.HYPERBOLIC:
-        hi = r_cap
+        hi = GRID_R_CAP
     else:
         hi = space.r_max
     cuts = [lo] + [s for s in sing if lo < s < hi] + [hi]
@@ -500,7 +502,6 @@ def poisson_invert(
     f: Callable,
     space: Space,
     dim: int,
-    rel_tol: float = 1e-11,
 ) -> Callable:
     """Return V with -Lap(V) = f and V -> 0 at infinity (radial, decaying).
 
@@ -521,7 +522,7 @@ def poisson_invert(
     def inner(t):
         return f(t) * s_pow(t, dim - 1)
 
-    m_cum = _Cumulative(inner, 0.0, rel_tol)
+    m_cum = _Cumulative(inner, 0.0, NESTED_REL_TOL)
 
     def outer(s):
         s = np.asarray(s, dtype=float)
@@ -536,7 +537,7 @@ def poisson_invert(
         if tail_est < 1e-13 or r_far > 1e7:
             break
         r_far *= 2.0
-    v_cum = _Cumulative(outer, r_far, rel_tol)
+    v_cum = _Cumulative(outer, r_far, NESTED_REL_TOL)
     # dyadic anchors down to r = 1, so that no single panel spans decades
     # of a slowly decaying integrand and misses where its mass lies
     anchor = r_far / 2.0
@@ -584,7 +585,6 @@ def pohozaev_functionals(
     sol: "Solution",
     kappa: float,
     alpha: float,
-    rel_tol: float = 1e-11,
 ) -> PohozaevFunctionals:
     """T = int |grad u|^2, N = int u^2, Q = int u^2 (-Lap)^-1 u^2 (flat, D > 2).
 
@@ -600,10 +600,7 @@ def pohozaev_functionals(
     area = sphere_area(sol.dim)
     dim = sol.dim
 
-    if sol.u.is_zero:
-        return PohozaevFunctionals(0.0, 0.0, 0.0)
-
-    amp = sol.amp_sq(kappa, alpha)
+    amp = sol.amp_sq_value(kappa, alpha)
     du = sol._scaled(sol.u.diff().compile(space, alpha, amp), -3)
 
     def t_integrand(r):
@@ -611,11 +608,11 @@ def pohozaev_functionals(
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             return du(r) ** 2 * r ** (dim - 1)
 
-    t_val = integrate_radial(t_integrand, 0.0, math.inf, rel_tol)
+    t_val = integrate_radial(t_integrand, 0.0, math.inf, NESTED_REL_TOL)
     if not isinstance(t_val, Divergent):
         t_val *= area
 
-    n_val = mass(sol, kappa, alpha, rel_tol)
+    n_val = mass(sol, kappa, alpha, NESTED_REL_TOL)
     if n_val == Divergent("small-r"):
         # u^2 > 0, so the charge M(r) inside every radius is infinite too
         return PohozaevFunctionals(t_val, n_val, n_val)
@@ -626,7 +623,7 @@ def pohozaev_functionals(
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             return u(t) ** 2 * t ** (dim - 1)
 
-    m_cum = _Cumulative(charge_density, 0.0, max(rel_tol, 1e-11))
+    m_cum = _Cumulative(charge_density, 0.0, NESTED_REL_TOL)
 
     def q_integrand(r):
         r = np.asarray(r, dtype=float)
@@ -634,7 +631,7 @@ def pohozaev_functionals(
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             return m**2 * r ** (1 - dim)
 
-    q_val = integrate_radial(q_integrand, 0.0, math.inf, max(rel_tol, 1e-9))
+    q_val = integrate_radial(q_integrand, 0.0, math.inf, 1e-9)
     if not isinstance(q_val, Divergent):
         q_val *= area
     return PohozaevFunctionals(t_val, n_val, q_val)
@@ -721,9 +718,7 @@ def verify_solution(
     sol: "Solution",
     kappa: float,
     alpha: float,
-    grid: Optional[Grid] = None,
     residual_tol: float = 1e-6,
-    mass_rel_tol: float = 1e-8,
     with_pohozaev: bool = False,
 ) -> VerificationReport:
     """Full numerical verification of one catalog entry.
@@ -733,8 +728,7 @@ def verify_solution(
     the divergence detector agrees), and optionally the flat variational
     identities (homogeneous entries only).
     """
-    if grid is None:
-        grid = default_grid(sol, kappa)
+    grid = default_grid(sol, kappa)
     schro, poisson = fd_residual(sol, kappa, alpha, grid)
     ok = schro <= residual_tol and poisson <= residual_tol
 
@@ -744,7 +738,7 @@ def verify_solution(
         if isinstance(m_num, Divergent):
             ok = False
         elif m_exp:
-            ok = ok and abs(m_num - m_exp) <= mass_rel_tol * abs(m_exp)
+            ok = ok and abs(m_num - m_exp) <= MASS_REL_TOL * abs(m_exp)
     else:
         ok = ok and isinstance(m_num, Divergent)
 
@@ -770,7 +764,7 @@ def verify_solution(
         mass_expected=m_exp,
         pohozaev_defect=p_defect,
         passed=ok,
-        tolerances={"residual": residual_tol, "mass_rel": mass_rel_tol},
+        tolerances={"residual": residual_tol, "mass_rel": MASS_REL_TOL},
         grid_meta={
             "points": int(len(grid.r_values)),
             "h": grid.h,

@@ -1,5 +1,5 @@
+import json
 import math
-from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -221,11 +221,11 @@ def test_compactness_trivial_charge_balance():
     assert rep.consistent
 
 
-def test_compactness_flags_regular_homogeneous():
+def test_compactness_flags_regular_homogeneous(monkeypatch):
     # a hypothetical regular homogeneous spherical solution contradicts the
-    # charge-balance argument
-    fake = replace(get_solution("SPH_U1"), singular_radii=())
-    rep = compactness_obstruction_check(fake)
+    # charge-balance argument; no hit is one, so fake an empty singular set
+    monkeypatch.setattr(Solution, "singular_radii", property(lambda self: ()))
+    rep = compactness_obstruction_check(get_solution("SPH_U1"))
     assert not rep.consistent
     assert "CONTRADICTION" in rep.detail
 
@@ -246,6 +246,33 @@ def test_json_round_trip_bit_exact():
         assert back.u == s.u and back.V == s.V and back.rho == s.rho
         assert back.omega == s.omega and back.x_law == s.x_law
         assert back.finite_mass == s.finite_mass
+        assert back == s
+
+
+def test_from_json_rejects_a_record_its_derivation_disagrees_with():
+    obj = get_solution("FLAT_CSV").to_json_obj()
+    edited_v = json.loads(json.dumps(obj))
+    edited_v["V"]["terms"][0]["coeff"] = "7"
+    # a quarter of X quarters the mass too, so only the equations catch it
+    edited_law = json.loads(json.dumps(obj))
+    edited_law["amp_law"]["coef"] = "-144"
+    edited_law["mass"]["coef"] = "24"
+    for bad in (edited_v, edited_law):
+        with pytest.raises(ValueError):
+            Solution.from_json_obj(bad)
+    assert Solution.from_json_obj(obj) == get_solution("FLAT_CSV")
+
+
+def test_trivial_sphere_mass_keeps_its_value():
+    # the amplitude-free hit gives S_2 B(1/2, 3/2) kappa^(-3/2), stored before
+    # as the hand-typed 2 pi^2 kappa^(-3/2); the float values are identical
+    sol = get_solution("SPH_TRIVIAL")
+    assert sol.mass == GradedMass(F(1, 2), 2, pi_pow=1, kappa_pow2=-3, alpha_pow=0)
+    hand_typed = GradedMass(F(2), None, pi_pow=2, kappa_pow2=-3, alpha_pow=0)
+    for kappa in (0.25, 1.0, 4.0):
+        for alpha in (1.0, -1.0):
+            assert sol.mass.value(kappa, alpha) == hand_typed.value(kappa, alpha)
+            assert sol.expected_mass_value(kappa, alpha) == hand_typed.value(kappa, alpha)
 
 
 def test_json_field_order():

@@ -10,7 +10,6 @@ from ccsp.catalog import CATALOG, get_solution, scale_flat_solution
 from ccsp.derivation import AlphaSign
 from ccsp.geometry import Regime, Space, metric_T, sphere_area
 from ccsp.numeric import Divergent, Grid, default_grid, integrate_radial, mass
-from ccsp.symbolic import Basis, RadialExpr
 
 HYP3 = Space.hyperbolic(-1.0, 3)
 FLAT6 = Space.flat(6)
@@ -571,12 +570,6 @@ def test_pohozaev_identities_skip_background_entries():
     rep = numeric.pohozaev_check(get_solution("BG_FLAT_N3_D4"), 0.0, 1.0)
     assert rep.identities is None and rep.defect is None
     assert rep.to_json_obj()["defect"] is None
-
-
-def test_pohozaev_zero_profile():
-    sol = replace(get_solution("FLAT_CSV"), u=RadialExpr.zero(Basis.FLAT_C))
-    fns = numeric.pohozaev_functionals(sol, 0.0, -1.0)
-    assert fns.kinetic_T == 0.0 and fns.N == 0.0 and fns.Q == 0.0
 
 
 def test_pohozaev_singular_profile_diverges():

@@ -276,7 +276,7 @@ def test_compile_matches_reference_evaluator():
     unit = {Regime.FLAT: 0.0, Regime.HYPERBOLIC: -1.0, Regime.SPHERICAL: 1.0}
     for sol in CATALOG:
         kappa, alpha = unit[sol.regime], sol.default_alpha
-        space, amp_sq = sol.space(kappa), sol.amp_sq(kappa, alpha)
+        space, amp_sq = sol.space(kappa), sol.amp_sq_value(kappa, alpha)
         # the grid, plus the centre and the poles, where values are inf or nan
         edges = [0.0, *sol.singular_radii_values(kappa)]
         radii = np.concatenate([default_grid(sol, kappa).r_values, edges])
