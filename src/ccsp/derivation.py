@@ -151,6 +151,8 @@ class DerivationHit:
         return amp_sq
 
     def amp_sq_str(self) -> str:
+        if self.x_law is None:
+            return "amplitude-free"
         denom = "(-alpha)" if self.alpha_sign is AlphaSign.ATTRACTIVE else "alpha"
         coef = -self.x_law.coef if self.alpha_sign is AlphaSign.ATTRACTIVE else self.x_law.coef
         lead = Graded(coef, self.x_law.kappa)
@@ -166,8 +168,8 @@ class DerivationHit:
             "dim": self.dim,
             "regime": self.regime.value,
             "mode": self.mode,
-            "x_law": self.x_law.to_json_obj(),
-            "alpha_sign": self.alpha_sign.value,
+            "x_law": None if self.x_law is None else self.x_law.to_json_obj(),
+            "alpha_sign": self.alpha_sign.value if self.alpha_sign else "any",
             "amp_sq": self.amp_sq_str(),
             "omega": omega_json(self.omega, self.regime),
             "rho": self.rho.to_json_obj(),
@@ -182,7 +184,7 @@ class DerivationHit:
             dim=int(obj["dim"]),
             regime=Regime(obj["regime"]),
             mode=obj["mode"],
-            x_law=Graded.from_json_obj(obj["x_law"]),
+            x_law=None if obj["x_law"] is None else Graded.from_json_obj(obj["x_law"]),
             omega=Graded.from_json_obj(obj["omega"]),
             rho=RadialExpr.from_json_obj(obj["rho"]),
             notes=obj.get("notes", ""),
@@ -516,11 +518,13 @@ def solve_background(
 
 def classify_alpha_sign(hit: DerivationHit) -> DerivationHit:
     """Annotate a hit with the sign of its background source under the
-    coupling sign that makes A^2 positive."""
-    note = f"coupling sign: {hit.alpha_sign.value}"
+    coupling sign that makes A^2 positive (alpha > 0 for an amplitude-free
+    hit)."""
+    sign = hit.alpha_sign
+    note = f"coupling sign: {sign.value if sign else 'any'}"
     if not hit.rho.is_zero:
         lead = hit.rho.terms[0]
-        s = Graded(lead.coeff, lead.kappa).sign(hit.regime) * hit.alpha_sign.sign ** lead.alpha
+        s = Graded(lead.coeff, lead.kappa).sign(hit.regime) * (sign.sign if sign else 1) ** lead.alpha
         note += f"; background source is {'positive' if s > 0 else 'negative'}"
     elif hit.mode == "background":
         note += "; background source vanishes"

@@ -4,13 +4,16 @@ Everything here treats the symbolic layer as ground truth and checks it
 with independent machinery:
 
 * adaptive quadrature on 15 + 7 Gauss-Legendre nodes, the pending
-  panels of a bisection level evaluated in one call, stopping at the
-  first non-finite panel or at a panel unresolved at the depth cap, with
-  improper endpoints probed by dyadic windows (halving toward a finite
-  endpoint, doubling toward infinity).  A tail or endpoint whose window
-  contributions stop shrinking (ratio >= 0.9 over eight consecutive
-  windows) fails the Cauchy test and the integral is classified
-  DIVERGENT -- a result, not an error;
+  panels of a bisection level evaluated in one call and reduced by one
+  batched product per rule (bit for bit the row-by-row np.dot), stopping
+  at the first non-finite panel or at a panel unresolved at the depth
+  cap, with improper endpoints probed by dyadic windows (halving toward a
+  finite endpoint, doubling toward infinity).  The first panels of a
+  block of windows share one call; the windows are then walked in order,
+  so each sum is the window-by-window one.  A tail or endpoint whose
+  window contributions stop shrinking (ratio >= 0.9 over eight
+  consecutive windows) fails the Cauchy test and the integral is
+  classified DIVERGENT -- a result, not an error;
 * second-order central finite differences for the radial Laplacian,
   giving PDE residuals for both field equations on singularity-avoiding
   grids;
@@ -30,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 from typing import TYPE_CHECKING, Callable, Optional, Union
 
 import numpy as np
@@ -63,6 +67,7 @@ ABS_FLOOR = 1e-14
 MAX_DEPTH = 30
 NESTED_REL_TOL = 1e-11  # poisson_invert and pohozaev_functionals (Q's outer: 1e-9)
 MASS_REL_TOL = 1e-8     # verify: quadrature mass against the closed form
+WINDOW_BLOCK = 8        # Cauchy windows whose first panels share one integrand call
 GRID_R_CAP = 10.0       # noncompact default grids end here (times the flat scale)
 
 _X7, _W7 = leggauss(7)
@@ -92,30 +97,30 @@ def _panels(f: Callable, lo: list, hi: list) -> tuple[list, list]:
     """15- and 7-point Gauss-Legendre estimates of many panels from one
     call of f on all their nodes (22 per panel; the rules share only the
     midpoint).  Returns the lists of I15 and |I15 - I7| per panel, with
-    (nan, inf) for a panel whose estimates are not finite.  Each row is
-    reduced by its own np.dot, so a panel's bits do not depend on the
-    other panels evaluated with it."""
+    (nan, inf) for a panel whose estimates are not finite.  Each rule is
+    one stack of 1 x n by n x 1 products, which numpy reduces row by row
+    in the dot loop of np.dot, so a panel's bits do not depend on the
+    other panels evaluated with it (a plain matrix-vector product would
+    change them in the last bit)."""
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     x = mid[:, None] + half[:, None] * _NODES
-    fx = np.asarray(f(x.ravel()), dtype=float).reshape(x.shape)
-    ests, errs = [], []
-    for h, row15, row7 in zip(half.tolist(), fx[:, :15], fx[:, 15:]):
-        i15 = h * float(np.dot(_W15, row15))
-        i7 = h * float(np.dot(_W7, row7))
-        if math.isfinite(i15) and math.isfinite(i7):
-            ests.append(i15)
-            errs.append(abs(i15 - i7))
-        else:
-            ests.append(math.nan)
-            errs.append(math.inf)
-    return ests, errs
+    fx = np.asarray(f(x.ravel()), dtype=float).reshape(x.shape)[:, None, :]
+    with np.errstate(over="ignore", invalid="ignore"):
+        i15 = half * (fx[..., :15] @ _W15[:, None]).ravel()
+        i7 = half * (fx[..., 15:] @ _W7[:, None]).ravel()
+        err = np.abs(i15 - i7)
+    finite = np.isfinite(i15) & np.isfinite(i7)
+    if finite.all():
+        return i15.tolist(), err.tolist()
+    return np.where(finite, i15, math.nan).tolist(), np.where(finite, err, math.inf).tolist()
 
 
-def _adaptive_many(f: Callable, jobs: list) -> list[float]:
+def _adaptive_many(f: Callable, jobs: list, first: Optional[tuple[list, list]] = None) -> list[float]:
     """Adaptive bisection with the 15/7 pair on each job (a, b, tol),
     with one call of f per bisection level for the pending panels of
-    every job.
+    every job.  `first`, if given, is the jobs' own first level as
+    :func:`_panels` returns it, already evaluated by the caller.
 
     A panel is accepted when its error estimate meets its tolerance or is
     already at machine precision relative to the panel value (further
@@ -133,7 +138,8 @@ def _adaptive_many(f: Callable, jobs: list) -> list[float]:
     lo, hi, tol = map(list, zip(*jobs))
     levels: list[tuple[list, list]] = []  # per level: values, split panels
     while lo:
-        ests, errs = _panels(f, lo, hi)
+        ests, errs = first if first is not None else _panels(f, lo, hi)
+        first = None
         split = []
         for k, (est, err) in enumerate(zip(ests, errs)):
             if not math.isfinite(est):
@@ -173,34 +179,48 @@ def _cauchy_windows(
 
     Declares divergence when the last eight window magnitudes fail to
     shrink (ratio >= 0.9 while still non-negligible) or a window is not
-    finite.
+    finite.  A window's first panel does not depend on the tolerance, so
+    the first panels of up to WINDOW_BLOCK windows are evaluated in one
+    call; the windows are then walked in order, each one bisected further
+    from its first panel if needed, and every result is the one window by
+    window evaluation gives.
     """
+    windows = iter(windows)
     acc = 0.0
     ratios: list[float] = []
     prev: Optional[float] = None
     quiet = 0
-    for idx, (lo, hi) in enumerate(windows):
-        if idx >= max_windows:
-            return Divergent(where)
+    seen = 0
+    while block := list(islice(windows, min(WINDOW_BLOCK, max_windows - seen))):
+        seen += len(block)
         try:
-            w = _adaptive(f, lo, hi, max(tol_of(acc), ABS_FLOOR))
+            # windows past the stopping point may overflow: ignore their
+            # floating-point errors, they are not part of the sum
+            with np.errstate(all="ignore"):
+                ests, errs = _panels(f, *map(list, zip(*block)))
+            firsts = [([est], [err]) for est, err in zip(ests, errs)]
         except (ValueError, OverflowError):
-            return Divergent(where)
-        if not math.isfinite(w):
-            return Divergent(where)
-        acc += w
-        tol = max(tol_of(acc), ABS_FLOOR)
-        if abs(w) <= tol:
-            quiet += 1
-            if quiet >= 2:
-                return acc
-        else:
-            quiet = 0
-        if prev is not None and abs(prev) > 0:
-            ratios.append(abs(w) / abs(prev))
-            if len(ratios) >= 8 and all(r >= 0.9 for r in ratios[-8:]) and abs(w) > tol:
+            firsts = [None] * len(block)  # one window at a time
+        for (lo, hi), first in zip(block, firsts):
+            try:
+                w = _adaptive_many(f, [(lo, hi, max(tol_of(acc), ABS_FLOOR))], first)[0]
+            except (ValueError, OverflowError):
                 return Divergent(where)
-        prev = w
+            if not math.isfinite(w):
+                return Divergent(where)
+            acc += w
+            tol = max(tol_of(acc), ABS_FLOOR)
+            if abs(w) <= tol:
+                quiet += 1
+                if quiet >= 2:
+                    return acc
+            else:
+                quiet = 0
+            if prev is not None and abs(prev) > 0:
+                ratios.append(abs(w) / abs(prev))
+                if len(ratios) >= 8 and all(r >= 0.9 for r in ratios[-8:]) and abs(w) > tol:
+                    return Divergent(where)
+            prev = w
     return Divergent(where)
 
 
@@ -399,9 +419,8 @@ def default_grid(
     if not segments:
         raise ValueError("no smooth segment wide enough for a grid")
     per = max(8, n_points // len(segments))
-    rs = np.concatenate([np.linspace(a, b, per) for a, b in segments])
-    rs = np.unique(rs)
-    return Grid(rs, h, tuple(sing))
+    # the segments are disjoint and increasing, so the radii already are
+    return Grid(np.concatenate([np.linspace(a, b, per) for a, b in segments]), h, tuple(sing))
 
 
 def fd_residual(

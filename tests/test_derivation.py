@@ -366,6 +366,22 @@ def test_hit_json_round_trip():
         assert back == hit
 
 
+def test_amplitude_free_hit_json_round_trip():
+    # SPH_TRIVIAL has no amplitude law: x_law is null and either sign works
+    from dataclasses import fields
+
+    from ccsp.catalog import get_solution
+    from ccsp.derivation import DerivationHit
+
+    sol = get_solution("SPH_TRIVIAL")
+    obj = DerivationHit.to_json_obj(sol)
+    assert obj["x_law"] is None and obj["alpha_sign"] == "any"
+    assert json.loads(json.dumps(obj)) == obj
+    hit = DerivationHit(**{f.name: getattr(sol, f.name) for f in fields(DerivationHit)})
+    assert DerivationHit.from_json_obj(obj) == hit
+    assert classify_alpha_sign(hit).notes == "coupling sign: any; background source is negative"
+
+
 # -- the search against the direct-Laplacian oracle ---------------------------
 
 COMBOS = [

@@ -106,6 +106,41 @@ def _reference_adaptive(f, a, b, tol, depth=30):
     )
 
 
+def _reference_cauchy_windows(f, windows, tol_of, where, max_windows=200):
+    # one window at a time, each bisected by _reference_adaptive with the
+    # tolerance of the sum so far: the oracle for the block-probing
+    # _cauchy_windows
+    acc, ratios, prev, quiet = 0.0, [], None, 0
+    for idx, (lo, hi) in enumerate(windows):
+        if idx >= max_windows:
+            return Divergent(where)
+        try:
+            w = _reference_adaptive(f, lo, hi, max(tol_of(acc), numeric.ABS_FLOOR))
+        except (ValueError, OverflowError):
+            return Divergent(where)
+        if not math.isfinite(w):
+            return Divergent(where)
+        acc += w
+        tol = max(tol_of(acc), numeric.ABS_FLOOR)
+        if abs(w) <= tol:
+            quiet += 1
+            if quiet >= 2:
+                return acc
+        else:
+            quiet = 0
+        if prev is not None and abs(prev) > 0:
+            ratios.append(abs(w) / abs(prev))
+            if len(ratios) >= 8 and all(r >= 0.9 for r in ratios[-8:]) and abs(w) > tol:
+                return Divergent(where)
+        prev = w
+    return Divergent(where)
+
+
+def _use_references(monkeypatch):
+    monkeypatch.setattr(numeric, "_adaptive", _reference_adaptive)
+    monkeypatch.setattr(numeric, "_cauchy_windows", _reference_cauchy_windows)
+
+
 class _ReferenceCumulative:
     # one new point at a time, each continued from its nearest anchor: the
     # oracle for the one-pass _Cumulative.many
@@ -150,6 +185,19 @@ def _count_panels(monkeypatch):
     return calls
 
 
+def _count_calls(monkeypatch):
+    # the size of every batch the panel evaluator is called with
+    calls = []
+    panels = numeric._panels
+
+    def counted(f, lo, hi):
+        calls.append(len(lo))
+        return panels(f, lo, hi)
+
+    monkeypatch.setattr(numeric, "_panels", counted)
+    return calls
+
+
 def _hyp_n1_d6_integrand():
     sol = get_solution("BG_HYP_N1_D6")
     u = sol.u_fn(-1.0, sol.default_alpha)
@@ -174,6 +222,27 @@ def test_panel_matches_two_call_reference():
         for est, err, (w_est, w_err) in zip(ests, errs, want):
             assert est == w_est or (math.isnan(est) and math.isnan(w_est))
             assert err == w_err
+
+
+def test_many_random_panels_match_two_call_reference():
+    # 1000 panels in one call, values spread over e^+-40, with rows that
+    # overflow to inf, mix +inf and -inf (nan sums) or meet a nan
+    rng = np.random.default_rng(14)
+    lo = rng.uniform(-40.0, 760.0, 1000)
+    hi = lo + np.exp(rng.uniform(-20.0, 3.0, 1000))
+
+    def f(r):
+        return np.where(np.abs(r - 300.0) < 20.0, np.nan, np.exp(r) * np.cos(7.0 * r))
+
+    with np.errstate(all="ignore"):
+        ests, errs = numeric._panels(f, lo.tolist(), hi.tolist())
+        want = [_reference_panel(f, a, b) for a, b in zip(lo.tolist(), hi.tolist())]
+    assert all(type(x) is float for x in ests + errs)
+    assert _hex(ests) == _hex(est for est, _ in want)
+    assert _hex(errs) == _hex(err for _, err in want)
+    bad = sum(not math.isfinite(est) for est in ests)
+    assert 50 < bad < 950
+    assert all(math.isnan(est) and err == math.inf for est, err in zip(ests, errs) if not math.isfinite(est))
 
 
 def test_adaptive_many_matches_recursive_reference():
@@ -262,10 +331,12 @@ def test_cumulative_many_matches_sequential_reference():
 
 @pytest.mark.parametrize("k", [-4, 0, 4])
 def test_mass_matches_recursive_reference(monkeypatch, k):
-    # every catalog entry, both coupling signs, batched against recursive
+    # every catalog entry, both coupling signs: level-batched bisection and
+    # window blocks against recursive bisection one window at a time
     results = {}
-    for adaptive in (numeric._adaptive, _reference_adaptive):
-        monkeypatch.setattr(numeric, "_adaptive", adaptive)
+    for reference in (False, True):
+        if reference:
+            _use_references(monkeypatch)
         for sol in CATALOG:
             sign = {Regime.FLAT: 0.0, Regime.HYPERBOLIC: -1.0, Regime.SPHERICAL: 1.0}[sol.regime]
             kappa = math.copysign(2.0 ** (k / 2.0), sign) if sign else 0.0
@@ -309,6 +380,61 @@ def test_window_accepted_at_first_panel_costs_one_panel():
     w = numeric._cauchy_windows(f, [(1.0, 2.0)], lambda acc: 0.0, "large-r", max_windows=1)
     assert w == Divergent("large-r")
     assert points == [22]
+
+
+def test_cauchy_windows_match_sequential_reference():
+    # converging, diverging and overflowing tails and endpoints, with caps
+    # below, at and past the block boundary
+    cases = [
+        (lambda r: r**-2.5, 10.0, 2.0),
+        (lambda r: np.exp(-r) * np.sin(r), 10.0, 2.0),
+        (lambda r: r**-0.95, 10.0, 2.0),
+        (lambda r: np.exp(-2.0 * r) * np.sinh(r) ** 5, 10.0, 2.0),
+        (lambda r: r**-0.85, 0.5, 0.5),
+        (lambda r: r**-1.05, 0.5, 0.5),
+        (lambda r: np.log(r) ** 2, 0.5, 0.5),
+    ]
+    tol_of = lambda acc: 1e-10 * max(abs(acc), 1e-3)
+    for f, b0, q in cases:
+        for cap in (1, 3, 8, 9, 60):
+            windows = lambda: ((b0 * q**k, b0 * q ** (k + 1)) if q > 1 else (b0 * q ** (k + 1), b0 * q**k)
+                               for k in range(10**6))
+            with np.errstate(all="ignore"):
+                got = numeric._cauchy_windows(f, windows(), tol_of, "end", cap)
+                want = _reference_cauchy_windows(f, windows(), tol_of, "end", cap)
+            assert got == want and type(got) is type(want)
+
+
+def test_window_block_that_raises_is_probed_window_by_window(monkeypatch):
+    # the tail converges at [80, 160], but the first block of eight
+    # windows reaches r = 2560, where the integrand raises
+    probes = []
+
+    def f(r):
+        probes.append(float(np.max(r)))
+        if np.max(r) > 500.0:
+            raise ValueError("beyond r = 500")
+        return np.exp(-r) * (1.0 + np.cos(r) ** 2)
+
+    got = integrate_radial(f, 0.0, math.inf)
+    assert max(probes) > 500.0
+    _use_references(monkeypatch)
+    probes.clear()
+    want = integrate_radial(f, 0.0, math.inf)
+    assert max(probes) < 500.0
+    assert type(got) is float and got.hex() == want.hex()
+
+
+def test_panel_call_counts(monkeypatch):
+    calls = _count_calls(monkeypatch)
+    for sol in CATALOG:
+        kappa, _ = _params(sol)
+        with np.errstate(all="ignore"):
+            mass(sol, kappa, sol.default_alpha)
+    assert len(calls) <= 400
+    calls.clear()
+    numeric.pohozaev_functionals(get_solution("FLAT_CSV"), 0.0, -1.0)
+    assert len(calls) <= 70
 
 
 def test_overflowing_tail_is_divergent(monkeypatch):
