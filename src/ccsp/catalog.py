@@ -126,6 +126,10 @@ class Solution(DerivationHit):
         amp = self.amp_sq_value(kappa, alpha)
         return self._scaled(self.u.compile(self.space(kappa), alpha, amp), -2)
 
+    def du_fn(self, kappa: float, alpha: float) -> Callable:
+        amp = self.amp_sq_value(kappa, alpha)
+        return self._scaled(self.u.diff().compile(self.space(kappa), alpha, amp), -3)
+
     def v_fn(self, kappa: float, alpha: float) -> Callable:
         amp = self.amp_sq_value(kappa, alpha)
         return self._scaled(self.V.compile(self.space(kappa), alpha, amp), -2)

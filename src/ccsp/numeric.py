@@ -18,11 +18,12 @@ with independent machinery:
   giving PDE residuals for both field equations on singularity-avoiding
   grids;
 * radial inversion of -Lap with decay normalization, via nested adaptive
-  quadrature whose cumulative integrals are continued incrementally from
-  cached anchors (exact to quadrature tolerance, no interpolation; every
-  new point of a batch in one batched quadrature call), the
-  outer one seeded with dyadic anchors so slowly decaying potentials are
-  resolved;
+  quadrature whose cumulative integrals are sums over fixed anchors a
+  quarter octave apart plus each point's gap from the last anchor it
+  passes (exact to quadrature tolerance, no interpolation; a pure function
+  of the point; every gap of a batch in one batched quadrature call), so
+  inside [2^-40, 2^40] no gap spans more than a quarter octave of a slowly
+  decaying potential;
 * the variational functionals T, N, Q and their flat-space identities, Q
   from the energy form int |grad W|^2 with one cumulative charge integral
   (no inversion of -Lap);
@@ -238,34 +239,27 @@ def integrate_radial(
     """
     if not (r_lo >= 0) or (math.isfinite(r_hi) and r_hi <= r_lo):
         raise ValueError(f"bad interval ({r_lo}, {r_hi})")
-    infinite = math.isinf(r_hi)
-    span = (r_hi - r_lo) if not infinite else math.inf
-    d_lo = min(1.0, span / 4.0) if not infinite else 1.0
-    a0 = r_lo + d_lo
+    d = min(1.0, (r_hi - r_lo) / 4.0)
+    a0 = r_lo + d
 
     def tol_of(acc: float) -> float:
         return rel_tol * max(abs(acc), 1.0e-3)
 
-    # core
-    if infinite:
+    # the core, then windows doubling toward infinity or halving toward r_hi
+    if math.isinf(r_hi):
         b0 = max(2.0 * a0, 10.0)
-        core = _adaptive(f, a0, b0, tol_of(0.0))
-        tail_windows = ((b0 * 2.0**k, b0 * 2.0 ** (k + 1)) for k in range(10**6))
-        hi_part = _cauchy_windows(f, tail_windows, tol_of, "large-r", max_windows=60)
-        if isinstance(hi_part, Divergent):
-            return hi_part
+        hi_windows = ((b0 * 2.0**k, b0 * 2.0 ** (k + 1)) for k in range(10**6))
+        max_windows = 60
     else:
-        d_hi = min(1.0, span / 4.0)
-        b0 = r_hi - d_hi
-        core = _adaptive(f, a0, b0, tol_of(0.0))
-        hi_windows = (
-            (r_hi - d_hi / 2.0**k, r_hi - d_hi / 2.0 ** (k + 1)) for k in range(10**6)
-        )
-        hi_part = _cauchy_windows(f, hi_windows, tol_of, "large-r")
-        if isinstance(hi_part, Divergent):
-            return hi_part
+        b0 = r_hi - d
+        hi_windows = ((r_hi - d / 2.0**k, r_hi - d / 2.0 ** (k + 1)) for k in range(10**6))
+        max_windows = 200
+    core = _adaptive(f, a0, b0, tol_of(0.0))
+    hi_part = _cauchy_windows(f, hi_windows, tol_of, "large-r", max_windows)
+    if isinstance(hi_part, Divergent):
+        return hi_part
 
-    lo_windows = ((r_lo + d_lo / 2.0 ** (k + 1), r_lo + d_lo / 2.0**k) for k in range(10**6))
+    lo_windows = ((r_lo + d / 2.0 ** (k + 1), r_lo + d / 2.0**k) for k in range(10**6))
     lo_part = _cauchy_windows(f, lo_windows, tol_of, "small-r")
     if isinstance(lo_part, Divergent):
         return lo_part
@@ -463,58 +457,60 @@ def fd_residual(
 # -- radial inversion of -Lap ---------------------------------------------
 
 
-class _Cumulative:
-    """Incrementally continued cumulative integral with sorted anchors.
+_ANCHORS = 2.0 ** (np.arange(-160, 161) / 4.0)  # quarter-octave anchors of _Cumulative
 
-    Evaluations are exact to the adaptive tolerance: each new point extends
-    the integral from the nearest cached anchor, so no interpolation error
-    enters (kinks from interpolation would spoil finite-difference checks
-    downstream).
+
+class _Cumulative:
+    """Cumulative integral M(s) = integral_start^s f, a pure function of s.
+
+    The fixed anchors 2^(k/4), k = -160..160, carry the ordered sums of the
+    gaps from start outward on their side, filled lazily; a point adds the
+    gap from the last anchor it passes (from start if it passes none).  So
+    a value never depends on which other points were asked for, and no
+    interpolation error enters (kinks from interpolation would spoil
+    finite-difference checks downstream).
     """
 
     def __init__(self, f: Callable, start: float, tol: float) -> None:
         self._f = f
         self._tol = tol
-        self._xs = np.array([start], dtype=float)
-        self._vals = np.array([0.0])
-
-    def __call__(self, s: float) -> float:
-        return float(self.many(np.array([s], dtype=float))[0])
+        self._start = start
+        # per side: direction, edges (start, then the anchors in the order
+        # they are passed) and M at the edges summed so far
+        above, below = _ANCHORS[_ANCHORS > start], _ANCHORS[_ANCHORS < start][::-1]
+        self._sides = [
+            (sign, np.concatenate(([start], anchors)), [0.0]) for sign, anchors in ((1.0, above), (-1.0, below))
+        ]
 
     def many(self, s_values: np.ndarray) -> np.ndarray:
-        """Values at every point, as if the new points were added one at a
-        time in ascending order: each extends from the nearer of its left
-        neighbour (the previous new point or a cached anchor) and its right
-        neighbour (a cached anchor), the left one on a tie.  All the gaps
-        are integrated in one batched call, then chained in that order."""
+        """M at every point, of any shape.  The missing anchor gaps and the
+        gaps of the points are integrated in one batched call."""
         s_values = np.asarray(s_values, dtype=float)
-        xs, vals = self._xs, self._vals
-        last = len(xs) - 1
-        points, where = np.unique(s_values.ravel(), return_inverse=True)
-        at = np.searchsorted(xs, points)
-        out = vals[np.minimum(at, last)]
-        new = np.flatnonzero(xs[np.minimum(at, last)] != points)
-        if new.size:
-            s, i = points[new], at[new]
-            cached_left = np.where(i > 0, xs[np.maximum(i - 1, 0)], -math.inf)
-            prev = np.concatenate(([-math.inf], s[:-1]))
-            chained = prev > cached_left  # the previous new point is nearer
-            left = np.maximum(prev, cached_left)
-            right = np.where(i <= last, xs[np.minimum(i, last)], math.inf)
-            upward = (left > -math.inf) & (s - left <= right - s)
-            s0 = np.where(upward, left, right)
-            lo, hi = np.minimum(s0, s), np.maximum(s0, s)
-            tols = self._tol * np.maximum(1.0, hi - lo)
-            incs = _adaptive_many(self._f, list(zip(lo.tolist(), hi.tolist(), tols.tolist())))
-            m0s = np.where(upward, vals[np.maximum(i - 1, 0)], vals[np.minimum(i, last)])
-            new_vals: list[float] = []
-            for m0, chain, up, inc in zip(m0s.tolist(), (upward & chained).tolist(), upward.tolist(), incs):
-                m0 = new_vals[-1] if chain else m0
-                new_vals.append(m0 + (inc if up else -inc))
-            out[new] = new_vals
-            self._xs = np.insert(xs, i, s)
-            self._vals = np.insert(vals, i, new_vals)
-        return out[where].reshape(s_values.shape)
+        flat = s_values.ravel()
+        out = np.empty_like(flat)
+        up = flat >= self._start
+        ends = [(np.empty(0), np.empty(0))]  # the gaps to integrate: one end, the other
+        plans = []
+        for (sign, edges, sums), mask in zip(self._sides, (up, ~up)):
+            idx = np.flatnonzero(mask)
+            if not idx.size:
+                continue
+            at = np.searchsorted(sign * edges, sign * flat[idx], side="right") - 1  # last edge passed
+            missing = edges[len(sums) - 1 : at.max() + 1]  # edges of the gaps not yet summed
+            moved = flat[idx] != edges[at]
+            ends += [(missing[:-1], missing[1:]), (edges[at[moved]], flat[idx[moved]])]
+            plans.append((sign, sums, len(missing[1:]), idx, at, moved))
+        a, b = map(np.concatenate, zip(*ends))
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        jobs = list(zip(lo.tolist(), hi.tolist(), (self._tol * np.maximum(1.0, hi - lo)).tolist()))
+        incs = iter(_adaptive_many(self._f, jobs) if jobs else ())
+        for sign, sums, n_missing, idx, at, moved in plans:
+            for _ in range(n_missing):
+                sums.append(sums[-1] + sign * next(incs))
+            vals = np.array(sums)[at]
+            vals[moved] += sign * np.fromiter(incs, float, int(moved.sum()))
+            out[idx] = vals
+        return out.reshape(s_values.shape)
 
 
 def poisson_invert(
@@ -527,7 +523,7 @@ def poisson_invert(
         V(r) = integral_r^inf S(s)^(1-D) M(s) ds,  M(s) = integral_0^s f(t) S(t)^(D-1) dt
 
     Implemented as nested adaptive quadrature; both cumulative integrals
-    are memoized by incremental continuation from anchors.  Flat and
+    are continued from fixed quarter-octave anchors.  Flat and
     hyperbolic regimes only (the sphere has no decay normalization).
     """
     if space.regime is Regime.SPHERICAL:
@@ -544,9 +540,7 @@ def poisson_invert(
     m_cum = _Cumulative(inner, 0.0, NESTED_REL_TOL)
 
     def outer(s):
-        s = np.asarray(s, dtype=float)
-        m = m_cum.many(np.atleast_1d(s)).reshape(np.shape(s))
-        return s_pow(s, 1 - dim) * m
+        return s_pow(s, 1 - dim) * m_cum.many(s)
 
     # push until the remaining tail is negligible
     r_far = 20.0 if space.regime is Regime.FLAT else 40.0 / math.sqrt(-space.kappa)
@@ -557,12 +551,6 @@ def poisson_invert(
             break
         r_far *= 2.0
     v_cum = _Cumulative(outer, r_far, NESTED_REL_TOL)
-    # dyadic anchors down to r = 1, so that no single panel spans decades
-    # of a slowly decaying integrand and misses where its mass lies
-    anchor = r_far / 2.0
-    while anchor >= 1.0:
-        v_cum(anchor)
-        anchor /= 2.0
     tail = _cauchy_windows(
         outer,
         ((r_far * 2.0**k, r_far * 2.0 ** (k + 1)) for k in range(10**6)),
@@ -574,11 +562,7 @@ def poisson_invert(
         raise ValueError("inversion tail fails the Cauchy test")
 
     def v_fn(r):
-        r_arr = np.atleast_1d(np.asarray(r, dtype=float))
-        out = np.empty_like(r_arr)
-        for i, rv in enumerate(r_arr):
-            out[i] = tail - v_cum(float(rv))  # integral_r^rfar + tail
-        out = out.reshape(np.shape(np.asarray(r, dtype=float)))
+        out = tail - v_cum.many(r)  # integral_r^r_far + tail
         return out if out.shape else float(out)
 
     return v_fn
@@ -619,13 +603,13 @@ def pohozaev_functionals(
     area = sphere_area(sol.dim)
     dim = sol.dim
 
-    amp = sol.amp_sq_value(kappa, alpha)
-    du = sol._scaled(sol.u.diff().compile(space, alpha, amp), -3)
+    du = sol.du_fn(kappa, alpha)
+    s_fn = space.metric.S
 
     def t_integrand(r):
         r = np.asarray(r, dtype=float)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            return du(r) ** 2 * r ** (dim - 1)
+            return du(r) ** 2 * s_fn(r) ** (dim - 1)
 
     t_val = integrate_radial(t_integrand, 0.0, math.inf, NESTED_REL_TOL)
     if not isinstance(t_val, Divergent):
@@ -640,15 +624,14 @@ def pohozaev_functionals(
 
     def charge_density(t):
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            return u(t) ** 2 * t ** (dim - 1)
+            return u(t) ** 2 * s_fn(t) ** (dim - 1)
 
     m_cum = _Cumulative(charge_density, 0.0, NESTED_REL_TOL)
 
     def q_integrand(r):
-        r = np.asarray(r, dtype=float)
-        m = m_cum.many(np.atleast_1d(r)).reshape(np.shape(r))
+        m = m_cum.many(r)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            return m**2 * r ** (1 - dim)
+            return m**2 * s_fn(r) ** (1 - dim)
 
     q_val = integrate_radial(q_integrand, 0.0, math.inf, 1e-9)
     if not isinstance(q_val, Divergent):

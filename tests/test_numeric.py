@@ -1,4 +1,3 @@
-import bisect
 import math
 from dataclasses import replace
 
@@ -141,31 +140,28 @@ def _use_references(monkeypatch):
     monkeypatch.setattr(numeric, "_cauchy_windows", _reference_cauchy_windows)
 
 
-class _ReferenceCumulative:
-    # one new point at a time, each continued from its nearest anchor: the
-    # oracle for the one-pass _Cumulative.many
-    def __init__(self, f, start, tol):
-        self.f, self.tol, self.xs, self.vals = f, tol, [start], [0.0]
+def _reference_cumulative(f, start, tol, points):
+    # one point at a time: the gaps between start and the anchors it
+    # passes, summed in passing order, then its own gap; the oracle for
+    # the batched _Cumulative.many
+    gaps = {}
 
-    def __call__(self, s):
-        xs, vals = self.xs, self.vals
-        i = bisect.bisect_left(xs, s)
-        if i < len(xs) and xs[i] == s:
-            return vals[i]
-        j = i - 1 if i > 0 and (i == len(xs) or s - xs[i - 1] <= xs[i] - s) else i
-        s0, m0 = xs[j], vals[j]
-        lo, hi = (s0, s) if s > s0 else (s, s0)
-        inc = _reference_adaptive(self.f, lo, hi, self.tol * max(1.0, hi - lo))
-        val = m0 + (inc if s > s0 else -inc)
-        xs.insert(i, s)
-        vals.insert(i, val)
-        return val
+    def gap(a, b):
+        lo, hi = min(a, b), max(a, b)
+        if (lo, hi) not in gaps:
+            gaps[lo, hi] = _reference_adaptive(f, lo, hi, tol * max(1.0, hi - lo))
+        return gaps[lo, hi]
 
-    def many(self, s_values):
-        out = np.empty_like(s_values, dtype=float)
-        for i in np.argsort(s_values):
-            out[i] = self(float(s_values[i]))
-        return out
+    out = []
+    for s in points.tolist():
+        sign = 1.0 if s >= start else -1.0
+        passed = [a for a in numeric._ANCHORS.tolist() if start < a <= s or s <= a < start]
+        m, x = 0.0, start
+        for a in sorted(passed, key=lambda a: sign * a) + [s]:
+            if a != x:
+                m, x = m + sign * gap(x, a), a
+        out.append(m)
+    return out
 
 
 def _hex(values):
@@ -305,28 +301,49 @@ def test_adaptive_calls_integrand_once_per_level():
     assert sum(calls) > 22 * n_levels
 
 
-def test_cumulative_many_matches_sequential_reference():
+def _cumulative_points(start, rng):
+    # points on both sides of start (none below 0), start itself, exact
+    # anchors, a point below the lowest anchor, duplicates
+    anchors = numeric._ANCHORS
+    points = [start, start, 1e-13, 0.05, 0.2, 0.35, 1.2, 1.5, 2.6, 3.0, 3.0, 7.0, 9.0, 13.5]
+    points += [anchors[i] for i in (0, 150, 156, 159, 160, 161, 164, 172)]
+    points += list(np.linspace(0.0, 10.0, 41)) + list(rng.uniform(0.0, 12.0, 60))
+    return np.array(points + points[::7])
+
+
+@pytest.mark.parametrize("start", [0.0, 1.0])
+def test_cumulative_is_a_pure_function_of_the_point(start):
     f = lambda t: t**2 * np.exp(-t) + np.cos(3.0 * t) ** 2
-    got, want = numeric._Cumulative(f, 1.0, 1e-11), _ReferenceCumulative(f, 1.0, 1e-11)
+    fresh = lambda: numeric._Cumulative(f, start, 1e-11)
     rng = np.random.default_rng(7)
-    batches = [
-        # left of, at, between and right of the anchors, with duplicates
-        [0.2, 0.5, 1.0, 1.5, 3.0, 3.0, 7.0, 0.5, 2.25],
-        # every cached anchor again, exact ties between anchors (2.0, 5.0),
-        # new points past both ends and inside every gap
-        [0.2, 0.5, 1.0, 1.5, 2.25, 3.0, 7.0, 2.0, 5.0, 0.05, 9.0, 1.2, 2.6, 6.9, 0.35, 9.0],
-        list(np.linspace(0.0, 10.0, 41)),
-        list(rng.uniform(0.0, 12.0, 60)),
-    ]
-    for batch in batches:
-        points = rng.permutation(np.array(batch))
-        assert _hex(got.many(points)) == _hex(want.many(points))
-        assert _hex(got._xs) == _hex(want.xs) and _hex(got._vals) == _hex(want.vals)
-    grid = np.array([[0.7, 4.4], [0.7, 11.0]])
-    assert got.many(grid).shape == (2, 2)
-    assert _hex(got.many(grid).ravel()) == _hex(want.many(grid.ravel()))
-    value = got(13.5)
-    assert type(value) is float and value.hex() == want(13.5).hex()
+    points = _cumulative_points(start, rng)
+    want = _hex(fresh().many(points))
+    assert want == _hex(_reference_cumulative(f, start, 1e-11, points))
+    # a permuted batch on a fresh instance; 17 small chunks in random order
+    # on another, which is then asked for the whole batch again
+    order = rng.permutation(len(points))
+    got = np.empty(len(points))
+    got[order] = fresh().many(points[order])
+    assert _hex(got) == want
+    chunked = fresh()
+    chunks = np.array_split(np.arange(len(points)), 17)
+    for i in rng.permutation(len(chunks)):
+        got[chunks[i]] = chunked.many(points[chunks[i]])
+    assert _hex(got) == want
+    assert _hex(chunked.many(points)) == want
+    # the cache is the fixed anchors and nothing more
+    assert sum(len(sums) for _, _, sums in chunked._sides) <= len(numeric._ANCHORS) + 2
+    # shape is kept, a scalar gives a 0-d array
+    grid = points[:4].reshape(2, 2)
+    assert chunked.many(grid).shape == (2, 2) and _hex(chunked.many(grid).ravel()) == want[:4]
+    assert chunked.many(points[5]).shape == () and float(chunked.many(points[5])).hex() == want[5]
+    # and the values are the integral: F is an antiderivative of f
+    F = lambda t: -(t**2 + 2.0 * t + 2.0) * np.exp(-t) + 0.5 * t + np.sin(6.0 * t) / 12.0
+    err = np.abs(chunked.many(points) - (F(points) - F(start)))
+    assert np.all(err <= 1e-11 * np.maximum(1.0, points))
+    # past the highest anchor, with an integrand that vanishes out there
+    far = numeric._Cumulative(lambda t: np.exp(-t), start, 1e-11).many(np.array([2.0**40, 2e12]))
+    assert far == pytest.approx(np.exp(-start) * np.ones(2), rel=1e-10)
 
 
 @pytest.mark.parametrize("k", [-4, 0, 4])
@@ -617,6 +634,16 @@ def test_poisson_invert_slowly_decaying_potential():
     rs = np.array([0.1, 0.5, 1.0, 2.0, 3.0, 5.0, 10.0])
     expected = 18.0 / (1.0 + rs**2)
     assert np.max(np.abs(v(rs) - expected) / expected) < 1e-8
+
+
+def test_poisson_invert_keeps_the_input_shape():
+    v = numeric.poisson_invert(lambda r: 144.0 / (1.0 + np.asarray(r, dtype=float) ** 2) ** 4, FLAT6, 6)
+    rs = np.array([[0.5, 1.0, 2.0], [3.0, 5.0, 0.5]])
+    grid = v(rs)
+    assert grid.shape == (2, 3)
+    assert _hex(grid.ravel()) == _hex(v(rs.ravel()))
+    scalar = v(2.0)
+    assert type(scalar) is float and scalar.hex() == float(grid[0, 2]).hex()
 
 
 def test_poisson_invert_zero():
