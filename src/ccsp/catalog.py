@@ -14,9 +14,12 @@ exact graded constants (rational * sphere area * pi^p * |kappa|^(k/2) *
 |alpha|^a), so the numerical layer can verify them at any curvature and
 coupling.
 
-Flat homogeneous entries form a scaling family u_a(r) = a^-2 u(r/a); the
-curved entries do not scale (the curved Laplacian has no scale symmetry),
-and :func:`scale_flat_solution` refuses them.
+Every field (u, u', V, rho) is its expression compiled at (kappa, alpha)
+in one place, where the flat scale acts.  Flat homogeneous entries form a
+scaling family u_a(r) = a^-2 u(r/a); the curved entries do not scale (the
+curved Laplacian has no scale symmetry), and :func:`scale_flat_solution`
+refuses them, as it refuses background entries; a record's scale is
+re-applied through it when the record is loaded.
 """
 
 from __future__ import annotations
@@ -116,35 +119,37 @@ class Solution(DerivationHit):
     def space(self, kappa: float) -> Space:
         return Space(self.regime, kappa, self.dim)
 
-    def _scaled(self, fn: Callable, power: int) -> Callable:
-        if self.scale == 1.0:
+    def _field_fn(
+        self, expr: RadialExpr, kappa: float, alpha: float, power: Optional[int] = None
+    ) -> Callable:
+        """expr as a function of r at (kappa, alpha).  A field with a scale
+        `power` follows the flat scaling family, a^power expr(r/a); rho has
+        none, since only homogeneous entries scale."""
+        fn = expr.compile(self.space(kappa), alpha, self.amp_sq_value(kappa, alpha))
+        if power is None or self.scale == 1.0:
             return fn
         a = self.scale
         return lambda r: fn(r / a) * a**power
 
     def u_fn(self, kappa: float, alpha: float) -> Callable:
-        amp = self.amp_sq_value(kappa, alpha)
-        return self._scaled(self.u.compile(self.space(kappa), alpha, amp), -2)
+        return self._field_fn(self.u, kappa, alpha, -2)
 
     def du_fn(self, kappa: float, alpha: float) -> Callable:
-        amp = self.amp_sq_value(kappa, alpha)
-        return self._scaled(self.u.diff().compile(self.space(kappa), alpha, amp), -3)
+        return self._field_fn(self.u.diff(), kappa, alpha, -3)
 
     def v_fn(self, kappa: float, alpha: float) -> Callable:
-        amp = self.amp_sq_value(kappa, alpha)
-        return self._scaled(self.V.compile(self.space(kappa), alpha, amp), -2)
+        return self._field_fn(self.V, kappa, alpha, -2)
 
     def rho_fn(self, kappa: float, alpha: float) -> Callable:
-        amp = self.amp_sq_value(kappa, alpha)
-        return self._scaled(self.rho.compile(self.space(kappa), alpha, amp), -4)
+        return self._field_fn(self.rho, kappa, alpha)
 
+    # only flat entries scale, and their omega is 0 and their one pole the origin
     def omega_value(self, kappa: float) -> float:
-        return self.omega.evaluate(-kappa) / self.scale**2
+        return self.omega.evaluate(-kappa)
 
     def singular_radii_values(self, kappa: float) -> tuple[float, ...]:
         space = self.space(kappa)
-        return tuple(sorted(_TAG_RADII[t](space) * (self.scale if t == "origin" else 1.0)
-                            for t in self.singular_radii))
+        return tuple(sorted(_TAG_RADII[t](space) for t in self.singular_radii))
 
     def expected_mass_value(self, kappa: float, alpha: float) -> Optional[float]:
         """Closed-form full-manifold mass, or None for infinite-mass entries."""
@@ -198,7 +203,9 @@ class Solution(DerivationHit):
             rho=RadialExpr.zero(u.basis) if rho is None else RadialExpr.from_json_obj(rho),
         )
         sol = solution_from_hit(hit, obj["id"], obj["mass_convention"], obj["provenance"])
-        sol = replace(sol, scale=float(obj["scale"]))
+        scale = float(obj["scale"])
+        if scale != 1.0:
+            sol = scale_flat_solution(sol, scale)
         if sol.to_json_obj() != obj:
             raise ValueError(f"{sol.id}: the record disagrees with its derivation")
         return sol

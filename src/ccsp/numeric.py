@@ -14,6 +14,9 @@ with independent machinery:
   window contributions stop shrinking (ratio >= 0.9 over eight
   consecutive windows) fails the Cauchy test and the integral is
   classified DIVERGENT -- a result, not an error;
+* one weighted integral S_(D-1) int g S^p dr over the manifold (S the
+  curvature-scaled sine), for the mass, T, Q and the charge balance
+  int (u^2 + rho) = 0 that a compact manifold forces;
 * second-order central finite differences for the radial Laplacian,
   giving PDE residuals for both field equations on singularity-avoiding
   grids;
@@ -26,8 +29,7 @@ with independent machinery:
   decaying potential;
 * the variational functionals T, N, Q and their flat-space identities, Q
   from the energy form int |grad W|^2 with one cumulative charge integral
-  (no inversion of -Lap);
-* the charge balance int (u^2 + rho) = 0 that a compact manifold forces.
+  (no inversion of -Lap).
 """
 
 from __future__ import annotations
@@ -66,6 +68,7 @@ __all__ = [
 DEFAULT_REL_TOL = 1e-10
 ABS_FLOOR = 1e-14
 MAX_DEPTH = 30
+MAX_PANELS = 2**16      # bisected panels one level of _adaptive_many may hold
 NESTED_REL_TOL = 1e-11  # poisson_invert and pohozaev_functionals (Q's outer: 1e-9)
 MASS_REL_TOL = 1e-8     # verify: quadrature mass against the closed form
 WINDOW_BLOCK = 8        # Cauchy windows whose first panels share one integrand call
@@ -132,7 +135,9 @@ def _adaptive_many(f: Callable, jobs: list, first: Optional[tuple[list, list]] =
     before failing on the rest.  An integrand that is not finite at a
     single node therefore raises too, where bisection might have stepped
     around that node.  A panel still unaccepted after MAX_DEPTH bisections
-    raises as well, so an interior pole is an error, not a number.  The
+    raises as well, so an interior pole is an error, not a number, and so
+    does a level of more than MAX_PANELS bisected panels, which bounds
+    memory.  The
     leaves are summed as left + right up the bisection tree, so each
     result is the one recursive bisection of its job returns.
     """
@@ -150,6 +155,9 @@ def _adaptive_many(f: Callable, jobs: list, first: Optional[tuple[list, list]] =
         if split and len(levels) == MAX_DEPTH:
             k = split[0]
             raise ValueError(f"no convergence after {MAX_DEPTH} bisections on [{lo[k]}, {hi[k]}]")
+        if 2 * len(split) > MAX_PANELS:
+            a, b = min(lo[k] for k in split), max(hi[k] for k in split)
+            raise ValueError(f"more than {MAX_PANELS} panels to bisect in one level on [{a}, {b}]")
         levels.append((ests, split))
         lo, hi, tol = (
             [x for k in split for x in (lo[k], 0.5 * (lo[k] + hi[k]))],
@@ -266,7 +274,7 @@ def integrate_radial(
     return core + lo_part + hi_part
 
 
-# -- masses --------------------------------------------------------------
+# -- integrals over the manifold ---------------------------------------------
 
 
 def mass(
@@ -282,20 +290,39 @@ def mass(
     amplitude law.  Divergence is a legitimate answer, tagged with the
     offending end of the domain.
     """
-    space = sol.space(kappa)
     u = sol.u_fn(kappa, alpha)
+    return _manifold_integral(sol, kappa, lambda r: u(r) ** 2, rel_tol, sphere_factor=include_sphere_factor)
+
+
+def _weighted(space: Space, g: Callable, power: int) -> Callable:
+    """r -> g(r) S(r)^power, with S the space's curvature-scaled sine.
+    Overflow and poles give inf or nan, which the quadrature reports."""
     s_fn = space.metric.S
 
     def f(r):
         r = np.asarray(r, dtype=float)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            return u(r) ** 2 * s_fn(r) ** (sol.dim - 1)
+            return g(r) * s_fn(r) ** power
 
-    # split at the genuine poles of the profile so that every singular
-    # radius is probed as an improper endpoint, never evaluated across
-    r_hi = space.r_max if math.isfinite(space.r_max) else math.inf
-    interior = [s for s in sol.singular_radii_values(kappa) if 0.0 < s < r_hi]
-    cuts = [0.0] + interior + [r_hi]
+    return f
+
+
+def _manifold_integral(
+    sol: "Solution",
+    kappa: float,
+    g: Callable,
+    rel_tol: float,
+    power: Optional[int] = None,
+    sphere_factor: bool = True,
+) -> Quadrature:
+    """S_(D-1) int g S^power dr (power D - 1: g over the manifold), or the
+    radial integral alone.  The domain is split at the profile's poles, so
+    each is probed as an improper endpoint, and a divergence is tagged with
+    the offending end of the domain."""
+    space = sol.space(kappa)
+    f = _weighted(space, g, sol.dim - 1 if power is None else power)
+    interior = [s for s in sol.singular_radii_values(kappa) if 0.0 < s < space.r_max]
+    cuts = [0.0] + interior + [space.r_max]
     total = 0.0
     for i, (lo, hi) in enumerate(zip(cuts[:-1], cuts[1:])):
         part = integrate_radial(f, lo, hi, rel_tol)
@@ -303,11 +330,11 @@ def mass(
             where = part.where
             if where == "small-r" and i > 0:
                 where = f"r={lo:.6g}"
-            elif where == "large-r" and (i < len(cuts) - 2 or math.isfinite(r_hi)):
+            elif where == "large-r" and (i < len(cuts) - 2 or math.isfinite(space.r_max)):
                 where = f"r={hi:.6g}"
             return Divergent(where)
         total += part
-    return total * (sphere_area(sol.dim) if include_sphere_factor else 1.0)
+    return total * (sphere_area(sol.dim) if sphere_factor else 1.0)
 
 
 # -- charge balance on the sphere -------------------------------------------
@@ -333,7 +360,7 @@ def compactness_obstruction_check(sol: "Solution", kappa: float = 1.0, alpha: Op
         raise ValueError("compactness check applies to spherical solutions")
     if alpha is None:
         alpha = sol.default_alpha
-    space = sol.space(kappa)
+    sol.space(kappa)  # an invalid kappa raises before anything else
     has_sing = bool(sol.singular_radii)
     if sol.rho.is_zero:
         detail = ("singular set nonempty, as the charge-balance obstruction requires" if has_sing
@@ -341,16 +368,9 @@ def compactness_obstruction_check(sol: "Solution", kappa: float = 1.0, alpha: Op
         return CompactnessReport(sol.id, has_sing, has_sing, None, detail)
     u = sol.u_fn(kappa, alpha)
     rho = sol.rho_fn(kappa, alpha)
-    s_fn = space.metric.S
-
-    def integrand(r):
-        r = np.asarray(r, dtype=float)
-        return (u(r) ** 2 + rho(r)) * s_fn(r) ** (sol.dim - 1)
-
-    total = integrate_radial(integrand, 0.0, space.r_max, rel_tol=1e-12)
+    total = _manifold_integral(sol, kappa, lambda r: u(r) ** 2 + rho(r), 1e-12)
     if isinstance(total, Divergent):
         return CompactnessReport(sol.id, has_sing, False, None, "charge integral diverges")
-    total *= sphere_area(sol.dim)
     return CompactnessReport(sol.id, has_sing, abs(total) <= 1e-10, total, f"total charge {total:.3e}")
 
 
@@ -531,16 +551,8 @@ def poisson_invert(
     if dim < 2:
         raise ValueError("radial inversion requires D >= 2")
 
-    s_fn = space.metric.S
-    s_pow = lambda s, p: s_fn(np.asarray(s, dtype=float)) ** p
-
-    def inner(t):
-        return f(t) * s_pow(t, dim - 1)
-
-    m_cum = _Cumulative(inner, 0.0, NESTED_REL_TOL)
-
-    def outer(s):
-        return s_pow(s, 1 - dim) * m_cum.many(s)
+    m_cum = _Cumulative(_weighted(space, f, dim - 1), 0.0, NESTED_REL_TOL)
+    outer = _weighted(space, m_cum.many, 1 - dim)
 
     # push until the remaining tail is negligible
     r_far = 20.0 if space.regime is Regime.FLAT else 40.0 / math.sqrt(-space.kappa)
@@ -599,21 +611,8 @@ def pohozaev_functionals(
         raise ValueError("functional identities are derived in the flat case")
     if sol.dim <= 2:
         raise ValueError("functional identities require D > 2")
-    space = sol.space(kappa)
-    area = sphere_area(sol.dim)
-    dim = sol.dim
-
     du = sol.du_fn(kappa, alpha)
-    s_fn = space.metric.S
-
-    def t_integrand(r):
-        r = np.asarray(r, dtype=float)
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            return du(r) ** 2 * s_fn(r) ** (dim - 1)
-
-    t_val = integrate_radial(t_integrand, 0.0, math.inf, NESTED_REL_TOL)
-    if not isinstance(t_val, Divergent):
-        t_val *= area
+    t_val = _manifold_integral(sol, kappa, lambda r: du(r) ** 2, NESTED_REL_TOL)
 
     n_val = mass(sol, kappa, alpha, NESTED_REL_TOL)
     if n_val == Divergent("small-r"):
@@ -621,21 +620,9 @@ def pohozaev_functionals(
         return PohozaevFunctionals(t_val, n_val, n_val)
 
     u = sol.u_fn(kappa, alpha)
-
-    def charge_density(t):
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            return u(t) ** 2 * s_fn(t) ** (dim - 1)
-
-    m_cum = _Cumulative(charge_density, 0.0, NESTED_REL_TOL)
-
-    def q_integrand(r):
-        m = m_cum.many(r)
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            return m**2 * s_fn(r) ** (1 - dim)
-
-    q_val = integrate_radial(q_integrand, 0.0, math.inf, 1e-9)
-    if not isinstance(q_val, Divergent):
-        q_val *= area
+    density = _weighted(sol.space(kappa), lambda t: u(t) ** 2, sol.dim - 1)
+    m_cum = _Cumulative(density, 0.0, NESTED_REL_TOL)
+    q_val = _manifold_integral(sol, kappa, lambda r: m_cum.many(r) ** 2, 1e-9, power=1 - sol.dim)
     return PohozaevFunctionals(t_val, n_val, q_val)
 
 

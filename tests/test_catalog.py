@@ -2,6 +2,7 @@ import json
 import math
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from ccsp.catalog import (
@@ -194,6 +195,16 @@ def test_scale_profile_and_mass_law():
     assert u(2.0) == pytest.approx(0.25 * 24.0 / (1 + 1.0) ** 2)
     assert scaled.expected_mass_value(0.0, -1.0) == pytest.approx(4.0 * csv.expected_mass_value(0.0, -1.0))
     assert scale_flat_solution(scaled, 3.0).scale == 6.0
+    # the scale never acts on omega, the poles or rho: flat omega is 0, the
+    # only flat pole is the origin and scalable entries are homogeneous
+    rs = np.linspace(0.5, 9.5, 7)
+    for sid in ("FLAT_CSV", "FLAT_SINGULAR_D6"):
+        sol = get_solution(sid)
+        scaled = scale_flat_solution(sol, 2.0)
+        assert scaled.omega_value(0.0) == sol.omega_value(0.0) == 0.0
+        assert scaled.singular_radii_values(0.0) == sol.singular_radii_values(0.0)
+        assert list(scaled.rho_fn(0.0, -1.0)(rs)) == list(sol.rho_fn(0.0, -1.0)(rs)) == [0.0] * len(rs)
+    assert get_solution("FLAT_SINGULAR_D6").singular_radii_values(0.0) == (0.0,)
 
 
 def test_scale_rejects_curved():
@@ -261,6 +272,25 @@ def test_from_json_rejects_a_record_its_derivation_disagrees_with():
         with pytest.raises(ValueError):
             Solution.from_json_obj(bad)
     assert Solution.from_json_obj(obj) == get_solution("FLAT_CSV")
+
+
+def test_from_json_checks_the_scale():
+    # a scale other than 1 goes through scale_flat_solution: a scaled curved
+    # or background record is no solution, and the factor must be positive
+    def record(sid, scale):
+        return {**get_solution(sid).to_json_obj(), "scale": scale}
+
+    for sid, scale, error in (
+        ("HYP_U1", 2.0, NotScalableError),
+        ("BG_FLAT_N3_D4", 2.0, NotScalableError),
+        ("FLAT_CSV", -1.0, ValueError),
+        ("FLAT_CSV", math.nan, ValueError),
+    ):
+        with pytest.raises(error):
+            Solution.from_json_obj(record(sid, scale))
+    scaled = scale_flat_solution(get_solution("FLAT_CSV"), 2.0)
+    assert Solution.from_json(scaled.to_json()) == scaled
+    assert Solution.from_json_obj(record("FLAT_CSV", 2.0)) == scaled
 
 
 def test_trivial_sphere_mass_keeps_its_value():

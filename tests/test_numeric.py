@@ -384,6 +384,17 @@ def test_interior_pole_off_the_nodes_raises():
         integrate_radial(f, 0.0, math.inf)
 
 
+def test_a_level_of_too_many_panels_raises(monkeypatch):
+    # the anchor gaps near 2^40 are about 1.7e11 wide with a tolerance of
+    # about 2: each would bisect into millions of panels of cos(3t), and the
+    # level is refused before it is built
+    sizes = _count_calls(monkeypatch)
+    f = lambda t: t**2 * np.exp(-t) + np.cos(3.0 * t) ** 2
+    with pytest.raises(ValueError, match=f"more than {numeric.MAX_PANELS} panels to bisect"):
+        numeric._Cumulative(f, 0.0, 1e-11).many([2e12])
+    assert max(sizes) <= numeric.MAX_PANELS
+
+
 def test_window_accepted_at_first_panel_costs_one_panel():
     # err = 9.1e-13 misses the 1e-14 floor but is at machine precision
     # relative to the value 4670.8: the first panel is accepted, and the
