@@ -77,7 +77,7 @@ def _parse_grid(text: str) -> np.ndarray:
         lo, hi, n = float(lo_s), float(hi_s), int(n_s)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected lo:hi:count, got {text!r}")
-    if n < 2 or not (hi > lo):
+    if n < 2 or not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
         raise argparse.ArgumentTypeError(f"bad grid {text!r}")
     return np.linspace(lo, hi, n)
 

@@ -12,10 +12,12 @@ Radial formulas use the curvature-scaled functions
 
 which satisfy S' = C, C' = -kappa*S and C^2 - (-kappa)*S^2 = 1 in every
 regime, so each identity in this package is stated once with a signed
-curvature.  :attr:`Space.metric` holds the only regime branch for S, C
-and 1/T: every vectorized evaluation in the package goes through it.  All
-functions here are pure; callers are responsible for keeping numerical
-grids away from the coordinate singularities.
+curvature.  The scalar functions here use :mod:`math` only; the array
+forms of S, C and 1/T belong to the float layer
+(:func:`ccsp.numeric.metric`), so this module, like the rest of the exact
+layer, does not import numpy.  All functions here are pure; callers are
+responsible for keeping numerical grids away from the coordinate
+singularities.
 """
 
 from __future__ import annotations
@@ -23,10 +25,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
-from typing import Callable, NamedTuple
-
-import numpy as np
 
 
 class Regime(str, Enum):
@@ -37,14 +35,6 @@ class Regime(str, Enum):
 
 class PoleError(ValueError):
     """A metric factor vanishes where a division is required."""
-
-
-class Metric(NamedTuple):
-    """Vectorized metric functions of one space (r must be a float array)."""
-
-    S: Callable
-    C: Callable
-    inv_T: Callable
 
 
 @dataclass(frozen=True)
@@ -100,25 +90,6 @@ class Space:
             return math.pi / math.sqrt(self.kappa)
         return math.inf
 
-    @cached_property
-    def metric(self) -> Metric:
-        """S, C and 1/T as array functions, built once per space."""
-        if self.regime is Regime.FLAT:
-            return Metric(lambda r: r, lambda r: np.ones_like(r), lambda r: 1.0 / r)
-        if self.regime is Regime.HYPERBOLIC:
-            lam = math.sqrt(-self.kappa)
-            return Metric(
-                lambda r: np.sinh(lam * r) / lam,
-                lambda r: np.cosh(lam * r),
-                lambda r: lam / np.tanh(lam * r),
-            )
-        mu = math.sqrt(self.kappa)
-        return Metric(
-            lambda r: np.sin(mu * r) / mu,
-            lambda r: np.cos(mu * r),
-            lambda r: mu / np.tan(mu * r),
-        )
-
 
 def _check_r(space: Space, r: float) -> None:
     if r < 0:
@@ -130,13 +101,23 @@ def _check_r(space: Space, r: float) -> None:
 def metric_S(space: Space, r: float) -> float:
     """Curvature-scaled sine: the radius of the geodesic sphere at r."""
     _check_r(space, r)
-    return float(space.metric.S(r))
+    if space.regime is Regime.FLAT:
+        return float(r)
+    if space.regime is Regime.HYPERBOLIC:
+        lam = math.sqrt(-space.kappa)
+        return math.sinh(lam * r) / lam
+    mu = math.sqrt(space.kappa)
+    return math.sin(mu * r) / mu
 
 
 def metric_C(space: Space, r: float) -> float:
     """Derivative of metric_S; equals 1 identically in flat space."""
     _check_r(space, r)
-    return float(space.metric.C(r))
+    if space.regime is Regime.FLAT:
+        return 1.0
+    if space.regime is Regime.HYPERBOLIC:
+        return math.cosh(math.sqrt(-space.kappa) * r)
+    return math.cos(math.sqrt(space.kappa) * r)
 
 
 def metric_T(space: Space, r: float) -> float:

@@ -1,8 +1,13 @@
-"""Numerical verification layer: quadrature, finite differences, inversion.
+"""Numerical verification layer: array evaluation, quadrature, finite
+differences, inversion.  This is the only module besides the CLI that
+imports numpy.
 
 Everything here treats the symbolic layer as ground truth and checks it
 with independent machinery:
 
+* array evaluation: S, C and 1/T of a space (the one regime branch for
+  arrays), the array functions of each basis' base and odd factor, and
+  the evaluator that :meth:`ccsp.symbolic.RadialExpr.compile` returns;
 * adaptive quadrature on 15 + 7 Gauss-Legendre nodes, the pending
   panels of a bisection level evaluated in one call and reduced by one
   batched product per rule (bit for bit the row-by-row np.dot), stopping
@@ -37,17 +42,21 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import islice
-from typing import TYPE_CHECKING, Callable, Optional, Union
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Union
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .geometry import Regime, Space, sphere_area
+from .symbolic import Basis
 
 if TYPE_CHECKING:  # pragma: no cover
     from .catalog import Solution
 
 __all__ = [
+    "Metric",
+    "metric",
+    "evaluator",
     "Divergent",
     "Grid",
     "default_grid",
@@ -77,6 +86,75 @@ GRID_R_CAP = 10.0       # noncompact default grids end here (times the flat scal
 _X7, _W7 = leggauss(7)
 _X15, _W15 = leggauss(15)
 _NODES = np.concatenate([_X15, _X7])
+
+
+# -- array evaluation -----------------------------------------------------
+
+
+class Metric(NamedTuple):
+    """Vectorized metric functions of one space (r must be a float array)."""
+
+    S: Callable
+    C: Callable
+    inv_T: Callable
+
+
+def metric(space: Space) -> Metric:
+    """S, C and 1/T of `space` as array functions: the one regime branch
+    of every array evaluation in the package."""
+    if space.regime is Regime.FLAT:
+        return Metric(lambda r: r, lambda r: np.ones_like(r), lambda r: 1.0 / r)
+    if space.regime is Regime.HYPERBOLIC:
+        lam = math.sqrt(-space.kappa)
+        return Metric(
+            lambda r: np.sinh(lam * r) / lam,
+            lambda r: np.cosh(lam * r),
+            lambda r: lam / np.tanh(lam * r),
+        )
+    mu = math.sqrt(space.kappa)
+    return Metric(
+        lambda r: np.sin(mu * r) / mu,
+        lambda r: np.cos(mu * r),
+        lambda r: mu / np.tan(mu * r),
+    )
+
+
+# the array functions of each basis' base B and odd factor O, from a metric
+_BASIS_FNS: dict[Basis, Callable[[Metric], tuple[Callable, Callable]]] = {
+    Basis.FLAT_C: lambda m: ((lambda r: np.sqrt(1.0 + r * r)), m.S),
+    Basis.FLAT_R: lambda m: (m.S, m.C),
+    Basis.CURVED_C: lambda m: (m.C, m.S),
+    Basis.CURVED_S: lambda m: (m.S, m.C),
+}
+
+
+def evaluator(basis: Basis, space: Space, pre: list[tuple[float, float, int]]) -> Callable:
+    """r -> sum of scale * B^base * O^odd over the (scale, base, odd) terms
+    `pre` of an expression over `basis`, on arrays (poles become inf/nan)."""
+    base_fn, odd_fn = _BASIS_FNS[basis](metric(space))
+    has_odd = any(op for _, _, op in pre)
+
+    def fn(r):
+        r = np.asarray(r, dtype=float)
+        if not pre:
+            return np.zeros_like(r)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            b = base_fn(r)
+            o = odd_fn(r) if has_odd else None
+            # b ** 0.0 is 1 everywhere, and a sum started from +0.0
+            # turns -0.0 into +0.0 as a zeros_like start would
+            total = 0.0
+            for scale, bp, op in pre:
+                term = scale * b**bp
+                if op:
+                    term = term * o
+                total = total + term
+        return total
+
+    return fn
+
+
+# -- quadrature -------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -241,12 +319,15 @@ def integrate_radial(
 ) -> Quadrature:
     """Integrate f(r) dr over (r_lo, r_hi), endpoints treated as improper.
 
-    f must accept numpy arrays.  r_hi may be infinite.  Returns a float or
-    :class:`Divergent` tagged with the offending end; genuine poles in the
-    open interior are errors, not divergences.
+    f must accept numpy arrays.  r_hi may be infinite.  rel_tol must be
+    finite and positive.  Returns a float or :class:`Divergent` tagged with
+    the offending end; genuine poles in the open interior are errors, not
+    divergences.
     """
     if not (r_lo >= 0) or (math.isfinite(r_hi) and r_hi <= r_lo):
         raise ValueError(f"bad interval ({r_lo}, {r_hi})")
+    if not (0.0 < rel_tol < math.inf):
+        raise ValueError(f"relative tolerance must be finite and positive, got {rel_tol}")
     d = min(1.0, (r_hi - r_lo) / 4.0)
     a0 = r_lo + d
 
@@ -297,7 +378,7 @@ def mass(
 def _weighted(space: Space, g: Callable, power: int) -> Callable:
     """r -> g(r) S(r)^power, with S the space's curvature-scaled sine.
     Overflow and poles give inf or nan, which the quadrature reports."""
-    s_fn = space.metric.S
+    s_fn = metric(space).S
 
     def f(r):
         r = np.asarray(r, dtype=float)
@@ -454,7 +535,7 @@ def fd_residual(
     omega = sol.omega_value(kappa)
     r = grid.r_values
     h = grid.h
-    inv_t = space.metric.inv_T(r)
+    inv_t = metric(space).inv_T(r)
 
     def lap(fn):
         fp, f0, fm = fn(r + h), fn(r), fn(r - h)
@@ -715,8 +796,11 @@ def verify_solution(
     Checks the finite-difference residuals of both equations, the mass
     against the stored closed form (or, for infinite-mass entries, that
     the divergence detector agrees), and optionally the flat variational
-    identities (homogeneous entries only).
+    identities (homogeneous entries only).  residual_tol must be finite
+    and nonnegative.
     """
+    if not (0.0 <= residual_tol < math.inf):
+        raise ValueError(f"residual tolerance must be finite and nonnegative, got {residual_tol}")
     grid = default_grid(sol, kappa)
     schro, poisson = fd_residual(sol, kappa, alpha, grid)
     ok = schro <= residual_tol and poisson <= residual_tol

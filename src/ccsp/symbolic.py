@@ -17,15 +17,18 @@ all exact: no floating point enters until evaluation.
 
 The odd exponent is capped at one; squares are reduced eagerly through the
 relations above, which makes the normal form unique.  Each basis is one
-row of `_RULES`: B', O' and 1/T as unit monomials, the O^2 reduction, the
-print names and the evaluation functions.  d/dr is the product rule and
-1/T a multiplication by a unit monomial; both pass each product through
-the normal-form step of multiplication, which reduces O^2 and raises
-:class:`ClosureError` where an odd power would turn negative (1/T of an
-even flat-c or curved-c term needs 1/r resp. 1/S).  The curved relations
+row of `_RULES`: B', O' and 1/T as unit monomials, the O^2 reduction and
+the print names.  d/dr is the product rule and 1/T a multiplication by a
+unit monomial; both pass each product through the normal-form step of
+multiplication, which reduces O^2 and raises :class:`ClosureError` where
+an odd power would turn negative (1/T of an even flat-c or curved-c term
+needs 1/r resp. 1/S).  The curved relations
 use the *signed* quantity (-kappa) (positive hyperbolic, negative
 spherical), so a single expression serves both curved regimes and is
-evaluated with the right signs by :meth:`RadialExpr.eval`.  Expressions are
+evaluated with the right signs by :meth:`RadialExpr.compile`.  That method
+turns the exact coefficients into floats; the array evaluation itself
+belongs to the float layer (:func:`ccsp.numeric.evaluator`), imported on
+first use, so this module does not import numpy.  Expressions are
 immutable values; everything here is pure and safe to share across threads.
 """
 
@@ -38,9 +41,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Union
 
-import numpy as np
-
-from .geometry import Metric, PoleError, Regime, Space
+from .geometry import PoleError, Regime, Space
 
 __all__ = [
     "Basis",
@@ -153,8 +154,7 @@ class _Rules(NamedTuple):
 
     d_base, d_odd and inv_T are the unit monomials B', O' and 1/T; inv_T
     may carry O^-1, which only an odd term absorbs.  odd_sq rewrites O^2
-    as (sign, base shift, kappa shift) terms.  names print B and O, and
-    fns picks the array functions of B and O from a space's metric.
+    as (sign, base shift, kappa shift) terms.  names print B and O.
     """
 
     d_base: _Unit
@@ -162,27 +162,17 @@ class _Rules(NamedTuple):
     inv_T: _Unit
     odd_sq: tuple[tuple[int, int, int], ...]
     names: tuple[str, str]
-    fns: Callable[[Metric], tuple[Callable, Callable]]
 
 
 _RULES: dict[Basis, _Rules] = {
     # c' = r c^-1, r' = 1, 1/T = r^-1; r^2 = c^2 - 1
-    Basis.FLAT_C: _Rules(
-        (-1, 1, 0), (0, 0, 0), (0, -1, 0), ((1, 2, 0), (-1, 0, 0)), ("c", "r"),
-        lambda m: ((lambda r: np.sqrt(1.0 + r * r)), m.S),
-    ),
+    Basis.FLAT_C: _Rules((-1, 1, 0), (0, 0, 0), (0, -1, 0), ((1, 2, 0), (-1, 0, 0)), ("c", "r")),
     # r' = 1, 1/T = r^-1
-    Basis.FLAT_R: _Rules((0, 0, 0), None, (-1, 0, 0), (), ("r", ""), lambda m: (m.S, m.C)),
+    Basis.FLAT_R: _Rules((0, 0, 0), None, (-1, 0, 0), (), ("r", "")),
     # C' = (-kappa) S, S' = C, 1/T = C S^-1; S^2 = (C^2 - 1)/(-kappa)
-    Basis.CURVED_C: _Rules(
-        (0, 1, 1), (1, 0, 0), (1, -1, 0), ((1, 2, -1), (-1, 0, -1)), ("C", "S"),
-        lambda m: (m.C, m.S),
-    ),
+    Basis.CURVED_C: _Rules((0, 1, 1), (1, 0, 0), (1, -1, 0), ((1, 2, -1), (-1, 0, -1)), ("C", "S")),
     # S' = C, C' = (-kappa) S, 1/T = C S^-1; C^2 = 1 + (-kappa) S^2
-    Basis.CURVED_S: _Rules(
-        (0, 1, 0), (1, 0, 1), (-1, 1, 0), ((1, 0, 0), (1, 2, 1)), ("S", "C"),
-        lambda m: (m.S, m.C),
-    ),
+    Basis.CURVED_S: _Rules((0, 1, 0), (1, 0, 1), (-1, 1, 0), ((1, 0, 0), (1, 2, 1)), ("S", "C")),
 }
 
 
@@ -406,14 +396,18 @@ class RadialExpr:
     # -- evaluation ----------------------------------------------------
 
     def compile(self, space: Space, alpha: float, amp_sq: float) -> Callable:
-        """Vectorized evaluator r -> value (floats; poles become inf/nan)."""
+        """Vectorized evaluator r -> value (floats; poles become inf/nan).
+
+        Each term becomes a float scale times B^base O^odd here; the array
+        function comes from the float layer."""
+        from .numeric import evaluator
+
         if amp_sq < 0:
             raise ValueError(f"amplitude squared must be nonnegative, got {amp_sq}")
         self.basis.check_regime(space.regime)
-        base_fn, odd_fn = _RULES[self.basis].fns(space.metric)
         nk = space.neg_kappa
         amp = math.sqrt(amp_sq)
-        pre: list[tuple[float, int, int]] = []
+        pre: list[tuple[float, float, int]] = []
         for t in self.terms:
             if t.kappa != 0 and space.regime is Regime.FLAT:
                 raise ValueError("flat evaluation of a curvature-graded term")
@@ -429,26 +423,7 @@ class RadialExpr:
             if t.amp:
                 scale *= amp**t.amp
             pre.append((scale, float(t.base), t.odd))
-        has_odd = any(op for _, _, op in pre)
-
-        def fn(r):
-            r = np.asarray(r, dtype=float)
-            if not pre:
-                return np.zeros_like(r)
-            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                b = base_fn(r)
-                o = odd_fn(r) if has_odd else None
-                # b ** 0.0 is 1 everywhere, and a sum started from +0.0
-                # turns -0.0 into +0.0 as a zeros_like start would
-                total = 0.0
-                for scale, bp, op in pre:
-                    term = scale * b**bp
-                    if op:
-                        term = term * o
-                    total = total + term
-            return total
-
-        return fn
+        return evaluator(self.basis, space, pre)
 
     def eval(self, space: Space, r: float, alpha: float = 1.0, amp_sq: float = 1.0) -> float:
         """Scalar evaluation; raises PoleError where a base function vanishes

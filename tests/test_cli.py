@@ -429,3 +429,26 @@ def test_python_dash_m_runs_the_cli():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == run(["catalog", "--format", "csv"])[1]
+
+
+# -- tolerances and grids that no verdict can be right for -------------------------
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1", "0"])
+def test_mass_rejects_a_rel_tol_that_is_not_finite_and_positive(value):
+    code, out, err = run(["mass", "FLAT_CSV", f"--rel-tol={value}"])
+    assert code == 2 and out == ""
+    assert "relative tolerance" in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+def test_verify_rejects_a_residual_tol_that_is_not_finite_and_nonnegative(value):
+    code, out, err = run(["verify", "FLAT_CSV", f"--residual-tol={value}"])
+    assert code == 2 and out == ""
+    assert "residual tolerance" in err
+
+
+@pytest.mark.parametrize("grid", ["0:1e400:3", "-1e400:1:3", "0:inf:3"])
+def test_eval_grid_bounds_must_be_finite(grid):
+    code, out, _ = run(["eval", "FLAT_CSV", "--r", grid])
+    assert code == 2 and out == ""

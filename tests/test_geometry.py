@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from ccsp import numeric
 from ccsp.geometry import (
     PoleError,
     Regime,
@@ -66,10 +67,10 @@ def test_structure_identity(space):
 
 @pytest.mark.parametrize("space", [FLAT, HYP, SPH, Space.spherical(2.25, 4)])
 def test_vectorized_metric(space):
-    # array S and C agree with the scalar functions, and 1/T = C/S
+    # the float layer's array S and C agree with the scalar functions, and 1/T = C/S
     r_hi = space.r_max if math.isfinite(space.r_max) else 5.0
     r = np.linspace(0.05, 0.45, 9) * r_hi
-    m = space.metric
+    m = numeric.metric(space)
     assert np.allclose(m.S(r), [metric_S(space, x) for x in r], rtol=1e-14, atol=0.0)
     assert np.allclose(m.C(r), [metric_C(space, x) for x in r], rtol=1e-14, atol=0.0)
     assert np.allclose(m.inv_T(r) * m.S(r), m.C(r), rtol=1e-14, atol=0.0)

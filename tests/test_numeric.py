@@ -79,6 +79,13 @@ def test_integrable_endpoint_singularity():
     assert got == pytest.approx(2.0, rel=1e-8)
 
 
+@pytest.mark.parametrize("rel_tol", [math.nan, math.inf, -1.0, 0.0])
+def test_rel_tol_must_be_finite_and_positive(rel_tol):
+    # a nan tolerance used to make every Cauchy window look divergent
+    with pytest.raises(ValueError, match="relative tolerance"):
+        integrate_radial(lambda r: np.exp(-r), 0.0, math.inf, rel_tol)
+
+
 def _reference_panel(f, a, b):
     # the 15/7 pair as two separate integrand calls: the oracle for _panels
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
@@ -197,7 +204,7 @@ def _count_calls(monkeypatch):
 def _hyp_n1_d6_integrand():
     sol = get_solution("BG_HYP_N1_D6")
     u = sol.u_fn(-1.0, sol.default_alpha)
-    s_fn = Space.hyperbolic(-1.0, sol.dim).metric.S
+    s_fn = numeric.metric(Space.hyperbolic(-1.0, sol.dim)).S
     return lambda r: u(r) ** 2 * s_fn(r) ** (sol.dim - 1)
 
 

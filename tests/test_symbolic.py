@@ -8,7 +8,8 @@ import pytest
 
 from conftest import fd_laplacian
 from ccsp.geometry import PoleError, Regime, Space
-from ccsp.symbolic import _RULES, Basis, ClosureError, Graded, Monomial, RadialExpr
+from ccsp.numeric import _BASIS_FNS, metric
+from ccsp.symbolic import Basis, ClosureError, Graded, Monomial, RadialExpr
 
 FLAT = Space.flat(6)
 HYP = Space.hyperbolic(-1.0, 3)
@@ -230,7 +231,7 @@ def test_eval_pole_error():
 def _reference_compile(expr, space, alpha, amp_sq):
     # the evaluator as first written (zeros start, one full_like per term):
     # the oracle that RadialExpr.compile must match bit for bit
-    base_fn, odd_fn = _RULES[expr.basis].fns(space.metric)
+    base_fn, odd_fn = _BASIS_FNS[expr.basis](metric(space))
     nk, amp = space.neg_kappa, math.sqrt(amp_sq)
     pre = []
     for t in expr.terms:
@@ -431,7 +432,7 @@ def test_diff_and_div_T_match_fd_oracle(basis):
         if math.isfinite(space.r_max):  # stay inside the C > 0 hemisphere
             r_lo, r_hi = r_lo * space.r_max, r_hi * space.r_max
         radii = np.linspace(r_lo, r_hi, 7)
-        inv_t = space.metric.inv_T(radii)
+        inv_t = metric(space).inv_T(radii)
         for odd in (0, 1) if basis.has_odd else (0,):
             for base in range(-5, 4):
                 m = mono(basis, F(-3, 2), base=base, odd=odd, kappa=0 if basis.is_flat else 1)
