@@ -38,6 +38,9 @@ from .symbolic import Basis
 
 _RANGE_FLAGS = ("-n", "--n-range", "-D", "--dim-range", "--r")
 
+# `eval --r lo:hi:count` holds every row and the whole output in memory
+MAX_GRID_POINTS = 100_000
+
 
 def _fmt(x) -> str:
     if isinstance(x, float):
@@ -79,6 +82,8 @@ def _parse_grid(text: str) -> np.ndarray:
         raise argparse.ArgumentTypeError(f"expected lo:hi:count, got {text!r}")
     if n < 2 or not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
         raise argparse.ArgumentTypeError(f"bad grid {text!r}")
+    if n > MAX_GRID_POINTS:
+        raise argparse.ArgumentTypeError(f"grid of {n} points exceeds {MAX_GRID_POINTS}")
     return np.linspace(lo, hi, n)
 
 

@@ -34,6 +34,24 @@ degree 2 has at most two roots).  P/2 is {-4, -3, -2} for flat-c, {-2} for
 flat-r and {-2, -1} for curved-c and curved-s; the searches evaluate only
 the cells with n in that set.
 
+Every dimension is classified at once.  At a fixed n each coefficient of G,
+one per monomial key, is a polynomial c0 + c1 m + c2 m^2 in m = D - 1 (the
+coefficients of that key in A0, A1, A2).  Let E be the set of integers
+m >= 0 at which some coefficient polynomial that is not identically zero
+has a root; the roots are found exactly over Q.  A polynomial that is
+identically zero gives no monomial at any D, and off E every other one is
+nonzero, so G has the same monomials at every D with D - 1 outside E.  A
+cell's verdict is read off those monomials alone: whether the u^2 power
+is present and with mixed grades, the leftover and its monomial count
+(the rho terms), and X != 0; whether u has poles does not depend on D.
+So every D with D - 1 outside E has one status, the generic status, which
+one evaluation at such a D gives.  The search evaluates only the cells
+with D - 1 in E, or every cell of the row when the generic status is a
+hit (flat-r n = -2 and the curved-c hyperbolic background rows), so every
+hit is still built cell by cell.  In every row E has at most two values;
+flat-c n = -4 has
+G = 8(m - 3)(m - 5) t^-4 + (128m - 640) t^-6 + 576 t^-8, so E = {3, 5}.
+
 Masses and frequencies come from the exponents as well.  The mass of a
 hit is a half-Beta integral fixed by (family, n, D, regime) and X (see
 `exact_mass`), and since Lap(u)/u has only even terms with non-positive
@@ -402,7 +420,10 @@ def evaluate_candidate(
 ) -> Candidate:
     """Run the matching procedure for a single (family, n, D) cell."""
     _check_search(fam.family, regime, mode)
+    return _evaluate(fam, regime, dim, mode, max_rho_terms)
 
+
+def _evaluate(fam: AnsatzFamily, regime: Regime, dim: int, mode: str, max_rho_terms: int) -> Candidate:
     geom = _geometry_part(fam, dim)
     u2_base = 2 * fam.n
 
@@ -446,6 +467,48 @@ def evaluate_candidate(
     return Candidate(CandidateStatus.HIT, hit=hit)
 
 
+def _nonnegative_integer_roots(c0: Fraction, c1: Fraction, c2: Fraction) -> frozenset[int]:
+    """The integers m >= 0 with c0 + c1 m + c2 m^2 = 0, found over Q.
+
+    A quadratic has rational roots only when its discriminant is the square
+    of a rational, that is when the numerator and the denominator of the
+    reduced fraction are both perfect squares.  The zero polynomial and a
+    nonzero constant give no roots.
+    """
+    c0, c1, c2 = Fraction(c0), Fraction(c1), Fraction(c2)
+    if c2 == 0:
+        roots = [-c0 / c1] if c1 != 0 else []
+    else:
+        disc = c1 * c1 - 4 * c2 * c0
+        if disc < 0:
+            return frozenset()
+        num, den = math.isqrt(disc.numerator), math.isqrt(disc.denominator)
+        if num * num != disc.numerator or den * den != disc.denominator:
+            return frozenset()
+        root = Fraction(num, den)
+        roots = [(-c1 - root) / (2 * c2), (-c1 + root) / (2 * c2)]
+    return frozenset(int(x) for x in roots if x.denominator == 1 and x >= 0)
+
+
+@cache
+def _classification(
+    fam: AnsatzFamily, regime: Regime, mode: str, max_rho_terms: int
+) -> tuple[frozenset[int], CandidateStatus]:
+    """(E, generic status) of a search row: the exceptional m = D - 1, and
+    the status of every cell with D - 1 outside E (see the module
+    docstring)."""
+    coeffs: dict[tuple, list[Fraction]] = {}
+    for k, part in enumerate(_geometry_parts(fam)):
+        for t in part.terms:
+            coeffs.setdefault(t.key, [Fraction(0)] * 3)[k] = t.coeff
+    exceptional = frozenset().union(*(_nonnegative_integer_roots(*c) for c in coeffs.values()))
+    m = 0
+    while m in exceptional:
+        m += 1
+    # a probe, not a searched cell: `_search` has checked the arguments
+    return exceptional, _evaluate(fam, regime, m + 1, mode, max_rho_terms).status
+
+
 def _check_ranges(n_range: Sequence[int], d_range: Sequence[int]) -> None:
     # sizes only: a lazy range is never materialized before the cap
     if not n_range or not d_range:
@@ -469,10 +532,13 @@ def _search(
     ds = sorted(set(d_range))
     hits = []
     for n in sorted(n for n in _candidate_exponents(family) if n in n_range):
+        fam = AnsatzFamily(family, n)
+        exceptional, generic = _classification(fam, regime, mode, max_rho_terms)
         for d in ds:
-            cand = evaluate_candidate(AnsatzFamily(family, n), regime, d, mode, max_rho_terms)
-            if cand.status is CandidateStatus.HIT:
-                hits.append(cand.hit)
+            if generic is CandidateStatus.HIT or d - 1 in exceptional:
+                cand = evaluate_candidate(fam, regime, d, mode, max_rho_terms)
+                if cand.status is CandidateStatus.HIT:
+                    hits.append(cand.hit)
     hits.sort(key=DerivationHit.sort_key)
     return hits
 
@@ -493,8 +559,9 @@ def solve_homogeneous(
     Only exponents n with base^(2n) in the fixed support of
     G = Lap(Lap(u)/u) are evaluated: elsewhere X has nothing to cancel and
     the forced amplitude is zero, whatever D.  For the others, G is built
-    as A0 + (D-1) A1 + (D-1)^2 A2 from parts cached per (family, n); see
-    the module docstring.
+    as A0 + (D-1) A1 + (D-1)^2 A2 from parts cached per (family, n), and
+    only the dimensions whose verdict can differ from the row's generic
+    status are evaluated; see the module docstring.
     """
     return _search(family, regime, n_range, d_range, "homogeneous")
 
@@ -511,7 +578,7 @@ def solve_background(
     After the amplitude cancels one residual monomial, the leftover becomes
     rho = -leftover/alpha; cells are kept when rho has at most
     `max_rho_terms` monomials and u has no poles on the closed domain.
-    Like `solve_homogeneous`, it evaluates only the exponents that can hit.
+    Like `solve_homogeneous`, it evaluates only the cells that can hit.
     """
     return _search(family, regime, n_range, d_range, "background", max_rho_terms)
 

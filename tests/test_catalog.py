@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import fields
 from fractions import Fraction as F
 
 import numpy as np
@@ -14,8 +15,10 @@ from ccsp.catalog import (
     get_solution,
     scale_flat_solution,
 )
+from ccsp import derivation
 from ccsp.derivation import (
     AlphaSign,
+    DerivationHit,
     resubstitution_defects,
     solve_background,
     solve_homogeneous,
@@ -332,6 +335,15 @@ def test_json_field_order():
 
 def _signature(family, n, dim, regime, x_law, rho):
     return (family, n, dim, regime, x_law, rho)
+
+
+def test_every_derived_catalog_cell_is_a_hit_of_the_classification():
+    derived = [s for s in CATALOG if s.id != "SPH_TRIVIAL"]
+    assert len(derived) == 22
+    for sol in derived:
+        hits = derivation._search(sol.family, sol.regime, [sol.n], [sol.dim], sol.mode)
+        fields_of_hit = {f.name: getattr(sol, f.name) for f in fields(DerivationHit)}
+        assert hits == [DerivationHit(**fields_of_hit)], sol.id
 
 
 def test_catalog_matches_derivation_union():

@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import math
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import ccsp
-from ccsp.cli import _parse_int_range, main
+from ccsp.cli import MAX_GRID_POINTS, _parse_grid, _parse_int_range, main
 
 
 def run(args, stdin_text=None):
@@ -392,6 +393,16 @@ def test_eval_grid_crossing_pole_is_rejected():
     code, _, err = run(["eval", "SPH_U1", "--kappa", "1", "--alpha", "-1", "--r", "0:3.14159:100"])
     assert code == 2
     assert "singular" in err and "1.5708" in err
+
+
+def test_eval_grid_count_is_capped():
+    # eval holds every row in memory, so the point count has a named cap
+    assert MAX_GRID_POINTS == 100_000
+    assert len(_parse_grid("0:1:100000")) == 100_000
+    with pytest.raises(argparse.ArgumentTypeError, match="exceeds 100000"):
+        _parse_grid("0:1:100001")
+    code, out, err = run(["eval", "FLAT_CSV", "--alpha", "-1", "--r", "0:1:100000000"])
+    assert code == 2 and out == "" and "exceeds" in err
 
 
 def test_eval_json_round_trip():

@@ -461,8 +461,75 @@ def test_candidate_exponents_cover_the_support():
             for t in part.terms
             if t.odd == 0
         }
-        from_support = {p // 2 for p in support if p % 2 == 0}
+        # only even powers: no half-integer n can put base^(2n) on G's support
+        assert all(p % 2 == 0 for p in support), (family, sorted(support))
+        from_support = {p // 2 for p in support}
         assert derivation._candidate_exponents(family) == from_support == expected[family]
+
+
+# -- every dimension classified at once ----------------------------------------
+
+BIG = 10**20
+
+
+@pytest.mark.parametrize(
+    "coeffs, roots",
+    [
+        ((120, -64, 8), {3, 5}),                      # 8(m - 3)(m - 5)
+        ((1, -3, 2), {1}),                            # roots 1 and 1/2
+        ((F(4, 3), F(-13, 3), 1), {4}),               # roots 4 and 1/3: discriminant 121/9
+        ((-2, 0, 1), set()),                          # discriminant 8 is not a square
+        ((36, -24, 4), {3}),                          # double root 4(m - 3)^2
+        ((2, 3, 1), set()),                           # roots -1 and -2
+        ((0, 1, 1), {0}),                             # roots 0 and -1
+        ((-640, 128, 0), {5}),                        # linear
+        ((-208, 48, 0), set()),                       # linear, root 13/3
+        ((7, 0, 0), set()),                           # nonzero constant
+        ((0, 0, 0), set()),                           # the zero polynomial
+        (((BIG + 1) * (BIG + 3), -2 * BIG - 4, 1), {BIG + 1, BIG + 3}),
+        ((-(BIG**2) - 1, 0, 1), set()),               # a float sqrt would give 1e20
+        ((-3 * (BIG + 1), 3, 0), {BIG + 1}),
+        ((BIG + 1, -2, 0), set()),                    # root (1e20 + 1)/2
+    ],
+)
+def test_nonnegative_integer_roots_are_exact(coeffs, roots):
+    assert derivation._nonnegative_integer_roots(*coeffs) == roots
+
+
+def test_classification_of_the_flat_rows():
+    flat_csv = derivation._classification(AnsatzFamily(Basis.FLAT_C, -4), Regime.FLAT, "homogeneous", 1)
+    assert flat_csv == (frozenset({3, 5}), CandidateStatus.LEFTOVER_TERMS)
+    # the inverse-square row hits at every D except D = 4, where X = 0
+    inverse_square = derivation._classification(AnsatzFamily(Basis.FLAT_R, -2), Regime.FLAT, "homogeneous", 1)
+    assert inverse_square == (frozenset({3}), CandidateStatus.HIT)
+
+
+def test_search_evaluates_only_exceptional_cells(monkeypatch):
+    cells = []
+
+    def counted(fam, regime, dim, mode, max_rho_terms):
+        cells.append((fam.n, dim))
+        return evaluate_candidate(fam, regime, dim, mode, max_rho_terms)
+
+    monkeypatch.setattr(derivation, "evaluate_candidate", counted)
+    hits = solve_homogeneous(Basis.FLAT_C, Regime.FLAT, range(-8, 0), range(1, 65))
+    assert sorted(cells) == [(-4, 4), (-4, 6), (-3, 4), (-3, 5), (-2, 4)]
+    assert [(h.n, h.dim) for h in hits] == [(-4, 6)]
+
+
+@pytest.mark.parametrize("family, regime, mode", COMBOS, ids=lambda x: getattr(x, "value", x))
+def test_classification_equals_brute_force_far_out(family, regime, mode):
+    ns = sorted(derivation._candidate_exponents(family))
+    for ds in (range(1, 65), range(1001, 1065)):
+        for cap in (0, 1, 2):
+            brute = []
+            for n in ns:
+                for d in ds:
+                    cand = evaluate_candidate(AnsatzFamily(family, n), regime, d, mode, cap)
+                    if cand.status is CandidateStatus.HIT:
+                        brute.append(cand.hit)
+            got = derivation._search(family, regime, ns, ds, mode, cap)
+            assert got == sorted(brute, key=lambda h: h.sort_key()), (ds, cap)
 
 
 def test_universe_hits_equal_the_reference():
