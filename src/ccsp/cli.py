@@ -215,9 +215,9 @@ def _print_csv(rows: list[dict]) -> None:
         print(",".join(_fmt(r[c]) for c in cols))
 
 
-def _emit_rows(rows: list[dict], fmt: str, json_payload=None) -> None:
+def _emit_rows(rows: list[dict], fmt: str, json_payload) -> None:
     if fmt == "json":
-        print(_jenc(json_payload if json_payload is not None else rows))
+        print(_jenc(json_payload))
     elif fmt == "csv":
         _print_csv(rows)
     else:

@@ -42,8 +42,8 @@ has a root; the roots are found exactly over Q.  A polynomial that is
 identically zero gives no monomial at any D, and off E every other one is
 nonzero, so G has the same monomials at every D with D - 1 outside E.  A
 cell's verdict is read off those monomials alone: whether the u^2 power
-is present and with mixed grades, the leftover and its monomial count
-(the rho terms), and X != 0; whether u has poles does not depend on D.
+is present, the leftover and its monomial count (the rho terms), and
+X != 0; whether u has poles does not depend on D.
 So every D with D - 1 outside E has one status, the generic status, which
 one evaluation at such a D gives.  The search evaluates only the cells
 with D - 1 in E, or every cell of the row when the generic status is a
@@ -51,6 +51,15 @@ hit (flat-r n = -2 and the curved-c hyperbolic background rows), so every
 hit is still built cell by cell.  In every row E has at most two values;
 flat-c n = -4 has
 G = 8(m - 3)(m - 5) t^-4 + (128m - 640) t^-6 + 576 t^-8, so E = {3, 5}.
+
+One X always suffices at the u^2 power, because G carries one grade per
+power of the basis.  G = Lap(Lap(u)/u) has dimension length^-4 and u's
+amplitude cancels in it, so no term has an alpha or amplitude grade.  The
+flat bases carry no curvature grade at all.  In the curved bases S has
+dimension length while C and (-kappa) S^2 are dimensionless, so a term
+C^b S^o (-kappa)^k (curved-c) needs k = (o + 4)/2 and a term
+S^b C^o (-kappa)^k (curved-s) needs k = (b + 4)/2: the (-kappa) power is
+fixed by the S power, and at most one term sits at the u^2 power.
 
 Masses and frequencies come from the exponents as well.  The mass of a
 hit is a half-Beta integral fixed by (family, n, D, regime) and X (see
@@ -127,9 +136,8 @@ def omega_json(omega: Graded, regime: Regime) -> dict:
 
 class CandidateStatus(str, Enum):
     HIT = "hit"
-    NO_CANCELLATION = "no-cancellation"   # u^2 power collides with nothing
-    LEFTOVER_TERMS = "leftover-terms"     # homogeneous: residual does not vanish
-    NO_SOLUTION = "no-solution"           # forced amplitude A^2 = 0
+    LEFTOVER_TERMS = "leftover-terms"     # homogeneous: terms off the u^2 power remain
+    NO_SOLUTION = "no-solution"           # forced amplitude A^2 = 0, or no u^2 term at all
     RHO_TOO_COMPLEX = "rho-too-complex"   # background: too many source monomials
     SINGULAR_U = "singular-u"             # background: profile has poles
 
@@ -218,12 +226,14 @@ class Candidate:
     detail: str = ""
 
 
-def _check_search(family: Basis, regime: Regime, mode: str) -> None:
+def _check_search(family: Basis, regime: Regime, mode: str, max_rho_terms: int) -> None:
     family.check_regime(regime)
     if mode not in ("homogeneous", "background"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "background" and family is Basis.FLAT_R:
         raise ValueError("pure power-of-r profiles are homogeneous-search only")
+    if max_rho_terms < 0:
+        raise ValueError(f"max_rho_terms must be >= 0, got {max_rho_terms}")
 
 
 @cache
@@ -354,16 +364,6 @@ class GradedMass:
             "alpha_pow": self.alpha_pow,
         }
 
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "GradedMass":
-        return cls(
-            Fraction(obj["coef"]),
-            obj["sphere_sub"],
-            int(obj["pi_pow"]),
-            int(obj["kappa_pow2"]),
-            int(obj["alpha_pow"]),
-        )
-
 
 _HALF = Fraction(1, 2)
 
@@ -419,7 +419,7 @@ def evaluate_candidate(
     max_rho_terms: int = 1,
 ) -> Candidate:
     """Run the matching procedure for a single (family, n, D) cell."""
-    _check_search(fam.family, regime, mode)
+    _check_search(fam.family, regime, mode, max_rho_terms)
     return _evaluate(fam, regime, dim, mode, max_rho_terms)
 
 
@@ -427,13 +427,11 @@ def _evaluate(fam: AnsatzFamily, regime: Regime, dim: int, mode: str, max_rho_te
     geom = _geometry_part(fam, dim)
     u2_base = 2 * fam.n
 
+    # at most one term: G has one grade per power (see the module docstring)
     matching = [t for t in geom.terms if t.base == u2_base and t.odd == 0]
     rest = RadialExpr.from_terms(
         fam.family, (t for t in geom.terms if t.base != u2_base or t.odd != 0)
     )
-    if len(matching) > 1:
-        # distinct curvature grades at one power cannot be cancelled by one X
-        return Candidate(CandidateStatus.NO_CANCELLATION, detail="mixed grades at the u^2 power")
     # the coefficient at the u^2 power may legitimately be zero, forcing a
     # zero amplitude; distinguish that from failing the mode's acceptance
     x_law = Graded(-matching[0].coeff, matching[0].kappa) if matching else Graded(Fraction(0))
@@ -528,7 +526,7 @@ def _search(
     max_rho_terms: int = 1,
 ) -> list[DerivationHit]:
     _check_ranges(n_range, d_range)
-    _check_search(family, regime, mode)
+    _check_search(family, regime, mode, max_rho_terms)
     ds = sorted(set(d_range))
     hits = []
     for n in sorted(n for n in _candidate_exponents(family) if n in n_range):

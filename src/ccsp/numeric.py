@@ -405,13 +405,14 @@ def _manifold_integral(
     interior = [s for s in sol.singular_radii_values(kappa) if 0.0 < s < space.r_max]
     cuts = [0.0] + interior + [space.r_max]
     total = 0.0
-    for i, (lo, hi) in enumerate(zip(cuts[:-1], cuts[1:])):
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
         part = integrate_radial(f, lo, hi, rel_tol)
         if isinstance(part, Divergent):
+            # a segment end away from r = 0 and r = inf is a pole or the antipode
             where = part.where
-            if where == "small-r" and i > 0:
+            if where == "small-r" and lo > 0:
                 where = f"r={lo:.6g}"
-            elif where == "large-r" and (i < len(cuts) - 2 or math.isfinite(space.r_max)):
+            elif where == "large-r" and math.isfinite(hi):
                 where = f"r={hi:.6g}"
             return Divergent(where)
         total += part
@@ -493,14 +494,9 @@ def default_grid(
     """
     space = sol.space(kappa)
     sing = sol.singular_radii_values(kappa)
-    lo = 0.0
-    if space.regime is Regime.FLAT:
-        hi = GRID_R_CAP * sol.scale
-    elif space.regime is Regime.HYPERBOLIC:
-        hi = GRID_R_CAP
-    else:
-        hi = space.r_max
-    cuts = [lo] + [s for s in sing if lo < s < hi] + [hi]
+    # curved entries have scale 1: only flat entries can be rescaled
+    hi = space.r_max if math.isfinite(space.r_max) else GRID_R_CAP * sol.scale
+    cuts = [0.0] + [s for s in sing if 0.0 < s < hi] + [hi]
     segments = []
     for a, b in zip(cuts[:-1], cuts[1:]):
         length = b - a

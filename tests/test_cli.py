@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 import tracemalloc
@@ -91,6 +92,16 @@ def test_derive_background_includes_sech():
     assert (min(h["dim"] for h in hits), max(h["dim"] for h in hits)) == (1, 6)
     d1 = [h for h in hits if h["dim"] == 1][0]
     assert d1["alpha_sign"] == "repulsive"
+
+
+def test_derive_rejects_a_negative_rho_cap():
+    args = ["derive", "--family", "curved-c", "--regime", "hyperbolic", "--mode", "background",
+            "-n", "-2..-1", "-D", "1..4"]
+    code, out, err = run(args + ["--max-rho-terms=-1"])
+    assert code == 2 and out == ""
+    assert "max_rho_terms" in err
+    code, out, _ = run(args + ["--max-rho-terms=0"])
+    assert code == 0 and json.loads(out)
 
 
 def test_derive_empty_is_success():
@@ -426,6 +437,40 @@ def test_json_outputs_reserialize_identically():
         _, out2, _ = run(args)
         assert out == out2
         assert json.loads(out2) == parsed
+
+
+# -- the README's CLI block ------------------------------------------------------
+
+
+def _readme_cli_lines():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.strip()]
+
+
+README_VALUES = {
+    "48π": lambda got: got["mass"] == pytest.approx(48.0 * math.pi, rel=1e-10),
+    "divergent:small-r": lambda got: got["mass"] is None and got["divergent"] == "small-r",
+    "16": lambda got: got["mass"] == pytest.approx(16.0, rel=1e-9),
+}
+
+
+def test_readme_cli_block_runs_as_documented():
+    checked = set()
+    for line in _readme_cli_lines():
+        command, _, note = line.partition("#")
+        stdin_text = None
+        for stage in command.split("|"):
+            argv = shlex.split(stage)
+            assert argv[0] == "ccsp", line
+            code, out, err = run(argv[1:], stdin_text)
+            assert code == 0, (line, err)
+            stdin_text = out
+        value = note.split()[0] if note.strip() else None
+        if value in README_VALUES:
+            assert README_VALUES[value](json.loads(out)), (line, out)
+            checked.add(value)
+    assert checked == set(README_VALUES)
 
 
 # -- python -m ccsp ---------------------------------------------------------------

@@ -265,6 +265,16 @@ def test_background_rejects_pure_power_family():
         solve_background(Basis.FLAT_R, Regime.FLAT, [-2], [6])
 
 
+def test_negative_rho_cap_is_rejected():
+    # a cap of -1 would reject every cell, a vanishing source included
+    with pytest.raises(ValueError, match="max_rho_terms"):
+        solve_background(Basis.CURVED_C, Regime.HYPERBOLIC, range(-2, 0), range(1, 5), max_rho_terms=-1)
+    with pytest.raises(ValueError, match="max_rho_terms"):
+        evaluate_candidate(AnsatzFamily(Basis.CURVED_C, -1), Regime.HYPERBOLIC, 4, "background", -1)
+    # a cap of 0 is a real cap: it keeps the hits whose source vanishes
+    assert solve_background(Basis.CURVED_C, Regime.HYPERBOLIC, range(-2, 0), range(1, 5), max_rho_terms=0)
+
+
 # -- alpha-sign classification ----------------------------------------------------
 
 
@@ -465,6 +475,25 @@ def test_candidate_exponents_cover_the_support():
         assert all(p % 2 == 0 for p in support), (family, sorted(support))
         from_support = {p // 2 for p in support}
         assert derivation._candidate_exponents(family) == from_support == expected[family]
+
+
+def test_geometry_has_one_grade_per_power():
+    # G has dimension length^-4 and no amplitude: (-kappa) has dimension
+    # length^-2 and S length, so the S power fixes the curvature grade, and
+    # one X always suffices at the u^2 power
+    s_power = {Basis.CURVED_C: lambda base, odd: odd, Basis.CURVED_S: lambda base, odd: base}
+    for family in Basis:
+        for n in range(-64, 65):
+            grades = {}
+            for part in derivation._geometry_parts(AnsatzFamily(family, n)):
+                for t in part.terms:
+                    grades.setdefault((t.base, t.odd), set()).add((t.kappa, t.alpha, t.amp))
+            for (base, odd), found in grades.items():
+                assert len(found) == 1, (family, n, base, odd, found)
+                ((kappa, alpha, amp),) = found
+                assert (alpha, amp) == (0, 0)
+                s = 0 if family.is_flat else s_power[family](base, odd) + 4
+                assert 2 * kappa == s, (family, n, base, odd)
 
 
 # -- every dimension classified at once ----------------------------------------

@@ -576,6 +576,36 @@ def test_divergent_ends():
     assert mass(get_solution("HYP_U3"), -1.0, -1.0).where == "large-r"
 
 
+@pytest.mark.parametrize(
+    "sid, kappa, segment, tag, where",
+    [
+        # SPH_U1: a pole at the equator splits [0, pi] in two
+        ("SPH_U1", 1.0, 0, "small-r", "small-r"),
+        ("SPH_U1", 1.0, 0, "large-r", "r=1.5708"),
+        ("SPH_U1", 1.0, 1, "small-r", "r=1.5708"),
+        ("SPH_U1", 1.0, 1, "large-r", "r=3.14159"),
+        # SPH_U2: poles at both ends of the one segment [0, pi]
+        ("SPH_U2", 1.0, 0, "small-r", "small-r"),
+        ("SPH_U2", 1.0, 0, "large-r", "r=3.14159"),
+        # HYP_U1: one segment [0, inf]
+        ("HYP_U1", -1.0, 0, "small-r", "small-r"),
+        ("HYP_U1", -1.0, 0, "large-r", "large-r"),
+    ],
+)
+def test_divergence_tag_comes_from_the_segment(monkeypatch, sid, kappa, segment, tag, where):
+    sol = get_solution(sid)
+    segments = []
+
+    def stub(f, lo, hi, rel_tol=None):
+        segments.append((lo, hi))
+        return Divergent(tag) if len(segments) - 1 == segment else 1.0
+
+    monkeypatch.setattr(numeric, "integrate_radial", stub)
+    got = mass(sol, kappa, _params(sol)[1])
+    assert isinstance(got, Divergent) and got.where == where
+    assert len(segments) == segment + 1
+
+
 def test_charge_balance_sech():
     sol = get_solution("BG_1D_SECH")
     rho = sol.rho_fn(-1.0, 1.0)
