@@ -10,21 +10,29 @@ with independent machinery:
   the evaluator that :meth:`ccsp.symbolic.RadialExpr.compile` returns;
 * adaptive quadrature on 15 + 7 Gauss-Legendre nodes, the pending
   panels of a bisection level evaluated in one call and reduced by one
-  batched product per rule (bit for bit the row-by-row np.dot), stopping
-  at the first non-finite panel or at a panel unresolved at the depth
-  cap, with improper endpoints probed by dyadic windows (halving toward a
-  finite endpoint, doubling toward infinity).  The first panels of a
-  block of windows share one call; the windows are then walked in order,
-  so each sum is the window-by-window one.  A tail or endpoint whose
-  window contributions stop shrinking (ratio >= 0.9 over eight
-  consecutive windows) fails the Cauchy test and the integral is
-  classified DIVERGENT -- a result, not an error;
+  batched product per rule (bit for bit the row-by-row np.dot).  A job
+  fails at its first non-finite panel or at a panel unresolved at the
+  depth cap.  Every decision is err <= tol 2^-depth with exact halving,
+  so each job also yields the interval [low, high) of tolerances that
+  give it the same bits;
+* improper endpoints probed by dyadic windows (halving toward a finite
+  endpoint, doubling toward infinity; QUADPACK's QAGI windows, Piessens
+  et al. 1983).  One pass probes the core and the next block of windows
+  at both ends in one call, then bisects them all at once, each window at
+  a speculative tolerance from the first-panel estimates before it.  The
+  ordered walk takes a window's speculative value when its real tolerance
+  lies in the window's interval and bisects it alone otherwise, so each
+  sum is the window-by-window one.  A tail or endpoint whose window
+  contributions stop shrinking (ratio >= 0.9 over eight consecutive
+  windows) fails the Cauchy test and the integral is classified
+  DIVERGENT -- a result, not an error;
 * one weighted integral S_(D-1) int g S^p dr over the manifold (S the
   curvature-scaled sine), for the mass, T, Q and the charge balance
   int (u^2 + rho) = 0 that a compact manifold forces;
 * second-order central finite differences for the radial Laplacian,
   giving PDE residuals for both field equations on singularity-avoiding
-  grids;
+  grids, u and V each evaluated once on the stacked stencil r + h, r,
+  r - h;
 * radial inversion of -Lap with decay normalization, via nested adaptive
   quadrature whose cumulative integrals are sums over fixed anchors a
   quarter octave apart plus each point's gap from the last anchor it
@@ -77,15 +85,16 @@ __all__ = [
 DEFAULT_REL_TOL = 1e-10
 ABS_FLOOR = 1e-14
 MAX_DEPTH = 30
-MAX_PANELS = 2**16      # bisected panels one level of _adaptive_many may hold
+MAX_PANELS = 2**16      # bisected panels one level of _bisect may hold
 NESTED_REL_TOL = 1e-11  # poisson_invert and pohozaev_functionals (Q's outer: 1e-9)
 MASS_REL_TOL = 1e-8     # verify: quadrature mass against the closed form
-WINDOW_BLOCK = 8        # Cauchy windows whose first panels share one integrand call
+WINDOW_BLOCK = 16       # Cauchy windows per end probed and bisected in one pass
 GRID_R_CAP = 10.0       # noncompact default grids end here (times the flat scale)
 
 _X7, _W7 = leggauss(7)
 _X15, _W15 = leggauss(15)
 _NODES = np.concatenate([_X15, _X7])
+_W15_COLUMN, _W7_COLUMN = _W15[:, None], _W7[:, None]
 
 
 # -- array evaluation -----------------------------------------------------
@@ -178,27 +187,41 @@ def _json_value(x):
 def _panels(f: Callable, lo: list, hi: list) -> tuple[list, list]:
     """15- and 7-point Gauss-Legendre estimates of many panels from one
     call of f on all their nodes (22 per panel; the rules share only the
-    midpoint).  Returns the lists of I15 and |I15 - I7| per panel, with
-    (nan, inf) for a panel whose estimates are not finite.  Each rule is
-    one stack of 1 x n by n x 1 products, which numpy reduces row by row
-    in the dot loop of np.dot, so a panel's bits do not depend on the
-    other panels evaluated with it (a plain matrix-vector product would
-    change them in the last bit)."""
+    midpoint), with f's floating-point errors ignored.  Returns the lists
+    of I15 and |I15 - I7| per panel, with (nan, inf) for a panel whose
+    estimates are not finite.  Each rule is one stack of 1 x n by n x 1
+    products, which numpy reduces row by row in the dot loop of np.dot, so
+    a panel's bits do not depend on the other panels evaluated with it (a
+    plain matrix-vector product would change them in the last bit)."""
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     x = mid[:, None] + half[:, None] * _NODES
-    fx = np.asarray(f(x.ravel()), dtype=float).reshape(x.shape)[:, None, :]
-    with np.errstate(over="ignore", invalid="ignore"):
-        i15 = half * (fx[..., :15] @ _W15[:, None]).ravel()
-        i7 = half * (fx[..., 15:] @ _W7[:, None]).ravel()
+    with np.errstate(all="ignore"):
+        fx = np.asarray(f(x.ravel()), dtype=float).reshape(x.shape)[:, None, :]
+        i15 = half * (fx[..., :15] @ _W15_COLUMN).ravel()
+        i7 = half * (fx[..., 15:] @ _W7_COLUMN).ravel()
         err = np.abs(i15 - i7)
+        # a finite sum of the errors makes every I15 and I7 finite
+        if math.isfinite(err.sum()):
+            return i15.tolist(), err.tolist()
     finite = np.isfinite(i15) & np.isfinite(i7)
-    if finite.all():
-        return i15.tolist(), err.tolist()
     return np.where(finite, i15, math.nan).tolist(), np.where(finite, err, math.inf).tolist()
 
 
-def _adaptive_many(f: Callable, jobs: list, first: Optional[tuple[list, list]] = None) -> list[float]:
+class _Bisection(NamedTuple):
+    """What :func:`_bisect` returns.  Per job: its value and the interval
+    low <= t < high of tolerances t >= ABS_FLOOR under which its bisection
+    takes the same decisions, and so returns the same bits (empty for a
+    job that failed); and the jobs that failed, with why, in the order the
+    failures were found."""
+
+    values: list
+    low: list
+    high: list
+    failed: dict
+
+
+def _bisect(f: Callable, jobs: list, first: Optional[tuple[list, list]] = None) -> _Bisection:
     """Adaptive bisection with the 15/7 pair on each job (a, b, tol),
     with one call of f per bisection level for the pending panels of
     every job.  `first`, if given, is the jobs' own first level as
@@ -207,52 +230,240 @@ def _adaptive_many(f: Callable, jobs: list, first: Optional[tuple[list, list]] =
     A panel is accepted when its error estimate meets its tolerance or is
     already at machine precision relative to the panel value (further
     splitting cannot improve it); otherwise both halves go to the next
-    level with half the tolerance.  A panel whose estimate is not finite
-    raises ValueError at once: its error is infinite, so it could never
-    be accepted, and bisecting it would only integrate its finite parts
-    before failing on the rest.  An integrand that is not finite at a
-    single node therefore raises too, where bisection might have stepped
-    around that node.  A panel still unaccepted after MAX_DEPTH bisections
-    raises as well, so an interior pole is an error, not a number, and so
-    does a level of more than MAX_PANELS bisected panels, which bounds
-    memory.  The
-    leaves are summed as left + right up the bisection tree, so each
-    result is the one recursive bisection of its job returns.
+    level with half the tolerance.  A job fails, and is bisected no
+    further, at a panel whose estimate is not finite: its error is
+    infinite, so it could never be accepted, and bisecting it would only
+    integrate its finite parts.  An integrand that is not finite at a
+    single node therefore fails too, where bisection might have stepped
+    around that node.  A job with a panel still unaccepted after MAX_DEPTH
+    bisections fails as well, so an interior pole is an error, not a
+    number; and a level of more than MAX_PANELS bisected panels, which
+    bounds memory, fails every job still open.  The leaves are summed as
+    left + right up the bisection tree, so each value is the one
+    recursive bisection of its job returns.
+
+    Every decision at depth d is err <= tol 2^-d, and halving is exact for
+    tol >= ABS_FLOOR, so it reads err 2^d <= tol: the tree, and the value,
+    stay the same for every tolerance from the largest err 2^d of a panel
+    accepted by the tolerance alone (low) up to, not including, the
+    smallest err 2^d of a split panel (high).
     """
     lo, hi, tol = map(list, zip(*jobs))
+    owner = list(range(len(jobs)))
+    low, high = [0.0] * len(jobs), [math.inf] * len(jobs)
+    failed: dict[int, str] = {}
     levels: list[tuple[list, list]] = []  # per level: values, split panels
     while lo:
         ests, errs = first if first is not None else _panels(f, lo, hi)
         first = None
+        scale = 2.0 ** len(levels)
         split = []
-        for k, (est, err) in enumerate(zip(ests, errs)):
+        for k, (est, err, t, j) in enumerate(zip(ests, errs, tol, owner)):
+            if err <= 5e-15 * abs(est):
+                continue
             if not math.isfinite(est):
-                raise ValueError(f"integrand not finite on [{lo[k]}, {hi[k]}]")
-            if not (err <= tol[k] or err <= 5e-15 * abs(est)):
+                failed.setdefault(j, f"integrand not finite on [{lo[k]}, {hi[k]}]")
+            elif err <= t:
+                if err * scale > low[j]:
+                    low[j] = err * scale
+            else:
+                if err * scale < high[j]:
+                    high[j] = err * scale
                 split.append(k)
+        if failed:
+            split = [k for k in split if owner[k] not in failed]
         if split and len(levels) == MAX_DEPTH:
-            k = split[0]
-            raise ValueError(f"no convergence after {MAX_DEPTH} bisections on [{lo[k]}, {hi[k]}]")
+            for k in split:
+                failed.setdefault(owner[k], f"no convergence after {MAX_DEPTH} bisections on [{lo[k]}, {hi[k]}]")
+            split = []
         if 2 * len(split) > MAX_PANELS:
             a, b = min(lo[k] for k in split), max(hi[k] for k in split)
-            raise ValueError(f"more than {MAX_PANELS} panels to bisect in one level on [{a}, {b}]")
+            for k in split:
+                failed.setdefault(owner[k], f"more than {MAX_PANELS} panels to bisect in one level on [{a}, {b}]")
+            split = []
         levels.append((ests, split))
-        lo, hi, tol = (
-            [x for k in split for x in (lo[k], 0.5 * (lo[k] + hi[k]))],
-            [x for k in split for x in (0.5 * (lo[k] + hi[k]), hi[k])],
+        mid = [0.5 * (lo[k] + hi[k]) for k in split]
+        lo, hi, tol, owner = (
+            [x for k, m in zip(split, mid) for x in (lo[k], m)],
+            [x for k, m in zip(split, mid) for x in (m, hi[k])],
             [0.5 * tol[k] for k in split for _ in (0, 1)],
+            [owner[k] for k in split for _ in (0, 1)],
         )
     below: list[float] = []
     for values, split in reversed(levels):
         for i, k in enumerate(split):
             values[k] = below[2 * i] + below[2 * i + 1]
         below = values
-    return below
+    for j in failed:
+        below[j], low[j] = math.nan, math.inf
+    return _Bisection(below, low, high, failed)
+
+
+def _adaptive_many(f: Callable, jobs: list) -> list[float]:
+    """The values of :func:`_bisect`; the first failure found raises
+    ValueError, as it would in a bisection that stopped there."""
+    done = _bisect(f, jobs)
+    if done.failed:
+        raise ValueError(next(iter(done.failed.values())))
+    return done.values
 
 
 def _adaptive(f: Callable, a: float, b: float, tol: float) -> float:
     """:func:`_adaptive_many` on one job."""
     return _adaptive_many(f, [(a, b, tol)])[0]
+
+
+class _Walk:
+    """One end's Cauchy windows, summed in order.
+
+    The sum settles when two consecutive windows are negligible, and
+    diverges when a window is not finite, when eight window-to-window
+    ratios in a row are >= 0.9 while the window is still non-negligible,
+    or when max_windows windows do not settle it.  Windows are taken in
+    blocks of up to WINDOW_BLOCK, which :func:`_walk` probes.
+    """
+
+    def __init__(self, windows, tol_of: Callable[[float], float], where: str, max_windows: int) -> None:
+        self.windows = iter(windows)
+        self.tol_of = tol_of
+        self.where = where
+        self.left = max_windows
+        self.result: Optional[Quadrature] = None  # the sum or Divergent, once settled
+        self.block: list = []                     # windows taken, not yet walked
+        # the sum so far, the next window's tolerance, the last window, and
+        # the negligible windows and the ratios >= 0.9 seen in a row
+        self.acc = 0.0
+        self.tol = max(tol_of(0.0), ABS_FLOOR)
+        self.prev: Optional[float] = None
+        self.quiet = 0
+        self.rising = 0
+
+    def take(self) -> list:
+        """The block to walk next; when no window is left it is empty,
+        and the end diverges."""
+        if not self.block:
+            self.block = list(islice(self.windows, min(WINDOW_BLOCK, self.left)))
+            self.left -= len(self.block)
+            if not self.block:
+                self.result = Divergent(self.where)
+        return self.block
+
+    def guesses(self, ests: list) -> list[float]:
+        """The block's speculative tolerances: each window's, were the
+        windows before it worth their first-panel estimates, up to the
+        window where such a walk would settle."""
+        state = self.acc, self.tol, self.prev, self.quiet, self.rising
+        tols = []
+        for est in ests:
+            tols.append(self.tol)
+            if self._add(est) is not None:
+                break
+        self.acc, self.tol, self.prev, self.quiet, self.rising = state
+        return tols
+
+    def walk(self, f: Callable, firsts: Optional[tuple[list, list]], done: Optional[_Bisection], jobs) -> None:
+        """Walk the block.  Window i takes the value of job jobs[i] of the
+        speculative bisection `done` when its real tolerance lies in that
+        job's interval.  Otherwise, or past the end of `jobs`, it is
+        bisected alone from its first panel (ests, errs of `firsts`, None
+        if not evaluated), as a window-by-window walk does."""
+        for i, (lo, hi) in enumerate(self.block):
+            if done is not None and i < len(jobs) and done.low[jobs[i]] <= self.tol < done.high[jobs[i]]:
+                w = done.values[jobs[i]]
+            else:
+                try:
+                    one = _bisect(f, [(lo, hi, self.tol)], firsts and ([firsts[0][i]], [firsts[1][i]]))
+                    w = None if one.failed else one.values[0]
+                except (ValueError, OverflowError):
+                    w = None
+            self.result = self._add(w)
+            if self.result is not None:
+                break
+        self.block = []
+
+    def _add(self, w: Optional[float]) -> Optional[Quadrature]:
+        """Sum the next window (None: it failed); the result once settled."""
+        if w is None or not math.isfinite(w):
+            return Divergent(self.where)
+        self.acc += w
+        self.tol = tol = max(self.tol_of(self.acc), ABS_FLOOR)
+        if abs(w) <= tol:
+            self.quiet += 1
+            if self.quiet >= 2:
+                return self.acc
+        else:
+            self.quiet = 0
+        if self.prev:  # a first or zero window gives no ratio
+            self.rising = self.rising + 1 if abs(w) / abs(self.prev) >= 0.9 else 0
+            if self.rising >= 8 and abs(w) > tol:
+                return Divergent(self.where)
+        self.prev = w
+        return None
+
+
+def _walk(f: Callable, walks: list[_Walk], core: Optional[tuple] = None) -> Optional[float]:
+    """Settle each end of `walks` in turn; an end after one that diverged
+    is left open.  Returns the value of the core job (a, b, tol), if any.
+
+    Each pass probes, in one call of f, the first panels of the core (in
+    the first pass only) and of the next block of every open end, then
+    bisects all of them in one :func:`_bisect`: the core at its own
+    tolerance, each window up to where the walk would settle at its
+    speculative one (:meth:`_Walk.guesses`).  Each end is then walked in
+    order (:meth:`_Walk.walk`), and so every result is bit for bit the one
+    of the core bisected alone and the ends walked window by window.
+    Windows past the stopping point may overflow or fail; their float
+    errors are ignored and their failures only cost the speculation.  A
+    ValueError or OverflowError raised by f costs the pass: if the shared
+    call raises, the core is bisected alone and each end walked alone; if
+    the bisection raises, every window falls back.
+    """
+    value = None
+    while True:
+        live = []
+        for w in walks:
+            if isinstance(w.result, Divergent):
+                break
+            if w.result is None and w.take():
+                live.append(w)
+        if core is None and not live:
+            return value
+        spans = ([core[:2]] if core else []) + [span for w in live for span in w.block]
+        try:
+            ests, errs = _panels(f, *zip(*spans))
+        except (ValueError, OverflowError):
+            if len(live) + (core is not None) == 1:
+                live[0].walk(f, None, None, ())
+                continue
+            value = _adaptive(f, *core) if core else value
+            for w in live:
+                _walk(f, [w])
+                if isinstance(w.result, Divergent):
+                    break
+            return value
+        jobs = [core] if core else []
+        plan = []  # per end: where its block starts in spans, its job numbers
+        at = len(jobs)
+        first = (ests[:at], errs[:at])
+        for w in live:
+            tols = w.guesses(ests[at : at + len(w.block)])
+            plan.append((at, range(len(jobs), len(jobs) + len(tols))))
+            jobs += [(lo, hi, t) for (lo, hi), t in zip(w.block, tols)]
+            first[0].extend(ests[at : at + len(tols)])
+            first[1].extend(errs[at : at + len(tols)])
+            at += len(w.block)
+        try:
+            done: Optional[_Bisection] = _bisect(f, jobs, first)
+        except (ValueError, OverflowError):
+            done = None
+        if core:
+            value = done.values[0] if done is not None and 0 not in done.failed else _adaptive(f, *core)
+            core = None
+        for w, (at, numbers) in zip(live, plan):
+            end = at + len(w.block)
+            w.walk(f, (ests[at:end], errs[at:end]), done, numbers)
+            if isinstance(w.result, Divergent):
+                break
 
 
 def _cauchy_windows(
@@ -262,53 +473,12 @@ def _cauchy_windows(
     where: str,
     max_windows: int = 200,
 ) -> Quadrature:
-    """Sum window contributions until they become negligible.
-
-    Declares divergence when the last eight window magnitudes fail to
-    shrink (ratio >= 0.9 while still non-negligible) or a window is not
-    finite.  A window's first panel does not depend on the tolerance, so
-    the first panels of up to WINDOW_BLOCK windows are evaluated in one
-    call; the windows are then walked in order, each one bisected further
-    from its first panel if needed, and every result is the one window by
-    window evaluation gives.
-    """
-    windows = iter(windows)
-    acc = 0.0
-    ratios: list[float] = []
-    prev: Optional[float] = None
-    quiet = 0
-    seen = 0
-    while block := list(islice(windows, min(WINDOW_BLOCK, max_windows - seen))):
-        seen += len(block)
-        try:
-            # windows past the stopping point may overflow: ignore their
-            # floating-point errors, they are not part of the sum
-            with np.errstate(all="ignore"):
-                ests, errs = _panels(f, *map(list, zip(*block)))
-            firsts = [([est], [err]) for est, err in zip(ests, errs)]
-        except (ValueError, OverflowError):
-            firsts = [None] * len(block)  # one window at a time
-        for (lo, hi), first in zip(block, firsts):
-            try:
-                w = _adaptive_many(f, [(lo, hi, max(tol_of(acc), ABS_FLOOR))], first)[0]
-            except (ValueError, OverflowError):
-                return Divergent(where)
-            if not math.isfinite(w):
-                return Divergent(where)
-            acc += w
-            tol = max(tol_of(acc), ABS_FLOOR)
-            if abs(w) <= tol:
-                quiet += 1
-                if quiet >= 2:
-                    return acc
-            else:
-                quiet = 0
-            if prev is not None and abs(prev) > 0:
-                ratios.append(abs(w) / abs(prev))
-                if len(ratios) >= 8 and all(r >= 0.9 for r in ratios[-8:]) and abs(w) > tol:
-                    return Divergent(where)
-            prev = w
-    return Divergent(where)
+    """Sum window contributions until they become negligible (the rules of
+    :class:`_Walk`), probing blocks of windows as :func:`_walk` does: the
+    result is the one a window-by-window walk gives."""
+    end = _Walk(windows, tol_of, where, max_windows)
+    _walk(f, [end])
+    return end.result
 
 
 def integrate_radial(
@@ -323,6 +493,14 @@ def integrate_radial(
     finite and positive.  Returns a float or :class:`Divergent` tagged with
     the offending end; genuine poles in the open interior are errors, not
     divergences.
+
+    The core [a0, b0] is bisected to rel_tol relative to 1e-3, and each end
+    summed over dyadic windows (QUADPACK's QAGI extrapolation, Piessens et
+    al. 1983, without the epsilon table): doubling toward infinity, halving
+    toward a finite end.  The core and the first block of both ends share
+    one probe (:func:`_walk`); the result is bit for bit the one of the
+    core bisected first, then the large-r end walked window by window and,
+    unless it diverged, the small-r end.
     """
     if not (r_lo >= 0) or (math.isfinite(r_hi) and r_hi <= r_lo):
         raise ValueError(f"bad interval ({r_lo}, {r_hi})")
@@ -343,15 +521,13 @@ def integrate_radial(
         b0 = r_hi - d
         hi_windows = ((r_hi - d / 2.0**k, r_hi - d / 2.0 ** (k + 1)) for k in range(10**6))
         max_windows = 200
-    core = _adaptive(f, a0, b0, tol_of(0.0))
-    hi_part = _cauchy_windows(f, hi_windows, tol_of, "large-r", max_windows)
-    if isinstance(hi_part, Divergent):
-        return hi_part
-
     lo_windows = ((r_lo + d / 2.0 ** (k + 1), r_lo + d / 2.0**k) for k in range(10**6))
-    lo_part = _cauchy_windows(f, lo_windows, tol_of, "small-r")
-    if isinstance(lo_part, Divergent):
-        return lo_part
+    ends = [_Walk(hi_windows, tol_of, "large-r", max_windows), _Walk(lo_windows, tol_of, "small-r", 200)]
+    core = _walk(f, ends, (a0, b0, tol_of(0.0)))
+    hi_part, lo_part = (end.result for end in ends)
+    for part in (hi_part, lo_part):
+        if isinstance(part, Divergent):
+            return part
     return core + lo_part + hi_part
 
 
@@ -377,13 +553,13 @@ def mass(
 
 def _weighted(space: Space, g: Callable, power: int) -> Callable:
     """r -> g(r) S(r)^power, with S the space's curvature-scaled sine.
-    Overflow and poles give inf or nan, which the quadrature reports."""
+    Overflow and poles give inf or nan, which the quadrature reports (it
+    evaluates f with floating-point errors ignored)."""
     s_fn = metric(space).S
 
     def f(r):
         r = np.asarray(r, dtype=float)
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            return g(r) * s_fn(r) ** power
+        return g(r) * s_fn(r) ** power
 
     return f
 
@@ -521,7 +697,11 @@ def fd_residual(
     grid: Optional[Grid] = None,
 ) -> tuple[float, float]:
     """Max-norm residuals of both field equations under a second-order
-    central-difference radial Laplacian, normalized by max(|u|, 1)."""
+    central-difference radial Laplacian, normalized by max(|u|, 1).
+
+    u and V are each evaluated once, on the stacked stencil rows r + h, r
+    and r - h (elementwise, so with the bits of three separate calls), and
+    rho once on r."""
     if grid is None:
         grid = default_grid(sol, kappa)
     space = sol.space(kappa)
@@ -532,18 +712,20 @@ def fd_residual(
     r = grid.r_values
     h = grid.h
     inv_t = metric(space).inv_T(r)
+    stencil = np.stack([r + h, r, r - h])
+    us, vs, rho0 = u(stencil), v(stencil), rho(r)
 
-    def lap(fn):
-        fp, f0, fm = fn(r + h), fn(r), fn(r - h)
+    def lap(rows):
+        fp, f0, fm = rows
         second = (fp - 2.0 * f0 + fm) / h**2
         first = (fp - fm) / (2.0 * h)
         if sol.dim == 1:
             return second
         return second + (sol.dim - 1) * inv_t * first
 
-    u0, v0, rho0 = u(r), v(r), rho(r)
-    res_schro = -lap(u) + alpha * v0 * u0 - omega * u0
-    res_poisson = -lap(v) - u0**2 - rho0
+    u0, v0 = us[1], vs[1]
+    res_schro = -lap(us) + alpha * v0 * u0 - omega * u0
+    res_poisson = -lap(vs) - u0**2 - rho0
     norm = max(float(np.max(np.abs(u0))), 1.0)
     return (
         float(np.max(np.abs(res_schro))) / norm,
@@ -634,7 +816,8 @@ def poisson_invert(
     # push until the remaining tail is negligible
     r_far = 20.0 if space.regime is Regime.FLAT else 40.0 / math.sqrt(-space.kappa)
     while True:
-        g = float(outer(r_far))
+        with np.errstate(all="ignore"):
+            g = float(outer(r_far))
         tail_est = abs(g) * r_far  # decays at least like s^(1-D), D >= 3 safe
         if tail_est < 1e-13 or r_far > 1e7:
             break
