@@ -32,7 +32,6 @@ from .catalog import (
 
 _NUMERIC_NAMES = frozenset({
     "Divergent",
-    "Grid",
     "PohozaevFunctionals",
     "VerificationReport",
     "compactness_obstruction_check",

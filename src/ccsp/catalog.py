@@ -88,6 +88,12 @@ class Solution(DerivationHit):
     def _exprs(self) -> tuple[RadialExpr, RadialExpr]:
         return solution_exprs(self)
 
+    @cached_property
+    def _derivatives(self) -> tuple[RadialExpr, RadialExpr, RadialExpr, RadialExpr]:
+        """u', u'', V' and V''."""
+        du, dv = self.u.diff(), self.V.diff()
+        return du, du.diff(), dv, dv.diff()
+
     @property
     def u(self) -> RadialExpr:
         return self._exprs[0]
@@ -135,7 +141,14 @@ class Solution(DerivationHit):
         return self._field_fn(self.u, kappa, alpha, -2)
 
     def du_fn(self, kappa: float, alpha: float) -> Callable:
-        return self._field_fn(self.u.diff(), kappa, alpha, -3)
+        return self._field_fn(self._derivatives[0], kappa, alpha, -3)
+
+    def derivative_fns(self, kappa: float, alpha: float) -> tuple[Callable, ...]:
+        """u', u'', V' and V'' as functions of r at (kappa, alpha)."""
+        return tuple(
+            self._field_fn(expr, kappa, alpha, power)
+            for expr, power in zip(self._derivatives, (-3, -4, -3, -4))
+        )
 
     def v_fn(self, kappa: float, alpha: float) -> Callable:
         return self._field_fn(self.V, kappa, alpha, -2)

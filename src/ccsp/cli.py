@@ -389,6 +389,8 @@ def _cmd_eval(args) -> int:
     kappa, alpha = _default_params(sol, args.kappa, args.R, args.alpha)
     rs = args.r
     space = sol.space(kappa)
+    if rs[0] < 0:
+        raise ValueError(f"grid starts at r = {rs[0]:.6g}, but a geodesic radius is nonnegative")
     if math.isfinite(space.r_max) and rs[-1] > space.r_max + 1e-12:
         raise ValueError(f"grid extends beyond the domain end {space.r_max:.6g}")
     for s in sol.singular_radii_values(kappa):

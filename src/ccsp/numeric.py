@@ -1,5 +1,5 @@
-"""Numerical verification layer: array evaluation, quadrature, finite
-differences, inversion.  This is the only module besides the CLI that
+"""Numerical verification layer: array evaluation, quadrature, PDE
+residuals, inversion.  This is the only module besides the CLI that
 imports numpy.
 
 Everything here treats the symbolic layer as ground truth and checks it
@@ -29,10 +29,9 @@ with independent machinery:
 * one weighted integral S_(D-1) int g S^p dr over the manifold (S the
   curvature-scaled sine), for the mass, T, Q and the charge balance
   int (u^2 + rho) = 0 that a compact manifold forces;
-* second-order central finite differences for the radial Laplacian,
-  giving PDE residuals for both field equations on singularity-avoiding
-  grids, u and V each evaluated once on the stacked stencil r + h, r,
-  r - h;
+* PDE residuals of both field equations on grids clear of the profile's
+  poles, each Laplacian assembled in floats as f'' + (D-1) f' / T from the
+  exact derivatives of u and V;
 * radial inversion of -Lap with decay normalization, via nested adaptive
   quadrature whose cumulative integrals are sums over fixed anchors a
   quarter octave apart plus each point's gap from the last anchor it
@@ -66,7 +65,6 @@ __all__ = [
     "metric",
     "evaluator",
     "Divergent",
-    "Grid",
     "default_grid",
     "integrate_radial",
     "mass",
@@ -90,6 +88,7 @@ NESTED_REL_TOL = 1e-11  # poisson_invert and pohozaev_functionals (Q's outer: 1e
 MASS_REL_TOL = 1e-8     # verify: quadrature mass against the closed form
 WINDOW_BLOCK = 16       # Cauchy windows per end probed and bisected in one pass
 GRID_R_CAP = 10.0       # noncompact default grids end here (times the flat scale)
+GRID_POINTS = 2000      # radii of a default grid, shared among its smooth segments
 
 _X7, _W7 = leggauss(7)
 _X15, _W15 = leggauss(15)
@@ -632,41 +631,15 @@ def compactness_obstruction_check(sol: "Solution", kappa: float = 1.0, alpha: Op
     return CompactnessReport(sol.id, has_sing, abs(total) <= 1e-10, total, f"total charge {total:.3e}")
 
 
-# -- finite-difference residuals -----------------------------------------
+# -- PDE residuals ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Grid:
-    """Evaluation radii plus the stencil step, kept clear of singularities."""
-
-    r_values: np.ndarray
-    h: float
-    singular_radii: tuple[float, ...] = ()
-
-    def __post_init__(self) -> None:
-        r = np.asarray(self.r_values, dtype=float)
-        if r.ndim != 1 or len(r) == 0:
-            raise ValueError("grid must be a nonempty 1-d array")
-        if np.any(np.diff(r) <= 0):
-            raise ValueError("grid radii must be strictly increasing")
-        for s in self.singular_radii:
-            if np.min(np.abs(r - s)) < 10.0 * self.h:
-                raise ValueError(f"grid point within 10 h of the singular radius {s}")
-        object.__setattr__(self, "r_values", r)
-
-
-def default_grid(
-    sol: "Solution",
-    kappa: float,
-    n_points: int = 2000,
-    h: float = 1e-4,
-) -> Grid:
-    """Per-solution verification grid.
+def default_grid(sol: "Solution", kappa: float) -> np.ndarray:
+    """Per-solution verification radii, strictly increasing.
 
     Each maximal smooth segment of the domain contributes points, inset by
     0.1 from coordinate endpoints and by ~1 from genuine poles of the
-    profile (steep inverse powers need the larger margin for the stencil
-    to resolve them in double precision).
+    profile.
     """
     space = sol.space(kappa)
     sing = sol.singular_radii_values(kappa)
@@ -676,8 +649,6 @@ def default_grid(
     segments = []
     for a, b in zip(cuts[:-1], cuts[1:]):
         length = b - a
-        # genuine poles need a wide margin: the stencil must resolve the
-        # inverse powers to 1e-6 in double precision
         inset_a = min(1.0, 0.45 * length) if a in sing else min(0.1, 0.25 * length)
         inset_b = min(1.0, 0.45 * length) if b in sing else min(0.1, 0.25 * length)
         aa, bb = a + inset_a, b - inset_b
@@ -685,48 +656,37 @@ def default_grid(
             segments.append((aa, bb))
     if not segments:
         raise ValueError("no smooth segment wide enough for a grid")
-    per = max(8, n_points // len(segments))
+    per = max(8, GRID_POINTS // len(segments))
     # the segments are disjoint and increasing, so the radii already are
-    return Grid(np.concatenate([np.linspace(a, b, per) for a, b in segments]), h, tuple(sing))
+    return np.concatenate([np.linspace(a, b, per) for a, b in segments])
 
 
 def fd_residual(
     sol: "Solution",
     kappa: float,
     alpha: float,
-    grid: Optional[Grid] = None,
+    r: Optional[np.ndarray] = None,
 ) -> tuple[float, float]:
-    """Max-norm residuals of both field equations under a second-order
-    central-difference radial Laplacian, normalized by max(|u|, 1).
+    """Max-norm residuals of both field equations on the radii r (default:
+    :func:`default_grid`), normalized by max(|u|, 1).
 
-    u and V are each evaluated once, on the stacked stencil rows r + h, r
-    and r - h (elementwise, so with the bits of three separate calls), and
-    rho once on r."""
-    if grid is None:
-        grid = default_grid(sol, kappa)
-    space = sol.space(kappa)
-    u = sol.u_fn(kappa, alpha)
-    v = sol.v_fn(kappa, alpha)
-    rho = sol.rho_fn(kappa, alpha)
-    omega = sol.omega_value(kappa)
-    r = grid.r_values
-    h = grid.h
-    inv_t = metric(space).inv_T(r)
-    stencil = np.stack([r + h, r, r - h])
-    us, vs, rho0 = u(stencil), v(stencil), rho(r)
-
-    def lap(rows):
-        fp, f0, fm = rows
-        second = (fp - 2.0 * f0 + fm) / h**2
-        first = (fp - fm) / (2.0 * h)
-        if sol.dim == 1:
-            return second
-        return second + (sol.dim - 1) * inv_t * first
-
-    u0, v0 = us[1], vs[1]
-    res_schro = -lap(us) + alpha * v0 * u0 - omega * u0
-    res_poisson = -lap(vs) - u0**2 - rho0
-    norm = max(float(np.max(np.abs(u0))), 1.0)
+    u', u'', V' and V'' are the exact derivatives of the term algebra
+    (:meth:`ccsp.catalog.Solution.derivative_fns`), and each Laplacian is
+    assembled here in floats as f'' + (D-1) f' / T, so neither 1/T nor the
+    assembly comes from :meth:`ccsp.symbolic.RadialExpr.laplacian`.  Every
+    field is evaluated once on r.  (The name predates the exact
+    derivatives; perfbench's tracer wraps the function by it.)"""
+    if r is None:
+        r = default_grid(sol, kappa)
+    inv_t = metric(sol.space(kappa)).inv_T(r)
+    u = sol.u_fn(kappa, alpha)(r)
+    v = sol.v_fn(kappa, alpha)(r)
+    rho = sol.rho_fn(kappa, alpha)(r)
+    du, d2u, dv, d2v = (fn(r) for fn in sol.derivative_fns(kappa, alpha))
+    m = sol.dim - 1
+    res_schro = -(d2u + m * inv_t * du) + alpha * v * u - sol.omega_value(kappa) * u
+    res_poisson = -(d2v + m * inv_t * dv) - u**2 - rho
+    norm = max(float(np.max(np.abs(u))), 1.0)
     return (
         float(np.max(np.abs(res_schro))) / norm,
         float(np.max(np.abs(res_poisson))) / norm,
@@ -972,11 +932,11 @@ def verify_solution(
 ) -> VerificationReport:
     """Full numerical verification of one catalog entry.
 
-    Checks the finite-difference residuals of both equations, the mass
-    against the stored closed form (or, for infinite-mass entries, that
-    the divergence detector agrees), and optionally the flat variational
-    identities (homogeneous entries only).  residual_tol must be finite
-    and nonnegative.
+    Checks the PDE residuals of both equations, the mass against the
+    stored closed form (or, for infinite-mass entries, that the divergence
+    detector agrees), and optionally the flat variational identities
+    (homogeneous entries only).  residual_tol must be finite and
+    nonnegative.
     """
     if not (0.0 <= residual_tol < math.inf):
         raise ValueError(f"residual tolerance must be finite and nonnegative, got {residual_tol}")
@@ -1018,9 +978,8 @@ def verify_solution(
         passed=ok,
         tolerances={"residual": residual_tol, "mass_rel": MASS_REL_TOL},
         grid_meta={
-            "points": int(len(grid.r_values)),
-            "h": grid.h,
-            "r_min": float(grid.r_values[0]),
-            "r_max": float(grid.r_values[-1]),
+            "points": len(grid),
+            "r_min": float(grid[0]),
+            "r_max": float(grid[-1]),
         },
     )

@@ -150,6 +150,15 @@ def test_verify_hyperbolic_entry():
     assert code == 0 and json.loads(out)["passed"]
 
 
+@pytest.mark.parametrize("argv", [["verify", "HYP_U1", "--kappa", "-4"], ["verify", "SPH_U1", "--kappa", "4"]])
+def test_verify_passes_off_unit_curvature(argv):
+    # exact solutions at |kappa| = 4: the residuals stay at roundoff
+    code, out, _ = run(argv)
+    rep = json.loads(out)
+    assert code == 0 and rep["passed"]
+    assert max(rep["schrodinger_residual_max"], rep["poisson_residual_max"]) <= 1e-12
+
+
 def test_verify_sign_incompatible_is_domain_error():
     code, _, err = run(["verify", "FLAT_CSV", "--alpha", "+1"])
     assert code == 2
@@ -404,6 +413,16 @@ def test_eval_grid_crossing_pole_is_rejected():
     code, _, err = run(["eval", "SPH_U1", "--kappa", "1", "--alpha", "-1", "--r", "0:3.14159:100"])
     assert code == 2
     assert "singular" in err and "1.5708" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "FLAT_CSV", "--r", "-1:1:3", "--format", "csv"],
+    ["eval", "HYP_U1", "--r", "-2:0:3"],
+])
+def test_eval_rejects_negative_radii(argv):
+    # r is a geodesic radius: a grid starting below 0 is a usage error
+    code, out, err = run(argv)
+    assert code == 2 and out == "" and "nonnegative" in err
 
 
 def test_eval_grid_count_is_capped():

@@ -1,14 +1,16 @@
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from ccsp import numeric
-from ccsp.catalog import CATALOG, get_solution, scale_flat_solution
+from ccsp.catalog import CATALOG, Solution, get_solution, scale_flat_solution
 from ccsp.derivation import AlphaSign
 from ccsp.geometry import Regime, Space, metric_T, sphere_area
-from ccsp.numeric import Divergent, Grid, default_grid, integrate_radial, mass
+from ccsp.numeric import Divergent, default_grid, integrate_radial, mass
+from ccsp.symbolic import Graded
 
 HYP3 = Space.hyperbolic(-1.0, 3)
 FLAT6 = Space.flat(6)
@@ -495,7 +497,7 @@ def test_panel_call_counts(monkeypatch):
     calls.clear()
     numeric.pohozaev_functionals(get_solution("FLAT_CSV"), 0.0, -1.0)
     assert len(calls) <= 30
-    # fd_residual evaluates u and V once on the stacked stencil, rho once
+    # fd_residual evaluates each field once: u, u', u'', V, V', V'' and rho
     evaluated = []
     make = numeric.evaluator
 
@@ -516,7 +518,7 @@ def test_panel_call_counts(monkeypatch):
         grid = default_grid(sol, kappa)
         evaluated.clear()
         numeric.fd_residual(sol, kappa, sol.default_alpha, grid)
-        assert evaluated == [1, 1, 1], sol.id
+        assert evaluated == [1] * 7, sol.id
 
 
 def _record_bisections(monkeypatch):
@@ -744,7 +746,7 @@ def test_charge_balance_sech():
     assert m == pytest.approx(neg_rho_total, rel=1e-8)
 
 
-# -- finite differences ------------------------------------------------------------
+# -- PDE residuals -----------------------------------------------------------------
 
 
 def test_fd_residual_exact_solutions():
@@ -767,26 +769,48 @@ def test_fd_residual_detects_perturbation():
     assert poisson > 1e-3
 
 
-def test_fd_convergence_order():
-    # halving h from 2e-3 to 1e-3 must shrink residuals about fourfold
-    for sid in ("FLAT_CSV", "HYP_U1", "SPH_U3"):
-        sol = get_solution(sid)
-        kappa, alpha = _params(sol)
-        coarse_grid = default_grid(sol, kappa, n_points=400, h=2e-3)
-        fine_grid = default_grid(sol, kappa, n_points=400, h=1e-3)
-        c = max(numeric.fd_residual(sol, kappa, alpha, coarse_grid))
-        f = max(numeric.fd_residual(sol, kappa, alpha, fine_grid))
-        order = math.log2(c / f)
-        assert 1.5 <= order <= 2.5, (sid, order)
+def _lattice(sol):
+    # perfbench verify's lattice: |kappa| = 2^(k/2), k in -4..4, and
+    # |alpha| = 2^(j/2), j in -2..2, with both signs where either is allowed
+    kappas = [0.0] if sol.regime is Regime.FLAT else [
+        math.copysign(2.0 ** (k / 2.0), Space.unit_kappa(sol.regime)) for k in range(-4, 5)
+    ]
+    signs = {AlphaSign.ATTRACTIVE: (-1.0,), AlphaSign.REPULSIVE: (1.0,), None: (1.0, -1.0)}[sol.alpha_sign]
+    return [(kappa, sign * 2.0 ** (j / 2.0)) for kappa in kappas for j in range(-2, 3) for sign in signs]
 
 
-def test_grid_invariants():
-    with pytest.raises(ValueError):
-        Grid(np.array([1.0, 0.5]), 1e-4)
-    with pytest.raises(ValueError):
-        Grid(np.array([0.1, 0.5, 0.50005]), 1e-4, singular_radii=(0.5,))
-    g = Grid(np.array([0.1, 0.5]), 1e-4, singular_radii=(2.0,))
-    assert len(g.r_values) == 2
+def test_residuals_at_roundoff_and_sensitive_to_shifts(monkeypatch):
+    # exact derivatives leave only roundoff at every lattice point, and a
+    # relative 1e-6 shift of X, or of omega on the scale of the Schrodinger
+    # terms (max |alpha V - omega| = max |Lap u / u|), raises the residual
+    # at least a thousandfold wherever the shift is not zero
+    omega_value = Solution.omega_value
+    points, shifted = 0, {"X": 0, "omega": 0}
+    for sol in CATALOG:
+        x_law = sol.x_law
+        x_shifted = None
+        if x_law is not None:
+            x_shifted = replace(sol, x_law=Graded(x_law.coef * Fraction(1000001, 1000000), x_law.kappa))
+        for kappa, alpha in _lattice(sol):
+            points += 1
+            base = max(numeric.fd_residual(sol, kappa, alpha))
+            assert base <= 1e-12, (sol.id, kappa, alpha, base)
+            if x_shifted is not None:
+                by_x = max(numeric.fd_residual(x_shifted, kappa, alpha))
+                assert by_x > 0 and by_x >= 1e3 * base, (sol.id, kappa, alpha, base, by_x)
+                shifted["X"] += 1
+            omega = omega_value(sol, kappa)
+            v = sol.v_fn(kappa, alpha)(default_grid(sol, kappa))
+            d_omega = 1e-6 * max(abs(omega), float(np.max(np.abs(alpha * v - omega))))
+            if d_omega:
+                # shift the value fd_residual reads: shifting omega in the
+                # record would move V with it, and the residual would not see it
+                with monkeypatch.context() as patched:
+                    patched.setattr(Solution, "omega_value", lambda self, k: omega_value(self, k) + d_omega)
+                    by_omega = max(numeric.fd_residual(sol, kappa, alpha))
+                assert by_omega > 0 and by_omega >= 1e3 * base, (sol.id, kappa, alpha, base, by_omega)
+                shifted["omega"] += 1
+    assert points == 840 and shifted == {"X": 750, "omega": 750}
 
 
 # -- inversion ----------------------------------------------------------------------

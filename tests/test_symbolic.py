@@ -280,7 +280,7 @@ def test_compile_matches_reference_evaluator():
         space, amp_sq = sol.space(kappa), sol.amp_sq_value(kappa, alpha)
         # the grid, plus the centre and the poles, where values are inf or nan
         edges = [0.0, *sol.singular_radii_values(kappa)]
-        radii = np.concatenate([default_grid(sol, kappa).r_values, edges])
+        radii = np.concatenate([default_grid(sol, kappa), edges])
         for expr in (sol.u, sol.V, sol.rho):
             fn, ref = expr.compile(space, alpha, amp_sq), _reference_compile(expr, space, alpha, amp_sq)
             _assert_same_bits(fn(radii), ref(radii))
@@ -449,6 +449,66 @@ def test_diff_and_div_T_match_fd_oracle(basis):
                     assert np.allclose(got, f(radii) * inv_t, rtol=1e-12, atol=0.0)
                 checked += 1
     assert checked == len(spaces) * 9 * (2 if basis.has_odd else 1)
+
+
+def _mp_monomial(basis, space, m, r):
+    # m at r from its powers alone, in mpmath: B and O from S, C and the
+    # flat c = sqrt(1 + r^2)
+    import mpmath as mp
+
+    lam = mp.sqrt(abs(mp.mpf(space.kappa)))
+    if space.regime is Regime.FLAT:
+        s, c = r, mp.mpf(1)
+    elif space.regime is Regime.HYPERBOLIC:
+        s, c = mp.sinh(lam * r) / lam, mp.cosh(lam * r)
+    else:
+        s, c = mp.sin(lam * r) / lam, mp.cos(lam * r)
+    base, odd = {
+        Basis.FLAT_C: (mp.sqrt(1 + r * r), r),
+        Basis.FLAT_R: (s, c),
+        Basis.CURVED_C: (c, s),
+        Basis.CURVED_S: (s, c),
+    }[basis]
+    neg_kappa = -mp.mpf(space.kappa)
+    return mp.mpf(m.coeff.numerator) / m.coeff.denominator * base**m.base * odd**m.odd * neg_kappa**m.kappa
+
+
+@pytest.mark.parametrize("basis", list(Basis))
+def test_diff_matches_mpmath(basis):
+    # the compiled first and second derivatives of random monomials against
+    # mpmath.diff at 30 digits, to 1e-12 of max(|value|, |f|, 1); on the
+    # sphere the radii stay inside C > 0
+    import mpmath as mp
+
+    rng = random.Random(2026 + list(Basis).index(basis))
+    spaces = [Space.flat(3)] if basis.is_flat else [
+        Space.hyperbolic(-1.0, 3), Space.hyperbolic(-2.25, 4), Space.spherical(2.0, 4)
+    ]
+    checked = 0
+    with mp.workdps(30):
+        for space in spaces:
+            r_lo, r_hi = (0.05, 0.49 * space.r_max) if math.isfinite(space.r_max) else (0.1, 3.0)
+            for _ in range(12):
+                e = mono(
+                    basis,
+                    F(rng.randint(-9, 9) or 1, rng.randint(1, 5)),
+                    base=rng.randint(-6, 4),
+                    odd=rng.randint(0, 1) if basis.has_odd else 0,
+                    kappa=0 if basis.is_flat else rng.randint(-2, 2),
+                )
+                m, d1 = e.terms[0], e.diff()
+                derivatives = (d1.compile(space, 1.0, 1.0), d1.diff().compile(space, 1.0, 1.0))
+                for _ in range(5):
+                    r = rng.uniform(r_lo, r_hi)
+                    x = mp.mpf(r)
+                    f = abs(_mp_monomial(basis, space, m, x))
+                    for order, fn in enumerate(derivatives, start=1):
+                        want = mp.diff(lambda t: _mp_monomial(basis, space, m, t), x, order)
+                        got = float(fn(r))
+                        scale = max(abs(got), float(f), 1.0)
+                        assert abs(got - float(want)) <= 1e-12 * scale, (basis, space, m, r, order, got, want)
+                    checked += 1
+    assert checked == len(spaces) * 12 * 5
 
 
 # -- serialization -------------------------------------------------------------
