@@ -15,8 +15,10 @@ exact graded constants (rational * sphere area * pi^p * |kappa|^(k/2) *
 coupling.
 
 Every field (u, u', V, rho) is its expression compiled at (kappa, alpha)
-in one place, where the flat scale acts.  Flat homogeneous entries form a
-scaling family u_a(r) = a^-2 u(r/a); the curved entries do not scale (the
+in one place, where the flat scale acts; the residual check and `eval`
+read u, u', u'', V, V', V'' and rho from one table of them
+(`Solution.fields_fn`).  Flat homogeneous entries form a scaling family
+u_a(r) = a^-2 u(r/a); the curved entries do not scale (the
 curved Laplacian has no scale symmetry), and :func:`scale_flat_solution`
 refuses them, as it refuses background entries; a record's scale is
 re-applied through it when the record is loaded.
@@ -44,7 +46,7 @@ from .derivation import (
     solution_exprs,
 )
 from .geometry import Regime, Space, sphere_area
-from .symbolic import Basis, Graded, RadialExpr, ZERO_GRADED
+from .symbolic import Basis, Graded, RadialExpr, ZERO_GRADED, compile_table
 
 __all__ = [
     "GradedMass",
@@ -64,6 +66,9 @@ RADIAL_INTEGRAL = "RADIAL_INTEGRAL"
 class NotScalableError(ValueError):
     """Only flat homogeneous solutions form a scaling family."""
 
+
+# the flat-scale powers of u, u', u'', V, V' and V'' (rho has none)
+_FIELD_POWERS = (-2, -3, -4, -2, -3, -4)
 
 # halving r_max is exact, so the equator is bit-identical to pi/(2 sqrt(kappa))
 _TAG_RADII: dict[str, Callable[[Space], float]] = {
@@ -89,10 +94,10 @@ class Solution(DerivationHit):
         return solution_exprs(self)
 
     @cached_property
-    def _derivatives(self) -> tuple[RadialExpr, RadialExpr, RadialExpr, RadialExpr]:
-        """u', u'', V' and V''."""
+    def _fields(self) -> tuple[RadialExpr, ...]:
+        """u, u', u'', V, V', V'' and rho."""
         du, dv = self.u.diff(), self.V.diff()
-        return du, du.diff(), dv, dv.diff()
+        return self.u, du, du.diff(), self.V, dv, dv.diff(), self.rho
 
     @property
     def u(self) -> RadialExpr:
@@ -141,20 +146,30 @@ class Solution(DerivationHit):
         return self._field_fn(self.u, kappa, alpha, -2)
 
     def du_fn(self, kappa: float, alpha: float) -> Callable:
-        return self._field_fn(self._derivatives[0], kappa, alpha, -3)
-
-    def derivative_fns(self, kappa: float, alpha: float) -> tuple[Callable, ...]:
-        """u', u'', V' and V'' as functions of r at (kappa, alpha)."""
-        return tuple(
-            self._field_fn(expr, kappa, alpha, power)
-            for expr, power in zip(self._derivatives, (-3, -4, -3, -4))
-        )
+        return self._field_fn(self._fields[1], kappa, alpha, -3)
 
     def v_fn(self, kappa: float, alpha: float) -> Callable:
         return self._field_fn(self.V, kappa, alpha, -2)
 
     def rho_fn(self, kappa: float, alpha: float) -> Callable:
         return self._field_fn(self.rho, kappa, alpha)
+
+    def fields_fn(self, kappa: float, alpha: float) -> Callable:
+        """r -> [u, u', u'', V, V', V'', rho] at (kappa, alpha), from one
+        table (:func:`ccsp.symbolic.compile_table`), each field bit for bit
+        its expression compiled alone.  The flat scale acts once, as r/a,
+        and each field but rho takes its power of a as in :meth:`_field_fn`."""
+        table = compile_table(self._fields, self.space(kappa), alpha, self.amp_sq_value(kappa, alpha))
+        if self.scale == 1.0:
+            return table
+        a = self.scale
+
+        def scaled(r):
+            # rho is zero, since only homogeneous entries scale
+            *values, rho = table(r / a)
+            return [v * a**power for v, power in zip(values, _FIELD_POWERS)] + [rho]
+
+        return scaled
 
     # only flat entries scale, and their omega is 0 and their one pole the origin
     def omega_value(self, kappa: float) -> float:

@@ -396,9 +396,9 @@ def _cmd_eval(args) -> int:
     for s in sol.singular_radii_values(kappa):
         if rs[0] - 1e-12 <= s <= rs[-1] + 1e-12:
             raise ValueError(f"grid crosses the singular radius r = {s:.6g} of {sol.id}")
-    u = sol.u_fn(kappa, alpha)(rs)
-    v = sol.v_fn(kappa, alpha)(rs)
-    rho = sol.rho_fn(kappa, alpha)(rs) if not sol.rho.is_zero else [None] * len(rs)
+    u, _, _, v, _, _, rho = sol.fields_fn(kappa, alpha)(rs)
+    if sol.rho.is_zero:
+        rho = [None] * len(rs)
     columns = ["r", "u", "V", "rho"]
     data = [
         [float(r), float(uu), float(vv), None if p is None else float(p)]

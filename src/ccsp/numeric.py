@@ -7,7 +7,11 @@ with independent machinery:
 
 * array evaluation: S, C and 1/T of a space (the one regime branch for
   arrays), the array functions of each basis' base and odd factor, and
-  the evaluator that :meth:`ccsp.symbolic.RadialExpr.compile` returns;
+  the evaluator that :func:`ccsp.symbolic.compile_table` returns: for a
+  table of fields over one basis, it evaluates B(r) and O(r) once per call
+  and each distinct B^p once, whichever fields share it, and sums each
+  field's terms scale * B^p (times O) from 0.0, so every field has the
+  bits of its expression compiled alone;
 * adaptive quadrature on 15 + 7 Gauss-Legendre nodes, the pending
   panels of a bisection level evaluated in one call and reduced by one
   batched product per rule (bit for bit the row-by-row np.dot).  A job
@@ -22,10 +26,13 @@ with independent machinery:
   a speculative tolerance from the first-panel estimates before it.  The
   ordered walk takes a window's speculative value when its real tolerance
   lies in the window's interval and bisects it alone otherwise, so each
-  sum is the window-by-window one.  A tail or endpoint whose window
-  contributions stop shrinking (ratio >= 0.9 over eight consecutive
-  windows) fails the Cauchy test and the integral is classified
-  DIVERGENT -- a result, not an error;
+  sum is the window-by-window one.  A window is moot, and neither
+  speculated on nor bisected, when no quiet window comes just before it
+  and the first panel of the next window is not finite: it cannot settle
+  the sum and the next window fails, so the end diverges whatever it is
+  worth.  A tail or endpoint whose window contributions stop shrinking
+  (ratio >= 0.9 over eight consecutive windows) fails the Cauchy test and
+  the integral is classified DIVERGENT -- a result, not an error;
 * one weighted integral S_(D-1) int g S^p dr over the manifold (S the
   curvature-scaled sine), for the mass, T, Q and the charge balance
   int (u^2 + rho) = 0 that a compact manifold forces;
@@ -136,28 +143,37 @@ _BASIS_FNS: dict[Basis, Callable[[Metric], tuple[Callable, Callable]]] = {
 }
 
 
-def evaluator(basis: Basis, space: Space, pre: list[tuple[float, float, int]]) -> Callable:
-    """r -> sum of scale * B^base * O^odd over the (scale, base, odd) terms
-    `pre` of an expression over `basis`, on arrays (poles become inf/nan)."""
+def evaluator(basis: Basis, space: Space, table: list[list[tuple[float, float, int]]]) -> Callable:
+    """r -> the list of the fields of `table`, each the sum of scale *
+    B^base * O^odd over its (scale, base, odd) terms, for expressions over
+    `basis`, on arrays (poles become inf/nan).  B and O are evaluated once
+    per call, and so is each distinct power of B, whichever fields share it."""
     base_fn, odd_fn = _BASIS_FNS[basis](metric(space))
-    has_odd = any(op for _, _, op in pre)
+    has_odd = any(op for pre in table for _, _, op in pre)
 
     def fn(r):
         r = np.asarray(r, dtype=float)
-        if not pre:
-            return np.zeros_like(r)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             b = base_fn(r)
             o = odd_fn(r) if has_odd else None
-            # b ** 0.0 is 1 everywhere, and a sum started from +0.0
-            # turns -0.0 into +0.0 as a zeros_like start would
-            total = 0.0
-            for scale, bp, op in pre:
-                term = scale * b**bp
-                if op:
-                    term = term * o
-                total = total + term
-        return total
+            powers: dict[float, np.ndarray] = {}
+            fields = []
+            for pre in table:
+                if not pre:
+                    fields.append(np.zeros_like(r))
+                    continue
+                # b ** 0.0 is 1 everywhere, and a sum started from +0.0
+                # turns -0.0 into +0.0 as a zeros_like start would
+                total = 0.0
+                for scale, bp, op in pre:
+                    if bp not in powers:
+                        powers[bp] = b**bp
+                    term = scale * powers[bp]
+                    if op:
+                        term = term * o
+                    total = total + term
+                fields.append(total)
+        return fields
 
     return fn
 
@@ -320,6 +336,13 @@ class _Walk:
     ratios in a row are >= 0.9 while the window is still non-negligible,
     or when max_windows windows do not settle it.  Windows are taken in
     blocks of up to WINDOW_BLOCK, which :func:`_walk` probes.
+
+    A window of the block is moot when no negligible window comes just
+    before it, so it cannot settle the sum, and the next window's first
+    panel is not finite, so that window fails: the end diverges whatever
+    the moot window is worth.  The speculation stops short of it, and the
+    walk ends at it without bisecting it (an overflowing tail would
+    otherwise be bisected about 27 levels deep just before it diverges).
     """
 
     def __init__(self, windows, tol_of: Callable[[float], float], where: str, max_windows: int) -> None:
@@ -350,10 +373,13 @@ class _Walk:
     def guesses(self, ests: list) -> list[float]:
         """The block's speculative tolerances: each window's, were the
         windows before it worth their first-panel estimates, up to the
-        window where such a walk would settle."""
+        window where such a walk would settle, and short of a moot one."""
         state = self.acc, self.tol, self.prev, self.quiet, self.rising
         tols = []
-        for est in ests:
+        moot = _moot_window(ests)
+        for i, est in enumerate(ests):
+            if i == moot and not self.quiet:
+                break
             tols.append(self.tol)
             if self._add(est) is not None:
                 break
@@ -366,7 +392,11 @@ class _Walk:
         job's interval.  Otherwise, or past the end of `jobs`, it is
         bisected alone from its first panel (ests, errs of `firsts`, None
         if not evaluated), as a window-by-window walk does."""
+        moot = -1 if firsts is None else _moot_window(firsts[0])
         for i, (lo, hi) in enumerate(self.block):
+            if i == moot and not self.quiet:
+                self.result = Divergent(self.where)
+                break
             if done is not None and i < len(jobs) and done.low[jobs[i]] <= self.tol < done.high[jobs[i]]:
                 w = done.values[jobs[i]]
             else:
@@ -398,6 +428,15 @@ class _Walk:
                 return Divergent(self.where)
         self.prev = w
         return None
+
+
+def _moot_window(ests: list) -> int:
+    """The window of a block that is moot unless a negligible window comes
+    just before it: the one before the first window whose first-panel
+    estimate in `ests` is not finite, and which therefore fails (-1: none)."""
+    if math.isfinite(sum(ests)):  # then every estimate is finite
+        return -1
+    return next((i - 1 for i, est in enumerate(ests) if not math.isfinite(est)), -1)
 
 
 def _walk(f: Callable, walks: list[_Walk], core: Optional[tuple] = None) -> Optional[float]:
@@ -670,19 +709,17 @@ def fd_residual(
     """Max-norm residuals of both field equations on the radii r (default:
     :func:`default_grid`), normalized by max(|u|, 1).
 
-    u', u'', V' and V'' are the exact derivatives of the term algebra
-    (:meth:`ccsp.catalog.Solution.derivative_fns`), and each Laplacian is
+    u', u'', V' and V'' are the exact derivatives of the term algebra, read
+    with u, V and rho from one field table
+    (:meth:`ccsp.catalog.Solution.fields_fn`), and each Laplacian is
     assembled here in floats as f'' + (D-1) f' / T, so neither 1/T nor the
-    assembly comes from :meth:`ccsp.symbolic.RadialExpr.laplacian`.  Every
-    field is evaluated once on r.  (The name predates the exact
-    derivatives; perfbench's tracer wraps the function by it.)"""
+    assembly comes from :meth:`ccsp.symbolic.RadialExpr.laplacian`.  (The
+    name predates the exact derivatives; perfbench's tracer wraps the
+    function by it.)"""
     if r is None:
         r = default_grid(sol, kappa)
     inv_t = metric(sol.space(kappa)).inv_T(r)
-    u = sol.u_fn(kappa, alpha)(r)
-    v = sol.v_fn(kappa, alpha)(r)
-    rho = sol.rho_fn(kappa, alpha)(r)
-    du, d2u, dv, d2v = (fn(r) for fn in sol.derivative_fns(kappa, alpha))
+    u, du, d2u, v, dv, d2v, rho = sol.fields_fn(kappa, alpha)(r)
     m = sol.dim - 1
     res_schro = -(d2u + m * inv_t * du) + alpha * v * u - sol.omega_value(kappa) * u
     res_poisson = -(d2v + m * inv_t * dv) - u**2 - rho

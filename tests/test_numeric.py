@@ -88,11 +88,13 @@ def test_rel_tol_must_be_finite_and_positive(rel_tol):
         integrate_radial(lambda r: np.exp(-r), 0.0, math.inf, rel_tol)
 
 
+_REF_RULES = np.polynomial.legendre.leggauss(15), np.polynomial.legendre.leggauss(7)
+
+
 def _reference_panel(f, a, b):
     # the 15/7 pair as two separate integrand calls: the oracle for _panels
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    x15, w15 = np.polynomial.legendre.leggauss(15)
-    x7, w7 = np.polynomial.legendre.leggauss(7)
+    (x15, w15), (x7, w7) = _REF_RULES
     i15 = half * float(np.dot(w15, np.asarray(f(mid + half * x15), dtype=float)))
     i7 = half * float(np.dot(w7, np.asarray(f(mid + half * x7), dtype=float)))
     if not (math.isfinite(i15) and math.isfinite(i7)):
@@ -497,28 +499,36 @@ def test_panel_call_counts(monkeypatch):
     calls.clear()
     numeric.pohozaev_functionals(get_solution("FLAT_CSV"), 0.0, -1.0)
     assert len(calls) <= 30
-    # fd_residual evaluates each field once: u, u', u'', V, V', V'' and rho
-    evaluated = []
+    # fd_residual evaluates one table of u, u', u'', V, V', V'' and rho,
+    # with the basis' base and odd functions evaluated once each
+    tables, evaluated = [], []
     make = numeric.evaluator
 
-    def counting(basis, space, pre):
-        fn = make(basis, space, pre)
-        evaluated.append(0)
-        k = len(evaluated) - 1
+    def counting(basis, space, table):
+        tables.append(len(table))
+        return make(basis, space, table)
 
-        def counted(r):
-            evaluated[k] += 1
-            return fn(r)
+    def counted(fns):
+        def both(m):
+            base, odd = fns(m)
+            return (
+                lambda r: evaluated.append("base") or base(r),
+                lambda r: evaluated.append("odd") or odd(r),
+            )
 
-        return counted
+        return both
 
     monkeypatch.setattr(numeric, "evaluator", counting)
+    monkeypatch.setattr(numeric, "_BASIS_FNS", {b: counted(fns) for b, fns in numeric._BASIS_FNS.items()})
     for sol in CATALOG:
         kappa, _ = _params(sol)
         grid = default_grid(sol, kappa)
+        tables.clear()
         evaluated.clear()
         numeric.fd_residual(sol, kappa, sol.default_alpha, grid)
-        assert evaluated == [1] * 7, sol.id
+        odd = any(t.odd for expr in sol._fields for t in expr.terms)
+        assert tables == [7], sol.id
+        assert evaluated == ["base"] + ["odd"] * odd, sol.id
 
 
 def _record_bisections(monkeypatch):
@@ -638,6 +648,56 @@ def test_divergence_probe_stops_at_first_non_finite_panel(monkeypatch, kappa):
     sol = get_solution("BG_HYP_N1_D6")
     assert mass(sol, kappa, sol.default_alpha) == Divergent("large-r")
     assert 0 < len(calls) < 2000
+
+
+def test_moot_window_is_not_bisected(monkeypatch):
+    # u^2 S^5 of BG_HYP_N1_D6 at kappa = -2^(-1/2) is about 1e175 on the
+    # window [80, 160], and its first panel on [160, 320] overflows.  No
+    # quiet window comes before [80, 160], so it cannot settle the sum and
+    # the end diverges whatever it is worth: it is never bisected (its
+    # bisection would go about 27 levels deep)
+    calls = _count_calls(monkeypatch)
+    bisections = _record_bisections(monkeypatch)
+    sol = get_solution("BG_HYP_N1_D6")
+    assert mass(sol, -(2.0**-0.5), -1.0) == Divergent("large-r")
+    assert 0 < len(calls) <= 12
+    assert all(job[:2] != (80.0, 160.0) for jobs, _ in bisections for job in jobs)
+
+
+def test_window_before_an_overflow_that_can_settle_is_bisected(monkeypatch):
+    # the tail's windows [40, 80] and [80, 160] are both negligible, and
+    # [160, 320] overflows.  A quiet window comes just before [80, 160], so
+    # [80, 160] can settle the sum: it is bisected, and the sum is finite
+    def f(r):
+        with np.errstate(over="ignore"):
+            return np.exp(-r) * (1.0 + np.cos(r) ** 2) + np.where(r > 160.0, np.exp(10.0 * r), 0.0)
+
+    bisections = _record_bisections(monkeypatch)
+    got = integrate_radial(f, 0.0, math.inf)
+    assert any(job[:2] == (80.0, 160.0) for jobs, _ in bisections for job in jobs)
+    want = _reference_integrate_radial(f, 0.0, math.inf)
+    assert type(got) is float and got.hex() == want.hex()
+
+
+def test_moot_window_masses_match_sequential_reference(monkeypatch):
+    # the divergent hyperbolic entries whose large-r windows overflow, on
+    # the verify lattice: the walk, which skips moot windows, against the
+    # window-by-window oracle, which bisects them
+    results = {}
+    for reference in (False, True):
+        if reference:
+            _use_references(monkeypatch)
+        for sid in ("BG_HYP_N1_D4", "BG_HYP_N1_D5", "BG_HYP_N1_D6", "HYP_U3", "BG_HYP_N2_D5", "BG_HYP_N2_D6"):
+            sol = get_solution(sid)
+            for kappa, alpha in _lattice(sol):
+                try:
+                    with np.errstate(all="ignore"):
+                        m = mass(sol, kappa, alpha)
+                except ValueError as exc:
+                    m = str(exc)
+                results.setdefault((sid, kappa, alpha), []).append(m.hex() if isinstance(m, float) else m)
+    assert len(results) == 270
+    assert all(got == want for got, want in results.values()), results
 
 
 # -- masses ----------------------------------------------------------------------
@@ -777,6 +837,28 @@ def _lattice(sol):
     ]
     signs = {AlphaSign.ATTRACTIVE: (-1.0,), AlphaSign.REPULSIVE: (1.0,), None: (1.0, -1.0)}[sol.alpha_sign]
     return [(kappa, sign * 2.0 ** (j / 2.0)) for kappa in kappas for j in range(-2, 3) for sign in signs]
+
+
+def test_field_table_matches_each_field_compiled_alone():
+    # u, u', u'', V, V', V'' and rho from one table, bit for bit each
+    # expression compiled alone (RadialExpr.compile through _field_fn, with
+    # its flat-scale power), on the verify lattice and on flat entries scaled
+    scaled = [
+        scale_flat_solution(get_solution(sid), a)
+        for sid in ("FLAT_CSV", "FLAT_SINGULAR_D6", "FLAT_SINGULAR_D3")
+        for a in (2.0, 0.5, 3.0)
+    ]
+    points = 0
+    for sol in list(CATALOG) + scaled:
+        for kappa, alpha in _lattice(sol):
+            r = default_grid(sol, kappa)
+            got = sol.fields_fn(kappa, alpha)(r)
+            assert len(got) == len(sol._fields) == 7
+            for field, expr, power in zip(got, sol._fields, (-2, -3, -4, -2, -3, -4, None)):
+                want = sol._field_fn(expr, kappa, alpha, power)(r)
+                assert field.tobytes() == want.tobytes(), (sol.id, sol.scale, kappa, alpha, str(expr))
+            points += 1
+    assert points == 840 + 45
 
 
 def test_residuals_at_roundoff_and_sensitive_to_shifts(monkeypatch):
