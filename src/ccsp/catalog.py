@@ -46,7 +46,7 @@ from .derivation import (
     solution_exprs,
 )
 from .geometry import Regime, Space, sphere_area
-from .symbolic import Basis, Graded, RadialExpr, ZERO_GRADED, compile_table
+from .symbolic import Basis, Graded, RadialExpr, ZERO_GRADED, compile_table, json_int
 
 __all__ = [
     "GradedMass",
@@ -139,8 +139,8 @@ class Solution(DerivationHit):
         fn = expr.compile(self.space(kappa), alpha, self.amp_sq_value(kappa, alpha))
         if power is None or self.scale == 1.0:
             return fn
-        a = self.scale
-        return lambda r: fn(r / a) * a**power
+        a, factor = self.scale, self.scale**power
+        return lambda r: fn(r / a) * factor
 
     def u_fn(self, kappa: float, alpha: float) -> Callable:
         return self._field_fn(self.u, kappa, alpha, -2)
@@ -163,11 +163,12 @@ class Solution(DerivationHit):
         if self.scale == 1.0:
             return table
         a = self.scale
+        factors = [a**power for power in _FIELD_POWERS]
 
         def scaled(r):
             # rho is zero, since only homogeneous entries scale
             *values, rho = table(r / a)
-            return [v * a**power for v, power in zip(values, _FIELD_POWERS)] + [rho]
+            return [v * factor for v, factor in zip(values, factors)] + [rho]
 
         return scaled
 
@@ -223,7 +224,7 @@ class Solution(DerivationHit):
         hit = DerivationHit(
             family=u.basis,
             n=u.terms[0].base,
-            dim=int(obj["dim"]),
+            dim=json_int(obj["dim"]),
             regime=Regime(obj["regime"]),
             mode="homogeneous" if rho is None else "background",
             x_law=Graded.from_json_obj(obj["amp_law"]) if obj["amp_law"] else None,

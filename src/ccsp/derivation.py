@@ -77,7 +77,7 @@ from functools import cache
 from typing import Optional, Sequence
 
 from .geometry import Regime, sphere_area
-from .symbolic import Basis, Graded, Monomial, RadialExpr, ZERO_GRADED
+from .symbolic import Basis, Graded, Monomial, RadialExpr, ZERO_GRADED, json_int
 
 __all__ = [
     "AnsatzFamily",
@@ -206,8 +206,8 @@ class DerivationHit:
     def from_json_obj(cls, obj: dict) -> "DerivationHit":
         return cls(
             family=Basis(obj["family"]),
-            n=int(obj["n"]),
-            dim=int(obj["dim"]),
+            n=json_int(obj["n"]),
+            dim=json_int(obj["dim"]),
             regime=Regime(obj["regime"]),
             mode=obj["mode"],
             x_law=None if obj["x_law"] is None else Graded.from_json_obj(obj["x_law"]),

@@ -16,9 +16,10 @@ with independent machinery:
   panels of a bisection level evaluated in one call and reduced by one
   batched product per rule (bit for bit the row-by-row np.dot).  A job
   fails at its first non-finite panel or at a panel unresolved at the
-  depth cap.  Every decision is err <= tol 2^-depth with exact halving,
-  so each job also yields the interval [low, high) of tolerances that
-  give it the same bits;
+  depth cap (a value that is not finite is an integrand's one way to
+  fail; an exception it raises propagates).  Every decision is err <= tol
+  2^-depth with exact halving, so each job also yields the interval
+  [low, high) of tolerances that give it the same bits;
 * improper endpoints probed by dyadic windows (halving toward a finite
   endpoint, doubling toward infinity; QUADPACK's QAGI windows, Piessens
   et al. 1983).  One pass probes the core and the next block of windows
@@ -43,9 +44,9 @@ with independent machinery:
   quadrature whose cumulative integrals are sums over fixed anchors a
   quarter octave apart plus each point's gap from the last anchor it
   passes (exact to quadrature tolerance, no interpolation; a pure function
-  of the point; every gap of a batch in one batched quadrature call), so
-  inside [2^-40, 2^40] no gap spans more than a quarter octave of a slowly
-  decaying potential;
+  of the point; every gap of a batch in one batched quadrature call; NaN
+  past a gap that fails), so inside [2^-40, 2^40] no gap spans more than a
+  quarter octave of a slowly decaying potential;
 * the variational functionals T, N, Q and their flat-space identities, Q
   from the energy form int |grad W|^2 with one cumulative charge integral
   (no inversion of -Lap).
@@ -263,7 +264,7 @@ def _bisect(f: Callable, jobs: list, first: Optional[tuple[list, list]] = None) 
     accepted by the tolerance alone (low) up to, not including, the
     smallest err 2^d of a split panel (high).
     """
-    lo, hi, tol = map(list, zip(*jobs))
+    lo, hi, tol = ([job[i] for job in jobs] for i in range(3))
     owner = list(range(len(jobs)))
     low, high = [0.0] * len(jobs), [math.inf] * len(jobs)
     failed: dict[int, str] = {}
@@ -314,18 +315,12 @@ def _bisect(f: Callable, jobs: list, first: Optional[tuple[list, list]] = None) 
     return _Bisection(below, low, high, failed)
 
 
-def _adaptive_many(f: Callable, jobs: list) -> list[float]:
-    """The values of :func:`_bisect`; the first failure found raises
-    ValueError, as it would in a bisection that stopped there."""
-    done = _bisect(f, jobs)
-    if done.failed:
-        raise ValueError(next(iter(done.failed.values())))
-    return done.values
-
-
 def _adaptive(f: Callable, a: float, b: float, tol: float) -> float:
-    """:func:`_adaptive_many` on one job."""
-    return _adaptive_many(f, [(a, b, tol)])[0]
+    """:func:`_bisect` on one job; its failure raises ValueError."""
+    done = _bisect(f, [(a, b, tol)])
+    if done.failed:
+        raise ValueError(done.failed[0])
+    return done.values[0]
 
 
 class _Walk:
@@ -386,33 +381,29 @@ class _Walk:
         self.acc, self.tol, self.prev, self.quiet, self.rising = state
         return tols
 
-    def walk(self, f: Callable, firsts: Optional[tuple[list, list]], done: Optional[_Bisection], jobs) -> None:
+    def walk(self, f: Callable, firsts: tuple[list, list], done: _Bisection, jobs) -> None:
         """Walk the block.  Window i takes the value of job jobs[i] of the
         speculative bisection `done` when its real tolerance lies in that
         job's interval.  Otherwise, or past the end of `jobs`, it is
-        bisected alone from its first panel (ests, errs of `firsts`, None
-        if not evaluated), as a window-by-window walk does."""
-        moot = -1 if firsts is None else _moot_window(firsts[0])
+        bisected alone from its first panel (ests, errs of `firsts`), as a
+        window-by-window walk does; a window that fails is NaN."""
+        moot = _moot_window(firsts[0])
         for i, (lo, hi) in enumerate(self.block):
             if i == moot and not self.quiet:
                 self.result = Divergent(self.where)
                 break
-            if done is not None and i < len(jobs) and done.low[jobs[i]] <= self.tol < done.high[jobs[i]]:
+            if i < len(jobs) and done.low[jobs[i]] <= self.tol < done.high[jobs[i]]:
                 w = done.values[jobs[i]]
             else:
-                try:
-                    one = _bisect(f, [(lo, hi, self.tol)], firsts and ([firsts[0][i]], [firsts[1][i]]))
-                    w = None if one.failed else one.values[0]
-                except (ValueError, OverflowError):
-                    w = None
+                w = _bisect(f, [(lo, hi, self.tol)], ([firsts[0][i]], [firsts[1][i]])).values[0]
             self.result = self._add(w)
             if self.result is not None:
                 break
         self.block = []
 
-    def _add(self, w: Optional[float]) -> Optional[Quadrature]:
-        """Sum the next window (None: it failed); the result once settled."""
-        if w is None or not math.isfinite(w):
+    def _add(self, w: float) -> Optional[Quadrature]:
+        """Sum the next window; the result once settled."""
+        if not math.isfinite(w):
             return Divergent(self.where)
         self.acc += w
         self.tol = tol = max(self.tol_of(self.acc), ABS_FLOOR)
@@ -451,10 +442,9 @@ def _walk(f: Callable, walks: list[_Walk], core: Optional[tuple] = None) -> Opti
     order (:meth:`_Walk.walk`), and so every result is bit for bit the one
     of the core bisected alone and the ends walked window by window.
     Windows past the stopping point may overflow or fail; their float
-    errors are ignored and their failures only cost the speculation.  A
-    ValueError or OverflowError raised by f costs the pass: if the shared
-    call raises, the core is bisected alone and each end walked alone; if
-    the bisection raises, every window falls back.
+    errors are ignored and their failures only cost the speculation.  The
+    integrand fails by a value that is not finite; an exception it raises
+    propagates.
     """
     value = None
     while True:
@@ -467,18 +457,7 @@ def _walk(f: Callable, walks: list[_Walk], core: Optional[tuple] = None) -> Opti
         if core is None and not live:
             return value
         spans = ([core[:2]] if core else []) + [span for w in live for span in w.block]
-        try:
-            ests, errs = _panels(f, *zip(*spans))
-        except (ValueError, OverflowError):
-            if len(live) + (core is not None) == 1:
-                live[0].walk(f, None, None, ())
-                continue
-            value = _adaptive(f, *core) if core else value
-            for w in live:
-                _walk(f, [w])
-                if isinstance(w.result, Divergent):
-                    break
-            return value
+        ests, errs = _panels(f, *zip(*spans))
         jobs = [core] if core else []
         plan = []  # per end: where its block starts in spans, its job numbers
         at = len(jobs)
@@ -490,12 +469,9 @@ def _walk(f: Callable, walks: list[_Walk], core: Optional[tuple] = None) -> Opti
             first[0].extend(ests[at : at + len(tols)])
             first[1].extend(errs[at : at + len(tols)])
             at += len(w.block)
-        try:
-            done: Optional[_Bisection] = _bisect(f, jobs, first)
-        except (ValueError, OverflowError):
-            done = None
+        done = _bisect(f, jobs, first)
         if core:
-            value = done.values[0] if done is not None and 0 not in done.failed else _adaptive(f, *core)
+            value = done.values[0] if 0 not in done.failed else _adaptive(f, *core)
             core = None
         for w, (at, numbers) in zip(live, plan):
             end = at + len(w.block)
@@ -527,9 +503,11 @@ def integrate_radial(
 ) -> Quadrature:
     """Integrate f(r) dr over (r_lo, r_hi), endpoints treated as improper.
 
-    f must accept numpy arrays.  r_hi may be infinite.  rel_tol must be
-    finite and positive.  Returns a float or :class:`Divergent` tagged with
-    the offending end; genuine poles in the open interior are errors, not
+    f must accept numpy arrays of any radii in (r_lo, r_hi), past where a
+    sum settles too, and fails by a value that is not finite: an exception
+    it raises propagates.  0 <= r_lo < r_hi <= inf; rel_tol must be finite
+    and positive.  Returns a float or :class:`Divergent` tagged with the
+    offending end; genuine poles in the open interior are errors, not
     divergences.
 
     The core [a0, b0] is bisected to rel_tol relative to 1e-3, and each end
@@ -540,7 +518,7 @@ def integrate_radial(
     core bisected first, then the large-r end walked window by window and,
     unless it diverged, the small-r end.
     """
-    if not (r_lo >= 0) or (math.isfinite(r_hi) and r_hi <= r_lo):
+    if not (0.0 <= r_lo < r_hi):
         raise ValueError(f"bad interval ({r_lo}, {r_hi})")
     if not (0.0 < rel_tol < math.inf):
         raise ValueError(f"relative tolerance must be finite and positive, got {rel_tol}")
@@ -744,7 +722,9 @@ class _Cumulative:
     gap from the last anchor it passes (from start if it passes none).  So
     a value never depends on which other points were asked for, and no
     interpolation error enters (kinks from interpolation would spoil
-    finite-difference checks downstream).
+    finite-difference checks downstream).  A gap that fails (f not finite,
+    or a bisection level over MAX_PANELS, which depends on the batch) makes
+    M NaN past it in that call only: it never enters the anchor sums.
     """
 
     def __init__(self, f: Callable, start: float, tol: float) -> None:
@@ -779,11 +759,13 @@ class _Cumulative:
         a, b = map(np.concatenate, zip(*ends))
         lo, hi = np.minimum(a, b), np.maximum(a, b)
         jobs = list(zip(lo.tolist(), hi.tolist(), (self._tol * np.maximum(1.0, hi - lo)).tolist()))
-        incs = iter(_adaptive_many(self._f, jobs) if jobs else ())
+        incs = iter(_bisect(self._f, jobs).values)
         for sign, sums, n_missing, idx, at, moved in plans:
-            for _ in range(n_missing):
-                sums.append(sums[-1] + sign * next(incs))
-            vals = np.array(sums)[at]
+            for inc in list(islice(incs, n_missing)):  # every missing gap is consumed
+                if math.isnan(inc):  # failed: the anchors past it stay unsummed
+                    break
+                sums.append(sums[-1] + sign * inc)
+            vals = np.array(sums + [math.nan] * (int(at.max()) + 1 - len(sums)))[at]
             vals[moved] += sign * np.fromiter(incs, float, int(moved.sum()))
             out[idx] = vals
         return out.reshape(s_values.shape)
@@ -800,7 +782,8 @@ def poisson_invert(
 
     Implemented as nested adaptive quadrature; both cumulative integrals
     are continued from fixed quarter-octave anchors.  Flat and
-    hyperbolic regimes only (the sphere has no decay normalization).
+    hyperbolic regimes only (the sphere has no decay normalization).  V
+    raises ValueError where it is not finite (the inner charge overflows).
     """
     if space.regime is Regime.SPHERICAL:
         raise ValueError("decay-normalized inversion needs a noncompact space")
@@ -815,6 +798,8 @@ def poisson_invert(
     while True:
         with np.errstate(all="ignore"):
             g = float(outer(r_far))
+        if not math.isfinite(g):
+            raise ValueError(f"inversion integrand not finite at r = {r_far}")
         tail_est = abs(g) * r_far  # decays at least like s^(1-D), D >= 3 safe
         if tail_est < 1e-13 or r_far > 1e7:
             break
@@ -832,6 +817,9 @@ def poisson_invert(
 
     def v_fn(r):
         out = tail - v_cum.many(r)  # integral_r^r_far + tail
+        finite = np.isfinite(out)
+        if not finite.all():
+            raise ValueError(f"V is not finite at r = {np.asarray(r, dtype=float)[~finite].flat[0]}")
         return out if out.shape else float(out)
 
     return v_fn

@@ -58,6 +58,13 @@ class ClosureError(ValueError):
     """Requested operation leaves the monomial family."""
 
 
+def json_int(value) -> int:
+    """A JSON integer field; anything else (a bool, float, string) raises TypeError."""
+    if type(value) is not int:
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
 class Basis(str, Enum):
     FLAT_C = "flat-c"
     FLAT_R = "flat-r"
@@ -143,7 +150,7 @@ class Graded:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "Graded":
-        return cls(Fraction(obj["coef"]), int(obj["kappa_pow"]))
+        return cls(Fraction(obj["coef"]), json_int(obj["kappa_pow"]))
 
 
 ZERO_GRADED = Graded(Fraction(0), 0)
@@ -438,14 +445,7 @@ class RadialExpr:
         return cls.from_terms(
             Basis(obj["basis"]),
             (
-                Monomial(
-                    Fraction(t["coeff"]),
-                    int(t["base"]),
-                    int(t["odd"]),
-                    int(t["kappa"]),
-                    int(t["alpha"]),
-                    int(t["amp"]),
-                )
+                Monomial(Fraction(t["coeff"]), *(json_int(t[k]) for k in ("base", "odd", "kappa", "alpha", "amp")))
                 for t in obj["terms"]
             ),
         )

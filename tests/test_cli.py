@@ -252,11 +252,35 @@ def test_unread_flags_are_rejected(args):
     assert run(args)[0] == 2
 
 
-def _edited_hit(edit):
-    _, out, _ = run(["derive", "--family", "flat-c"])
+def _edited_hit(edit, mode="homogeneous"):
+    _, out, _ = run(["derive", "--family", "flat-c", "--mode", mode])
     hit = json.loads(out)[0]
     edit(hit)
     return json.dumps([hit])
+
+
+def _rho_term(edit):
+    # an edit of the background hit's one rho term, base^-6
+    def apply(hit):
+        edit(hit["rho"]["terms"][0])
+
+    return apply
+
+
+# an edited derive hit: (edit, derive mode, expected text on stderr).
+# Integer fields must hold JSON integers, which int() used to truncate
+_BAD_HITS = {
+    "MISSING_FIELD": (lambda hit: hit.pop("n"), "homogeneous", "lacks the field 'n'"),
+    "WRONG_LAW": (lambda hit: hit["x_law"].update(coef="-1"), "homogeneous", "re-substitution defect"),
+    "FLOAT_N_DIM": (lambda hit: hit.update(n=-4.5, dim=6.9), "homogeneous", "malformed"),
+    "INTEGRAL_FLOAT_DIM": (lambda hit: hit.update(dim=6.0), "homogeneous", "malformed"),
+    "BOOL_N": (lambda hit: hit.update(n=True), "homogeneous", "malformed"),
+    "STRING_DIM": (lambda hit: hit.update(dim="6"), "homogeneous", "malformed"),
+    "FLOAT_KAPPA_POW": (lambda hit: hit["x_law"].update(kappa_pow=0.5), "homogeneous", "malformed"),
+    "FLOAT_RHO_BASE": (_rho_term(lambda t: t.update(base=-6.5)), "background", "malformed"),
+    "FLOAT_RHO_POWERS": (_rho_term(lambda t: t.update(odd=0.5, kappa=0.5, amp=0.5)), "background", "malformed"),
+    "FLOAT_RHO_ALPHA": (_rho_term(lambda t: t.update(alpha=-1.5)), "background", "malformed"),
+}
 
 
 @pytest.mark.parametrize(
@@ -266,22 +290,17 @@ def _edited_hit(edit):
         (".", None),                # a directory: open() fails
         ("-", '{"a": 1}'),          # not a list
         ("-", "[1]"),               # an element that is not an object
-        ("-", "MISSING_FIELD"),     # a hit without "n"
-        ("-", "WRONG_LAW"),         # an amplitude law that fails re-substitution
+        *(("-", name) for name in _BAD_HITS),
     ],
-    ids=["missing-file", "unreadable", "not-a-list", "not-an-object", "missing-field", "wrong-law"],
+    ids=["missing-file", "unreadable", "not-a-list", "not-an-object", *(n.lower().replace("_", "-") for n in _BAD_HITS)],
 )
 def test_verify_bad_hit_file_is_a_one_line_error(path, stdin_text, tmp_path):
     if path != "-":
         path = str(tmp_path / path)
-    if stdin_text == "MISSING_FIELD":
-        stdin_text = _edited_hit(lambda hit: hit.pop("n"))
-        expected = "lacks the field 'n'"
-    elif stdin_text == "WRONG_LAW":
-        stdin_text = _edited_hit(lambda hit: hit["x_law"].update(coef="-1"))
-        expected = "re-substitution defect"
-    else:
-        expected = "error: "
+    expected = "error: "
+    if stdin_text in _BAD_HITS:
+        edit, mode, expected = _BAD_HITS[stdin_text]
+        stdin_text = _edited_hit(edit, mode)
     code, out, err = run(["verify", "--hit-file", path], stdin_text=stdin_text)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1, err

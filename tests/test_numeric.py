@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 from fractions import Fraction
 
@@ -81,6 +82,19 @@ def test_integrable_endpoint_singularity():
     assert got == pytest.approx(2.0, rel=1e-8)
 
 
+@pytest.mark.parametrize(
+    "r_lo, r_hi",
+    [(1.0, math.nan), (0.0, -math.inf), (math.inf, math.inf), (math.nan, 1.0), (-1.0, 1.0), (2.0, 2.0), (3.0, 1.0)],
+)
+def test_bad_interval_is_rejected(r_lo, r_hi):
+    # a nan bound, or an infinite one on the wrong side, fails the check
+    # itself, not later as "integrand not finite" with RuntimeWarnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="bad interval"):
+            integrate_radial(lambda r: np.exp(-r), r_lo, r_hi)
+
+
 @pytest.mark.parametrize("rel_tol", [math.nan, math.inf, -1.0, 0.0])
 def test_rel_tol_must_be_finite_and_positive(rel_tol):
     # a nan tolerance used to make every Cauchy window look divergent
@@ -102,12 +116,16 @@ def _reference_panel(f, a, b):
     return i15, abs(i15 - i7)
 
 
+class _NotFinite(ValueError):
+    """The reference bisection met a panel that is not finite."""
+
+
 def _reference_adaptive(f, a, b, tol, depth=30):
     # recursive bisection, one panel per call in depth-first order: the
-    # oracle for the level-batched _adaptive_many
+    # oracle for the level-batched _bisect
     est, err = _reference_panel(f, a, b)
     if not math.isfinite(est):
-        raise ValueError(f"integrand not finite on [{a}, {b}]")
+        raise _NotFinite(f"integrand not finite on [{a}, {b}]")
     if err <= tol or err <= 5e-15 * abs(est) or depth == 0:
         return est
     mid = 0.5 * (a + b)
@@ -126,7 +144,7 @@ def _reference_cauchy_windows(f, windows, tol_of, where, max_windows=200):
             return Divergent(where)
         try:
             w = _reference_adaptive(f, lo, hi, max(tol_of(acc), numeric.ABS_FLOOR))
-        except (ValueError, OverflowError):
+        except _NotFinite:  # an exception of f itself propagates
             return Divergent(where)
         if not math.isfinite(w):
             return Divergent(where)
@@ -178,8 +196,8 @@ def _use_references(monkeypatch):
 
 def _reference_cumulative(f, start, tol, points):
     # one point at a time: the gaps between start and the anchors it
-    # passes, summed in passing order, then its own gap; the oracle for
-    # the batched _Cumulative.many
+    # passes, summed in passing order, then its own gap (NaN past a gap
+    # that fails); the oracle for the batched _Cumulative.many
     gaps = {}
 
     def gap(a, b):
@@ -193,9 +211,12 @@ def _reference_cumulative(f, start, tol, points):
         sign = 1.0 if s >= start else -1.0
         passed = [a for a in numeric._ANCHORS.tolist() if start < a <= s or s <= a < start]
         m, x = 0.0, start
-        for a in sorted(passed, key=lambda a: sign * a) + [s]:
-            if a != x:
-                m, x = m + sign * gap(x, a), a
+        try:
+            for a in sorted(passed, key=lambda a: sign * a) + [s]:
+                if a != x:
+                    m, x = m + sign * gap(x, a), a
+        except _NotFinite:
+            m = math.nan
         out.append(m)
     return out
 
@@ -302,17 +323,23 @@ def test_adaptive_many_matches_recursive_reference():
     # one batch over shared nodes: a single integrand serving every job
     f = lambda r: np.exp(-r) * np.sin(30.0 * r) / np.sqrt(r)
     spans = [(1e-6, 1.0, 1e-10), (1.0, 5.0, 1e-12), (0.25, 0.5, 1e-300), (3.0, 80.0, 1e-11)]
-    got = numeric._adaptive_many(f, spans)
-    assert all(type(x) is float for x in got)
-    assert _hex(got) == _hex(_reference_adaptive(f, a, b, t) for a, b, t in spans)
+    done = numeric._bisect(f, spans)
+    assert not done.failed and all(type(x) is float for x in done.values)
+    assert _hex(done.values) == _hex(_reference_adaptive(f, a, b, t) for a, b, t in spans)
 
 
 def test_adaptive_many_raises_where_reference_raises():
+    # one job alone raises; in a batch it fails and is NaN, and the other
+    # job keeps the reference's bits
     f = lambda r: np.where(r < 3.0, 1.0 / np.sqrt(np.abs(r - 2.0) + 1e-300), np.inf)
     with pytest.raises(ValueError, match="not finite"):
         _reference_adaptive(f, 0.0, 4.0, 1e-10)
     with pytest.raises(ValueError, match="not finite"):
-        numeric._adaptive_many(f, [(0.0, 1.0, 1e-10), (0.0, 4.0, 1e-10)])
+        numeric._adaptive(f, 0.0, 4.0, 1e-10)
+    done = numeric._bisect(f, [(0.0, 1.0, 1e-10), (0.0, 4.0, 1e-10)])
+    assert list(done.failed) == [1] and "not finite" in done.failed[1]
+    assert done.values[0].hex() == _reference_adaptive(f, 0.0, 1.0, 1e-10).hex()
+    assert math.isnan(done.values[1])
 
 
 def test_adaptive_calls_integrand_once_per_level():
@@ -382,6 +409,38 @@ def test_cumulative_is_a_pure_function_of_the_point(start):
     assert far == pytest.approx(np.exp(-start) * np.ones(2), rel=1e-10)
 
 
+@pytest.mark.parametrize("start", [0.0, 1.0])
+def test_cumulative_is_nan_only_past_a_failed_gap(start):
+    # f is NaN from t = 5.2 on: every gap that meets it fails, and M is NaN
+    # at the points past such a gap, with the reference's bits elsewhere.
+    # A failed gap never enters the anchor sums, so a later call agrees
+    f = lambda t: np.where(t < 5.2, t**2 * np.exp(-t) + np.cos(3.0 * t) ** 2, np.nan)
+    points = _cumulative_points(start, np.random.default_rng(7))
+    cum = numeric._Cumulative(f, start, 1e-11)
+    got = _hex(cum.many(points))
+    assert got == _hex(_reference_cumulative(f, start, 1e-11, points))
+    nan = [x == "nan" for x in got]
+    assert 10 < sum(nan) < len(points) - 10
+    assert all(p > 5.2 for p, bad in zip(points.tolist(), nan) if bad)
+    assert all(math.isfinite(x) for _, _, sums in cum._sides for x in sums)
+    assert _hex(cum.many(points[::-1])) == got[::-1]
+
+
+def test_failed_batch_does_not_change_a_later_value(monkeypatch):
+    # with a low MAX_PANELS, a whole batch overflows one bisection level
+    # and its open gaps fail, where small batches do not: M at each point
+    # stays what a fresh instance gives
+    monkeypatch.setattr(numeric, "MAX_PANELS", 64)
+    f = lambda t: t**2 * np.exp(-t) + np.cos(3.0 * t) ** 2
+    points = _cumulative_points(0.0, np.random.default_rng(7))
+    cum = numeric._Cumulative(f, 0.0, 1e-11)
+    assert np.isnan(cum.many(points)).any()
+    for chunk in np.array_split(points, 40):
+        want = _hex(numeric._Cumulative(f, 0.0, 1e-11).many(chunk))
+        assert "nan" not in want
+        assert _hex(cum.many(chunk)) == want
+
+
 @pytest.mark.parametrize("k", [-4, 0, 4])
 def test_mass_matches_recursive_reference(monkeypatch, k):
     # every catalog entry, both coupling signs: level-batched bisection and
@@ -421,13 +480,19 @@ def test_interior_pole_off_the_nodes_raises():
 
 
 def test_a_level_of_too_many_panels_raises(monkeypatch):
-    # the anchor gaps near 2^40 are about 1.7e11 wide with a tolerance of
-    # about 2: each would bisect into millions of panels of cos(3t), and the
-    # level is refused before it is built
+    # the last anchor gap below 2^40 is about 1.7e11 wide with a tolerance
+    # of about 2: it would bisect into millions of panels of cos(3t), and
+    # the level is refused before it is built.  In _Cumulative the gap
+    # fails, and M is NaN past it
     sizes = _count_calls(monkeypatch)
     f = lambda t: t**2 * np.exp(-t) + np.cos(3.0 * t) ** 2
+    lo, hi = 2.0 ** (159 / 4), 2.0**40
     with pytest.raises(ValueError, match=f"more than {numeric.MAX_PANELS} panels to bisect"):
-        numeric._Cumulative(f, 0.0, 1e-11).many([2e12])
+        numeric._adaptive(f, lo, hi, 1e-11 * (hi - lo))
+    assert max(sizes) <= numeric.MAX_PANELS
+    sizes.clear()
+    far = numeric._Cumulative(f, 0.0, 1e-11).many([1e3, 2e12])
+    assert math.isfinite(far[0]) and math.isnan(far[1])
     assert max(sizes) <= numeric.MAX_PANELS
 
 
@@ -457,6 +522,8 @@ def test_cauchy_windows_match_sequential_reference():
         (lambda r: r**-0.85, 0.5, 0.5),
         (lambda r: r**-1.05, 0.5, 0.5),
         (lambda r: np.log(r) ** 2, 0.5, 0.5),
+        # the first window is moot: nothing in the block is bisected
+        (lambda r: np.where(r > 20.0, np.inf, r**-2.0), 10.0, 2.0),
     ]
     tol_of = lambda acc: 1e-10 * max(abs(acc), 1e-3)
     for f, b0, q in cases:
@@ -469,24 +536,21 @@ def test_cauchy_windows_match_sequential_reference():
             assert got == want and type(got) is type(want)
 
 
-def test_window_block_that_raises_is_probed_window_by_window(monkeypatch):
-    # the tail converges at [80, 160], but the first block of eight
-    # windows reaches r = 2560, where the integrand raises
-    probes = []
-
+@pytest.mark.parametrize("error", [ValueError, OverflowError])
+def test_integrand_that_raises_propagates(error):
+    # an integrand fails by a value that is not finite; an exception is not
+    # read as a divergent window, even past the window where the tail
+    # settles (about [80, 160] here), which the first block probes
     def f(r):
-        probes.append(float(np.max(r)))
         if np.max(r) > 500.0:
-            raise ValueError("beyond r = 500")
+            raise error("beyond r = 500")
         return np.exp(-r) * (1.0 + np.cos(r) ** 2)
 
-    got = numeric.integrate_radial(f, 0.0, math.inf)
-    assert max(probes) > 500.0
-    _use_references(monkeypatch)
-    probes.clear()
-    want = numeric.integrate_radial(f, 0.0, math.inf)
-    assert max(probes) < 500.0
-    assert type(got) is float and got.hex() == want.hex()
+    assert type(_reference_integrate_radial(f, 0.0, math.inf)) is float
+    with pytest.raises(error, match="beyond r = 500"):
+        integrate_radial(f, 0.0, math.inf)
+    with pytest.raises(error, match="beyond r = 500"):
+        integrate_radial(f, 400.0, 800.0)
 
 
 def test_panel_call_counts(monkeypatch):
@@ -532,17 +596,12 @@ def test_panel_call_counts(monkeypatch):
 
 
 def _record_bisections(monkeypatch):
-    # the jobs of every bisection, and how each ended: the failed jobs, or
-    # "raised" when f raised inside it
+    # the jobs of every bisection, and the jobs that failed in it
     calls = []
     bisect = numeric._bisect
 
     def recorded(f, jobs, first=None):
-        try:
-            done = bisect(f, jobs, first)
-        except (ValueError, OverflowError):
-            calls.append((list(jobs), "raised"))
-            raise
+        done = bisect(f, jobs, first)
         calls.append((list(jobs), dict(done.failed)))
         return done
 
@@ -580,12 +639,12 @@ def test_speculation_miss_falls_back_bit_for_bit(monkeypatch, f, rel_tol):
     assert type(got) is float and got.hex() == want.hex()
 
 
-@pytest.mark.parametrize("fault", ["raise", "overflow"])
+@pytest.mark.parametrize("fault", ["overflow", "nan"])
 def test_window_past_the_stop_that_fails_in_speculation(monkeypatch, fault):
     # the tail settles at [80, 160], whose 8 periods of cos sum to ~0, but
     # its first panel does not see that, so the speculation reaches
-    # [160, 320]; that window splits, and its left half's midpoint 200
-    # raises or is not finite.  The walk never reaches it.
+    # [160, 320]; that window splits, and its left half's midpoint 200 is
+    # inf or NaN.  The walk never reaches it.
     def osc(r, a, b):
         return np.where((r > a) & (r < b), 1e-3 * np.cos(16.0 * np.pi * (r - a) / (b - a)), 0.0)
 
@@ -594,19 +653,14 @@ def test_window_past_the_stop_that_fails_in_speculation(monkeypatch, fault):
     def f(r):
         if np.any(r == 200.0):
             touched.append(True)
-            if fault == "raise":
-                raise ValueError("r = 200")
         out = np.exp(-r) * (1.0 + np.cos(r) ** 2) + osc(r, 80.0, 160.0) + osc(r, 160.0, 320.0)
-        return np.where(r == 200.0, np.inf, out)
+        return np.where(r == 200.0, np.inf if fault == "overflow" else np.nan, out)
 
     calls = _record_bisections(monkeypatch)
     got = numeric.integrate_radial(f, 0.0, math.inf)
     assert touched
     ended = [how for jobs, how in calls if len(jobs) > 1]
-    if fault == "raise":
-        assert "raised" in ended
-    else:
-        assert any("not finite on [160.0, 240.0]" in msg for how in ended for msg in how.values())
+    assert any("not finite on [160.0, 240.0]" in msg for how in ended for msg in how.values())
     touched.clear()
     want = _reference_integrate_radial(f, 0.0, math.inf)
     assert not touched
@@ -941,6 +995,27 @@ def test_poisson_invert_hyperbolic_oracle():
     rs = np.linspace(0.1, 8.0, 17)
     expected = 6.0 / np.cosh(rs) ** 2
     assert np.max(np.abs(v(rs) - expected) / expected) < 1e-7
+
+
+def test_poisson_invert_hyperbolic_overflow(monkeypatch):
+    # the first tail block from r_far = 40 reaches r = 2.6e6, past where
+    # the inner charge overflows: those windows are NaN, the tail settles
+    # before them, and the block's one probe and bisection serve it
+    calls = _count_calls(monkeypatch)
+    f = lambda r: 1.0 / np.cosh(r) ** 4
+    v = numeric.poisson_invert(f, HYP3, 3)
+    values = v(np.linspace(0.1, 20.0, 50))
+    assert np.all(np.isfinite(values))
+    assert 0 < len(calls) <= 5
+    # V is not finite past the overflow, and says so
+    with pytest.raises(ValueError, match="V is not finite at r = 1000.0"):
+        v(np.array([1.0, 1000.0]))
+    # at D = 22 the weight S^21 overflows before r_far = 40: the inversion
+    # raises there, without pushing r_far out to 1e7 first
+    calls.clear()
+    with pytest.raises(ValueError, match="not finite at r = 40.0"):
+        numeric.poisson_invert(f, Space.hyperbolic(-1.0, 22), 22)
+    assert len(calls) <= 8
 
 
 def test_poisson_invert_fd_round_trip():
