@@ -12,31 +12,26 @@ with independent machinery:
   and each distinct B^p once, whichever fields share it, and sums each
   field's terms scale * B^p (times O) from 0.0, so every field has the
   bits of its expression compiled alone;
-* adaptive quadrature on 15 + 7 Gauss-Legendre nodes, the pending
-  panels of a bisection level evaluated in one call and reduced by one
-  batched product per rule (bit for bit the row-by-row np.dot).  A job
-  fails at its first non-finite panel or at a panel unresolved at the
-  depth cap (a value that is not finite is an integrand's one way to
-  fail; an exception it raises propagates).  Every decision is err <= tol
-  2^-depth with exact halving, so each job also yields the interval
-  [low, high) of tolerances that give it the same bits;
-* improper endpoints probed by dyadic windows (halving toward a finite
-  endpoint, doubling toward infinity; QUADPACK's QAGI windows, Piessens
-  et al. 1983).  One pass probes the core and the next block of windows
-  at both ends in one call, then bisects them all at once, each window at
-  a speculative tolerance from the first-panel estimates before it.  The
-  ordered walk takes a window's speculative value when its real tolerance
-  lies in the window's interval and bisects it alone otherwise, so each
-  sum is the window-by-window one.  A window is moot, and neither
-  speculated on nor bisected, when no quiet window comes just before it
-  and the first panel of the next window is not finite: it cannot settle
-  the sum and the next window fails, so the end diverges whatever it is
-  worth.  A tail or endpoint whose window contributions stop shrinking
-  (ratio >= 0.9 over eight consecutive windows) fails the Cauchy test and
-  the integral is classified DIVERGENT -- a result, not an error;
+* one double-exponential rule for every improper radial integral
+  (Takahasi & Mori 1974): exp-sinh toward infinity, tanh-sinh on a finite
+  interval, levels of halved step whose new nodes are evaluated in one
+  call each.  Each side of t = 0 ends at its first node that is not finite
+  or whose r rounds onto an end; a side is settled when the integral past
+  it is negligible against sum |terms| (not |sum|, which may cancel), and
+  one whose outermost terms do not decay at the first two levels is
+  DIVERGENT -- a result, not an error.  Not finite is not divergent: an
+  end that never settles, or levels that never agree (an interior pole),
+  raise.  A value that is not finite is an integrand's one way to fail;
+  an exception it raises propagates;
+* adaptive quadrature on 15 + 7 Gauss-Legendre nodes for the gaps of the
+  cumulative integrals, the pending panels of a bisection level evaluated
+  in one call and reduced by one batched product per rule (bit for bit
+  the row-by-row np.dot).  A job fails at its first non-finite panel or at
+  a panel unresolved at the depth cap;
 * one weighted integral S_(D-1) int g S^p dr over the manifold (S the
   curvature-scaled sine), for the mass, T, Q and the charge balance
-  int (u^2 + rho) = 0 that a compact manifold forces;
+  int (u^2 + rho) = 0 that a compact manifold forces, run in units of the
+  space's length (1/sqrt|kappa|, or the flat scale);
 * PDE residuals of both field equations on grids clear of the profile's
   poles, each Laplacian assembled in floats as f'' + (D-1) f' / T from the
   exact derivatives of u and V;
@@ -46,7 +41,9 @@ with independent machinery:
   passes (exact to quadrature tolerance, no interpolation; a pure function
   of the point; every gap of a batch in one batched quadrature call; NaN
   past a gap that fails), so inside [2^-40, 2^40] no gap spans more than a
-  quarter octave of a slowly decaying potential;
+  quarter octave of a slowly decaying potential; a gap from r = 0 goes
+  through the double-exponential rule, which takes an integrable
+  singularity there;
 * the variational functionals T, N, Q and their flat-space identities, Q
   from the energy form int |grad W|^2 with one cumulative charge integral
   (no inversion of -Lap).
@@ -89,12 +86,12 @@ __all__ = [
 ]
 
 DEFAULT_REL_TOL = 1e-10
-ABS_FLOOR = 1e-14
 MAX_DEPTH = 30
 MAX_PANELS = 2**16      # bisected panels one level of _bisect may hold
 NESTED_REL_TOL = 1e-11  # poisson_invert and pohozaev_functionals (Q's outer: 1e-9)
 MASS_REL_TOL = 1e-8     # verify: quadrature mass against the closed form
-WINDOW_BLOCK = 16       # Cauchy windows per end probed and bisected in one pass
+DE_T_MAX = 6.8          # |t| of the outermost double-exponential node: exp(pi/2 sinh t) < 1e307
+DE_LEVELS = 8           # levels of the double-exponential rule, step 1/2 down to 1/256
 GRID_R_CAP = 10.0       # noncompact default grids end here (times the flat scale)
 GRID_POINTS = 2000      # radii of a default grid, shared among its smooth segments
 
@@ -184,7 +181,7 @@ def evaluator(basis: Basis, space: Space, table: list[list[tuple[float, float, i
 
 @dataclass(frozen=True)
 class Divergent:
-    """Marker value for integrals that fail the Cauchy test."""
+    """Marker value for integrals whose terms do not decay at an end."""
 
     where: str  # "small-r" | "large-r" | "endpoint"
 
@@ -193,6 +190,10 @@ class Divergent:
 
 
 Quadrature = Union[float, Divergent]
+
+
+class QuadratureError(ValueError):
+    """An integral the rule can call neither convergent nor divergent."""
 
 
 def _json_value(x):
@@ -225,23 +226,18 @@ def _panels(f: Callable, lo: list, hi: list) -> tuple[list, list]:
 
 
 class _Bisection(NamedTuple):
-    """What :func:`_bisect` returns.  Per job: its value and the interval
-    low <= t < high of tolerances t >= ABS_FLOOR under which its bisection
-    takes the same decisions, and so returns the same bits (empty for a
-    job that failed); and the jobs that failed, with why, in the order the
-    failures were found."""
+    """What :func:`_bisect` returns: per job its value (NaN for a job that
+    failed), and the jobs that failed, with why, in the order the failures
+    were found."""
 
     values: list
-    low: list
-    high: list
     failed: dict
 
 
-def _bisect(f: Callable, jobs: list, first: Optional[tuple[list, list]] = None) -> _Bisection:
+def _bisect(f: Callable, jobs: list) -> _Bisection:
     """Adaptive bisection with the 15/7 pair on each job (a, b, tol),
     with one call of f per bisection level for the pending panels of
-    every job.  `first`, if given, is the jobs' own first level as
-    :func:`_panels` returns it, already evaluated by the caller.
+    every job.
 
     A panel is accepted when its error estimate meets its tolerance or is
     already at machine precision relative to the panel value (further
@@ -257,34 +253,20 @@ def _bisect(f: Callable, jobs: list, first: Optional[tuple[list, list]] = None) 
     bounds memory, fails every job still open.  The leaves are summed as
     left + right up the bisection tree, so each value is the one
     recursive bisection of its job returns.
-
-    Every decision at depth d is err <= tol 2^-d, and halving is exact for
-    tol >= ABS_FLOOR, so it reads err 2^d <= tol: the tree, and the value,
-    stay the same for every tolerance from the largest err 2^d of a panel
-    accepted by the tolerance alone (low) up to, not including, the
-    smallest err 2^d of a split panel (high).
     """
     lo, hi, tol = ([job[i] for job in jobs] for i in range(3))
     owner = list(range(len(jobs)))
-    low, high = [0.0] * len(jobs), [math.inf] * len(jobs)
     failed: dict[int, str] = {}
     levels: list[tuple[list, list]] = []  # per level: values, split panels
     while lo:
-        ests, errs = first if first is not None else _panels(f, lo, hi)
-        first = None
-        scale = 2.0 ** len(levels)
+        ests, errs = _panels(f, lo, hi)
         split = []
         for k, (est, err, t, j) in enumerate(zip(ests, errs, tol, owner)):
             if err <= 5e-15 * abs(est):
                 continue
             if not math.isfinite(est):
                 failed.setdefault(j, f"integrand not finite on [{lo[k]}, {hi[k]}]")
-            elif err <= t:
-                if err * scale > low[j]:
-                    low[j] = err * scale
-            else:
-                if err * scale < high[j]:
-                    high[j] = err * scale
+            elif err > t:
                 split.append(k)
         if failed:
             split = [k for k in split if owner[k] not in failed]
@@ -311,188 +293,100 @@ def _bisect(f: Callable, jobs: list, first: Optional[tuple[list, list]] = None) 
             values[k] = below[2 * i] + below[2 * i + 1]
         below = values
     for j in failed:
-        below[j], low[j] = math.nan, math.inf
-    return _Bisection(below, low, high, failed)
+        below[j] = math.nan
+    return _Bisection(below, failed)
 
 
-def _adaptive(f: Callable, a: float, b: float, tol: float) -> float:
-    """:func:`_bisect` on one job; its failure raises ValueError."""
-    done = _bisect(f, [(a, b, tol)])
-    if done.failed:
-        raise ValueError(done.failed[0])
-    return done.values[0]
+def _de_level(level: int) -> tuple[np.ndarray, ...]:
+    """The new |t| of one level of the double-exponential rule, ascending,
+    and at each: exp(-+u) and its dr/dt for exp-sinh toward r_lo and
+    toward infinity, and for tanh-sinh e/(1 + e), the distance to the
+    nearer end over the width, with its dr/dt over the width (e =
+    exp(-2u), so neither cancels), where u = pi/2 sinh t.  Level j has the
+    step h = 2^-(j+1): level 0 holds every multiple of h in (0, DE_T_MAX],
+    a later level the odd ones."""
+    h = 0.5 ** (level + 1)
+    t = h * np.arange(1, int(DE_T_MAX / h) + 1, 1 if level == 0 else 2)
+    u, du = 0.5 * math.pi * np.sinh(t), 0.5 * math.pi * np.cosh(t)
+    x_lo, x_hi = np.exp(-u), np.exp(u)
+    with np.errstate(under="ignore"):
+        e = np.exp(-2.0 * u)
+    q = e / (1.0 + e)
+    return t, x_lo, du * x_lo, x_hi, du * x_hi, q, 2.0 * du * q / (1.0 + e)
 
 
-class _Walk:
-    """One end's Cauchy windows, summed in order.
+_DE_LEVELS = [_de_level(level) for level in range(DE_LEVELS)]
 
-    The sum settles when two consecutive windows are negligible, and
-    diverges when a window is not finite, when eight window-to-window
-    ratios in a row are >= 0.9 while the window is still non-negligible,
-    or when max_windows windows do not settle it.  Windows are taken in
-    blocks of up to WINDOW_BLOCK, which :func:`_walk` probes.
 
-    A window of the block is moot when no negligible window comes just
-    before it, so it cannot settle the sum, and the next window's first
-    panel is not finite, so that window fails: the end diverges whatever
-    the moot window is worth.  The speculation stops short of it, and the
-    walk ends at it without bisecting it (an overflowing tail would
-    otherwise be bisected about 27 levels deep just before it diverges).
-    """
+class _Side:
+    """One side of t = 0 of the double-exponential rule: its terms
+    f(r) dr/dt in order of |t|, up to (not including) `reach`, the |t| of
+    its first node that is not finite or whose r rounds onto an end (`stop`
+    says which) or past which it was trimmed once settled."""
 
-    def __init__(self, windows, tol_of: Callable[[float], float], where: str, max_windows: int) -> None:
-        self.windows = iter(windows)
-        self.tol_of = tol_of
-        self.where = where
-        self.left = max_windows
-        self.result: Optional[Quadrature] = None  # the sum or Divergent, once settled
-        self.block: list = []                     # windows taken, not yet walked
-        # the sum so far, the next window's tolerance, the last window, and
-        # the negligible windows and the ratios >= 0.9 seen in a row
-        self.acc = 0.0
-        self.tol = max(tol_of(0.0), ABS_FLOOR)
-        self.prev: Optional[float] = None
-        self.quiet = 0
-        self.rising = 0
+    def __init__(self, where: str, sign: float) -> None:
+        self.where, self.sign = where, sign
+        self.t, self.terms = np.empty(0), np.empty(0)
+        self.reach, self.stop = math.inf, ""
+        self.settled = False
 
-    def take(self) -> list:
-        """The block to walk next; when no window is left it is empty,
-        and the end diverges."""
-        if not self.block:
-            self.block = list(islice(self.windows, min(WINDOW_BLOCK, self.left)))
-            self.left -= len(self.block)
-            if not self.block:
-                self.result = Divergent(self.where)
-        return self.block
-
-    def guesses(self, ests: list) -> list[float]:
-        """The block's speculative tolerances: each window's, were the
-        windows before it worth their first-panel estimates, up to the
-        window where such a walk would settle, and short of a moot one."""
-        state = self.acc, self.tol, self.prev, self.quiet, self.rising
-        tols = []
-        moot = _moot_window(ests)
-        for i, est in enumerate(ests):
-            if i == moot and not self.quiet:
-                break
-            tols.append(self.tol)
-            if self._add(est) is not None:
-                break
-        self.acc, self.tol, self.prev, self.quiet, self.rising = state
-        return tols
-
-    def walk(self, f: Callable, firsts: tuple[list, list], done: _Bisection, jobs) -> None:
-        """Walk the block.  Window i takes the value of job jobs[i] of the
-        speculative bisection `done` when its real tolerance lies in that
-        job's interval.  Otherwise, or past the end of `jobs`, it is
-        bisected alone from its first panel (ests, errs of `firsts`), as a
-        window-by-window walk does; a window that fails is NaN."""
-        moot = _moot_window(firsts[0])
-        for i, (lo, hi) in enumerate(self.block):
-            if i == moot and not self.quiet:
-                self.result = Divergent(self.where)
-                break
-            if i < len(jobs) and done.low[jobs[i]] <= self.tol < done.high[jobs[i]]:
-                w = done.values[jobs[i]]
-            else:
-                w = _bisect(f, [(lo, hi, self.tol)], ([firsts[0][i]], [firsts[1][i]])).values[0]
-            self.result = self._add(w)
-            if self.result is not None:
-                break
-        self.block = []
-
-    def _add(self, w: float) -> Optional[Quadrature]:
-        """Sum the next window; the result once settled."""
-        if not math.isfinite(w):
-            return Divergent(self.where)
-        self.acc += w
-        self.tol = tol = max(self.tol_of(self.acc), ABS_FLOOR)
-        if abs(w) <= tol:
-            self.quiet += 1
-            if self.quiet >= 2:
-                return self.acc
+    def nodes(self, level: int, r_lo: float, r_hi: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """|t|, r and dr/dt of the level's new nodes short of the reach:
+        exp-sinh r = r_lo + exp(+-u) toward infinity, tanh-sinh on a finite
+        interval.  r moves toward the end with |t|, so the nodes whose r
+        rounds onto it come last: the first of them becomes the reach."""
+        t, x_lo, w_lo, x_hi, w_hi, q, wq = _DE_LEVELS[level]
+        n = len(t) if self.reach > t[-1] else int(np.searchsorted(t, self.reach))
+        if math.isinf(r_hi):
+            x, w = (x_lo, w_lo) if self.sign < 0 else (x_hi, w_hi)
+            r, w = r_lo + x[:n], w[:n]
         else:
-            self.quiet = 0
-        if self.prev:  # a first or zero window gives no ratio
-            self.rising = self.rising + 1 if abs(w) / abs(self.prev) >= 0.9 else 0
-            if self.rising >= 8 and abs(w) > tol:
-                return Divergent(self.where)
-        self.prev = w
-        return None
+            width = r_hi - r_lo
+            r, w = (r_lo + width * q[:n] if self.sign < 0 else r_hi - width * q[:n]), width * wq[:n]
+        m = int(np.count_nonzero((r > r_lo) & (r < r_hi)))
+        if m < n:
+            self.reach, self.stop = t[m], f"r = {r[m]} rounds onto an end"
+        return t[:m], r[:m], w[:m]
 
+    def add(self, t: np.ndarray, r: np.ndarray, terms: np.ndarray) -> bool:
+        """Merge a level's new terms.  A term that is not finite ends the
+        side short of its reach; True if the reach now drops terms of
+        earlier levels."""
+        bad = ~np.isfinite(terms)
+        if bad.any():
+            k = int(np.argmax(bad))
+            self.reach, self.stop = t[k], f"integrand not finite at r = {r[k]}"
+            t, terms = t[:k], terms[:k]
+        lost = bool(len(self.t)) and self.t[-1] >= self.reach
+        t, terms = np.concatenate((self.t, t)), np.concatenate((self.terms, terms))
+        order = np.argsort(t, kind="stable")
+        keep = t[order] < self.reach
+        self.t, self.terms = t[order][keep], terms[order][keep]
+        return lost
 
-def _moot_window(ests: list) -> int:
-    """The window of a block that is moot unless a negligible window comes
-    just before it: the one before the first window whose first-panel
-    estimate in `ests` is not finite, and which therefore fails (-1: none)."""
-    if math.isfinite(sum(ests)):  # then every estimate is finite
-        return -1
-    return next((i - 1 for i, est in enumerate(ests) if not math.isfinite(est)), -1)
+    def remainder(self, center: float) -> float:
+        """The integral past the outermost term: 0 past a zero term, inf
+        past terms that do not decay (the side diverges), NaN for a side
+        with no term, else bounded through the secant decay rate of the last
+        two terms (the log-terms of a double-exponential end are concave)."""
+        if not len(self.terms):
+            return math.nan
+        last = abs(self.terms[-1])
+        prev, dt = (abs(self.terms[-2]), self.t[-1] - self.t[-2]) if len(self.terms) > 1 else (abs(center), self.t[-1])
+        if last == 0.0:
+            return 0.0
+        if not last < prev:
+            return math.inf
+        return last * dt / math.log(prev / last)
 
-
-def _walk(f: Callable, walks: list[_Walk], core: Optional[tuple] = None) -> Optional[float]:
-    """Settle each end of `walks` in turn; an end after one that diverged
-    is left open.  Returns the value of the core job (a, b, tol), if any.
-
-    Each pass probes, in one call of f, the first panels of the core (in
-    the first pass only) and of the next block of every open end, then
-    bisects all of them in one :func:`_bisect`: the core at its own
-    tolerance, each window up to where the walk would settle at its
-    speculative one (:meth:`_Walk.guesses`).  Each end is then walked in
-    order (:meth:`_Walk.walk`), and so every result is bit for bit the one
-    of the core bisected alone and the ends walked window by window.
-    Windows past the stopping point may overflow or fail; their float
-    errors are ignored and their failures only cost the speculation.  The
-    integrand fails by a value that is not finite; an exception it raises
-    propagates.
-    """
-    value = None
-    while True:
-        live = []
-        for w in walks:
-            if isinstance(w.result, Divergent):
-                break
-            if w.result is None and w.take():
-                live.append(w)
-        if core is None and not live:
-            return value
-        spans = ([core[:2]] if core else []) + [span for w in live for span in w.block]
-        ests, errs = _panels(f, *zip(*spans))
-        jobs = [core] if core else []
-        plan = []  # per end: where its block starts in spans, its job numbers
-        at = len(jobs)
-        first = (ests[:at], errs[:at])
-        for w in live:
-            tols = w.guesses(ests[at : at + len(w.block)])
-            plan.append((at, range(len(jobs), len(jobs) + len(tols))))
-            jobs += [(lo, hi, t) for (lo, hi), t in zip(w.block, tols)]
-            first[0].extend(ests[at : at + len(tols)])
-            first[1].extend(errs[at : at + len(tols)])
-            at += len(w.block)
-        done = _bisect(f, jobs, first)
-        if core:
-            value = done.values[0] if 0 not in done.failed else _adaptive(f, *core)
-            core = None
-        for w, (at, numbers) in zip(live, plan):
-            end = at + len(w.block)
-            w.walk(f, (ests[at:end], errs[at:end]), done, numbers)
-            if isinstance(w.result, Divergent):
-                break
-
-
-def _cauchy_windows(
-    f: Callable,
-    windows,
-    tol_of: Callable[[float], float],
-    where: str,
-    max_windows: int = 200,
-) -> Quadrature:
-    """Sum window contributions until they become negligible (the rules of
-    :class:`_Walk`), probing blocks of windows as :func:`_walk` does: the
-    result is the one a window-by-window walk gives."""
-    end = _Walk(windows, tol_of, where, max_windows)
-    _walk(f, [end])
-    return end.result
+    def trim(self, h: float, budget: float) -> None:
+        """Drop the outermost terms that sum to at most `budget`, and evaluate
+        no later node past them."""
+        tail = h * np.cumsum(np.abs(self.terms[::-1]))[::-1]
+        n = int(np.count_nonzero(tail > budget))
+        if n < len(self.terms):
+            self.reach = self.t[n]
+            self.t, self.terms = self.t[:n], self.terms[:n]
 
 
 def integrate_radial(
@@ -503,48 +397,73 @@ def integrate_radial(
 ) -> Quadrature:
     """Integrate f(r) dr over (r_lo, r_hi), endpoints treated as improper.
 
-    f must accept numpy arrays of any radii in (r_lo, r_hi), past where a
-    sum settles too, and fails by a value that is not finite: an exception
-    it raises propagates.  0 <= r_lo < r_hi <= inf; rel_tol must be finite
-    and positive.  Returns a float or :class:`Divergent` tagged with the
-    offending end; genuine poles in the open interior are errors, not
-    divergences.
+    f must accept numpy arrays of any radii in (r_lo, r_hi), and fails by a
+    value that is not finite: an exception it raises propagates.
+    0 <= r_lo < r_hi <= inf; rel_tol must be finite and positive.  Returns
+    a float or :class:`Divergent` tagged with the offending end; an end
+    that the rule can call neither convergent nor divergent, or a pole in
+    the open interior, raises :class:`QuadratureError`.
 
-    The core [a0, b0] is bisected to rel_tol relative to 1e-3, and each end
-    summed over dyadic windows (QUADPACK's QAGI extrapolation, Piessens et
-    al. 1983, without the epsilon table): doubling toward infinity, halving
-    toward a finite end.  The core and the first block of both ends share
-    one probe (:func:`_walk`); the result is bit for bit the one of the
-    core bisected first, then the large-r end walked window by window and,
-    unless it diverged, the small-r end.
+    One double-exponential rule on t in [-DE_T_MAX, DE_T_MAX] (Takahasi &
+    Mori 1974): exp-sinh r = r_lo + exp(pi/2 sinh t) toward infinity,
+    tanh-sinh on a finite interval.  Level 0 has the step h = 1/2; each
+    later level halves h and evaluates only its new nodes, in one call of
+    f.  Each side of t = 0 is summed outward to its first node that is not
+    finite or whose r rounds onto an end.  Against A = h sum |terms| (the
+    sum itself may cancel to about 0), a side is settled once the integral
+    past its outermost term, bounded through the decay of its last two
+    terms, is below 1e-3 rel_tol A; it is then trimmed to where the terms
+    it drops sum to no more, and a later node inside it that is not finite
+    raises.  At level 0 or 1, a side whose outermost terms do not decay is
+    divergent; a side not settled by the last level raises.  The value is
+    accepted when both sides are settled and two levels agree to
+    1e-2 sqrt(rel_tol) A (the error about squares per level) or to 1e-14 A,
+    roundoff.
     """
     if not (0.0 <= r_lo < r_hi):
         raise ValueError(f"bad interval ({r_lo}, {r_hi})")
     if not (0.0 < rel_tol < math.inf):
         raise ValueError(f"relative tolerance must be finite and positive, got {rel_tol}")
-    d = min(1.0, (r_hi - r_lo) / 4.0)
-    a0 = r_lo + d
-
-    def tol_of(acc: float) -> float:
-        return rel_tol * max(abs(acc), 1.0e-3)
-
-    # the core, then windows doubling toward infinity or halving toward r_hi
     if math.isinf(r_hi):
-        b0 = max(2.0 * a0, 10.0)
-        hi_windows = ((b0 * 2.0**k, b0 * 2.0 ** (k + 1)) for k in range(10**6))
-        max_windows = 60
+        r_mid, w_mid = r_lo + 1.0, 0.5 * math.pi
     else:
-        b0 = r_hi - d
-        hi_windows = ((r_hi - d / 2.0**k, r_hi - d / 2.0 ** (k + 1)) for k in range(10**6))
-        max_windows = 200
-    lo_windows = ((r_lo + d / 2.0 ** (k + 1), r_lo + d / 2.0**k) for k in range(10**6))
-    ends = [_Walk(hi_windows, tol_of, "large-r", max_windows), _Walk(lo_windows, tol_of, "small-r", 200)]
-    core = _walk(f, ends, (a0, b0, tol_of(0.0)))
-    hi_part, lo_part = (end.result for end in ends)
-    for part in (hi_part, lo_part):
-        if isinstance(part, Divergent):
-            return part
-    return core + lo_part + hi_part
+        r_mid, w_mid = r_lo + 0.5 * (r_hi - r_lo), 0.25 * math.pi * (r_hi - r_lo)
+    sides = [_Side("small-r", -1.0), _Side("large-r", 1.0)]
+    center, previous = math.nan, math.nan
+    for level in range(DE_LEVELS):
+        h = 0.5 ** (level + 1)
+        with np.errstate(all="ignore"):
+            fresh = [side.nodes(level, r_lo, r_hi) for side in sides]
+            r = np.concatenate(([r_mid] if level == 0 else [], fresh[0][1], fresh[1][1]))
+            fx = np.asarray(f(r), dtype=float).reshape(r.shape)
+            if level == 0:
+                center, fx = float(fx[0]) * w_mid, fx[1:]
+                if not math.isfinite(center):
+                    raise QuadratureError(f"integrand not finite at r = {r_mid}")
+            n = len(fresh[0][0])
+            lost = [side.add(t, r, fx_side * w) for side, (t, r, w), fx_side in zip(sides, fresh, (fx[:n], fx[n:]))]
+        scale = h * (abs(center) + sum(float(np.abs(side.terms).sum()) for side in sides))
+        budget = 1e-3 * rel_tol * scale
+        for side, dropped in zip(sides, lost):
+            if side.settled:
+                if dropped:
+                    raise QuadratureError(f"{side.stop}, inside the settled {side.where} end")
+                continue
+            rest = side.remainder(center)
+            if rest <= budget:
+                side.settled = True
+                side.trim(h, budget)
+            elif rest == math.inf and level <= 1:
+                return Divergent(side.where)
+        total = h * (center + sum(float(side.terms.sum()) for side in sides))
+        agree = max(1e-2 * math.sqrt(rel_tol), 1e-14) * scale
+        if all(side.settled for side in sides) and abs(total - previous) <= agree:
+            return total
+        previous = total
+    for side in sides:
+        if not side.settled:
+            raise QuadratureError(f"the {side.where} end does not settle: {side.stop or 'the range of doubles ends'}")
+    raise QuadratureError(f"no convergence after {DE_LEVELS} levels of the double-exponential rule on ({r_lo}, {r_hi})")
 
 
 # -- integrals over the manifold ---------------------------------------------
@@ -589,16 +508,19 @@ def _manifold_integral(
     sphere_factor: bool = True,
 ) -> Quadrature:
     """S_(D-1) int g S^power dr (power D - 1: g over the manifold), or the
-    radial integral alone.  The domain is split at the profile's poles, so
-    each is probed as an improper endpoint, and a divergence is tagged with
-    the offending end of the domain."""
+    radial integral alone.  The integral runs over s = r / L, with L the
+    space's length unit (1/sqrt|kappa| curved, the scale flat), so the rule
+    sees every space at unit size.  The domain is split at the profile's
+    poles, so each is probed as an improper endpoint, and a divergence is
+    tagged with the offending end of the domain."""
     space = sol.space(kappa)
     f = _weighted(space, g, sol.dim - 1 if power is None else power)
+    length = sol.scale if space.regime is Regime.FLAT else 1.0 / math.sqrt(abs(kappa))
     interior = [s for s in sol.singular_radii_values(kappa) if 0.0 < s < space.r_max]
     cuts = [0.0] + interior + [space.r_max]
     total = 0.0
     for lo, hi in zip(cuts[:-1], cuts[1:]):
-        part = integrate_radial(f, lo, hi, rel_tol)
+        part = integrate_radial(lambda s: f(length * s) * length, lo / length, hi / length, rel_tol)
         if isinstance(part, Divergent):
             # a segment end away from r = 0 and r = inf is a pole or the antipode
             where = part.where
@@ -759,7 +681,8 @@ class _Cumulative:
         a, b = map(np.concatenate, zip(*ends))
         lo, hi = np.minimum(a, b), np.maximum(a, b)
         jobs = list(zip(lo.tolist(), hi.tolist(), (self._tol * np.maximum(1.0, hi - lo)).tolist()))
-        incs = iter(_bisect(self._f, jobs).values)
+        bisected = iter(_bisect(self._f, [job for job in jobs if job[0] > 0.0]).values)
+        incs = iter([self._from_zero(b) if a == 0.0 else next(bisected) for a, b, _ in jobs])
         for sign, sums, n_missing, idx, at, moved in plans:
             for inc in list(islice(incs, n_missing)):  # every missing gap is consumed
                 if math.isnan(inc):  # failed: the anchors past it stay unsummed
@@ -771,6 +694,16 @@ class _Cumulative:
         return out.reshape(s_values.shape)
 
 
+    def _from_zero(self, b: float) -> float:
+        """The gap (0, b) by :func:`integrate_radial`, whose tanh-sinh end
+        takes an integrable singularity at 0; NaN if it fails."""
+        try:
+            inc = integrate_radial(self._f, 0.0, b, self._tol)
+        except QuadratureError:
+            return math.nan
+        return math.nan if isinstance(inc, Divergent) else inc
+
+
 def poisson_invert(
     f: Callable,
     space: Space,
@@ -780,8 +713,9 @@ def poisson_invert(
 
         V(r) = integral_r^inf S(s)^(1-D) M(s) ds,  M(s) = integral_0^s f(t) S(t)^(D-1) dt
 
-    Implemented as nested adaptive quadrature; both cumulative integrals
-    are continued from fixed quarter-octave anchors.  Flat and
+    Implemented as nested quadrature: both cumulative integrals are
+    continued from fixed quarter-octave anchors, and the tail past r_far
+    is one :func:`integrate_radial`.  Flat and
     hyperbolic regimes only (the sphere has no decay normalization).  V
     raises ValueError where it is not finite (the inner charge overflows).
     """
@@ -805,15 +739,9 @@ def poisson_invert(
             break
         r_far *= 2.0
     v_cum = _Cumulative(outer, r_far, NESTED_REL_TOL)
-    tail = _cauchy_windows(
-        outer,
-        ((r_far * 2.0**k, r_far * 2.0 ** (k + 1)) for k in range(10**6)),
-        lambda acc: 1e-13,
-        "large-r",
-        max_windows=60,
-    )
+    tail = integrate_radial(outer, r_far, math.inf, NESTED_REL_TOL)
     if isinstance(tail, Divergent):
-        raise ValueError("inversion tail fails the Cauchy test")
+        raise ValueError("inversion tail diverges")
 
     def v_fn(r):
         out = tail - v_cum.many(r)  # integral_r^r_far + tail

@@ -378,6 +378,41 @@ def test_mass_r_flag_sets_curvature():
     assert payload["mass"] == pytest.approx(16.0, rel=1e-8)
 
 
+@pytest.mark.parametrize(
+    "argv, mass, divergent",
+    [
+        # kappa = -100: the weight S^2 and the profile vary on 1/10, not on 1
+        (["mass", "HYP_U1", "--kappa=-100", "--alpha", "-1"], 48.0 * math.pi * 10.0, None),
+        # R = 0.01 is kappa = -1e4, and the mass 16 lambda^3 = 1.6e7
+        (["mass", "BG_1D_SECH", "--R", "0.01", "--alpha", "1"], 1.6e7, None),
+        # divergent at r = 0, however small the prefactor 1/|alpha|
+        (["mass", "FLAT_SINGULAR_D3", "--alpha=-1e15"], None, "small-r"),
+    ],
+    ids=["HYP_U1-kappa-100", "BG_1D_SECH-R0.01", "FLAT_SINGULAR_D3-alpha-1e15"],
+)
+def test_mass_off_unit_scales(argv, mass, divergent):
+    code, out, _ = run(argv)
+    payload = json.loads(out)
+    assert code == 0 and payload["divergent"] == divergent
+    assert payload["mass"] == (None if mass is None else pytest.approx(mass, rel=1e-10))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # finite mass 48 pi^2 / |alpha|, where the tail's S^3 overflows past
+        # r ~ 141 after u^2 has underflowed to 0
+        ["verify", "BG_HYP_N2_D4", "--kappa=-2.8284271247461903", "--alpha", "-1"],
+        ["verify", "FLAT_CSV", "--alpha=-1e15"],
+        ["verify", "FLAT_CSV", "--alpha=-1e6", "--with-pohozaev"],
+    ],
+    ids=["BG_HYP_N2_D4-kappa-2^1.5", "FLAT_CSV-alpha-1e15", "FLAT_CSV-alpha-1e6-pohozaev"],
+)
+def test_verify_passes_at_extreme_parameters(argv):
+    code, out, _ = run(argv)
+    assert code == 0 and json.loads(out)["passed"] is True
+
+
 def test_pohozaev_defect():
     code, out, _ = run(["pohozaev", "FLAT_CSV", "--alpha", "-1"])
     assert code == 0
