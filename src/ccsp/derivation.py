@@ -163,7 +163,8 @@ class DerivationHit:
 
     def amp_sq_value(self, kappa: float, alpha: float) -> float:
         """Numeric A^2 = X/alpha (1 when amplitude-free); raises if alpha is
-        zero or not finite, or if the signs are incompatible."""
+        zero or not finite, if the signs are incompatible, or if A^2
+        overflows (|alpha| below about |X| / 1.8e308)."""
         if alpha == 0 or not math.isfinite(alpha):
             raise ValueError("alpha must be finite and nonzero")
         if self.x_law is None:
@@ -174,6 +175,8 @@ class DerivationHit:
                 f"alpha = {alpha} gives A^2 = {amp_sq} <= 0; "
                 f"this solution requires the {self.alpha_sign.value} sign"
             )
+        if not math.isfinite(amp_sq):
+            raise ValueError(f"alpha = {alpha} gives A^2 = {amp_sq}, which is not finite")
         return amp_sq
 
     def amp_sq_str(self) -> str:

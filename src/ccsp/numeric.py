@@ -23,11 +23,6 @@ with independent machinery:
   end that never settles, or levels that never agree (an interior pole),
   raise.  A value that is not finite is an integrand's one way to fail;
   an exception it raises propagates;
-* adaptive quadrature on 15 + 7 Gauss-Legendre nodes for the gaps of the
-  cumulative integrals, the pending panels of a bisection level evaluated
-  in one call and reduced by one batched product per rule (bit for bit
-  the row-by-row np.dot).  A job fails at its first non-finite panel or at
-  a panel unresolved at the depth cap;
 * one weighted integral S_(D-1) int g S^p dr over the manifold (S the
   curvature-scaled sine), for the mass, T, Q and the charge balance
   int (u^2 + rho) = 0 that a compact manifold forces, run in units of the
@@ -35,29 +30,26 @@ with independent machinery:
 * PDE residuals of both field equations on grids clear of the profile's
   poles, each Laplacian assembled in floats as f'' + (D-1) f' / T from the
   exact derivatives of u and V;
-* radial inversion of -Lap with decay normalization, via nested adaptive
-  quadrature whose cumulative integrals are sums over fixed anchors a
-  quarter octave apart plus each point's gap from the last anchor it
-  passes (exact to quadrature tolerance, no interpolation; a pure function
-  of the point; every gap of a batch in one batched quadrature call; NaN
-  past a gap that fails), so inside [2^-40, 2^40] no gap spans more than a
-  quarter octave of a slowly decaying potential; a gap from r = 0 goes
-  through the double-exponential rule, which takes an integrable
-  singularity there;
+* the charge M(r) = int_0^r of an S-weighted density at every r of a
+  call from one fixed node set of the same rule (step 1/16), on one outer
+  x inner grid in one call: r int_0^1 by tanh-sinh inside the length unit,
+  the total less r int_1^inf by exp-sinh beyond it, so M is a pure function
+  of r, and NaN where its inner error is not negligible against the larger
+  of |total| and its own sum |terms|;
+* radial inversion of -Lap with decay normalization, V(r) one integral of
+  S^(1-D) M from r;
 * the variational functionals T, N, Q and their flat-space identities, Q
-  from the energy form int |grad W|^2 with one cumulative charge integral
-  (no inversion of -Lap).
+  from the energy form int |grad W|^2 = S_(D-1) int M^2 S^(1-D) (no
+  inversion of -Lap).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
 from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Union
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .geometry import Regime, Space, sphere_area
 from .symbolic import Basis
@@ -86,19 +78,13 @@ __all__ = [
 ]
 
 DEFAULT_REL_TOL = 1e-10
-MAX_DEPTH = 30
-MAX_PANELS = 2**16      # bisected panels one level of _bisect may hold
-NESTED_REL_TOL = 1e-11  # poisson_invert and pohozaev_functionals (Q's outer: 1e-9)
+NESTED_REL_TOL = 1e-11  # poisson_invert, pohozaev_functionals and the charge (Q's outer: 1e-9)
 MASS_REL_TOL = 1e-8     # verify: quadrature mass against the closed form
 DE_T_MAX = 6.8          # |t| of the outermost double-exponential node: exp(pi/2 sinh t) < 1e307
 DE_LEVELS = 8           # levels of the double-exponential rule, step 1/2 down to 1/256
+CHARGE_LEVELS = 4       # levels of the charge's fixed node set, step 1/2 down to 1/16
 GRID_R_CAP = 10.0       # noncompact default grids end here (times the flat scale)
 GRID_POINTS = 2000      # radii of a default grid, shared among its smooth segments
-
-_X7, _W7 = leggauss(7)
-_X15, _W15 = leggauss(15)
-_NODES = np.concatenate([_X15, _X7])
-_W15_COLUMN, _W7_COLUMN = _W15[:, None], _W7[:, None]
 
 
 # -- array evaluation -----------------------------------------------------
@@ -201,102 +187,6 @@ def _json_value(x):
     return str(x) if isinstance(x, Divergent) else x
 
 
-def _panels(f: Callable, lo: list, hi: list) -> tuple[list, list]:
-    """15- and 7-point Gauss-Legendre estimates of many panels from one
-    call of f on all their nodes (22 per panel; the rules share only the
-    midpoint), with f's floating-point errors ignored.  Returns the lists
-    of I15 and |I15 - I7| per panel, with (nan, inf) for a panel whose
-    estimates are not finite.  Each rule is one stack of 1 x n by n x 1
-    products, which numpy reduces row by row in the dot loop of np.dot, so
-    a panel's bits do not depend on the other panels evaluated with it (a
-    plain matrix-vector product would change them in the last bit)."""
-    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
-    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    x = mid[:, None] + half[:, None] * _NODES
-    with np.errstate(all="ignore"):
-        fx = np.asarray(f(x.ravel()), dtype=float).reshape(x.shape)[:, None, :]
-        i15 = half * (fx[..., :15] @ _W15_COLUMN).ravel()
-        i7 = half * (fx[..., 15:] @ _W7_COLUMN).ravel()
-        err = np.abs(i15 - i7)
-        # a finite sum of the errors makes every I15 and I7 finite
-        if math.isfinite(err.sum()):
-            return i15.tolist(), err.tolist()
-    finite = np.isfinite(i15) & np.isfinite(i7)
-    return np.where(finite, i15, math.nan).tolist(), np.where(finite, err, math.inf).tolist()
-
-
-class _Bisection(NamedTuple):
-    """What :func:`_bisect` returns: per job its value (NaN for a job that
-    failed), and the jobs that failed, with why, in the order the failures
-    were found."""
-
-    values: list
-    failed: dict
-
-
-def _bisect(f: Callable, jobs: list) -> _Bisection:
-    """Adaptive bisection with the 15/7 pair on each job (a, b, tol),
-    with one call of f per bisection level for the pending panels of
-    every job.
-
-    A panel is accepted when its error estimate meets its tolerance or is
-    already at machine precision relative to the panel value (further
-    splitting cannot improve it); otherwise both halves go to the next
-    level with half the tolerance.  A job fails, and is bisected no
-    further, at a panel whose estimate is not finite: its error is
-    infinite, so it could never be accepted, and bisecting it would only
-    integrate its finite parts.  An integrand that is not finite at a
-    single node therefore fails too, where bisection might have stepped
-    around that node.  A job with a panel still unaccepted after MAX_DEPTH
-    bisections fails as well, so an interior pole is an error, not a
-    number; and a level of more than MAX_PANELS bisected panels, which
-    bounds memory, fails every job still open.  The leaves are summed as
-    left + right up the bisection tree, so each value is the one
-    recursive bisection of its job returns.
-    """
-    lo, hi, tol = ([job[i] for job in jobs] for i in range(3))
-    owner = list(range(len(jobs)))
-    failed: dict[int, str] = {}
-    levels: list[tuple[list, list]] = []  # per level: values, split panels
-    while lo:
-        ests, errs = _panels(f, lo, hi)
-        split = []
-        for k, (est, err, t, j) in enumerate(zip(ests, errs, tol, owner)):
-            if err <= 5e-15 * abs(est):
-                continue
-            if not math.isfinite(est):
-                failed.setdefault(j, f"integrand not finite on [{lo[k]}, {hi[k]}]")
-            elif err > t:
-                split.append(k)
-        if failed:
-            split = [k for k in split if owner[k] not in failed]
-        if split and len(levels) == MAX_DEPTH:
-            for k in split:
-                failed.setdefault(owner[k], f"no convergence after {MAX_DEPTH} bisections on [{lo[k]}, {hi[k]}]")
-            split = []
-        if 2 * len(split) > MAX_PANELS:
-            a, b = min(lo[k] for k in split), max(hi[k] for k in split)
-            for k in split:
-                failed.setdefault(owner[k], f"more than {MAX_PANELS} panels to bisect in one level on [{a}, {b}]")
-            split = []
-        levels.append((ests, split))
-        mid = [0.5 * (lo[k] + hi[k]) for k in split]
-        lo, hi, tol, owner = (
-            [x for k, m in zip(split, mid) for x in (lo[k], m)],
-            [x for k, m in zip(split, mid) for x in (m, hi[k])],
-            [0.5 * tol[k] for k in split for _ in (0, 1)],
-            [owner[k] for k in split for _ in (0, 1)],
-        )
-    below: list[float] = []
-    for values, split in reversed(levels):
-        for i, k in enumerate(split):
-            values[k] = below[2 * i] + below[2 * i + 1]
-        below = values
-    for j in failed:
-        below[j] = math.nan
-    return _Bisection(below, failed)
-
-
 def _de_level(level: int) -> tuple[np.ndarray, ...]:
     """The new |t| of one level of the double-exponential rule, ascending,
     and at each: exp(-+u) and its dr/dt for exp-sinh toward r_lo and
@@ -316,6 +206,19 @@ def _de_level(level: int) -> tuple[np.ndarray, ...]:
 
 
 _DE_LEVELS = [_de_level(level) for level in range(DE_LEVELS)]
+
+
+def _remainder(last: float, prev: float, dt: float) -> float:
+    """The integral past a side's outermost term of size `last`, from it and
+    the term of size `prev` dt before it in t: 0 past a zero term, inf past
+    terms that do not decay (the side diverges), else bounded through their
+    secant decay rate (the log-terms of a double-exponential end are
+    concave)."""
+    if last == 0.0:
+        return 0.0
+    if not last < prev:
+        return math.inf
+    return last * dt / math.log(prev / last)
 
 
 class _Side:
@@ -365,19 +268,13 @@ class _Side:
         return lost
 
     def remainder(self, center: float) -> float:
-        """The integral past the outermost term: 0 past a zero term, inf
-        past terms that do not decay (the side diverges), NaN for a side
-        with no term, else bounded through the secant decay rate of the last
-        two terms (the log-terms of a double-exponential end are concave)."""
+        """The integral past the outermost term by :func:`_remainder` (the
+        middle term stands before the first), NaN for a side with no term."""
         if not len(self.terms):
             return math.nan
         last = abs(self.terms[-1])
         prev, dt = (abs(self.terms[-2]), self.t[-1] - self.t[-2]) if len(self.terms) > 1 else (abs(center), self.t[-1])
-        if last == 0.0:
-            return 0.0
-        if not last < prev:
-            return math.inf
-        return last * dt / math.log(prev / last)
+        return _remainder(last, prev, dt)
 
     def trim(self, h: float, budget: float) -> None:
         """Drop the outermost terms that sum to at most `budget`, and evaluate
@@ -630,78 +527,120 @@ def fd_residual(
     )
 
 
-# -- radial inversion of -Lap ---------------------------------------------
+# -- the charge inside a radius, and radial inversion of -Lap -------------
 
 
-_ANCHORS = 2.0 ** (np.arange(-160, 161) / 4.0)  # quarter-octave anchors of _Cumulative
+class _ChargeRule(NamedTuple):
+    """Levels 0 .. CHARGE_LEVELS - 1 of the double-exponential rule as one
+    fixed node set on (0, 1) (tanh-sinh) or (1, inf) (exp-sinh): the middle
+    node, then the small-r and the large-r side, each in ascending |t| up to
+    its first node that rounds onto an end.  Per column its node x, its
+    weight dx/dt and its |t| (0 at the middle); the column slices of the two
+    sides; and the columns of the step 2h."""
+
+    x: np.ndarray
+    w: np.ndarray
+    t: np.ndarray
+    sides: tuple
+    coarse: np.ndarray
 
 
-class _Cumulative:
-    """Cumulative integral M(s) = integral_start^s f, a pure function of s.
+def _charge_rule(tail: bool) -> _ChargeRule:
+    levels = _DE_LEVELS[:CHARGE_LEVELS]
+    order = np.argsort(np.concatenate([level[0] for level in levels]), kind="stable")
+    t, x_lo, w_lo, x_hi, w_hi, q, wq = (np.concatenate([level[i] for level in levels])[order] for i in range(7))
+    coarse = np.concatenate([np.full(len(level[0]), j < CHARGE_LEVELS - 1) for j, level in enumerate(levels)])[order]
+    if tail:
+        lo, hi, middle, sides = 1.0, math.inf, (2.0, 0.5 * math.pi), ((1.0 + x_lo, w_lo), (1.0 + x_hi, w_hi))
+    else:
+        lo, hi, middle, sides = 0.0, 1.0, (0.5, 0.25 * math.pi), ((q, wq), (1.0 - q, wq))
+    columns, bounds = [(np.array([middle[0]]), np.array([middle[1]]), np.zeros(1), np.ones(1, bool))], [1]
+    for x, w in sides:
+        n = int(np.count_nonzero((x > lo) & (x < hi)))
+        columns.append((x[:n], w[:n], t[:n], coarse[:n]))
+        bounds.append(bounds[-1] + n)
+    x, w, t_col, coarse_col = (np.concatenate(parts) for parts in zip(*columns))
+    return _ChargeRule(x, w, t_col, (slice(1, bounds[1]), slice(bounds[1], bounds[2])), coarse_col)
 
-    The fixed anchors 2^(k/4), k = -160..160, carry the ordered sums of the
-    gaps from start outward on their side, filled lazily; a point adds the
-    gap from the last anchor it passes (from start if it passes none).  So
-    a value never depends on which other points were asked for, and no
-    interpolation error enters (kinks from interpolation would spoil
-    finite-difference checks downstream).  A gap that fails (f not finite,
-    or a bisection level over MAX_PANELS, which depends on the batch) makes
-    M NaN past it in that call only: it never enters the anchor sums.
-    """
 
-    def __init__(self, f: Callable, start: float, tol: float) -> None:
-        self._f = f
-        self._tol = tol
-        self._start = start
-        # per side: direction, edges (start, then the anchors in the order
-        # they are passed) and M at the edges summed so far
-        above, below = _ANCHORS[_ANCHORS > start], _ANCHORS[_ANCHORS < start][::-1]
-        self._sides = [
-            (sign, np.concatenate(([start], anchors)), [0.0]) for sign, anchors in ((1.0, above), (-1.0, below))
-        ]
+_CHARGE_RULES = _charge_rule(False), _charge_rule(True)
 
-    def many(self, s_values: np.ndarray) -> np.ndarray:
-        """M at every point, of any shape.  The missing anchor gaps and the
-        gaps of the points are integrated in one batched call."""
-        s_values = np.asarray(s_values, dtype=float)
-        flat = s_values.ravel()
+
+def _charge_rows(values: np.ndarray, rule: _ChargeRule) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per row of density values on the rule's columns: the integral at the
+    step h = 2^-CHARGE_LEVELS (NaN where the row fails), its difference from
+    the integral at the step 2h over the same nodes, and h sum |terms|.
+
+    As in :func:`integrate_radial`, each side ends at its first term that is
+    not finite, and a side so cut must be settled: the integral past its
+    outermost term, by :func:`_remainder`, at most 1e-3 NESTED_REL_TOL
+    h sum |terms|.
+    A row whose middle term is not finite fails too."""
+    h = 0.5**CHARGE_LEVELS
+    terms = values * rule.w
+    ok = np.isfinite(terms[:, 0])
+    cuts = []
+    for side in rule.sides:
+        block = terms[:, side]  # a view: the side's terms past its cut become 0
+        bad = ~np.isfinite(block)
+        n = np.where(bad.any(axis=1), bad.argmax(axis=1), block.shape[1])
+        block[np.arange(block.shape[1]) >= n[:, None]] = 0.0
+        cuts.append(n)
+    abs_sum = h * np.abs(terms).sum(axis=1)
+    for side, n in zip(rule.sides, cuts):
+        rows = np.flatnonzero(n < side.stop - side.start)
+        if rows.size:
+            # the middle term stands before a side's first
+            sized = np.abs(np.concatenate((terms[rows, :1], terms[rows, side]), axis=1))
+            t = np.concatenate(([0.0], rule.t[side]))
+            k = n[rows]
+            last, prev = sized[np.arange(rows.size), k], sized[np.arange(rows.size), k - 1]
+            ends = zip(last.tolist(), prev.tolist(), (t[k] - t[k - 1]).tolist())
+            rest = np.array([_remainder(*end) for end in ends])
+            ok[rows] &= (k > 0) & (rest <= 1e-3 * NESTED_REL_TOL * abs_sum[rows])
+    fine = h * terms.sum(axis=1)
+    coarse = 2.0 * h * terms[:, rule.coarse].sum(axis=1)
+    return np.where(ok, fine, math.nan), fine - coarse, abs_sum
+
+
+def _charge(density: Callable, total: Quadrature, length: float) -> Callable:
+    """r -> M(r) = integral_0^r density, a pure function of each r > 0,
+    with `total` the integral over (0, inf) and `length` the space's unit.
+
+    M(r) = r int_0^1 density(r x) dx for r <= length, and beyond it
+    total - r int_1^inf density(r y) dy, each by one fixed node set of the
+    double-exponential rule (:class:`_ChargeRule`), and every r of a call
+    on one outer x inner grid in one call of density.  The inner error is
+    judged against a magnitude: the larger of |total| and the row's own
+    h r sum |terms|, so neither a charge that underflows toward r = 0 nor
+    a density whose total is negative or cancels to about 0 makes the test
+    impossible.  M is NaN where its steps h and 2h differ by more than
+    max(1e-2 sqrt(NESTED_REL_TOL), 1e-14) times that magnitude, or its row
+    fails (:func:`_charge_rows`).  Without a finite total (a density that
+    diverges at large r) every r takes the first form, judged against its
+    own h r sum |terms|."""
+    finite = not isinstance(total, Divergent)
+    agree = max(1e-2 * math.sqrt(NESTED_REL_TOL), 1e-14)
+
+    def charge(r):
+        r = np.asarray(r, dtype=float)
+        flat = r.ravel()
+        beyond = flat > length if finite else np.zeros(flat.shape, dtype=bool)
+        masks = (~beyond, beyond)
         out = np.empty_like(flat)
-        up = flat >= self._start
-        ends = [(np.empty(0), np.empty(0))]  # the gaps to integrate: one end, the other
-        plans = []
-        for (sign, edges, sums), mask in zip(self._sides, (up, ~up)):
-            idx = np.flatnonzero(mask)
-            if not idx.size:
-                continue
-            at = np.searchsorted(sign * edges, sign * flat[idx], side="right") - 1  # last edge passed
-            missing = edges[len(sums) - 1 : at.max() + 1]  # edges of the gaps not yet summed
-            moved = flat[idx] != edges[at]
-            ends += [(missing[:-1], missing[1:]), (edges[at[moved]], flat[idx[moved]])]
-            plans.append((sign, sums, len(missing[1:]), idx, at, moved))
-        a, b = map(np.concatenate, zip(*ends))
-        lo, hi = np.minimum(a, b), np.maximum(a, b)
-        jobs = list(zip(lo.tolist(), hi.tolist(), (self._tol * np.maximum(1.0, hi - lo)).tolist()))
-        bisected = iter(_bisect(self._f, [job for job in jobs if job[0] > 0.0]).values)
-        incs = iter([self._from_zero(b) if a == 0.0 else next(bisected) for a, b, _ in jobs])
-        for sign, sums, n_missing, idx, at, moved in plans:
-            for inc in list(islice(incs, n_missing)):  # every missing gap is consumed
-                if math.isnan(inc):  # failed: the anchors past it stay unsummed
-                    break
-                sums.append(sums[-1] + sign * inc)
-            vals = np.array(sums + [math.nan] * (int(at.max()) + 1 - len(sums)))[at]
-            vals[moved] += sign * np.fromiter(incs, float, int(moved.sum()))
-            out[idx] = vals
-        return out.reshape(s_values.shape)
+        with np.errstate(all="ignore"):
+            grids = [flat[mask][:, None] * rule.x for mask, rule in zip(masks, _CHARGE_RULES)]
+            values = np.asarray(density(np.concatenate([grid.ravel() for grid in grids])), dtype=float)
+            parts = zip(masks, grids, _CHARGE_RULES, np.split(values, [grids[0].size]))
+            for k, (mask, grid, rule, vals) in enumerate(parts):
+                s = flat[mask]
+                fine, diff, abs_sum = _charge_rows(vals.reshape(grid.shape), rule)
+                scale = np.maximum(abs(total), s * abs_sum) if finite else s * abs_sum
+                m = s * fine if k == 0 else total - s * fine
+                out[mask] = np.where(s * np.abs(diff) <= agree * scale, m, math.nan)
+        return out.reshape(r.shape)
 
-
-    def _from_zero(self, b: float) -> float:
-        """The gap (0, b) by :func:`integrate_radial`, whose tanh-sinh end
-        takes an integrable singularity at 0; NaN if it fails."""
-        try:
-            inc = integrate_radial(self._f, 0.0, b, self._tol)
-        except QuadratureError:
-            return math.nan
-        return math.nan if isinstance(inc, Divergent) else inc
+    return charge
 
 
 def poisson_invert(
@@ -713,41 +652,36 @@ def poisson_invert(
 
         V(r) = integral_r^inf S(s)^(1-D) M(s) ds,  M(s) = integral_0^s f(t) S(t)^(D-1) dt
 
-    Implemented as nested quadrature: both cumulative integrals are
-    continued from fixed quarter-octave anchors, and the tail past r_far
-    is one :func:`integrate_radial`.  Flat and
-    hyperbolic regimes only (the sphere has no decay normalization).  V
-    raises ValueError where it is not finite (the inner charge overflows).
+    M is the charge of :func:`_charge`, against the total charge by
+    :func:`integrate_radial`, and each V(r) is one :func:`integrate_radial`
+    from r.  Flat and hyperbolic regimes only (the sphere has no decay
+    normalization).  V raises ValueError where it is not finite (the inner
+    charge overflows).
     """
     if space.regime is Regime.SPHERICAL:
         raise ValueError("decay-normalized inversion needs a noncompact space")
     if dim < 2:
         raise ValueError("radial inversion requires D >= 2")
-
-    m_cum = _Cumulative(_weighted(space, f, dim - 1), 0.0, NESTED_REL_TOL)
-    outer = _weighted(space, m_cum.many, 1 - dim)
-
-    # push until the remaining tail is negligible
-    r_far = 20.0 if space.regime is Regime.FLAT else 40.0 / math.sqrt(-space.kappa)
-    while True:
-        with np.errstate(all="ignore"):
-            g = float(outer(r_far))
-        if not math.isfinite(g):
-            raise ValueError(f"inversion integrand not finite at r = {r_far}")
-        tail_est = abs(g) * r_far  # decays at least like s^(1-D), D >= 3 safe
-        if tail_est < 1e-13 or r_far > 1e7:
-            break
-        r_far *= 2.0
-    v_cum = _Cumulative(outer, r_far, NESTED_REL_TOL)
-    tail = integrate_radial(outer, r_far, math.inf, NESTED_REL_TOL)
-    if isinstance(tail, Divergent):
+    density = _weighted(space, f, dim - 1)
+    total = integrate_radial(density, 0.0, math.inf, NESTED_REL_TOL)
+    if isinstance(total, Divergent):
         raise ValueError("inversion tail diverges")
+    length = 1.0 if space.regime is Regime.FLAT else 1.0 / math.sqrt(-space.kappa)
+    outer = _weighted(space, _charge(density, total, length), 1 - dim)
 
     def v_fn(r):
-        out = tail - v_cum.many(r)  # integral_r^r_far + tail
-        finite = np.isfinite(out)
-        if not finite.all():
-            raise ValueError(f"V is not finite at r = {np.asarray(r, dtype=float)[~finite].flat[0]}")
+        r = np.asarray(r, dtype=float)
+        out = np.empty(r.shape)
+        for i, point in enumerate(r.flat):
+            try:
+                value = integrate_radial(outer, point, math.inf, NESTED_REL_TOL)
+            except QuadratureError:
+                value = math.nan
+            if isinstance(value, Divergent):
+                raise ValueError("inversion tail diverges")
+            if not math.isfinite(value):
+                raise ValueError(f"V is not finite at r = {point}")
+            out.flat[i] = value
         return out if out.shape else float(out)
 
     return v_fn
@@ -778,7 +712,11 @@ def pohozaev_functionals(
 
     Q comes from the energy form: with -Lap W = u^2 and W decaying,
     Q = int u^2 W = int |grad W|^2 = S_(D-1) int_0^inf M(r)^2 r^(1-D) dr,
-    where M(r) = int_0^r u^2 t^(D-1) dt is the charge inside radius r.
+    where M(r) = int_0^r u^2 t^(D-1) dt is the charge inside radius r, by
+    :func:`_charge` in units of the flat scale against N's radial part.
+    A charge infinite at r = 0 makes Q divergent there; one that diverges
+    at large r (N divergent there) has no total to complement, and every r
+    takes the integral from 0.
     """
     if sol.regime is not Regime.FLAT:
         raise ValueError("functional identities are derived in the flat case")
@@ -787,15 +725,15 @@ def pohozaev_functionals(
     du = sol.du_fn(kappa, alpha)
     t_val = _manifold_integral(sol, kappa, lambda r: du(r) ** 2, NESTED_REL_TOL)
 
-    n_val = mass(sol, kappa, alpha, NESTED_REL_TOL)
+    n_radial = mass(sol, kappa, alpha, NESTED_REL_TOL, include_sphere_factor=False)
+    n_val = n_radial if isinstance(n_radial, Divergent) else n_radial * sphere_area(sol.dim)
     if n_val == Divergent("small-r"):
         # u^2 > 0, so the charge M(r) inside every radius is infinite too
         return PohozaevFunctionals(t_val, n_val, n_val)
 
     u = sol.u_fn(kappa, alpha)
-    density = _weighted(sol.space(kappa), lambda t: u(t) ** 2, sol.dim - 1)
-    m_cum = _Cumulative(density, 0.0, NESTED_REL_TOL)
-    q_val = _manifold_integral(sol, kappa, lambda r: m_cum.many(r) ** 2, 1e-9, power=1 - sol.dim)
+    charge = _charge(_weighted(sol.space(kappa), lambda t: u(t) ** 2, sol.dim - 1), n_radial, sol.scale)
+    q_val = _manifold_integral(sol, kappa, lambda r: charge(r) ** 2, 1e-9, power=1 - sol.dim)
     return PohozaevFunctionals(t_val, n_val, q_val)
 
 

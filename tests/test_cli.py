@@ -413,6 +413,29 @@ def test_verify_passes_at_extreme_parameters(argv):
     assert code == 0 and json.loads(out)["passed"] is True
 
 
+def test_subnormal_alpha_is_rejected_in_one_line():
+    # at |alpha| = 5e-324, A^2 = X/alpha overflows: every entry with an
+    # amplitude law exits 2 with one line (verify and eval died with an
+    # OverflowError traceback, and mass printed "integrand not finite")
+    from ccsp.catalog import CATALOG
+    from ccsp.derivation import AlphaSign
+
+    rejected = 0
+    for sol in CATALOG:
+        alpha = "--alpha=-5e-324" if sol.alpha_sign is AlphaSign.ATTRACTIVE else "--alpha=5e-324"
+        commands = [["verify", sol.id], ["mass", sol.id], ["eval", sol.id, "--r", "0.5:0.6:2"]]
+        if sol.x_law is None:
+            # amplitude-free: A^2 = 1 whatever alpha is
+            assert all(run(argv + [alpha])[0] == 0 for argv in commands), sol.id
+            continue
+        for argv in commands + [["pohozaev", sol.id]]:
+            code, out, err = run(argv + [alpha])
+            assert (code, out) == (2, ""), (argv, err)
+            assert err == f"error: alpha = {alpha[8:]} gives A^2 = inf, which is not finite\n", (argv, err)
+            rejected += 1
+    assert rejected == 22 * 4
+
+
 def test_pohozaev_defect():
     code, out, _ = run(["pohozaev", "FLAT_CSV", "--alpha", "-1"])
     assert code == 0

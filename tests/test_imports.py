@@ -45,3 +45,26 @@ def test_exact_layer_does_not_import_numpy():
     assert ccsp.verify_solution is numeric.verify_solution
     with pytest.raises(AttributeError):
         ccsp.no_such_name
+
+
+FLOAT_LAYER_RUN = """
+import sys
+
+import numpy
+
+loaded = "numpy.polynomial" in sys.modules
+import ccsp.numeric
+print("numpy.polynomial" in sys.modules and not loaded)
+"""
+
+
+def test_float_layer_does_not_import_numpy_polynomial():
+    # every quadrature rule is built from exp and sinh: nothing loads
+    # numpy.polynomial (numpy 1.x loads it with numpy itself, numpy 2 lazily)
+    src = str(Path(ccsp.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", FLOAT_LAYER_RUN], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False", "ccsp.numeric loaded numpy.polynomial"

@@ -160,312 +160,22 @@ def test_end_that_does_not_settle_raises():
     assert got == pytest.approx(2.0 * math.sqrt(math.pi), rel=1e-14)
 
 
-_REF_RULES = np.polynomial.legendre.leggauss(15), np.polynomial.legendre.leggauss(7)
-
-
-def _reference_panel(f, a, b):
-    # the 15/7 pair as two separate integrand calls: the oracle for _panels
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    (x15, w15), (x7, w7) = _REF_RULES
-    i15 = half * float(np.dot(w15, np.asarray(f(mid + half * x15), dtype=float)))
-    i7 = half * float(np.dot(w7, np.asarray(f(mid + half * x7), dtype=float)))
-    if not (math.isfinite(i15) and math.isfinite(i7)):
-        return math.nan, math.inf
-    return i15, abs(i15 - i7)
-
-
-class _NotFinite(ValueError):
-    """The reference bisection met a panel that is not finite."""
-
-
-def _reference_adaptive(f, a, b, tol, depth=30):
-    # recursive bisection, one panel per call in depth-first order: the
-    # oracle for the level-batched _bisect
-    est, err = _reference_panel(f, a, b)
-    if not math.isfinite(est):
-        raise _NotFinite(f"integrand not finite on [{a}, {b}]")
-    if err <= tol or err <= 5e-15 * abs(est) or depth == 0:
-        return est
-    mid = 0.5 * (a + b)
-    return _reference_adaptive(f, a, mid, 0.5 * tol, depth - 1) + _reference_adaptive(
-        f, mid, b, 0.5 * tol, depth - 1
-    )
-
-
-def _one_job(f, a, b, tol):
-    # _bisect on one job; its failure raises
-    done = numeric._bisect(f, [(a, b, tol)])
-    if done.failed:
-        raise ValueError(done.failed[0])
-    return done.values[0]
-
-
-def _reference_cumulative(f, start, tol, points):
-    # one point at a time: the gaps between start and the anchors it
-    # passes, summed in passing order, then its own gap (NaN past a gap
-    # that fails); the oracle for the batched _Cumulative.many
-    gaps = {}
-
-    def gap(a, b):
-        lo, hi = min(a, b), max(a, b)
-        if (lo, hi) not in gaps and lo == 0.0:  # from r = 0: the double-exponential rule
-            gaps[lo, hi] = integrate_radial(f, lo, hi, tol)
-        if (lo, hi) not in gaps:
-            gaps[lo, hi] = _reference_adaptive(f, lo, hi, tol * max(1.0, hi - lo))
-        return gaps[lo, hi]
-
-    out = []
-    for s in points.tolist():
-        sign = 1.0 if s >= start else -1.0
-        passed = [a for a in numeric._ANCHORS.tolist() if start < a <= s or s <= a < start]
-        m, x = 0.0, start
-        try:
-            for a in sorted(passed, key=lambda a: sign * a) + [s]:
-                if a != x:
-                    m, x = m + sign * gap(x, a), a
-        except _NotFinite:
-            m = math.nan
-        out.append(m)
-    return out
-
-
 def _hex(values):
     return [float(v).hex() for v in values]
 
 
-def _count_panels(monkeypatch):
-    # every panel the batched evaluator handles, in evaluation order
-    calls = []
-    panels = numeric._panels
-
-    def counted(f, lo, hi):
-        calls.extend(zip(lo, hi))
-        return panels(f, lo, hi)
-
-    monkeypatch.setattr(numeric, "_panels", counted)
-    return calls
-
-
 def _count_calls(monkeypatch):
-    # the size of every batch the panel evaluator is called with
-    calls = []
-    panels = numeric._panels
+    # the size of every call of an S-weighted integrand: the integrands of
+    # the manifold integrals, of the charge and of the inversion
+    sizes = []
+    weighted = numeric._weighted
 
-    def counted(f, lo, hi):
-        calls.append(len(lo))
-        return panels(f, lo, hi)
+    def counted(space, g, power):
+        f = weighted(space, g, power)
+        return lambda r: sizes.append(np.size(r)) or f(r)
 
-    monkeypatch.setattr(numeric, "_panels", counted)
-    return calls
-
-
-def _hyp_n1_d6_integrand():
-    sol = get_solution("BG_HYP_N1_D6")
-    u = sol.u_fn(-1.0, sol.default_alpha)
-    s_fn = numeric.metric(Space.hyperbolic(-1.0, sol.dim)).S
-    return lambda r: u(r) ** 2 * s_fn(r) ** (sol.dim - 1)
-
-
-def test_panel_matches_two_call_reference():
-    integrands = [
-        lambda r: np.sinh(r) ** 2 / np.cosh(r) ** 4,
-        lambda r: r**5 * (1 + r**2) ** -4.0,
-        lambda r: 1.0 / np.sqrt(r),
-        lambda r: np.exp(-r) * np.sin(3.0 * r),
-        _hyp_n1_d6_integrand(),
-    ]
-    spans = [(1e-9, 1e-3), (0.0, 1.0), (0.3, 7.1), (10.0, 20.0), (80.0, 160.0)]
-    lo, hi = [a for a, _ in spans], [b for _, b in spans]
-    for f in integrands:
-        with np.errstate(all="ignore"):
-            ests, errs = numeric._panels(f, lo, hi)
-            want = [_reference_panel(f, a, b) for a, b in spans]
-        for est, err, (w_est, w_err) in zip(ests, errs, want):
-            assert est == w_est or (math.isnan(est) and math.isnan(w_est))
-            assert err == w_err
-
-
-def test_many_random_panels_match_two_call_reference():
-    # 1000 panels in one call, values spread over e^+-40, with rows that
-    # overflow to inf, mix +inf and -inf (nan sums) or meet a nan
-    rng = np.random.default_rng(14)
-    lo = rng.uniform(-40.0, 760.0, 1000)
-    hi = lo + np.exp(rng.uniform(-20.0, 3.0, 1000))
-
-    def f(r):
-        return np.where(np.abs(r - 300.0) < 20.0, np.nan, np.exp(r) * np.cos(7.0 * r))
-
-    with np.errstate(all="ignore"):
-        ests, errs = numeric._panels(f, lo.tolist(), hi.tolist())
-        want = [_reference_panel(f, a, b) for a, b in zip(lo.tolist(), hi.tolist())]
-    assert all(type(x) is float for x in ests + errs)
-    assert _hex(ests) == _hex(est for est, _ in want)
-    assert _hex(errs) == _hex(err for _, err in want)
-    bad = sum(not math.isfinite(est) for est in ests)
-    assert 50 < bad < 950
-    assert all(math.isnan(est) and err == math.inf for est, err in zip(ests, errs) if not math.isfinite(est))
-
-
-def test_adaptive_many_matches_recursive_reference():
-    # smooth, endpoint-singular, oscillatory and the BG_HYP_N1_D6 mass
-    # integrands one job at a time, then several jobs batched in one call
-    jobs = [
-        (lambda r: np.sinh(r) ** 2 / np.cosh(r) ** 4, 0.0, 6.0, 1e-12),
-        (lambda r: r**5 * (1 + r**2) ** -4.0, 0.0, 40.0, 1e-10),
-        (lambda r: r**1.5, 0.0, 1.0, 1e-12),
-        (lambda r: r**2.5 * np.exp(-r), 0.0, 4.0, 1e-13),
-        (lambda r: 1.0 / np.sqrt(r), 1e-6, 1.0, 1e-10),
-        (lambda r: np.log(r), 1e-8, 2.0, 1e-12),
-        (lambda r: np.exp(-r) * np.sin(30.0 * r), 0.0, 10.0, 1e-11),
-        (lambda r: np.cos(200.0 * r), 0.0, 3.0, 1e-9),
-        (_hyp_n1_d6_integrand(), 0.5, 20.0, 1e-10),
-        # only the 5e-15 relative rule can accept these panels
-        (lambda r: 1e3 * np.exp(r), 1.0, 2.0, 1e-300),
-        (lambda r: np.sqrt(r) * 1e8, 1e-3, 1.0, 1e-300),
-    ]
-    for f, a, b, tol in jobs:
-        got = _one_job(f, a, b, tol)
-        want = _reference_adaptive(f, a, b, tol)
-        assert type(got) is float
-        assert got.hex() == want.hex()
-    # one batch over shared nodes: a single integrand serving every job
-    f = lambda r: np.exp(-r) * np.sin(30.0 * r) / np.sqrt(r)
-    spans = [(1e-6, 1.0, 1e-10), (1.0, 5.0, 1e-12), (0.25, 0.5, 1e-300), (3.0, 80.0, 1e-11)]
-    done = numeric._bisect(f, spans)
-    assert not done.failed and all(type(x) is float for x in done.values)
-    assert _hex(done.values) == _hex(_reference_adaptive(f, a, b, t) for a, b, t in spans)
-
-
-def test_adaptive_many_raises_where_reference_raises():
-    # one job alone raises; in a batch it fails and is NaN, and the other
-    # job keeps the reference's bits
-    f = lambda r: np.where(r < 3.0, 1.0 / np.sqrt(np.abs(r - 2.0) + 1e-300), np.inf)
-    with pytest.raises(ValueError, match="not finite"):
-        _reference_adaptive(f, 0.0, 4.0, 1e-10)
-    with pytest.raises(ValueError, match="not finite"):
-        _one_job(f, 0.0, 4.0, 1e-10)
-    done = numeric._bisect(f, [(0.0, 1.0, 1e-10), (0.0, 4.0, 1e-10)])
-    assert list(done.failed) == [1] and "not finite" in done.failed[1]
-    assert done.values[0].hex() == _reference_adaptive(f, 0.0, 1.0, 1e-10).hex()
-    assert math.isnan(done.values[1])
-
-
-def test_adaptive_calls_integrand_once_per_level():
-    def levels(a, b, tol, depth=0):
-        # bisection levels the recursive reference visits below [a, b]
-        est, err = _reference_panel(f, a, b)
-        if err <= tol or err <= 5e-15 * abs(est):
-            return depth + 1
-        mid = 0.5 * (a + b)
-        return max(levels(a, mid, 0.5 * tol, depth + 1), levels(mid, b, 0.5 * tol, depth + 1))
-
-    calls = []
-
-    def f(r):
-        calls.append(np.size(r))
-        return np.sqrt(r) * np.cos(5.0 * r)
-
-    n_levels = levels(1e-4, 2.0, 1e-12)
-    calls.clear()
-    _one_job(f, 1e-4, 2.0, 1e-12)
-    assert n_levels > 5 and len(calls) == n_levels
-    assert sum(calls) > 22 * n_levels
-
-
-def _cumulative_points(start, rng):
-    # points on both sides of start (none below 0), start itself, exact
-    # anchors, a point below the lowest anchor, duplicates
-    anchors = numeric._ANCHORS
-    points = [start, start, 1e-13, 0.05, 0.2, 0.35, 1.2, 1.5, 2.6, 3.0, 3.0, 7.0, 9.0, 13.5]
-    points += [anchors[i] for i in (0, 150, 156, 159, 160, 161, 164, 172)]
-    points += list(np.linspace(0.0, 10.0, 41)) + list(rng.uniform(0.0, 12.0, 60))
-    return np.array(points + points[::7])
-
-
-@pytest.mark.parametrize("start", [0.0, 1.0])
-def test_cumulative_is_a_pure_function_of_the_point(start):
-    f = lambda t: t**2 * np.exp(-t) + np.cos(3.0 * t) ** 2
-    fresh = lambda: numeric._Cumulative(f, start, 1e-11)
-    rng = np.random.default_rng(7)
-    points = _cumulative_points(start, rng)
-    want = _hex(fresh().many(points))
-    assert want == _hex(_reference_cumulative(f, start, 1e-11, points))
-    # a permuted batch on a fresh instance; 17 small chunks in random order
-    # on another, which is then asked for the whole batch again
-    order = rng.permutation(len(points))
-    got = np.empty(len(points))
-    got[order] = fresh().many(points[order])
-    assert _hex(got) == want
-    chunked = fresh()
-    chunks = np.array_split(np.arange(len(points)), 17)
-    for i in rng.permutation(len(chunks)):
-        got[chunks[i]] = chunked.many(points[chunks[i]])
-    assert _hex(got) == want
-    assert _hex(chunked.many(points)) == want
-    # the cache is the fixed anchors and nothing more
-    assert sum(len(sums) for _, _, sums in chunked._sides) <= len(numeric._ANCHORS) + 2
-    # shape is kept, a scalar gives a 0-d array
-    grid = points[:4].reshape(2, 2)
-    assert chunked.many(grid).shape == (2, 2) and _hex(chunked.many(grid).ravel()) == want[:4]
-    assert chunked.many(points[5]).shape == () and float(chunked.many(points[5])).hex() == want[5]
-    # and the values are the integral: F is an antiderivative of f
-    F = lambda t: -(t**2 + 2.0 * t + 2.0) * np.exp(-t) + 0.5 * t + np.sin(6.0 * t) / 12.0
-    err = np.abs(chunked.many(points) - (F(points) - F(start)))
-    assert np.all(err <= 1e-11 * np.maximum(1.0, points))
-    # past the highest anchor, with an integrand that vanishes out there
-    far = numeric._Cumulative(lambda t: np.exp(-t), start, 1e-11).many(np.array([2.0**40, 2e12]))
-    assert far == pytest.approx(np.exp(-start) * np.ones(2), rel=1e-10)
-
-
-@pytest.mark.parametrize("start", [0.0, 1.0])
-def test_cumulative_is_nan_only_past_a_failed_gap(start):
-    # f is NaN from t = 5.2 on: every gap that meets it fails, and M is NaN
-    # at the points past such a gap, with the reference's bits elsewhere.
-    # A failed gap never enters the anchor sums, so a later call agrees
-    f = lambda t: np.where(t < 5.2, t**2 * np.exp(-t) + np.cos(3.0 * t) ** 2, np.nan)
-    points = _cumulative_points(start, np.random.default_rng(7))
-    cum = numeric._Cumulative(f, start, 1e-11)
-    got = _hex(cum.many(points))
-    assert got == _hex(_reference_cumulative(f, start, 1e-11, points))
-    nan = [x == "nan" for x in got]
-    assert 10 < sum(nan) < len(points) - 10
-    assert all(p > 5.2 for p, bad in zip(points.tolist(), nan) if bad)
-    assert all(math.isfinite(x) for _, _, sums in cum._sides for x in sums)
-    assert _hex(cum.many(points[::-1])) == got[::-1]
-
-
-def test_cumulative_charge_of_an_integrable_singularity():
-    # M(s) = 2 sqrt(s) for the density t^(-1/2): the gaps from r = 0 (the
-    # first anchor gap, and the gap of any point below 2^-40) go through
-    # the double-exponential rule, whose tanh-sinh end takes the singularity
-    # (a bisection of the first gap stopped at the depth cap, and M was NaN
-    # at every point)
-    s = np.array([1e-200, 1e-20, 1e-13, 2.0**-40, 1e-6, 0.3, 1.0, 7.0, 1e4])
-    got = numeric._Cumulative(lambda t: t**-0.5, 0.0, 1e-11).many(s)
-    assert np.max(np.abs(got / (2.0 * np.sqrt(s)) - 1.0)) <= 1e-13
-
-
-def test_failed_batch_does_not_change_a_later_value(monkeypatch):
-    # with a low MAX_PANELS, a whole batch overflows one bisection level
-    # and its open gaps fail, where small batches do not: M at each point
-    # stays what a fresh instance gives
-    monkeypatch.setattr(numeric, "MAX_PANELS", 64)
-    f = lambda t: t**2 * np.exp(-t) + np.cos(3.0 * t) ** 2
-    points = _cumulative_points(0.0, np.random.default_rng(7))
-    cum = numeric._Cumulative(f, 0.0, 1e-11)
-    assert np.isnan(cum.many(points)).any()
-    for chunk in np.array_split(points, 40):
-        want = _hex(numeric._Cumulative(f, 0.0, 1e-11).many(chunk))
-        assert "nan" not in want
-        assert _hex(cum.many(chunk)) == want
-
-
-def test_adaptive_raises_at_first_non_finite_panel(monkeypatch):
-    calls = _count_panels(monkeypatch)
-    f = lambda r: np.where(r < 3.0, 1.0, np.inf)
-    with pytest.raises(ValueError, match="not finite"):
-        _one_job(f, 0.0, 4.0, 1e-10)
-    assert len(calls) == 1
+    monkeypatch.setattr(numeric, "_weighted", counted)
+    return sizes
 
 
 def test_interior_pole_off_the_nodes_raises():
@@ -475,38 +185,6 @@ def test_interior_pole_off_the_nodes_raises():
     f = lambda r: 1.0 / (r - 5.0) ** 2 / (1.0 + r**4)
     with pytest.raises(ValueError, match=f"no convergence after {numeric.DE_LEVELS} levels"):
         integrate_radial(f, 0.0, math.inf)
-
-
-def test_a_level_of_too_many_panels_raises(monkeypatch):
-    # the last anchor gap below 2^40 is about 1.7e11 wide with a tolerance
-    # of about 2: it would bisect into millions of panels of cos(3t), and
-    # the level is refused before it is built.  In _Cumulative the gap
-    # fails, and M is NaN past it
-    sizes = _count_calls(monkeypatch)
-    f = lambda t: t**2 * np.exp(-t) + np.cos(3.0 * t) ** 2
-    lo, hi = 2.0 ** (159 / 4), 2.0**40
-    with pytest.raises(ValueError, match=f"more than {numeric.MAX_PANELS} panels to bisect"):
-        _one_job(f, lo, hi, 1e-11 * (hi - lo))
-    assert max(sizes) <= numeric.MAX_PANELS
-    sizes.clear()
-    far = numeric._Cumulative(f, 0.0, 1e-11).many([1e3, 2e12])
-    assert math.isfinite(far[0]) and math.isnan(far[1])
-    assert max(sizes) <= numeric.MAX_PANELS
-
-
-def test_window_accepted_at_first_panel_costs_one_panel():
-    # err = 9.1e-13 misses a zero tolerance but is at machine precision
-    # relative to the value 4670.8: the first panel is accepted, and the
-    # job (a cumulative gap) must evaluate it once
-    points = []
-
-    def f(r):
-        points.append(np.size(r))
-        return 1e3 * np.exp(r)
-
-    done = numeric._bisect(f, [(1.0, 2.0, 0.0)])
-    assert not done.failed and done.values[0] == pytest.approx(1e3 * (math.e**2 - math.e), rel=1e-14)
-    assert points == [22]
 
 
 @pytest.mark.parametrize("error", [ValueError, OverflowError])
@@ -525,7 +203,7 @@ def test_integrand_that_raises_propagates(error):
         integrate_radial(f, 400.0, 800.0)
 
 
-def test_panel_call_counts(monkeypatch):
+def test_integrand_call_counts(monkeypatch):
     # the masses of the catalog: one integrand call per level of the rule
     sizes = []
     integrate = numeric.integrate_radial
@@ -540,9 +218,11 @@ def test_panel_call_counts(monkeypatch):
             mass(sol, kappa, sol.default_alpha)
     assert len(sizes) <= 60 and sum(sizes) <= 1500
     monkeypatch.undo()
+    # T, N and Q: Q's charge at every outer node of a level is one more call
+    # (12 calls of 8,805 points measured)
     calls = _count_calls(monkeypatch)
     numeric.pohozaev_functionals(get_solution("FLAT_CSV"), 0.0, -1.0)
-    assert len(calls) <= 30
+    assert len(calls) <= 15 and sum(calls) <= 12000
     # fd_residual evaluates one table of u, u', u'', V, V', V'' and rho,
     # with the basis' base and odd functions evaluated once each
     tables, evaluated = [], []
@@ -624,7 +304,7 @@ def test_interior_core_pole_raises():
 
 
 @pytest.mark.parametrize("kappa", [-2.0, -0.5, -(2.0**-0.5)])
-def test_divergence_probe_stops_at_first_non_finite_panel(kappa):
+def test_divergence_probe_stops_at_first_non_finite_node(kappa):
     # u^2 S^5 grows like e^(3 lambda r) until S^5 overflows: the first
     # level's nodes up to the first one that is not finite are the verdict,
     # from one call of 27 nodes (bisecting a Cauchy window toward the
@@ -766,7 +446,7 @@ def test_masses_over_the_alpha_lattice():
 
 
 @pytest.mark.parametrize("k", [-4, 0, 4])
-def test_mass_matches_recursive_reference(k):
+def test_masses_at_both_coupling_signs(k):
     # every catalog entry at |kappa| = 2^(k/2), both coupling signs: a sign
     # the amplitude law does not admit raises, and every admitted one gives
     # the closed form's verdict and value
@@ -783,7 +463,7 @@ def test_mass_matches_recursive_reference(k):
     assert sum(sol.finite_mass for sol, _, _ in points) >= 10
 
 
-def test_moot_window_masses_match_sequential_reference():
+def test_overflowing_divergent_masses_on_the_verify_lattice():
     # the divergent hyperbolic entries whose large-r integrands overflow, on
     # the verify lattice: every point is divergent, as the catalog says
     points = [
@@ -932,6 +612,92 @@ def test_residuals_at_roundoff_and_sensitive_to_shifts(monkeypatch):
     assert points == 840 and shifted == {"X": 750, "omega": 750}
 
 
+# -- the charge inside a radius -------------------------------------------------------
+
+
+def _bg_flat_n3_d4_charge():
+    # BG_FLAT_N3_D4's charge at alpha = 1, built as pohozaev_functionals does
+    sol = get_solution("BG_FLAT_N3_D4")
+    u = sol.u_fn(0.0, 1.0)
+    density = numeric._weighted(sol.space(0.0), lambda t: u(t) ** 2, sol.dim - 1)
+    total = mass(sol, 0.0, 1.0, numeric.NESTED_REL_TOL, include_sphere_factor=False)
+    return numeric._charge(density, total, sol.scale)
+
+
+def test_cumulative_charge_of_an_integrable_singularity():
+    # M(s) = sqrt(pi) erf(sqrt(s)) for the density t^(-1/2) e^(-t), on both
+    # sides of the length 1: s int_0^1 by tanh-sinh, whose end takes the
+    # singularity, and beyond, the total sqrt(pi) less s int_1^inf by exp-sinh
+    s = np.array([1e-200, 1e-20, 1e-6, 0.3, 1.0, 1.5, 7.0, 40.0, 1e4])
+    charge = numeric._charge(lambda t: t**-0.5 * np.exp(-t), math.sqrt(math.pi), 1.0)
+    want = np.array([math.sqrt(math.pi) * math.erf(math.sqrt(x)) for x in s])
+    assert np.max(np.abs(charge(s) / want - 1.0)) <= 1e-13
+
+
+def test_charge_of_bg_flat_n3_d4_is_its_closed_form():
+    # M(r) = 36 r^4 / (1 + r^2)^2, the Beta integral of u^2 r^3
+    r = np.logspace(-6, 6, 241)
+    want = 36.0 * r**4 / (1.0 + r**2) ** 2
+    assert np.max(np.abs(_bg_flat_n3_d4_charge()(r) / want - 1.0)) <= 1e-12
+
+
+@pytest.mark.parametrize("power", [0.0, 1.0])
+def test_cumulative_is_a_pure_function_of_the_point(power):
+    # the charge of t^power e^-t (total 1): each row of the outer x inner
+    # grid is reduced alone, so a permuted batch and 17 chunks in random
+    # order give the bits of one call, at points on both sides of the
+    # length, at it and duplicated
+    charge = numeric._charge(lambda t: t**power * np.exp(-t), 1.0, 1.0)
+    rng = np.random.default_rng(7)
+    points = np.concatenate([[1.0, 1.0, 1e-13, 0.5, 2.0], np.logspace(-8, 8, 61), rng.uniform(0.01, 12.0, 60)])
+    want = _hex(charge(points))
+    assert "nan" not in want
+    order = rng.permutation(len(points))
+    got = np.empty(len(points))
+    got[order] = charge(points[order])
+    assert _hex(got) == want
+    got[:] = math.nan
+    for chunk in np.array_split(rng.permutation(len(points)), 17):
+        got[chunk] = charge(points[chunk])
+    assert _hex(got) == want
+    # shape is kept, a scalar gives a 0-d array
+    grid = charge(points[:4].reshape(2, 2))
+    assert grid.shape == (2, 2) and _hex(grid.ravel()) == want[:4]
+    assert charge(points[5]).shape == () and float(charge(points[5])).hex() == want[5]
+    # and the values are the lower incomplete gamma function
+    closed = -np.expm1(-points) - (points * np.exp(-points) if power else 0.0)
+    assert np.max(np.abs(got - closed)) <= 1e-15
+
+
+def test_charge_with_an_unsettled_cut_is_nan():
+    # the density e^-t is NaN from t = 23 on, where its terms are still
+    # about 1e-10 of the charge: the steps 1/16 and 1/8 agree on the sum up
+    # to the cut, but the cut side has not settled, so every r past the
+    # length, whose exp-sinh nodes reach t = 23, is NaN instead of wrong
+    charge = numeric._charge(lambda t: np.where(t < 23.0, np.exp(-t), np.nan), 1.0, 1.0)
+    s = np.logspace(-3, 1.3, 400)
+    got = charge(s)
+    assert np.array_equal(np.isnan(got), s > 1.0)
+    assert np.max(np.abs(got[s <= 1.0] + np.expm1(-s[s <= 1.0]))) <= 1e-15
+
+
+def test_charge_of_a_too_narrow_density_is_nan():
+    # a bump of width 0.03 at t = 0.7 is too narrow for the fixed node set:
+    # where the steps 1/16 and 1/8 disagree M is NaN, wherever it is finite
+    # it is the closed form, and a Q of it raises instead of being wrong
+    width, center = 0.03, 0.7
+    total = width * math.sqrt(math.pi) / 2.0 * (1.0 + math.erf(center / width))
+    charge = numeric._charge(lambda t: np.exp(-(((t - center) / width) ** 2)), total, 1.0)
+    s = np.logspace(-3, 3, 2001)
+    got = charge(s)
+    want = total - width * math.sqrt(math.pi) / 2.0 * np.array([math.erfc((x - center) / width) for x in s])
+    nan = np.isnan(got)
+    assert 0.01 < nan.mean() < 0.5
+    assert np.max(np.abs(got[~nan] - want[~nan])) <= 1e-12 * total
+    with pytest.raises(numeric.QuadratureError):
+        integrate_radial(lambda r: charge(r) ** 2 * r**-3.0, 0.0, math.inf)
+
+
 # -- inversion ----------------------------------------------------------------------
 
 
@@ -940,15 +706,20 @@ def test_poisson_invert_flat_oracle():
     # the closed form is the oracle for the inverter
     sol = get_solution("FLAT_CSV")
     u = sol.u_fn(0.0, -1.0)
-    v = numeric.poisson_invert(lambda r: u(r) ** 2, FLAT6, 6)
+    sizes = []
+    v = numeric.poisson_invert(lambda r: sizes.append(np.size(r)) or u(r) ** 2, FLAT6, 6)
     rs = np.linspace(0.1, 10.0, 23)
     expected = 24.0 / (1.0 + rs**2) ** 2
+    sizes.clear()
     assert np.max(np.abs(v(rs) - expected) / expected) < 1e-7
+    # each V(r) is its own outer rule of about 60 nodes, each a row of
+    # about 220 charge nodes: 13,200 source points per V(r) measured
+    assert sum(sizes) <= 16_000 * len(rs)
 
 
 def test_poisson_invert_slowly_decaying_potential():
-    # -Lap of 18/(1+r^2) at D = 4 is 144 (1+r^2)^-3; the potential's r^-2
-    # tail pushes the far end of the inversion out to about 1e7
+    # -Lap of 18/(1+r^2) at D = 4 is 144 (1+r^2)^-3; the potential has an
+    # r^-2 tail, so V(r) integrates M(s) s^-3 far past r
     f = lambda r: 144.0 / (1.0 + np.asarray(r, dtype=float) ** 2) ** 3
     v = numeric.poisson_invert(f, Space.flat(4), 4)
     rs = np.array([0.1, 0.5, 1.0, 2.0, 3.0, 5.0, 10.0])
@@ -971,6 +742,33 @@ def test_poisson_invert_zero():
     assert abs(float(v(1.0))) < 1e-12
 
 
+def test_poisson_invert_negative_source():
+    # the charge's inner error is judged against |total|, so a source of
+    # negative total charge inverts to exactly the negated potential
+    f = lambda r: 144.0 / (1.0 + np.asarray(r, dtype=float) ** 2) ** 4
+    v = numeric.poisson_invert(f, FLAT6, 6)
+    minus = numeric.poisson_invert(lambda r: -f(r), FLAT6, 6)
+    rs = np.linspace(0.1, 10.0, 11)
+    assert _hex(minus(rs)) == _hex(-v(rs))
+
+
+def test_poisson_invert_zero_net_source():
+    # -Lap of (1+r^2)^-3 at D = 6 is (36 - 12 r^2)(1+r^2)^-5, and -Lap of
+    # e^(-r^2) at D = 3 is (6 - 4 r^2) e^(-r^2): their charges 6 r^6
+    # (1+r^2)^-4 and 2 r^3 e^(-r^2) return to 0, so the total cancels to
+    # roundoff, and each row of the charge is judged against its own
+    # h r sum |terms|
+    x = lambda r: np.asarray(r, dtype=float) ** 2
+    v = numeric.poisson_invert(lambda r: (36.0 - 12.0 * x(r)) / (1.0 + x(r)) ** 5, FLAT6, 6)
+    rs = np.array([0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 100.0, 1000.0])
+    expected = (1.0 + rs**2) ** -3.0
+    assert np.max(np.abs(v(rs) - expected) / expected) < 1e-12
+    v = numeric.poisson_invert(lambda r: (6.0 - 4.0 * x(r)) * np.exp(-x(r)), Space.flat(3), 3)
+    rs = np.linspace(0.1, 4.0, 14)
+    expected = np.exp(-(rs**2))
+    assert np.max(np.abs(v(rs) - expected) / expected) < 1e-9
+
+
 def test_poisson_invert_hyperbolic_oracle():
     sol = get_solution("HYP_U1")
     u = sol.u_fn(-1.0, -1.0)
@@ -981,24 +779,27 @@ def test_poisson_invert_hyperbolic_oracle():
 
 
 def test_poisson_invert_hyperbolic_overflow(monkeypatch):
-    # past r ~ 710 the inner charge overflows, so the tail's nodes out there
-    # are NaN: the tail's side stops at the first of them, long settled, and
+    # past r ~ 355 the charge's density is NaN at its middle node (cosh^-4
+    # underflows where sinh^2 overflows), so M is NaN there: the side of
+    # each V(r) stops at the first such node, long settled, and
     # V = 1/(6 cosh^2) is right wherever it is finite
     calls = _count_calls(monkeypatch)
     f = lambda r: 1.0 / np.cosh(r) ** 4
     v = numeric.poisson_invert(f, HYP3, 3)
-    assert 0 < len(calls) <= 12
+    assert 0 < len(calls) <= 6  # the total charge (4 measured)
     rs = np.linspace(0.1, 20.0, 50)
+    calls.clear()
     assert np.max(np.abs(v(rs) * 6.0 * np.cosh(rs) ** 2 - 1.0)) < 1e-12
+    assert len(calls) <= 50 * 10  # per point, two calls per level (8 measured)
     # V is not finite past the overflow, and says so
     with pytest.raises(ValueError, match="V is not finite at r = 1000.0"):
         v(np.array([1.0, 1000.0]))
-    # at D = 22 the weight S^21 overflows before r_far = 40: the inversion
-    # raises there, without pushing r_far out to 1e7 first
+    # at D = 22 the density f S^21 grows like e^(17 r) until S^21 overflows:
+    # the total charge diverges, a verdict from the first level's 27 nodes
     calls.clear()
-    with pytest.raises(ValueError, match="not finite at r = 40.0"):
+    with pytest.raises(ValueError, match="inversion tail diverges"):
         numeric.poisson_invert(f, Space.hyperbolic(-1.0, 22), 22)
-    assert len(calls) <= 8
+    assert calls == [27]
 
 
 def test_poisson_invert_fd_round_trip():
@@ -1036,30 +837,53 @@ def test_pohozaev_flat_csv():
     # independent route: Q = S_5 int u^2 V r^(D-1) with V from the nested
     # inversion of -Lap, not from the energy form.  V is not finite where
     # the inner charge's r^5 overflows (r ~ 1e61), which the rule's nodes
-    # on (0, inf) reach, so the route stops at r = 2^20: there V is finite,
-    # and the remainder, about 576^2 24 r^-6 / 6 = 2e-31, is below roundoff
+    # on (0, inf) reach, so the route drops r >= 2^20 (without evaluating V
+    # there): the remainder, about 576^2 24 r^-6 / 6 = 2e-31, is below
+    # roundoff.  Exp-sinh on (0, inf) evaluates V at about 40 points, where
+    # tanh-sinh on (0, 2^20) took about 460
     u = sol.u_fn(0.0, -1.0)
     v = numeric.poisson_invert(lambda r: u(r) ** 2, FLAT6, 6)
-    direct = integrate_radial(
-        lambda r: u(r) ** 2 * v(r) * r**5, 0.0, 2.0**20, rel_tol=1e-9
-    ) * sphere_area(6)
+
+    def energy(r):
+        out, near = np.zeros_like(r), r < 2.0**20
+        out[near] = u(r[near]) ** 2 * v(r[near]) * r[near] ** 5
+        return out
+
+    direct = integrate_radial(energy, 0.0, math.inf, rel_tol=1e-9) * sphere_area(6)
     assert fns.Q == pytest.approx(direct, rel=1e-7)
 
 
-@pytest.mark.parametrize(
-    "sid, alpha, q_exact",
-    [
-        # Q = S_(D-1) int M^2 r^(1-D) dr with closed-form charges M, e.g.
-        # BG_FLAT_N3_D4: M = 36 r^4/(1+r^2)^2, Q = 2 pi^2 1296 (1/2) B(3,1)
-        ("FLAT_CSV", -1.0, 1152.0 * math.pi**3 / 5.0),
-        ("BG_FLAT_N3_D4", 1.0, 432.0 * math.pi**2),
-        ("BG_FLAT_N3_D5", 1.0, 75.0 * math.pi**3 / 4.0),
-        ("BG_FLAT_N4_D4", -1.0, 9216.0 * math.pi**2 / 5.0),
-    ],
-)
+_Q_CLOSED_FORMS = [
+    # Q = S_(D-1) int M^2 r^(1-D) dr with closed-form charges M, e.g.
+    # BG_FLAT_N3_D4: M = 36 r^4/(1+r^2)^2, Q = 2 pi^2 1296 (1/2) B(3,1)
+    ("FLAT_CSV", -1.0, 1152.0 * math.pi**3 / 5.0),
+    ("BG_FLAT_N3_D4", 1.0, 432.0 * math.pi**2),
+    ("BG_FLAT_N3_D5", 1.0, 75.0 * math.pi**3 / 4.0),
+    ("BG_FLAT_N4_D4", -1.0, 9216.0 * math.pi**2 / 5.0),
+]
+
+
+@pytest.mark.parametrize("sid, alpha, q_exact", _Q_CLOSED_FORMS)
 def test_pohozaev_q_closed_forms(sid, alpha, q_exact):
     fns = numeric.pohozaev_functionals(get_solution(sid), 0.0, alpha)
     assert fns.Q == pytest.approx(q_exact, rel=1e-8)
+
+
+def test_pohozaev_q_over_alpha_and_scale():
+    # |alpha| = 2^k, k in -30..30 in steps of 2, where Q = q_exact / alpha^2
+    # (u^2 scales as 1/alpha), and FLAT_CSV scaled by 2^e, e in -10..10,
+    # whose Q at D = 6 does not change: the charge runs in units of the
+    # scale, so its bits do not either
+    for sid, sign, q_exact in _Q_CLOSED_FORMS:
+        sol = get_solution(sid)
+        for k in range(-30, 31, 2):
+            alpha = sign * 2.0**k
+            q = numeric.pohozaev_functionals(sol, 0.0, alpha).Q
+            assert abs(q * alpha**2 - q_exact) <= 1e-10 * q_exact, (sid, alpha, q)
+    csv = get_solution("FLAT_CSV")
+    base = numeric.pohozaev_functionals(csv, 0.0, -1.0).Q.hex()
+    for e in range(-10, 11):
+        assert numeric.pohozaev_functionals(scale_flat_solution(csv, 2.0**e), 0.0, -1.0).Q.hex() == base, e
 
 
 def test_pohozaev_identities_skip_background_entries():
