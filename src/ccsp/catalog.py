@@ -17,7 +17,9 @@ coupling.
 Every field (u, u', V, rho) is its expression compiled at (kappa, alpha)
 in one place, where the flat scale acts; the residual check and `eval`
 read u, u', u'', V, V', V'' and rho from one table of them
-(`Solution.fields_fn`).  Flat homogeneous entries form a scaling family
+(`Solution.fields_fn`).  Q's W = (-Lap)^-1 u^2 is solved in the term
+algebra on first use (`Solution.newton_potential`), never while the catalog
+builds.  Flat homogeneous entries form a scaling family
 u_a(r) = a^-2 u(r/a); the curved entries do not scale (the
 curved Laplacian has no scale symmetry), and :func:`scale_flat_solution`
 refuses them, as it refuses background entries; a record's scale is
@@ -107,6 +109,19 @@ class Solution(DerivationHit):
     def V(self) -> RadialExpr:
         return self._exprs[1]
 
+    @cached_property
+    def newton_potential(self) -> Optional[RadialExpr]:
+        """W = (-Lap)^-1 u^2 from the term algebra, for a flat-c entry whose
+        W has only negative powers of c: c >= 1, so such a W is smooth and
+        decays, and is the Newton potential of u^2.  None otherwise.  For a
+        homogeneous entry W is V; with a source rho it is not."""
+        if self.family is not Basis.FLAT_C:
+            return None
+        w = (self.u * self.u).inverse_laplacian(self.dim)
+        if w is None or any(t.base >= 0 for t in w.terms):
+            return None
+        return w
+
     @property
     def singular_radii(self) -> tuple[str, ...]:
         return singular_radius_tags(AnsatzFamily(self.family, self.n), self.regime)
@@ -150,6 +165,11 @@ class Solution(DerivationHit):
 
     def v_fn(self, kappa: float, alpha: float) -> Callable:
         return self._field_fn(self.V, kappa, alpha, -2)
+
+    def w_fn(self, kappa: float, alpha: float) -> Callable:
+        """The Newton potential W of u^2 (:attr:`newton_potential`, which
+        must exist) as a function of r; like V it takes the scale power -2."""
+        return self._field_fn(self.newton_potential, kappa, alpha, -2)
 
     def rho_fn(self, kappa: float, alpha: float) -> Callable:
         return self._field_fn(self.rho, kappa, alpha)

@@ -163,20 +163,28 @@ class DerivationHit:
 
     def amp_sq_value(self, kappa: float, alpha: float) -> float:
         """Numeric A^2 = X/alpha (1 when amplitude-free); raises if alpha is
-        zero or not finite, if the signs are incompatible, or if A^2
-        overflows (|alpha| below about |X| / 1.8e308)."""
+        zero or not finite, if the signs are incompatible, or if X or A^2
+        leaves the doubles: X's power of kappa overflows or underflows to 0
+        (|kappa| past about 1e154 or below about 1e-162 where X holds
+        (-kappa)^2), or A^2 does (|alpha| below about |X| / 1.8e308, or
+        far above |X|)."""
         if alpha == 0 or not math.isfinite(alpha):
             raise ValueError("alpha must be finite and nonzero")
         if self.x_law is None:
             return 1.0
-        amp_sq = self.x_law.evaluate(-kappa) / alpha
-        if amp_sq <= 0:
+        x = self.x_law.evaluate(-kappa)
+        amp_sq = x / alpha
+        # the sign bit of X/alpha survives overflow and underflow to 0
+        if math.copysign(1.0, amp_sq) < 0:
             raise ValueError(
                 f"alpha = {alpha} gives A^2 = {amp_sq} <= 0; "
                 f"this solution requires the {self.alpha_sign.value} sign"
             )
-        if not math.isfinite(amp_sq):
-            raise ValueError(f"alpha = {alpha} gives A^2 = {amp_sq}, which is not finite")
+        fault = "underflows to 0" if amp_sq == 0 else "is not finite"
+        if x == 0 or not math.isfinite(x):
+            raise ValueError(f"kappa = {kappa} gives {self.amp_sq_str()} = {amp_sq}, which {fault}")
+        if amp_sq == 0 or not math.isfinite(amp_sq):
+            raise ValueError(f"alpha = {alpha} gives A^2 = {amp_sq}, which {fault}")
         return amp_sq
 
     def amp_sq_str(self) -> str:

@@ -39,8 +39,10 @@ with independent machinery:
 * radial inversion of -Lap with decay normalization, V(r) one integral of
   S^(1-D) M from r;
 * the variational functionals T, N, Q and their flat-space identities, Q
-  from the energy form int |grad W|^2 = S_(D-1) int M^2 S^(1-D) (no
-  inversion of -Lap).
+  by one of two routes, neither a float inversion of -Lap: where the term
+  algebra holds W = (-Lap)^-1 u^2 exactly, the one integral of u^2 W; elsewhere
+  the energy form int |grad W|^2 = S_(D-1) int M^2 S^(1-D), with M the
+  charge above.
 """
 
 from __future__ import annotations
@@ -316,6 +318,17 @@ def integrate_radial(
     accepted when both sides are settled and two levels agree to
     1e-2 sqrt(rel_tol) A (the error about squares per level) or to 1e-14 A,
     roundoff.
+
+    The rule assumes that f is resolved by the nodes of levels 0 and 1
+    (step 1/4 in t): smooth, with no feature much narrower than their
+    spacing, which toward infinity from r_lo is about 0.4 in r at
+    r - r_lo = 1 and about 3 at r - r_lo = 5.  A feature that all those
+    nodes miss is not seen at all: both sides settle on terms of about 0
+    and the levels agree, so a wrong value is returned without an error.
+    On (0, inf), exp(-((r - 0.3)/0.003)^2) and exp(-((r - 5)/0.03)^2),
+    whose integrals are 5.3e-3 and 5.3e-2, integrate to 0.0.  The callers
+    pass profiles of the term algebra in units of the space's length,
+    which vary on the scale 1.
     """
     if not (0.0 <= r_lo < r_hi):
         raise ValueError(f"bad interval ({r_lo}, {r_hi})")
@@ -518,8 +531,10 @@ def fd_residual(
     inv_t = metric(sol.space(kappa)).inv_T(r)
     u, du, d2u, v, dv, d2v, rho = sol.fields_fn(kappa, alpha)(r)
     m = sol.dim - 1
-    res_schro = -(d2u + m * inv_t * du) + alpha * v * u - sol.omega_value(kappa) * u
-    res_poisson = -(d2v + m * inv_t * dv) - u**2 - rho
+    with np.errstate(over="ignore", invalid="ignore"):
+        # fields near the end of the doubles overflow: an inf or NaN residual fails
+        res_schro = -(d2u + m * inv_t * du) + alpha * v * u - sol.omega_value(kappa) * u
+        res_poisson = -(d2v + m * inv_t * dv) - u**2 - rho
     norm = max(float(np.max(np.abs(u))), 1.0)
     return (
         float(np.max(np.abs(res_schro))) / norm,
@@ -710,13 +725,12 @@ def pohozaev_functionals(
 ) -> PohozaevFunctionals:
     """T = int |grad u|^2, N = int u^2, Q = int u^2 (-Lap)^-1 u^2 (flat, D > 2).
 
-    Q comes from the energy form: with -Lap W = u^2 and W decaying,
-    Q = int u^2 W = int |grad W|^2 = S_(D-1) int_0^inf M(r)^2 r^(1-D) dr,
-    where M(r) = int_0^r u^2 t^(D-1) dt is the charge inside radius r, by
-    :func:`_charge` in units of the flat scale against N's radial part.
-    A charge infinite at r = 0 makes Q divergent there; one that diverges
-    at large r (N divergent there) has no total to complement, and every r
-    takes the integral from 0.
+    Q has two routes.  Where N is finite and the term algebra holds the
+    decaying W = (-Lap)^-1 u^2 exactly
+    (:attr:`ccsp.catalog.Solution.newton_potential`), Q is the one integral
+    S_(D-1) int u^2 W r^(D-1) dr.  Elsewhere (W outside the algebra, or N
+    divergent) it comes from the energy form, by :func:`_charge_q`.  A
+    charge infinite at r = 0 (N divergent there) makes Q divergent there.
     """
     if sol.regime is not Regime.FLAT:
         raise ValueError("functional identities are derived in the flat case")
@@ -730,11 +744,25 @@ def pohozaev_functionals(
     if n_val == Divergent("small-r"):
         # u^2 > 0, so the charge M(r) inside every radius is infinite too
         return PohozaevFunctionals(t_val, n_val, n_val)
+    if sol.newton_potential is None or isinstance(n_radial, Divergent):
+        return PohozaevFunctionals(t_val, n_val, _charge_q(sol, kappa, alpha, n_radial))
+    # u and W compiled apart: the grade A^4 of u^2 W would overflow first
+    u, w = sol.u_fn(kappa, alpha), sol.w_fn(kappa, alpha)
+    q_val = _manifold_integral(sol, kappa, lambda r: u(r) ** 2 * w(r), NESTED_REL_TOL)
+    return PohozaevFunctionals(t_val, n_val, q_val)
 
+
+def _charge_q(sol: "Solution", kappa: float, alpha: float, n_radial: Quadrature) -> Quadrature:
+    """Q from the energy form: with -Lap W = u^2 and W decaying,
+    Q = int u^2 W = int |grad W|^2 = S_(D-1) int_0^inf M(r)^2 r^(1-D) dr,
+    where M(r) = int_0^r u^2 t^(D-1) dt is the charge inside radius r, by
+    :func:`_charge` in units of the flat scale against `n_radial`, N's
+    radial part.  A charge that diverges at large r (`n_radial` divergent
+    there) has no total to complement, and every r takes the integral
+    from 0."""
     u = sol.u_fn(kappa, alpha)
     charge = _charge(_weighted(sol.space(kappa), lambda t: u(t) ** 2, sol.dim - 1), n_radial, sol.scale)
-    q_val = _manifold_integral(sol, kappa, lambda r: charge(r) ** 2, 1e-9, power=1 - sol.dim)
-    return PohozaevFunctionals(t_val, n_val, q_val)
+    return _manifold_integral(sol, kappa, lambda r: charge(r) ** 2, 1e-9, power=1 - sol.dim)
 
 
 @dataclass(frozen=True)

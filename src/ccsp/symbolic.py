@@ -127,9 +127,10 @@ class Graded:
         return self.coef == 0
 
     def evaluate(self, neg_kappa: float) -> float:
+        """The value at (-kappa) = neg_kappa; +-inf where the power overflows."""
         if self.kappa == 0:
             return float(self.coef)
-        return float(self.coef) * neg_kappa**self.kappa
+        return float(self.coef) * _power(neg_kappa, self.kappa)
 
     def sign(self, regime: Regime) -> int:
         """Sign of the value in `regime`: (-kappa) is negative on the sphere."""
@@ -154,6 +155,15 @@ class Graded:
 
 
 ZERO_GRADED = Graded(Fraction(0), 0)
+
+
+def _power(x: float, k: int) -> float:
+    """x**k, or the infinity of its sign where it overflows: a float power
+    of an integer raises OverflowError there instead."""
+    try:
+        return x**k
+    except OverflowError:
+        return -math.inf if x < 0 and k % 2 else math.inf
 
 
 _Unit = tuple[int, int, int]  # powers (base, odd, kappa) of a unit monomial
@@ -351,6 +361,48 @@ class RadialExpr:
             return d2
         return d2 + (dim - 1) * d1.div_T()
 
+    def inverse_laplacian(self, dim: int) -> Optional["RadialExpr"]:
+        """W with -Lap(W) = self exactly, or None where the elimination
+        below does not close.
+
+        The Laplacian sends B^p O^o to at most two terms of odd power o,
+        at powers from p - 4 to p.  So -Lap(W) = f is solved from f's lowest
+        term up, grades carried: a step takes the residual's lowest term t
+        and the unit monomial m = B^(t.base + s) O^(t.odd) of the least
+        shift s in (0, 2, 4) whose image -Lap(m) has one term at t's power
+        and none below it; the multiple of m that cancels t adds the rest
+        of its image, above t, to the residual.  None where no shift
+        serves, where the Laplacian leaves the family (odd flat-c and
+        curved-c terms), or once the residual's lowest power passes
+        max(top, 0), top the highest power of f: below that bound each step
+        trades a term for at most one higher one, so the steps are bounded.
+        A W is returned only if -Lap(W) - f is zero.
+        """
+        bound = max([t.base for t in self.terms] + [0])
+        found: list[Monomial] = []
+        residual = self
+        while not residual.is_zero:
+            t = residual.terms[-1]  # the lowest power: normal form sorts it last
+            if t.base > bound:
+                return None
+            for shift in (0, 2, 4):
+                try:
+                    image = -RadialExpr.monomial(self.basis, 1, t.base + shift, t.odd).laplacian(dim)
+                except ClosureError:
+                    return None
+                low = [m for m in image.terms if m.base <= t.base]
+                if len(low) == 1 and low[0].base == t.base:
+                    break
+            else:
+                return None
+            lead = low[0]
+            grades = (t.kappa - lead.kappa, t.alpha - lead.alpha, t.amp - lead.amp)
+            scale = t.coeff / lead.coeff
+            found.append(Monomial(scale, t.base + shift, t.odd, *grades))
+            residual = residual - image.scale_grades(*grades) * scale
+        w = RadialExpr.from_terms(self.basis, found)
+        return w if (-w.laplacian(dim) - self).is_zero else None
+
     def div_monomial(self, divisor: "RadialExpr") -> "RadialExpr":
         """Exact quotient by a single-monomial expression."""
         self._require_same_basis(divisor)
@@ -504,11 +556,11 @@ def compile_table(exprs: Sequence[RadialExpr], space: Space, alpha: float, amp_s
                 raise ValueError("zero amplitude with negative amplitude grade")
             scale = float(t.coeff)
             if t.kappa:
-                scale *= nk**t.kappa
+                scale *= _power(nk, t.kappa)
             if t.alpha:
-                scale *= alpha**t.alpha
+                scale *= _power(alpha, t.alpha)
             if t.amp:
-                scale *= amp**t.amp
+                scale *= _power(amp, t.amp)
             pre.append((scale, float(t.base), t.odd))
         table.append(pre)
     return evaluator(basis, space, table)

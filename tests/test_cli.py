@@ -436,6 +436,64 @@ def test_subnormal_alpha_is_rejected_in_one_line():
     assert rejected == 22 * 4
 
 
+def _curved_commands(sol, size):
+    from ccsp.geometry import Space
+
+    kappa = f"--kappa={size * Space.unit_kappa(sol.regime)!r}"
+    grid = f"{0.3 / size**0.5!r}:{0.4 / size**0.5!r}:2"
+    return [["verify", sol.id, kappa], ["mass", sol.id, kappa], ["eval", sol.id, "--r", grid, kappa]]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_extreme_curvature_exits_in_one_line():
+    # at |kappa| = 1e200, X = alpha A^2 of the twelve entries whose X holds
+    # (-kappa)^2 overflows (verify, mass and eval died with an OverflowError
+    # traceback from Graded.evaluate); every command of every curved entry
+    # exits 0, or 2 with one line, and no float warning escapes
+    from ccsp.catalog import CATALOG
+    from ccsp.geometry import Regime
+
+    rejected = set()
+    for sol in CATALOG:
+        if sol.regime is Regime.FLAT:
+            continue
+        for argv in _curved_commands(sol, 1e200):
+            code, out, err = run(argv)
+            assert code in (0, 2), (argv, err)
+            if code == 2:
+                assert out == "" and err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+            if "gives A^2" in err:
+                assert err.endswith("= inf, which is not finite\n"), (argv, err)
+                rejected.add(sol.id)
+    assert len(rejected) == 12
+
+
+def test_underflowing_amplitude_is_named():
+    # at |kappa| = 1e-200 the same twelve X underflow to 0: the message
+    # names the underflow, where it said the (right) sign was wrong
+    from ccsp.catalog import CATALOG
+
+    named = 0
+    for sol in CATALOG:
+        if sol.x_law is None or sol.x_law.kappa != 2:
+            continue
+        for argv in _curved_commands(sol, 1e-200):
+            code, out, err = run(argv)
+            kappa = argv[-1][len("--kappa="):]
+            assert (code, out) == (2, ""), (argv, err)
+            assert err == f"error: kappa = {kappa} gives {sol.amp_sq_str()} = 0.0, which underflows to 0\n", argv
+            named += 1
+    assert named == 12 * 3
+    code, _, err = run(["verify", "HYP_U1", "--kappa=-1e-200"])
+    assert err == "error: kappa = -1e-200 gives A^2 = 36*(-kappa)^2/(-alpha) = 0.0, which underflows to 0\n"
+    # an A^2 that underflows for a tiny X over a huge |alpha| names alpha
+    code, _, err = run(["mass", "HYP_U1", "--kappa=-1e-150", "--alpha=-1e300"])
+    assert (code, err) == (2, "error: alpha = -1e+300 gives A^2 = 0.0, which underflows to 0\n")
+    # and a wrong sign is still named as one
+    code, _, err = run(["mass", "HYP_U1", "--alpha=1"])
+    assert (code, err) == (2, "error: alpha = 1.0 gives A^2 = -36.0 <= 0; this solution requires the attractive sign\n")
+
+
 def test_pohozaev_defect():
     code, out, _ = run(["pohozaev", "FLAT_CSV", "--alpha", "-1"])
     assert code == 0

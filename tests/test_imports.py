@@ -24,6 +24,8 @@ from ccsp.symbolic import Basis
 
 for sol in ccsp.catalog.CATALOG:
     sol.to_json_obj()
+    # Q's W = (-Lap)^-1 u^2 is solved on first use, not while the catalog builds
+    assert "newton_potential" not in vars(sol), sol.id
 for basis in Basis:
     for regime in [Regime.FLAT] if basis.is_flat else [Regime.HYPERBOLIC, Regime.SPHERICAL]:
         solve_homogeneous(basis, regime, range(-8, 0), range(1, 13))

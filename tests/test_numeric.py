@@ -218,11 +218,11 @@ def test_integrand_call_counts(monkeypatch):
             mass(sol, kappa, sol.default_alpha)
     assert len(sizes) <= 60 and sum(sizes) <= 1500
     monkeypatch.undo()
-    # T, N and Q: Q's charge at every outer node of a level is one more call
-    # (12 calls of 8,805 points measured)
+    # T, N and Q: one integral each, of u'^2, u^2 and u^2 W with the exact
+    # W = (-Lap)^-1 u^2 (9 calls of 174 points measured)
     calls = _count_calls(monkeypatch)
     numeric.pohozaev_functionals(get_solution("FLAT_CSV"), 0.0, -1.0)
-    assert len(calls) <= 15 and sum(calls) <= 12000
+    assert len(calls) <= 10 and sum(calls) <= 400
     # fd_residual evaluates one table of u, u', u'', V, V', V'' and rho,
     # with the basis' base and odd functions evaluated once each
     tables, evaluated = [], []
@@ -835,7 +835,7 @@ def test_pohozaev_flat_csv():
     rep = numeric.pohozaev_check(sol, 0.0, -1.0)
     assert rep.defect <= 1e-6
     # independent route: Q = S_5 int u^2 V r^(D-1) with V from the nested
-    # inversion of -Lap, not from the energy form.  V is not finite where
+    # float inversion of -Lap, not from the term algebra.  V is not finite where
     # the inner charge's r^5 overflows (r ~ 1e61), which the rule's nodes
     # on (0, inf) reach, so the route drops r >= 2^20 (without evaluating V
     # there): the remainder, about 576^2 24 r^-6 / 6 = 2e-31, is below
@@ -872,8 +872,11 @@ def test_pohozaev_q_closed_forms(sid, alpha, q_exact):
 def test_pohozaev_q_over_alpha_and_scale():
     # |alpha| = 2^k, k in -30..30 in steps of 2, where Q = q_exact / alpha^2
     # (u^2 scales as 1/alpha), and FLAT_CSV scaled by 2^e, e in -10..10,
-    # whose Q at D = 6 does not change: the charge runs in units of the
-    # scale, so its bits do not either
+    # whose Q at D = 6 does not change: Q's integral runs in units of the
+    # scale, so its bits do not either.  Three entries take Q from
+    # their exact W, BG_FLAT_N3_D5 from the charge
+    routes = {sid: get_solution(sid).newton_potential is not None for sid, _, _ in _Q_CLOSED_FORMS}
+    assert routes == {"FLAT_CSV": True, "BG_FLAT_N3_D4": True, "BG_FLAT_N3_D5": False, "BG_FLAT_N4_D4": True}
     for sid, sign, q_exact in _Q_CLOSED_FORMS:
         sol = get_solution(sid)
         for k in range(-30, 31, 2):
@@ -884,6 +887,18 @@ def test_pohozaev_q_over_alpha_and_scale():
     base = numeric.pohozaev_functionals(csv, 0.0, -1.0).Q.hex()
     for e in range(-10, 11):
         assert numeric.pohozaev_functionals(scale_flat_solution(csv, 2.0**e), 0.0, -1.0).Q.hex() == base, e
+
+
+def test_charge_q_over_alpha():
+    # the charge route, which pohozaev_functionals takes only where the term
+    # algebra has no W, against every closed form over the same sweep
+    for sid, sign, q_exact in _Q_CLOSED_FORMS:
+        sol = get_solution(sid)
+        for k in range(-30, 31, 2):
+            alpha = sign * 2.0**k
+            n_radial = mass(sol, 0.0, alpha, numeric.NESTED_REL_TOL, include_sphere_factor=False)
+            q = numeric._charge_q(sol, 0.0, alpha, n_radial)
+            assert abs(q * alpha**2 - q_exact) <= 1e-10 * q_exact, (sid, alpha, q)
 
 
 def test_pohozaev_identities_skip_background_entries():
