@@ -145,6 +145,10 @@ class Solution(DerivationHit):
     def space(self, kappa: float) -> Space:
         return Space(self.regime, kappa, self.dim)
 
+    def length(self, kappa: float) -> float:
+        """The space's length unit times the scale (every curved scale is 1)."""
+        return self.space(kappa).length * self.scale
+
     def _field_fn(
         self, expr: RadialExpr, kappa: float, alpha: float, power: Optional[int] = None
     ) -> Callable:

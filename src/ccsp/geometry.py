@@ -90,6 +90,11 @@ class Space:
             return math.pi / math.sqrt(self.kappa)
         return math.inf
 
+    @property
+    def length(self) -> float:
+        """The length unit of the float checks: 1/sqrt|kappa| curved, 1 flat."""
+        return 1.0 if self.regime is Regime.FLAT else 1.0 / math.sqrt(abs(self.kappa))
+
 
 def _check_r(space: Space, r: float) -> None:
     if r < 0:

@@ -26,10 +26,10 @@ with independent machinery:
 * one weighted integral S_(D-1) int g S^p dr over the manifold (S the
   curvature-scaled sine), for the mass, T, Q and the charge balance
   int (u^2 + rho) = 0 that a compact manifold forces, run in units of the
-  space's length (1/sqrt|kappa|, or the flat scale);
+  length L (1/sqrt|kappa| curved, the flat scale flat), as are the grids;
 * PDE residuals of both field equations on grids clear of the profile's
-  poles, each Laplacian assembled in floats as f'' + (D-1) f' / T from the
-  exact derivatives of u and V;
+  poles (the unit-size grid times L), each Laplacian assembled in floats
+  as f'' + (D-1) f' / T from the exact derivatives of u and V;
 * the charge M(r) = int_0^r of an S-weighted density at every r of a
   call from one fixed node set of the same rule (step 1/16), on one outer
   x inner grid in one call: r int_0^1 by tanh-sinh inside the length unit,
@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import pairwise
 from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Union
 
 import numpy as np
@@ -85,7 +86,7 @@ MASS_REL_TOL = 1e-8     # verify: quadrature mass against the closed form
 DE_T_MAX = 6.8          # |t| of the outermost double-exponential node: exp(pi/2 sinh t) < 1e307
 DE_LEVELS = 8           # levels of the double-exponential rule, step 1/2 down to 1/256
 CHARGE_LEVELS = 4       # levels of the charge's fixed node set, step 1/2 down to 1/16
-GRID_R_CAP = 10.0       # noncompact default grids end here (times the flat scale)
+GRID_R_CAP = 10.0       # noncompact default grids end here, in units of the length
 GRID_POINTS = 2000      # radii of a default grid, shared among its smooth segments
 
 
@@ -189,16 +190,12 @@ def _json_value(x):
     return str(x) if isinstance(x, Divergent) else x
 
 
-def _de_level(level: int) -> tuple[np.ndarray, ...]:
-    """The new |t| of one level of the double-exponential rule, ascending,
-    and at each: exp(-+u) and its dr/dt for exp-sinh toward r_lo and
-    toward infinity, and for tanh-sinh e/(1 + e), the distance to the
-    nearer end over the width, with its dr/dt over the width (e =
-    exp(-2u), so neither cancels), where u = pi/2 sinh t.  Level j has the
-    step h = 2^-(j+1): level 0 holds every multiple of h in (0, DE_T_MAX],
-    a later level the odd ones."""
-    h = 0.5 ** (level + 1)
-    t = h * np.arange(1, int(DE_T_MAX / h) + 1, 1 if level == 0 else 2)
+def _de_nodes(t: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The ascending |t| of double-exponential nodes, and at each: exp(-+u)
+    and its dr/dt for exp-sinh toward r_lo and toward infinity, and for
+    tanh-sinh e/(1 + e), the distance to the nearer end over the width,
+    with its dr/dt over the width (e = exp(-2u), so neither cancels), where
+    u = pi/2 sinh t."""
     u, du = 0.5 * math.pi * np.sinh(t), 0.5 * math.pi * np.cosh(t)
     x_lo, x_hi = np.exp(-u), np.exp(u)
     with np.errstate(under="ignore"):
@@ -207,7 +204,11 @@ def _de_level(level: int) -> tuple[np.ndarray, ...]:
     return t, x_lo, du * x_lo, x_hi, du * x_hi, q, 2.0 * du * q / (1.0 + e)
 
 
-_DE_LEVELS = [_de_level(level) for level in range(DE_LEVELS)]
+# the new nodes of each level j of the rule, of step h = 2^-(j+1): level 0
+# holds every multiple of h in (0, DE_T_MAX], a later level the odd ones
+_DE_LEVELS = [
+    _de_nodes(0.5 ** (j + 1) * np.arange(1, int(DE_T_MAX * 2 ** (j + 1)) + 1, 1 if j == 0 else 2)) for j in range(DE_LEVELS)
+]
 
 
 def _remainder(last: float, prev: float, dt: float) -> float:
@@ -409,6 +410,11 @@ def _weighted(space: Space, g: Callable, power: int) -> Callable:
     return f
 
 
+def _cuts(r_max: float, poles: tuple[float, ...]) -> list[float]:
+    """The ends of the smooth segments of (0, r_max): 0, the poles inside, r_max."""
+    return [0.0] + [s for s in poles if 0.0 < s < r_max] + [r_max]
+
+
 def _manifold_integral(
     sol: "Solution",
     kappa: float,
@@ -419,26 +425,20 @@ def _manifold_integral(
 ) -> Quadrature:
     """S_(D-1) int g S^power dr (power D - 1: g over the manifold), or the
     radial integral alone.  The integral runs over s = r / L, with L the
-    space's length unit (1/sqrt|kappa| curved, the scale flat), so the rule
-    sees every space at unit size.  The domain is split at the profile's
-    poles, so each is probed as an improper endpoint, and a divergence is
-    tagged with the offending end of the domain."""
+    length unit (:meth:`ccsp.catalog.Solution.length`), so the rule sees
+    every space at unit size.  The domain is split at the profile's poles
+    (:func:`_cuts`), so each is probed as an improper endpoint, and a
+    divergence is tagged with the offending end of the domain."""
     space = sol.space(kappa)
     f = _weighted(space, g, sol.dim - 1 if power is None else power)
-    length = sol.scale if space.regime is Regime.FLAT else 1.0 / math.sqrt(abs(kappa))
-    interior = [s for s in sol.singular_radii_values(kappa) if 0.0 < s < space.r_max]
-    cuts = [0.0] + interior + [space.r_max]
+    length = sol.length(kappa)
     total = 0.0
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
+    for lo, hi in pairwise(_cuts(space.r_max, sol.singular_radii_values(kappa))):
         part = integrate_radial(lambda s: f(length * s) * length, lo / length, hi / length, rel_tol)
         if isinstance(part, Divergent):
             # a segment end away from r = 0 and r = inf is a pole or the antipode
-            where = part.where
-            if where == "small-r" and lo > 0:
-                where = f"r={lo:.6g}"
-            elif where == "large-r" and math.isfinite(hi):
-                where = f"r={hi:.6g}"
-            return Divergent(where)
+            end = lo if part.where == "small-r" else hi
+            return Divergent(f"r={end:.6g}" if 0.0 < end < math.inf else part.where)
         total += part
     return total * (sphere_area(sol.dim) if sphere_factor else 1.0)
 
@@ -484,22 +484,18 @@ def compactness_obstruction_check(sol: "Solution", kappa: float = 1.0, alpha: Op
 
 
 def default_grid(sol: "Solution", kappa: float) -> np.ndarray:
-    """Per-solution verification radii, strictly increasing.
-
-    Each maximal smooth segment of the domain contributes points, inset by
-    0.1 from coordinate endpoints and by ~1 from genuine poles of the
-    profile.
-    """
-    space = sol.space(kappa)
-    sing = sol.singular_radii_values(kappa)
-    # curved entries have scale 1: only flat entries can be rescaled
-    hi = space.r_max if math.isfinite(space.r_max) else GRID_R_CAP * sol.scale
-    cuts = [0.0] + [s for s in sing if 0.0 < s < hi] + [hi]
+    """Per-solution verification radii, strictly increasing: L (the length
+    unit, :meth:`ccsp.catalog.Solution.length`) times the grid at unit
+    curvature and scale 1, where each smooth segment (:func:`_cuts`, capped
+    at GRID_R_CAP) contributes points, inset by 0.1 from coordinate
+    endpoints and by ~1 from genuine poles of the profile."""
+    unit = sol.space(Space.unit_kappa(sol.regime))
+    sing = sol.singular_radii_values(unit.kappa)
     segments = []
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        length = b - a
-        inset_a = min(1.0, 0.45 * length) if a in sing else min(0.1, 0.25 * length)
-        inset_b = min(1.0, 0.45 * length) if b in sing else min(0.1, 0.25 * length)
+    for a, b in pairwise(_cuts(min(unit.r_max, GRID_R_CAP), sing)):
+        width = b - a
+        inset_a = min(1.0, 0.45 * width) if a in sing else min(0.1, 0.25 * width)
+        inset_b = min(1.0, 0.45 * width) if b in sing else min(0.1, 0.25 * width)
         aa, bb = a + inset_a, b - inset_b
         if bb > aa:
             segments.append((aa, bb))
@@ -507,7 +503,7 @@ def default_grid(sol: "Solution", kappa: float) -> np.ndarray:
         raise ValueError("no smooth segment wide enough for a grid")
     per = max(8, GRID_POINTS // len(segments))
     # the segments are disjoint and increasing, so the radii already are
-    return np.concatenate([np.linspace(a, b, per) for a, b in segments])
+    return sol.length(kappa) * np.concatenate([np.linspace(a, b, per) for a, b in segments])
 
 
 def fd_residual(
@@ -561,21 +557,18 @@ class _ChargeRule(NamedTuple):
 
 
 def _charge_rule(tail: bool) -> _ChargeRule:
-    levels = _DE_LEVELS[:CHARGE_LEVELS]
-    order = np.argsort(np.concatenate([level[0] for level in levels]), kind="stable")
-    t, x_lo, w_lo, x_hi, w_hi, q, wq = (np.concatenate([level[i] for level in levels])[order] for i in range(7))
-    coarse = np.concatenate([np.full(len(level[0]), j < CHARGE_LEVELS - 1) for j, level in enumerate(levels)])[order]
+    # |t| = k h at the step h of the last level: the middle node at k = 0,
+    # then each side from k = 1 on, and the step 2h at even k
+    k = np.arange(int(DE_T_MAX * 2**CHARGE_LEVELS) + 1)
+    t, x_lo, w_lo, x_hi, w_hi, q, wq = _de_nodes(0.5**CHARGE_LEVELS * k)
     if tail:
-        lo, hi, middle, sides = 1.0, math.inf, (2.0, 0.5 * math.pi), ((1.0 + x_lo, w_lo), (1.0 + x_hi, w_hi))
+        lo, hi, ((x0, w0), (x1, w1)) = 1.0, math.inf, ((1.0 + x_lo, w_lo), (1.0 + x_hi, w_hi))
     else:
-        lo, hi, middle, sides = 0.0, 1.0, (0.5, 0.25 * math.pi), ((q, wq), (1.0 - q, wq))
-    columns, bounds = [(np.array([middle[0]]), np.array([middle[1]]), np.zeros(1), np.ones(1, bool))], [1]
-    for x, w in sides:
-        n = int(np.count_nonzero((x > lo) & (x < hi)))
-        columns.append((x[:n], w[:n], t[:n], coarse[:n]))
-        bounds.append(bounds[-1] + n)
-    x, w, t_col, coarse_col = (np.concatenate(parts) for parts in zip(*columns))
-    return _ChargeRule(x, w, t_col, (slice(1, bounds[1]), slice(bounds[1], bounds[2])), coarse_col)
+        lo, hi, ((x0, w0), (x1, w1)) = 0.0, 1.0, ((q, wq), (1.0 - q, wq))
+    n0, n1 = (int(np.count_nonzero((x > lo) & (x < hi))) for x in (x0, x1))
+    cols = np.r_[0:n0, 1:n1]
+    x, w = np.concatenate((x0[:n0], x1[1:n1])), np.concatenate((w0[:n0], w1[1:n1]))
+    return _ChargeRule(x, w, t[cols], (slice(1, n0), slice(n0, n0 + n1 - 1)), k[cols] % 2 == 0)
 
 
 _CHARGE_RULES = _charge_rule(False), _charge_rule(True)
@@ -669,19 +662,19 @@ def poisson_invert(
 
     M is the charge of :func:`_charge`, against the total charge by
     :func:`integrate_radial`, and each V(r) is one :func:`integrate_radial`
-    from r.  Flat and hyperbolic regimes only (the sphere has no decay
-    normalization).  V raises ValueError where it is not finite (the inner
-    charge overflows).
+    from r, both over s = r / L with L the space's length unit.  Flat and
+    hyperbolic regimes only (the sphere has no decay normalization).  V
+    raises ValueError where it is not finite (the inner charge overflows).
     """
     if space.regime is Regime.SPHERICAL:
         raise ValueError("decay-normalized inversion needs a noncompact space")
     if dim < 2:
         raise ValueError("radial inversion requires D >= 2")
+    length = space.length
     density = _weighted(space, f, dim - 1)
-    total = integrate_radial(density, 0.0, math.inf, NESTED_REL_TOL)
+    total = integrate_radial(lambda s: density(length * s) * length, 0.0, math.inf, NESTED_REL_TOL)
     if isinstance(total, Divergent):
         raise ValueError("inversion tail diverges")
-    length = 1.0 if space.regime is Regime.FLAT else 1.0 / math.sqrt(-space.kappa)
     outer = _weighted(space, _charge(density, total, length), 1 - dim)
 
     def v_fn(r):
@@ -689,7 +682,7 @@ def poisson_invert(
         out = np.empty(r.shape)
         for i, point in enumerate(r.flat):
             try:
-                value = integrate_radial(outer, point, math.inf, NESTED_REL_TOL)
+                value = integrate_radial(lambda s: outer(length * s) * length, point / length, math.inf, NESTED_REL_TOL)
             except QuadratureError:
                 value = math.nan
             if isinstance(value, Divergent):
@@ -756,12 +749,12 @@ def _charge_q(sol: "Solution", kappa: float, alpha: float, n_radial: Quadrature)
     """Q from the energy form: with -Lap W = u^2 and W decaying,
     Q = int u^2 W = int |grad W|^2 = S_(D-1) int_0^inf M(r)^2 r^(1-D) dr,
     where M(r) = int_0^r u^2 t^(D-1) dt is the charge inside radius r, by
-    :func:`_charge` in units of the flat scale against `n_radial`, N's
+    :func:`_charge` split at the length unit against `n_radial`, N's
     radial part.  A charge that diverges at large r (`n_radial` divergent
     there) has no total to complement, and every r takes the integral
     from 0."""
     u = sol.u_fn(kappa, alpha)
-    charge = _charge(_weighted(sol.space(kappa), lambda t: u(t) ** 2, sol.dim - 1), n_radial, sol.scale)
+    charge = _charge(_weighted(sol.space(kappa), lambda t: u(t) ** 2, sol.dim - 1), n_radial, sol.length(kappa))
     return _manifold_integral(sol, kappa, lambda r: charge(r) ** 2, 1e-9, power=1 - sol.dim)
 
 

@@ -137,9 +137,6 @@ class Graded:
         s = 1 if self.coef > 0 else -1
         return -s if regime is Regime.SPHERICAL and self.kappa % 2 else s
 
-    def __neg__(self) -> "Graded":
-        return Graded(-self.coef, self.kappa)
-
     def __str__(self) -> str:
         if self.kappa == 0:
             return str(self.coef)

@@ -405,8 +405,11 @@ def test_mass_off_unit_scales(argv, mass, divergent):
         ["verify", "BG_HYP_N2_D4", "--kappa=-2.8284271247461903", "--alpha", "-1"],
         ["verify", "FLAT_CSV", "--alpha=-1e15"],
         ["verify", "FLAT_CSV", "--alpha=-1e6", "--with-pohozaev"],
+        # R = 0.01 is kappa = -1e4: the grid ends at r = 9.9 R, where
+        # cosh(r / R) is finite, not at r = 9.9
+        ["verify", "HYP_U1", "--R", "0.01"],
     ],
-    ids=["BG_HYP_N2_D4-kappa-2^1.5", "FLAT_CSV-alpha-1e15", "FLAT_CSV-alpha-1e6-pohozaev"],
+    ids=["BG_HYP_N2_D4-kappa-2^1.5", "FLAT_CSV-alpha-1e15", "FLAT_CSV-alpha-1e6-pohozaev", "HYP_U1-R0.01"],
 )
 def test_verify_passes_at_extreme_parameters(argv):
     code, out, _ = run(argv)

@@ -271,6 +271,22 @@ def test_failed_node_past_a_settled_end(fault):
     assert type(got) is float and got == pytest.approx(1.6, rel=1e-10)
 
 
+@pytest.mark.parametrize("level", [1, 2, 3, 4])
+def test_failed_node_inside_a_settled_end(level):
+    # exp(-r) on (0, inf) is NaN at exactly the first exp-sinh node of one
+    # level toward infinity (r = 1.487, 1.218, 1.103, 1.050): at levels 1-3
+    # the large-r side has settled, and the NaN would cut it short of terms
+    # it holds, which raises; level 4 is never evaluated, the rule having
+    # converged
+    node = numeric._DE_LEVELS[level][3][0]
+    f = lambda r: np.where(r == node, np.nan, np.exp(-r))
+    if level == 4:
+        assert integrate_radial(f, 0.0, math.inf) == pytest.approx(1.0, rel=1e-14)
+        return
+    with pytest.raises(numeric.QuadratureError, match="inside the settled large-r end"):
+        integrate_radial(f, 0.0, math.inf)
+
+
 def test_overflowing_tail_is_divergent():
     # grows like e^(3r), and sinh(r)^5 overflows to inf at the first level's
     # node r = 1325: the rising terms before it are the verdict
@@ -578,6 +594,36 @@ def test_field_table_matches_each_field_compiled_alone():
     assert points == 840 + 45
 
 
+@pytest.mark.parametrize("size", [0.25, 4.0])
+def test_default_grid_is_the_unit_grid_in_units_of_the_length(size):
+    # at |kappa| = 1/4 and 4 the length 1/sqrt|kappa| is 2 and 1/2, so the
+    # grid is the unit-curvature grid times 2 or 1/2, bit for bit; a flat
+    # entry scaled by a has the unscaled grid times a
+    length = size**-0.5
+    for sol in CATALOG:
+        if sol.regime is not Regime.FLAT:
+            unit = Space.unit_kappa(sol.regime)
+            got = default_grid(sol, size * unit)
+            assert got.tobytes() == (length * default_grid(sol, unit)).tobytes(), sol.id
+    for sid in ("FLAT_CSV", "FLAT_SINGULAR_D3"):
+        sol = get_solution(sid)
+        got = default_grid(scale_flat_solution(sol, length), 0.0)
+        assert got.tobytes() == (length * default_grid(sol, 0.0)).tobytes(), sid
+
+
+@pytest.mark.parametrize("kappa", [-6e3, -1e4, -1e6])
+def test_hyperbolic_entries_verify_far_from_unit_curvature(kappa):
+    # the default grid spans r / L in [0.1, 9.9], L = 1/sqrt|kappa|; in
+    # absolute r its end 9.9 put lambda r past 710, where sinh and cosh
+    # overflow, and every residual was NaN
+    checked = [sol for sol in CATALOG if sol.regime is Regime.HYPERBOLIC]
+    assert len(checked) == 13
+    for sol in checked:
+        report = numeric.verify_solution(sol, kappa, sol.default_alpha)
+        assert report.passed, (sol.id, report.schrodinger_residual_max, report.poisson_residual_max)
+        assert report.grid_meta["r_max"] == pytest.approx(9.9 / math.sqrt(-kappa), rel=1e-15)
+
+
 def test_residuals_at_roundoff_and_sensitive_to_shifts(monkeypatch):
     # exact derivatives leave only roundoff at every lattice point, and a
     # relative 1e-6 shift of X, or of omega on the scale of the Schrodinger
@@ -776,6 +822,17 @@ def test_poisson_invert_hyperbolic_oracle():
     rs = np.linspace(0.1, 8.0, 17)
     expected = 6.0 / np.cosh(rs) ** 2
     assert np.max(np.abs(v(rs) - expected) / expected) < 1e-7
+
+
+def test_poisson_invert_far_from_unit_curvature():
+    # at kappa = -1e6 both integrals run over s = r / L with L = 1e-3; in
+    # absolute r the total charge's middle node r = 1 overflowed sinh(1000 r)
+    sol = get_solution("HYP_U1")
+    kappa = -1e6
+    u = sol.u_fn(kappa, -1.0)
+    v = numeric.poisson_invert(lambda r: u(r) ** 2, sol.space(kappa), sol.dim)
+    rs = 1e-3 * np.array([0.3, 1.0, 3.0])
+    assert np.max(np.abs(v(rs) / sol.v_fn(kappa, -1.0)(rs) - 1.0)) <= 1e-12
 
 
 def test_poisson_invert_hyperbolic_overflow(monkeypatch):
