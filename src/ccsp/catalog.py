@@ -17,9 +17,10 @@ coupling.
 Every field (u, u', V, rho) is its expression compiled at (kappa, alpha)
 in one place, where the flat scale acts; the residual check and `eval`
 read u, u', u'', V, V', V'' and rho from one table of them
-(`Solution.fields_fn`).  Q's W = (-Lap)^-1 u^2 is solved in the term
-algebra on first use (`Solution.newton_potential`), never while the catalog
-builds.  Flat homogeneous entries form a scaling family
+(`Solution.fields_fn`).  A flat entry's tail integral
+K(r) = int_r^inf u^2 t dt, from which the float layer takes Q, is one
+monomial of the term algebra (`Solution.K`), built on first use, never
+while the catalog builds.  Flat homogeneous entries form a scaling family
 u_a(r) = a^-2 u(r/a); the curved entries do not scale (the
 curved Laplacian has no scale symmetry), and :func:`scale_flat_solution`
 refuses them, as it refuses background entries; a record's scale is
@@ -31,6 +32,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, fields, replace
+from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Optional
 
@@ -110,17 +112,15 @@ class Solution(DerivationHit):
         return self._exprs[1]
 
     @cached_property
-    def newton_potential(self) -> Optional[RadialExpr]:
-        """W = (-Lap)^-1 u^2 from the term algebra, for a flat-c entry whose
-        W has only negative powers of c: c >= 1, so such a W is smooth and
-        decays, and is the Newton potential of u^2.  None otherwise.  For a
-        homogeneous entry W is V; with a source rho it is not."""
-        if self.family is not Basis.FLAT_C:
-            return None
-        w = (self.u * self.u).inverse_laplacian(self.dim)
-        if w is None or any(t.base >= 0 for t in w.terms):
-            return None
-        return w
+    def K(self) -> RadialExpr:
+        """K(r) = int_r^inf u^2 t dt, flat entries only.  With u = A B^n and
+        (B^2)' = 2r in both flat bases, K = -u^2 B^2/(2n + 2): one monomial,
+        which decays for every n < -1.  K' = -r u^2, so
+        (-Lap)^-1 u^2 = (r^(2-D) M + K)/(D - 2) in flat space, M the charge
+        int_0^r u^2 t^(D-1) dt."""
+        if not self.family.is_flat or self.n >= -1:
+            raise ValueError(f"{self.id}: the tail integral of u^2 r needs a flat profile decaying faster than 1/r")
+        return self.u * self.u * RadialExpr.monomial(self.family, Fraction(-1, 2 * self.n + 2), 2)
 
     @property
     def singular_radii(self) -> tuple[str, ...]:
@@ -170,10 +170,10 @@ class Solution(DerivationHit):
     def v_fn(self, kappa: float, alpha: float) -> Callable:
         return self._field_fn(self.V, kappa, alpha, -2)
 
-    def w_fn(self, kappa: float, alpha: float) -> Callable:
-        """The Newton potential W of u^2 (:attr:`newton_potential`, which
-        must exist) as a function of r; like V it takes the scale power -2."""
-        return self._field_fn(self.newton_potential, kappa, alpha, -2)
+    def k_fn(self, kappa: float, alpha: float) -> Callable:
+        """The tail integral :attr:`K` as a function of r; like V it takes
+        the scale power -2."""
+        return self._field_fn(self.K, kappa, alpha, -2)
 
     def rho_fn(self, kappa: float, alpha: float) -> Callable:
         return self._field_fn(self.rho, kappa, alpha)

@@ -389,12 +389,14 @@ def _cmd_eval(args) -> int:
     kappa, alpha = _default_params(sol, args.kappa, args.R, args.alpha)
     rs = args.r
     space = sol.space(kappa)
+    # the margins are relative to the length unit, so they hold at every kappa
+    margin = 1e-12 * sol.length(kappa)
     if rs[0] < 0:
         raise ValueError(f"grid starts at r = {rs[0]:.6g}, but a geodesic radius is nonnegative")
-    if math.isfinite(space.r_max) and rs[-1] > space.r_max + 1e-12:
+    if math.isfinite(space.r_max) and rs[-1] > space.r_max + margin:
         raise ValueError(f"grid extends beyond the domain end {space.r_max:.6g}")
     for s in sol.singular_radii_values(kappa):
-        if rs[0] - 1e-12 <= s <= rs[-1] + 1e-12:
+        if rs[0] - margin <= s <= rs[-1] + margin:
             raise ValueError(f"grid crosses the singular radius r = {s:.6g} of {sol.id}")
     u, _, _, v, _, _, rho = sol.fields_fn(kappa, alpha)(rs)
     if sol.rho.is_zero:

@@ -23,26 +23,25 @@ with independent machinery:
   end that never settles, or levels that never agree (an interior pole),
   raise.  A value that is not finite is an integrand's one way to fail;
   an exception it raises propagates;
-* one weighted integral S_(D-1) int g S^p dr over the manifold (S the
+* one weighted integral S_(D-1) int g S^(D-1) dr over the manifold (S the
   curvature-scaled sine), for the mass, T, Q and the charge balance
   int (u^2 + rho) = 0 that a compact manifold forces, run in units of the
   length L (1/sqrt|kappa| curved, the flat scale flat), as are the grids;
 * PDE residuals of both field equations on grids clear of the profile's
   poles (the unit-size grid times L), each Laplacian assembled in floats
   as f'' + (D-1) f' / T from the exact derivatives of u and V;
-* the charge M(r) = int_0^r of an S-weighted density at every r of a
-  call from one fixed node set of the same rule (step 1/16), on one outer
-  x inner grid in one call: r int_0^1 by tanh-sinh inside the length unit,
-  the total less r int_1^inf by exp-sinh beyond it, so M is a pure function
-  of r, and NaN where its inner error is not negligible against the larger
-  of |total| and its own sum |terms|;
+* the charge M(r) = int_0^r of an S-weighted density, for the inversion
+  of -Lap below, at every r of a call from one fixed node set of the same
+  rule (step 1/16), on one outer x inner grid in one call: r int_0^1 by
+  tanh-sinh inside the length unit, the total less r int_1^inf by exp-sinh
+  beyond it, so M is a pure function of r, and NaN where its inner error
+  is not negligible against the larger of |total| and its own sum |terms|;
 * radial inversion of -Lap with decay normalization, V(r) one integral of
   S^(1-D) M from r;
-* the variational functionals T, N, Q and their flat-space identities, Q
-  by one of two routes, neither a float inversion of -Lap: where the term
-  algebra holds W = (-Lap)^-1 u^2 exactly, the one integral of u^2 W; elsewhere
-  the energy form int |grad W|^2 = S_(D-1) int M^2 S^(1-D), with M the
-  charge above.
+* the variational functionals T, N, Q and their flat-space identities, each
+  one weighted integral: Q = 2/(D-2) S_(D-1) int u^2 K r^(D-1) dr, with
+  K(r) = int_r^inf u^2 t dt one monomial of the term algebra, so neither
+  the charge nor a float inversion of -Lap enters Q.
 """
 
 from __future__ import annotations
@@ -81,7 +80,7 @@ __all__ = [
 ]
 
 DEFAULT_REL_TOL = 1e-10
-NESTED_REL_TOL = 1e-11  # poisson_invert, pohozaev_functionals and the charge (Q's outer: 1e-9)
+NESTED_REL_TOL = 1e-11  # poisson_invert and its charge; T, N and Q of pohozaev_functionals
 MASS_REL_TOL = 1e-8     # verify: quadrature mass against the closed form
 DE_T_MAX = 6.8          # |t| of the outermost double-exponential node: exp(pi/2 sinh t) < 1e307
 DE_LEVELS = 8           # levels of the double-exponential rule, step 1/2 down to 1/256
@@ -420,17 +419,16 @@ def _manifold_integral(
     kappa: float,
     g: Callable,
     rel_tol: float,
-    power: Optional[int] = None,
     sphere_factor: bool = True,
 ) -> Quadrature:
-    """S_(D-1) int g S^power dr (power D - 1: g over the manifold), or the
-    radial integral alone.  The integral runs over s = r / L, with L the
+    """S_(D-1) int g S^(D-1) dr, g over the manifold, or the radial
+    integral alone.  The integral runs over s = r / L, with L the
     length unit (:meth:`ccsp.catalog.Solution.length`), so the rule sees
     every space at unit size.  The domain is split at the profile's poles
     (:func:`_cuts`), so each is probed as an improper endpoint, and a
     divergence is tagged with the offending end of the domain."""
     space = sol.space(kappa)
-    f = _weighted(space, g, sol.dim - 1 if power is None else power)
+    f = _weighted(space, g, sol.dim - 1)
     length = sol.length(kappa)
     total = 0.0
     for lo, hi in pairwise(_cuts(space.r_max, sol.singular_radii_values(kappa))):
@@ -611,7 +609,7 @@ def _charge_rows(values: np.ndarray, rule: _ChargeRule) -> tuple[np.ndarray, np.
     return np.where(ok, fine, math.nan), fine - coarse, abs_sum
 
 
-def _charge(density: Callable, total: Quadrature, length: float) -> Callable:
+def _charge(density: Callable, total: float, length: float) -> Callable:
     """r -> M(r) = integral_0^r density, a pure function of each r > 0,
     with `total` the integral over (0, inf) and `length` the space's unit.
 
@@ -624,16 +622,13 @@ def _charge(density: Callable, total: Quadrature, length: float) -> Callable:
     a density whose total is negative or cancels to about 0 makes the test
     impossible.  M is NaN where its steps h and 2h differ by more than
     max(1e-2 sqrt(NESTED_REL_TOL), 1e-14) times that magnitude, or its row
-    fails (:func:`_charge_rows`).  Without a finite total (a density that
-    diverges at large r) every r takes the first form, judged against its
-    own h r sum |terms|."""
-    finite = not isinstance(total, Divergent)
+    fails (:func:`_charge_rows`)."""
     agree = max(1e-2 * math.sqrt(NESTED_REL_TOL), 1e-14)
 
     def charge(r):
         r = np.asarray(r, dtype=float)
         flat = r.ravel()
-        beyond = flat > length if finite else np.zeros(flat.shape, dtype=bool)
+        beyond = flat > length
         masks = (~beyond, beyond)
         out = np.empty_like(flat)
         with np.errstate(all="ignore"):
@@ -643,7 +638,7 @@ def _charge(density: Callable, total: Quadrature, length: float) -> Callable:
             for k, (mask, grid, rule, vals) in enumerate(parts):
                 s = flat[mask]
                 fine, diff, abs_sum = _charge_rows(vals.reshape(grid.shape), rule)
-                scale = np.maximum(abs(total), s * abs_sum) if finite else s * abs_sum
+                scale = np.maximum(abs(total), s * abs_sum)
                 m = s * fine if k == 0 else total - s * fine
                 out[mask] = np.where(s * np.abs(diff) <= agree * scale, m, math.nan)
         return out.reshape(r.shape)
@@ -718,12 +713,13 @@ def pohozaev_functionals(
 ) -> PohozaevFunctionals:
     """T = int |grad u|^2, N = int u^2, Q = int u^2 (-Lap)^-1 u^2 (flat, D > 2).
 
-    Q has two routes.  Where N is finite and the term algebra holds the
-    decaying W = (-Lap)^-1 u^2 exactly
-    (:attr:`ccsp.catalog.Solution.newton_potential`), Q is the one integral
-    S_(D-1) int u^2 W r^(D-1) dr.  Elsewhere (W outside the algebra, or N
-    divergent) it comes from the energy form, by :func:`_charge_q`.  A
-    charge infinite at r = 0 (N divergent there) makes Q divergent there.
+    In flat space the decaying W = (-Lap)^-1 u^2 is
+    (r^(2-D) M(r) + K(r))/(D - 2), with M(r) = int_0^r u^2 t^(D-1) dt the
+    charge inside r and K(r) = int_r^inf u^2 t dt the tail integral
+    (:attr:`ccsp.catalog.Solution.K`, one monomial of the term algebra).
+    The two halves of int u^2 W are one double integral over t < r and over
+    t > r (Fubini), so Q = 2/(D - 2) S_(D-1) int u^2 K r^(D-1) dr: one
+    integral, Divergent at an end where u^2 K r^(D-1) does not decay.
     """
     if sol.regime is not Regime.FLAT:
         raise ValueError("functional identities are derived in the flat case")
@@ -731,31 +727,13 @@ def pohozaev_functionals(
         raise ValueError("functional identities require D > 2")
     du = sol.du_fn(kappa, alpha)
     t_val = _manifold_integral(sol, kappa, lambda r: du(r) ** 2, NESTED_REL_TOL)
-
-    n_radial = mass(sol, kappa, alpha, NESTED_REL_TOL, include_sphere_factor=False)
-    n_val = n_radial if isinstance(n_radial, Divergent) else n_radial * sphere_area(sol.dim)
-    if n_val == Divergent("small-r"):
-        # u^2 > 0, so the charge M(r) inside every radius is infinite too
-        return PohozaevFunctionals(t_val, n_val, n_val)
-    if sol.newton_potential is None or isinstance(n_radial, Divergent):
-        return PohozaevFunctionals(t_val, n_val, _charge_q(sol, kappa, alpha, n_radial))
-    # u and W compiled apart: the grade A^4 of u^2 W would overflow first
-    u, w = sol.u_fn(kappa, alpha), sol.w_fn(kappa, alpha)
-    q_val = _manifold_integral(sol, kappa, lambda r: u(r) ** 2 * w(r), NESTED_REL_TOL)
+    n_val = mass(sol, kappa, alpha, NESTED_REL_TOL)
+    # u and K compiled apart: the grade A^4 of u^2 K would overflow first
+    u, k = sol.u_fn(kappa, alpha), sol.k_fn(kappa, alpha)
+    q_val = _manifold_integral(sol, kappa, lambda r: u(r) ** 2 * k(r), NESTED_REL_TOL)
+    if not isinstance(q_val, Divergent):
+        q_val *= 2.0 / (sol.dim - 2)
     return PohozaevFunctionals(t_val, n_val, q_val)
-
-
-def _charge_q(sol: "Solution", kappa: float, alpha: float, n_radial: Quadrature) -> Quadrature:
-    """Q from the energy form: with -Lap W = u^2 and W decaying,
-    Q = int u^2 W = int |grad W|^2 = S_(D-1) int_0^inf M(r)^2 r^(1-D) dr,
-    where M(r) = int_0^r u^2 t^(D-1) dt is the charge inside radius r, by
-    :func:`_charge` split at the length unit against `n_radial`, N's
-    radial part.  A charge that diverges at large r (`n_radial` divergent
-    there) has no total to complement, and every r takes the integral
-    from 0."""
-    u = sol.u_fn(kappa, alpha)
-    charge = _charge(_weighted(sol.space(kappa), lambda t: u(t) ** 2, sol.dim - 1), n_radial, sol.length(kappa))
-    return _manifold_integral(sol, kappa, lambda r: charge(r) ** 2, 1e-9, power=1 - sol.dim)
 
 
 @dataclass(frozen=True)

@@ -358,48 +358,6 @@ class RadialExpr:
             return d2
         return d2 + (dim - 1) * d1.div_T()
 
-    def inverse_laplacian(self, dim: int) -> Optional["RadialExpr"]:
-        """W with -Lap(W) = self exactly, or None where the elimination
-        below does not close.
-
-        The Laplacian sends B^p O^o to at most two terms of odd power o,
-        at powers from p - 4 to p.  So -Lap(W) = f is solved from f's lowest
-        term up, grades carried: a step takes the residual's lowest term t
-        and the unit monomial m = B^(t.base + s) O^(t.odd) of the least
-        shift s in (0, 2, 4) whose image -Lap(m) has one term at t's power
-        and none below it; the multiple of m that cancels t adds the rest
-        of its image, above t, to the residual.  None where no shift
-        serves, where the Laplacian leaves the family (odd flat-c and
-        curved-c terms), or once the residual's lowest power passes
-        max(top, 0), top the highest power of f: below that bound each step
-        trades a term for at most one higher one, so the steps are bounded.
-        A W is returned only if -Lap(W) - f is zero.
-        """
-        bound = max([t.base for t in self.terms] + [0])
-        found: list[Monomial] = []
-        residual = self
-        while not residual.is_zero:
-            t = residual.terms[-1]  # the lowest power: normal form sorts it last
-            if t.base > bound:
-                return None
-            for shift in (0, 2, 4):
-                try:
-                    image = -RadialExpr.monomial(self.basis, 1, t.base + shift, t.odd).laplacian(dim)
-                except ClosureError:
-                    return None
-                low = [m for m in image.terms if m.base <= t.base]
-                if len(low) == 1 and low[0].base == t.base:
-                    break
-            else:
-                return None
-            lead = low[0]
-            grades = (t.kappa - lead.kappa, t.alpha - lead.alpha, t.amp - lead.amp)
-            scale = t.coeff / lead.coeff
-            found.append(Monomial(scale, t.base + shift, t.odd, *grades))
-            residual = residual - image.scale_grades(*grades) * scale
-        w = RadialExpr.from_terms(self.basis, found)
-        return w if (-w.laplacian(dim) - self).is_zero else None
-
     def div_monomial(self, divisor: "RadialExpr") -> "RadialExpr":
         """Exact quotient by a single-monomial expression."""
         self._require_same_basis(divisor)

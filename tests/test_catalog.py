@@ -14,6 +14,7 @@ from ccsp.catalog import (
     catalog_list,
     get_solution,
     scale_flat_solution,
+    solution_from_hit,
 )
 from ccsp import derivation
 from ccsp.derivation import (
@@ -217,6 +218,37 @@ def test_scale_rejects_curved():
         scale_flat_solution(get_solution("BG_FLAT_N3_D4"), 2.0)
     with pytest.raises(ValueError):
         scale_flat_solution(get_solution("FLAT_CSV"), -1.0)
+
+
+# -- the tail integral K ---------------------------------------------------------
+
+
+def _flat_k_solutions():
+    # every flat catalog entry with D > 2, where Q is defined, and every flat
+    # hit of the default search box, at any D
+    sols = [s for s in CATALOG if s.regime is Regime.FLAT and s.dim > 2]
+    n_box, d_box = range(-8, 0), range(1, 13)
+    hits = solve_homogeneous(Basis.FLAT_C, Regime.FLAT, n_box, d_box)
+    hits += solve_background(Basis.FLAT_C, Regime.FLAT, n_box, d_box)
+    hits += solve_homogeneous(Basis.FLAT_R, Regime.FLAT, n_box, d_box)
+    sols += [solution_from_hit(h, f"hit:{h.family.value}:n{h.n}:D{h.dim}") for h in hits]
+    assert len(sols) == 6 + 16
+    return sols
+
+
+def test_tail_integral_is_exact():
+    # K(r) = int_r^inf u^2 t dt: K'/r = -u^2 exactly, and every term decays
+    # (a negative power of c or r), so K -> 0 at infinity as the integral does
+    for sol in _flat_k_solutions():
+        k = sol.K
+        assert (k.diff().div_T() + sol.u * sol.u).is_zero, sol.id
+        assert k.terms and all(t.base < 0 for t in k.terms), (sol.id, str(k))
+
+
+def test_tail_integral_is_flat_only():
+    for sid in ("HYP_U1", "SPH_U3"):
+        with pytest.raises(ValueError, match="tail integral"):
+            get_solution(sid).K
 
 
 # -- compactness -------------------------------------------------------------

@@ -553,6 +553,20 @@ def test_eval_grid_crossing_pole_is_rejected():
     assert "singular" in err and "1.5708" in err
 
 
+def test_eval_pole_margin_scales_with_the_length():
+    # at kappa = 1e20 the length unit is 1e-10, so an absolute margin of
+    # 1e-12 would be 1% of it: this grid ends 8e-13 short of SPH_U1's
+    # equator and does not cross it
+    code, out, err = run(["eval", "SPH_U1", "--kappa=1e20", "--r", "1.5e-10:1.57e-10:2"])
+    assert code == 0 and err == "" and len(out.strip().splitlines()) == 3
+
+
+def test_eval_domain_margin_scales_with_the_length():
+    # and this one ends 5e-13 past the antipode r_max = pi 1e-10
+    code, out, err = run(["eval", "SPH_TRIVIAL", "--kappa=1e20", "--r", "3.0e-10:3.1466e-10:2"])
+    assert code == 2 and out == "" and "beyond the domain end" in err
+
+
 @pytest.mark.parametrize("argv", [
     ["eval", "FLAT_CSV", "--r", "-1:1:3", "--format", "csv"],
     ["eval", "HYP_U1", "--r", "-2:0:3"],

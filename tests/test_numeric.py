@@ -218,8 +218,8 @@ def test_integrand_call_counts(monkeypatch):
             mass(sol, kappa, sol.default_alpha)
     assert len(sizes) <= 60 and sum(sizes) <= 1500
     monkeypatch.undo()
-    # T, N and Q: one integral each, of u'^2, u^2 and u^2 W with the exact
-    # W = (-Lap)^-1 u^2 (9 calls of 174 points measured)
+    # T, N and Q: one integral each, of u'^2, u^2 and u^2 K with the exact
+    # tail integral K = int_r^inf u^2 t dt (9 calls of 171 points measured)
     calls = _count_calls(monkeypatch)
     numeric.pohozaev_functionals(get_solution("FLAT_CSV"), 0.0, -1.0)
     assert len(calls) <= 10 and sum(calls) <= 400
@@ -927,16 +927,13 @@ def test_pohozaev_q_closed_forms(sid, alpha, q_exact):
 
 
 def test_pohozaev_q_over_alpha_and_scale():
-    # |alpha| = 2^k, k in -30..30 in steps of 2, where Q = q_exact / alpha^2
+    # |alpha| = 2^k, k in -30..30, where Q = q_exact / alpha^2
     # (u^2 scales as 1/alpha), and FLAT_CSV scaled by 2^e, e in -10..10,
     # whose Q at D = 6 does not change: Q's integral runs in units of the
-    # scale, so its bits do not either.  Three entries take Q from
-    # their exact W, BG_FLAT_N3_D5 from the charge
-    routes = {sid: get_solution(sid).newton_potential is not None for sid, _, _ in _Q_CLOSED_FORMS}
-    assert routes == {"FLAT_CSV": True, "BG_FLAT_N3_D4": True, "BG_FLAT_N3_D5": False, "BG_FLAT_N4_D4": True}
+    # scale, so its bits do not either
     for sid, sign, q_exact in _Q_CLOSED_FORMS:
         sol = get_solution(sid)
-        for k in range(-30, 31, 2):
+        for k in range(-30, 31):
             alpha = sign * 2.0**k
             q = numeric.pohozaev_functionals(sol, 0.0, alpha).Q
             assert abs(q * alpha**2 - q_exact) <= 1e-10 * q_exact, (sid, alpha, q)
@@ -944,18 +941,6 @@ def test_pohozaev_q_over_alpha_and_scale():
     base = numeric.pohozaev_functionals(csv, 0.0, -1.0).Q.hex()
     for e in range(-10, 11):
         assert numeric.pohozaev_functionals(scale_flat_solution(csv, 2.0**e), 0.0, -1.0).Q.hex() == base, e
-
-
-def test_charge_q_over_alpha():
-    # the charge route, which pohozaev_functionals takes only where the term
-    # algebra has no W, against every closed form over the same sweep
-    for sid, sign, q_exact in _Q_CLOSED_FORMS:
-        sol = get_solution(sid)
-        for k in range(-30, 31, 2):
-            alpha = sign * 2.0**k
-            n_radial = mass(sol, 0.0, alpha, numeric.NESTED_REL_TOL, include_sphere_factor=False)
-            q = numeric._charge_q(sol, 0.0, alpha, n_radial)
-            assert abs(q * alpha**2 - q_exact) <= 1e-10 * q_exact, (sid, alpha, q)
 
 
 def test_pohozaev_identities_skip_background_entries():
@@ -968,8 +953,10 @@ def test_pohozaev_identities_skip_background_entries():
 def test_pohozaev_singular_profile_diverges():
     fns = numeric.pohozaev_functionals(get_solution("FLAT_SINGULAR_D6"), 0.0, -1.0)
     assert isinstance(fns.kinetic_T, Divergent)
-    # the charge inside any radius diverges at the origin, and so does Q;
-    # integrating it from r = 0 would stop at the bisection depth cap
+    # u^2 K r^(D-1) goes as 1/r at D = 6 (and 1/r^4 at D = 3): Q's one
+    # integral diverges at the origin, though N at D = 6 diverges at infinity
+    assert fns.N == Divergent("large-r")
+    assert fns.Q == Divergent("small-r")
     fns = numeric.pohozaev_functionals(get_solution("FLAT_SINGULAR_D3"), 0.0, -1.0)
     assert fns.kinetic_T == fns.N == fns.Q == Divergent("small-r")
 

@@ -124,71 +124,6 @@ def test_laplacian_dimension_one_has_no_first_order_term():
     assert got == expected
 
 
-# -- inverse laplacian -------------------------------------------------------
-
-
-@pytest.mark.parametrize(
-    "sid, expected",
-    [
-        # W = (-Lap)^-1 u^2 of the three flat finite-mass entries it closes for
-        ("FLAT_CSV", {-4: F(1, 24)}),
-        ("BG_FLAT_N3_D4", {-2: F(1, 8)}),
-        ("BG_FLAT_N4_D4", {-2: F(1, 24), -4: F(1, 24)}),
-    ],
-)
-def test_inverse_laplacian_closed_forms(sid, expected):
-    from ccsp.catalog import get_solution
-
-    sol = get_solution(sid)
-    w = (sol.u * sol.u).inverse_laplacian(sol.dim)
-    assert w == RadialExpr.from_terms(Basis.FLAT_C, [Monomial(c, p, 0, 0, 0, 2) for p, c in expected.items()])
-    assert sol.newton_potential == w
-
-
-def test_inverse_laplacian_outside_the_algebra():
-    # BG_FLAT_N3_D5: -Lap(c^-2) = 2 c^-4 + 8 c^-6 at D = 5 leaves c^-4,
-    # which no power of c has as its lowest image (c^0 is harmonic)
-    from ccsp.catalog import get_solution
-
-    assert mono(Basis.FLAT_C, 1, base=-6).inverse_laplacian(5) is None
-    assert get_solution("BG_FLAT_N3_D5").newton_potential is None
-    # c^-7 at D = 4 climbs through the odd powers, which miss the closing
-    # power 2 - D = -2, until its residual passes c^0
-    assert mono(Basis.FLAT_C, 1, base=-7).inverse_laplacian(4) is None
-    # odd flat-c terms have no Laplacian in the family
-    assert mono(Basis.FLAT_C, 1, base=-6, odd=1).inverse_laplacian(6) is None
-
-
-def test_inverse_laplacian_of_flat_csv_is_its_potential():
-    # homogeneous: -Lap V = u^2, and both decay, so W is V once A^2 = X/alpha
-    from ccsp.catalog import get_solution
-
-    sol = get_solution("FLAT_CSV")
-    assert sol.newton_potential.substitute_amp_sq(sol.x_law) == sol.V
-
-
-def test_inverse_laplacian_is_exact_whenever_it_answers():
-    # one- and two-term sources over every basis, graded and odd ones too:
-    # every W returned solves -Lap W = f exactly, and enough of them exist
-    # for the sweep to mean something
-    rng = random.Random(29)
-    found = 0
-    for basis in Basis:
-        odds = (0, 1) if basis.has_odd else (0,)
-        for dim in range(1, 8):
-            for _ in range(15):
-                f = RadialExpr.zero(basis)
-                for _ in range(rng.choice((1, 2))):
-                    kappa = 0 if basis.is_flat else rng.randint(-1, 2)
-                    f = f + mono(basis, F(rng.randint(-9, 9) or 1, rng.randint(1, 5)), base=rng.randint(-10, 2),
-                                 odd=rng.choice(odds), kappa=kappa, alpha=rng.randint(-1, 0), amp=rng.choice((0, 2)))
-                w = f.inverse_laplacian(dim)
-                if w is not None:
-                    assert (-w.laplacian(dim) - f).is_zero, (basis, dim, f, w)
-                    found += 1
-    assert found >= 60
-
-
 # -- div -------------------------------------------------------------------
 
 
