@@ -71,8 +71,9 @@ class NotScalableError(ValueError):
     """Only flat homogeneous solutions form a scaling family."""
 
 
-# the flat-scale powers of u, u', u'', V, V' and V'' (rho has none)
-_FIELD_POWERS = (-2, -3, -4, -2, -3, -4)
+# the flat-scale powers of u, u', u'', V, V', V'' and rho: rho has none, and
+# is zero wherever a scale acts, since only homogeneous entries scale
+_FIELD_POWERS = (-2, -3, -4, -2, -3, -4, 0)
 
 # halving r_max is exact, so the equator is bit-identical to pi/(2 sqrt(kappa))
 _TAG_RADII: dict[str, Callable[[Space], float]] = {
@@ -164,37 +165,33 @@ class Solution(DerivationHit):
     def u_fn(self, kappa: float, alpha: float) -> Callable:
         return self._field_fn(self.u, kappa, alpha, -2)
 
-    def du_fn(self, kappa: float, alpha: float) -> Callable:
-        return self._field_fn(self._fields[1], kappa, alpha, -3)
-
     def v_fn(self, kappa: float, alpha: float) -> Callable:
         return self._field_fn(self.V, kappa, alpha, -2)
-
-    def k_fn(self, kappa: float, alpha: float) -> Callable:
-        """The tail integral :attr:`K` as a function of r; like V it takes
-        the scale power -2."""
-        return self._field_fn(self.K, kappa, alpha, -2)
 
     def rho_fn(self, kappa: float, alpha: float) -> Callable:
         return self._field_fn(self.rho, kappa, alpha)
 
-    def fields_fn(self, kappa: float, alpha: float) -> Callable:
-        """r -> [u, u', u'', V, V', V'', rho] at (kappa, alpha), from one
-        table (:func:`ccsp.symbolic.compile_table`), each field bit for bit
-        its expression compiled alone.  The flat scale acts once, as r/a,
-        and each field but rho takes its power of a as in :meth:`_field_fn`."""
-        table = compile_table(self._fields, self.space(kappa), alpha, self.amp_sq_value(kappa, alpha))
+    def _table_fn(self, exprs: tuple[RadialExpr, ...], powers: tuple[int, ...], kappa: float, alpha: float) -> Callable:
+        """r -> [each of exprs] at (kappa, alpha), from one table
+        (:func:`ccsp.symbolic.compile_table`), each field bit for bit its
+        expression compiled alone.  The flat scale acts once, as r/a, and
+        each field takes its power of a as in :meth:`_field_fn`."""
+        table = compile_table(exprs, self.space(kappa), alpha, self.amp_sq_value(kappa, alpha))
         if self.scale == 1.0:
             return table
         a = self.scale
-        factors = [a**power for power in _FIELD_POWERS]
+        factors = [a**power for power in powers]
+        return lambda r: [v * factor for v, factor in zip(table(r / a), factors)]
 
-        def scaled(r):
-            # rho is zero, since only homogeneous entries scale
-            *values, rho = table(r / a)
-            return [v * factor for v, factor in zip(values, factors)] + [rho]
+    def fields_fn(self, kappa: float, alpha: float) -> Callable:
+        """r -> [u, u', u'', V, V', V'', rho] at (kappa, alpha) from one
+        table (:meth:`_table_fn`)."""
+        return self._table_fn(self._fields, _FIELD_POWERS, kappa, alpha)
 
-        return scaled
+    def virial_fn(self, kappa: float, alpha: float) -> Callable:
+        """r -> [u', u, K] at (kappa, alpha) from one table (:meth:`_table_fn`),
+        the fields of T, N and Q; the tail integral :attr:`K` scales like V."""
+        return self._table_fn((self._fields[1], self.u, self.K), (-3, -2, -2), kappa, alpha)
 
     # only flat entries scale, and their omega is 0 and their one pole the origin
     def omega_value(self, kappa: float) -> float:

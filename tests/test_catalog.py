@@ -267,6 +267,19 @@ def test_compactness_trivial_charge_balance():
     assert rep.consistent
 
 
+def test_compactness_charge_balance_is_relative_to_the_mass(monkeypatch):
+    # at kappa = 1e8 the 3-sphere's volume, int u^2 of SPH_TRIVIAL, is
+    # 1.97e-11: a source doubled to rho = -2 leaves a net charge of -int u^2,
+    # below the absolute 1e-10 but not below 1e-10 int u^2
+    sol = get_solution("SPH_TRIVIAL")
+    assert compactness_obstruction_check(sol, 1e8).consistent
+    rho_fn = Solution.rho_fn
+    monkeypatch.setattr(Solution, "rho_fn", lambda self, kappa, alpha: lambda r: 2.0 * rho_fn(self, kappa, alpha)(r))
+    rep = compactness_obstruction_check(sol, 1e8)
+    assert rep.total_charge == pytest.approx(-2.0 * math.pi**2 * 1e8**-1.5, rel=1e-10)
+    assert not rep.consistent
+
+
 def test_compactness_flags_regular_homogeneous(monkeypatch):
     # a hypothetical regular homogeneous spherical solution contradicts the
     # charge-balance argument; no hit is one, so fake an empty singular set

@@ -218,11 +218,12 @@ def test_integrand_call_counts(monkeypatch):
             mass(sol, kappa, sol.default_alpha)
     assert len(sizes) <= 60 and sum(sizes) <= 1500
     monkeypatch.undo()
-    # T, N and Q: one integral each, of u'^2, u^2 and u^2 K with the exact
-    # tail integral K = int_r^inf u^2 t dt (9 calls of 171 points measured)
+    # T, N and Q: one stacked integral of u'^2, u^2 and u^2 K with the exact
+    # tail integral K = int_r^inf u^2 t dt, one integrand call per level
+    # for all three rows (3 calls of 63 points measured)
     calls = _count_calls(monkeypatch)
     numeric.pohozaev_functionals(get_solution("FLAT_CSV"), 0.0, -1.0)
-    assert len(calls) <= 10 and sum(calls) <= 400
+    assert len(calls) <= 3 and sum(calls) <= 70
     # fd_residual evaluates one table of u, u', u'', V, V', V'' and rho,
     # with the basis' base and odd functions evaluated once each
     tables, evaluated = [], []
@@ -253,6 +254,105 @@ def test_integrand_call_counts(monkeypatch):
         odd = any(t.odd for expr in sol._fields for t in expr.terms)
         assert tables == [7], sol.id
         assert evaluated == ["base"] + ["odd"] * odd, sol.id
+
+
+# -- stacked integrands -------------------------------------------------------
+
+_ROWS = {
+    # settles at level 1, its tail reaching far past r = 200
+    "lorentz": lambda r: 1.0 / (1.0 + r * r),
+    # settles at level 3
+    "exp": lambda r: np.exp(-r),
+    # not finite from r = 200 on: that cuts its own large-r end only
+    "cut": lambda r: np.where(r >= 200.0, np.nan, np.exp(-r) * (1.0 + np.cos(r) ** 2)),
+    # settles at level 4
+    "cubic": lambda r: r**3 * np.exp(-r),
+    # diverges at the first level
+    "tail": lambda r: (1.0 + r) ** -0.5,
+    "small": lambda r: r**-1.0 / (1.0 + r * r),
+    # raise: levels that never agree, and a middle node that is not finite
+    "pole": lambda r: 1.0 / (r - 5.5) ** 2 / (1.0 + r**4),
+    "stretch": lambda r: np.sqrt(r - 3.0) / (1.0 + r**4),
+}
+
+
+def _counted(f, sizes):
+    return lambda r: sizes.append(np.size(r)) or f(r)
+
+
+def _outcome(call):
+    # a value as its bits, a verdict as itself, an error as its message
+    try:
+        got = call()
+    except numeric.QuadratureError as error:
+        return str(error)
+    return got.hex() if type(got) is float else got
+
+
+@pytest.mark.parametrize("names", [
+    ("lorentz", "exp", "cut", "cubic"),
+    ("cubic", "tail", "exp"),
+    ("cut", "lorentz", "small", "exp"),
+])
+def test_stacked_rows_are_their_own_integrals(names):
+    # each row has the bits or the verdict of its integrand alone, though the
+    # rows settle at different levels, one diverges while others go on, and
+    # one's nodes that are not finite are the others' ordinary nodes
+    alone, levels = [], []
+    with np.errstate(all="ignore"):
+        for name in names:
+            sizes = []
+            alone.append(_outcome(lambda: integrate_radial(_counted(_ROWS[name], sizes), 0.0, math.inf)))
+            levels.append(len(sizes))
+        sizes = []
+        got = integrate_radial(_counted(lambda r: np.array([_ROWS[name](r) for name in names]), sizes), 0.0, math.inf)
+    assert len(set(levels)) > 1
+    assert type(got) is tuple and len(got) == len(names)
+    assert [x.hex() if type(x) is float else x for x in got] == alone
+    # one call of f per level, as many as the row that runs longest
+    assert len(sizes) == max(levels)
+
+
+@pytest.mark.parametrize("names, raised", [
+    (("exp", "pole", "stretch"), "pole"),
+    (("exp", "stretch", "pole"), "stretch"),
+    (("pole", "tail"), "pole"),
+])
+def test_stacked_error_is_the_first_failing_row(names, raised):
+    # "stretch" fails at the first level and "pole" only after the last, yet
+    # the row first in order decides the error; a Divergent row is no failure
+    expected = _outcome(lambda: integrate_radial(_ROWS[raised], 0.0, math.inf))
+    with np.errstate(invalid="ignore"), pytest.raises(numeric.QuadratureError) as error:
+        integrate_radial(lambda r: np.array([_ROWS[name](r) for name in names]), 0.0, math.inf)
+    assert str(error.value) == expected
+
+
+def test_one_dimensional_integrand_returns_a_float():
+    got = integrate_radial(lambda r: np.exp(-r), 0.0, math.inf)
+    assert type(got) is float
+    stacked = integrate_radial(lambda r: np.exp(-r)[None, :], 0.0, math.inf)
+    assert type(stacked) is tuple and stacked == (got,)
+
+
+def test_stacked_manifold_integral_drops_a_diverged_row(monkeypatch):
+    # SPH_U1's u^2 diverges at its pole on the equator, the end of the first
+    # segment; the constant row goes on into the second alone
+    sol = get_solution("SPH_U1")
+    u = sol.u_fn(1.0, -1.0)
+    rows = []
+    integrate = numeric.integrate_radial
+
+    def counted(f, *args):
+        return integrate(lambda s: rows.append(np.shape(f(s))[0]) or f(s), *args)
+
+    monkeypatch.setattr(numeric, "integrate_radial", counted)
+    with np.errstate(all="ignore"):
+        got = numeric._manifold_integral(sol, 1.0, lambda r: np.array([u(r) ** 2, np.ones_like(r)]), 1e-10)
+    monkeypatch.undo()
+    assert got[0] == Divergent("r=1.5708") == mass(sol, 1.0, -1.0, 1e-10)
+    assert got[1] == numeric._manifold_integral(sol, 1.0, lambda r: np.ones_like(r), 1e-10)
+    assert got[1] == pytest.approx(2.0 * math.pi**2, rel=1e-10)
+    assert rows[0] == 2 and rows[-1] == 1
 
 
 @pytest.mark.parametrize("fault", ["overflow", "nan", "growth"])
