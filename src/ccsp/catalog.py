@@ -31,9 +31,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from functools import cached_property
+from operator import itemgetter
 from typing import Callable, Optional
 
 from .derivation import (
@@ -83,23 +83,46 @@ _TAG_RADII: dict[str, Callable[[Space], float]] = {
 }
 
 
-@dataclass(frozen=True, kw_only=True)
+_HIT_FIELDS = len(DerivationHit._fields)
+
+
 class Solution(DerivationHit):
     """A derivation hit plus its record: every field but `id`,
     `mass_convention`, `provenance` and `scale` is the hit's, and u, V, the
-    singular set and the mass are functions of it."""
+    singular set and the mass are functions of it.
 
-    id: str
-    mass_convention: str
-    provenance: str
-    scale: float = 1.0
+    The record's fields are keyword-only and follow the hit's in the
+    tuple, so equality and hash cover them and a Solution never equals
+    its bare hit.  Unlike the other value types it keeps an instance
+    dict, where its cached properties live."""
+
+    _fields = DerivationHit._fields + ("id", "mass_convention", "provenance", "scale")
+    id = property(itemgetter(_HIT_FIELDS))
+    mass_convention = property(itemgetter(_HIT_FIELDS + 1))
+    provenance = property(itemgetter(_HIT_FIELDS + 2))
+    scale = property(itemgetter(_HIT_FIELDS + 3))
+
+    def __new__(
+        cls, *hit_args, id: str, mass_convention: str, provenance: str, scale: float = 1.0, **hit_fields
+    ) -> "Solution":
+        hit = DerivationHit(*hit_args, **hit_fields)
+        return tuple.__new__(cls, (*hit, id, mass_convention, provenance, scale))
+
+    def __getnewargs_ex__(self):
+        return tuple(self[:_HIT_FIELDS]), dict(zip(self._fields[_HIT_FIELDS:], self[_HIT_FIELDS:]))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(f'{name}={value!r}' for name, value in zip(self._fields, self))})"
+
+    def _replace(self, **changes) -> "Solution":
+        return type(self)(**{**self._asdict(), **changes})
 
     @cached_property
     def _exprs(self) -> tuple[RadialExpr, RadialExpr]:
         return solution_exprs(self)
 
     @cached_property
-    def _fields(self) -> tuple[RadialExpr, ...]:
+    def _field_exprs(self) -> tuple[RadialExpr, ...]:
         """u, u', u'', V, V', V'' and rho."""
         du, dv = self.u.diff(), self.V.diff()
         return self.u, du, du.diff(), self.V, dv, dv.diff(), self.rho
@@ -186,12 +209,12 @@ class Solution(DerivationHit):
     def fields_fn(self, kappa: float, alpha: float) -> Callable:
         """r -> [u, u', u'', V, V', V'', rho] at (kappa, alpha) from one
         table (:meth:`_table_fn`)."""
-        return self._table_fn(self._fields, _FIELD_POWERS, kappa, alpha)
+        return self._table_fn(self._field_exprs, _FIELD_POWERS, kappa, alpha)
 
     def virial_fn(self, kappa: float, alpha: float) -> Callable:
         """r -> [u', u, K] at (kappa, alpha) from one table (:meth:`_table_fn`),
         the fields of T, N and Q; the tail integral :attr:`K` scales like V."""
-        return self._table_fn((self._fields[1], self.u, self.K), (-3, -2, -2), kappa, alpha)
+        return self._table_fn((self._field_exprs[1], self.u, self.K), (-3, -2, -2), kappa, alpha)
 
     # only flat entries scale, and their omega is 0 and their one pole the origin
     def omega_value(self, kappa: float) -> float:
@@ -274,7 +297,7 @@ def solution_from_hit(
     """Materialize a derivation hit into a full record, re-checking both
     field equations symbolically; the mass is the hit's exact Beta value."""
     sol = Solution(
-        **{f.name: getattr(hit, f.name) for f in fields(DerivationHit)},
+        *hit[:_HIT_FIELDS],
         id=id,
         mass_convention=mass_convention,
         provenance=provenance,
@@ -572,4 +595,4 @@ def scale_flat_solution(sol: Solution, a: float) -> Solution:
         )
     if not sol.rho.is_zero:
         raise NotScalableError(f"{sol.id}: background solutions are not rescaled here")
-    return replace(sol, scale=sol.scale * a)
+    return sol._replace(scale=sol.scale * a)

@@ -294,7 +294,7 @@ def _read_hits(path: str) -> list[DerivationHit]:
             hits.append(DerivationHit.from_json_obj(obj))
         except KeyError as exc:
             raise ValueError(f"hit {i} lacks the field {exc}") from None
-        except TypeError as exc:
+        except (TypeError, ValueError) as exc:
             raise ValueError(f"hit {i} is malformed: {exc}") from None
     return hits
 

@@ -70,11 +70,10 @@ base powers, omega is minus its constant term in every regime.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from functools import cache
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .geometry import Regime, sphere_area
 from .symbolic import Basis, Graded, Monomial, RadialExpr, ZERO_GRADED, json_int
@@ -99,6 +98,7 @@ __all__ = [
 ]
 
 _MAX_RANGE = 64
+_MODES = ("homogeneous", "background")
 
 
 class AlphaSign(str, Enum):
@@ -119,8 +119,7 @@ class AlphaSign(str, Enum):
         return cls.REPULSIVE if x_law.sign(regime) > 0 else cls.ATTRACTIVE
 
 
-@dataclass(frozen=True)
-class AnsatzFamily:
+class AnsatzFamily(NamedTuple):
     """A trial-profile family together with its integer exponent."""
 
     family: Basis
@@ -142,8 +141,7 @@ class CandidateStatus(str, Enum):
     SINGULAR_U = "singular-u"             # background: profile has poles
 
 
-@dataclass(frozen=True)
-class DerivationHit:
+class DerivationHit(NamedTuple):
     """One verified (family, n, D) solution of the matching problem."""
 
     family: Basis
@@ -215,21 +213,26 @@ class DerivationHit:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "DerivationHit":
+        """A hit from its `to_json_obj` form; a malformed field raises
+        TypeError or ValueError (a missing one KeyError)."""
+        mode, notes = obj["mode"], obj.get("notes", "")
+        _check_mode(mode)
+        if type(notes) is not str:
+            raise TypeError(f"notes must be a string, got {notes!r}")
         return cls(
             family=Basis(obj["family"]),
             n=json_int(obj["n"]),
             dim=json_int(obj["dim"]),
             regime=Regime(obj["regime"]),
-            mode=obj["mode"],
+            mode=mode,
             x_law=None if obj["x_law"] is None else Graded.from_json_obj(obj["x_law"]),
             omega=Graded.from_json_obj(obj["omega"]),
             rho=RadialExpr.from_json_obj(obj["rho"]),
-            notes=obj.get("notes", ""),
+            notes=notes,
         )
 
 
-@dataclass(frozen=True)
-class Candidate:
+class Candidate(NamedTuple):
     """Outcome of evaluating one (family, n, D) cell of the search grid."""
 
     status: CandidateStatus
@@ -237,10 +240,14 @@ class Candidate:
     detail: str = ""
 
 
+def _check_mode(mode: str) -> None:
+    if mode not in _MODES:
+        raise ValueError(f"unknown mode {mode!r}")
+
+
 def _check_search(family: Basis, regime: Regime, mode: str, max_rho_terms: int) -> None:
     family.check_regime(regime)
-    if mode not in ("homogeneous", "background"):
-        raise ValueError(f"unknown mode {mode!r}")
+    _check_mode(mode)
     if mode == "background" and family is Basis.FLAT_R:
         raise ValueError("pure power-of-r profiles are homogeneous-search only")
     if max_rho_terms < 0:
@@ -339,8 +346,7 @@ def singular_radius_tags(fam: AnsatzFamily, regime: Regime) -> tuple[str, ...]:
     return _BASE_ZEROS.get((fam.family, regime), ()) if fam.n < 0 else ()
 
 
-@dataclass(frozen=True)
-class GradedMass:
+class GradedMass(NamedTuple):
     """Exact closed-form mass: coef * S_sub * pi^p * |kappa|^(k2/2) * |alpha|^a.
 
     sphere_sub is the subscript of the unit-sphere area factor (S_5 for six
@@ -606,7 +612,7 @@ def classify_alpha_sign(hit: DerivationHit) -> DerivationHit:
         note += "; background source vanishes"
     if hit.notes:
         note = hit.notes + " | " + note
-    return replace(hit, notes=note)
+    return hit._replace(notes=note)
 
 
 # -- materialization ----------------------------------------------------

@@ -23,8 +23,8 @@ singularities.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 
 class Regime(str, Enum):
@@ -37,8 +37,13 @@ class PoleError(ValueError):
     """A metric factor vanishes where a division is required."""
 
 
-@dataclass(frozen=True)
-class Space:
+class _SpaceFields(NamedTuple):
+    regime: Regime
+    kappa: float
+    dim: int
+
+
+class Space(_SpaceFields):
     """A simply connected space of constant sectional curvature.
 
     kappa < 0 for hyperbolic, kappa > 0 for spherical, and kappa == 0
@@ -46,21 +51,24 @@ class Space:
     checked.  dim is the dimension D >= 1.
     """
 
-    regime: Regime
-    kappa: float
-    dim: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.dim < 1:
-            raise ValueError(f"dimension must be >= 1, got {self.dim}")
-        if not math.isfinite(self.kappa):
+    def __new__(cls, regime: Regime, kappa: float, dim: int) -> "Space":
+        if dim < 1:
+            raise ValueError(f"dimension must be >= 1, got {dim}")
+        if not math.isfinite(kappa):
             raise ValueError("kappa must be finite")
-        if self.regime is Regime.FLAT and self.kappa != 0.0:
+        if regime is Regime.FLAT and kappa != 0.0:
             raise ValueError("flat space requires kappa == 0")
-        if self.regime is Regime.HYPERBOLIC and not self.kappa < 0:
+        if regime is Regime.HYPERBOLIC and not kappa < 0:
             raise ValueError("hyperbolic space requires kappa < 0")
-        if self.regime is Regime.SPHERICAL and not self.kappa > 0:
+        if regime is Regime.SPHERICAL and not kappa > 0:
             raise ValueError("spherical space requires kappa > 0")
+        return super().__new__(cls, regime, kappa, dim)
+
+    @classmethod
+    def _make(cls, fields) -> "Space":
+        return cls(*fields)  # so that _replace checks too
 
     @classmethod
     def flat(cls, dim: int) -> "Space":

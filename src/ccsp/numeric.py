@@ -51,7 +51,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 from itertools import pairwise
 from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Union
 
@@ -171,11 +170,32 @@ def evaluator(basis: Basis, space: Space, table: list[list[tuple[float, float, i
 # -- quadrature -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Divergent:
-    """Marker value for integrals whose terms do not decay at an end."""
+    """Marker value for integrals whose terms do not decay at an end.
 
-    where: str  # "small-r" | "large-r" | "endpoint"
+    Not a tuple, unlike the other value types: a tuple of results is a
+    stacked integral's (:func:`_manifold_integral`), and the CLI's JSON
+    writes a tuple as a list."""
+
+    __slots__ = ("where",)
+
+    def __init__(self, where: str) -> None:
+        object.__setattr__(self, "where", where)  # "small-r" | "large-r" | "endpoint" | "r=..."
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: Divergent is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: Divergent is immutable")
+
+    def __eq__(self, other):
+        return other.where == self.where if type(other) is Divergent else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.where)
+
+    def __repr__(self) -> str:
+        return f"Divergent(where={self.where!r})"
 
     def __str__(self) -> str:
         return f"divergent:{self.where}"
@@ -499,8 +519,7 @@ def _manifold_integral(
 # -- charge balance on the sphere -------------------------------------------
 
 
-@dataclass(frozen=True)
-class CompactnessReport:
+class CompactnessReport(NamedTuple):
     """Outcome of the compact-manifold charge-balance check."""
 
     solution_id: str
@@ -750,8 +769,7 @@ def poisson_invert(
 # -- variational functionals ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class PohozaevFunctionals:
+class PohozaevFunctionals(NamedTuple):
     """Kinetic, mass and nonlocal functionals; fields may be Divergent."""
 
     kinetic_T: Quadrature
@@ -799,8 +817,7 @@ def pohozaev_functionals(
     return PohozaevFunctionals(t_val, n_val, q_val)
 
 
-@dataclass(frozen=True)
-class PohozaevReport:
+class PohozaevReport(NamedTuple):
     functionals: PohozaevFunctionals
     identities: Optional[dict]
     defect: Optional[Quadrature]
@@ -846,8 +863,7 @@ def pohozaev_check(sol: "Solution", kappa: float, alpha: float) -> PohozaevRepor
 # -- verification reports ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     solution_id: str
     kappa: float
     alpha: float

@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
@@ -65,6 +64,14 @@ def json_int(value) -> int:
     return value
 
 
+def json_fraction(value) -> Fraction:
+    """A JSON rational field, "p/q"; a zero denominator raises ValueError."""
+    try:
+        return Fraction(value)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {value!r}") from None
+
+
 class Basis(str, Enum):
     FLAT_C = "flat-c"
     FLAT_R = "flat-r"
@@ -89,8 +96,7 @@ class Basis(str, Enum):
 RatLike = Union[Fraction, int]
 
 
-@dataclass(frozen=True, order=True)
-class Monomial:
+class Monomial(NamedTuple):
     """coeff * base^base * odd^odd * (-kappa)^kappa * alpha^alpha * A^amp."""
 
     coeff: Fraction
@@ -102,7 +108,7 @@ class Monomial:
 
     @property
     def key(self) -> tuple[int, int, int, int, int]:
-        return (self.base, self.odd, self.kappa, self.alpha, self.amp)
+        return self[1:]
 
 
 def _sort_key(m: Monomial):
@@ -110,17 +116,23 @@ def _sort_key(m: Monomial):
     return (-m.base, m.odd, m.kappa, m.alpha, m.amp)
 
 
-@dataclass(frozen=True)
-class Graded:
-    """An exact rational times an integer power of the signed curvature."""
-
+class _GradedFields(NamedTuple):
     coef: Fraction
     kappa: int = 0
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coef", Fraction(self.coef))
-        if self.coef == 0 and self.kappa != 0:
-            object.__setattr__(self, "kappa", 0)
+
+class Graded(_GradedFields):
+    """An exact rational times an integer power of the signed curvature."""
+
+    __slots__ = ()
+
+    def __new__(cls, coef: RatLike, kappa: int = 0) -> "Graded":
+        coef = Fraction(coef)
+        return super().__new__(cls, coef, kappa if coef else 0)
+
+    @classmethod
+    def _make(cls, fields) -> "Graded":
+        return cls(*fields)  # so that _replace normalizes too
 
     @property
     def is_zero(self) -> bool:
@@ -148,7 +160,7 @@ class Graded:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "Graded":
-        return cls(Fraction(obj["coef"]), json_int(obj["kappa_pow"]))
+        return cls(json_fraction(obj["coef"]), json_int(obj["kappa_pow"]))
 
 
 ZERO_GRADED = Graded(Fraction(0), 0)
@@ -230,8 +242,7 @@ def _diff_monomial(rules: _Rules, m: Monomial) -> Iterator[Monomial]:
         yield from _times_unit(rules, m.coeff, m, (base, odd - 1, kappa))
 
 
-@dataclass(frozen=True)
-class RadialExpr:
+class RadialExpr(NamedTuple):
     """Finite sum of monomials over one basis, kept in normal form."""
 
     basis: Basis
@@ -247,9 +258,10 @@ class RadialExpr:
                 raise ValueError(f"odd power must be 0 or 1, got {t.odd}")
             if t.odd and not basis.has_odd:
                 raise ValueError(f"{basis.value} basis has no odd factor")
-            acc[t.key] = acc.get(t.key, Fraction(0)) + Fraction(t.coeff)
+            key = t.key
+            acc[key] = acc[key] + t.coeff if key in acc else t.coeff
         kept = [
-            Monomial(c, *k)
+            Monomial(c if type(c) is Fraction else Fraction(c), *k)
             for k, c in acc.items()
             if c != 0
         ]
@@ -452,7 +464,7 @@ class RadialExpr:
         return cls.from_terms(
             Basis(obj["basis"]),
             (
-                Monomial(Fraction(t["coeff"]), *(json_int(t[k]) for k in ("base", "odd", "kappa", "alpha", "amp")))
+                Monomial(json_fraction(t["coeff"]), *(json_int(t[k]) for k in ("base", "odd", "kappa", "alpha", "amp")))
                 for t in obj["terms"]
             ),
         )

@@ -1,6 +1,6 @@
 import json
 import math
-from dataclasses import fields
+import pickle
 from fractions import Fraction as F
 
 import numpy as np
@@ -308,6 +308,25 @@ def test_json_round_trip_bit_exact():
         assert back == s
 
 
+def test_solution_equality_covers_the_record():
+    # a record is its hit's fields and then its own: equality and hash see
+    # both, and a record never equals its bare hit
+    sol = get_solution("FLAT_CSV")
+    hit = DerivationHit(**{name: getattr(sol, name) for name in DerivationHit._fields})
+    same = solution_from_hit(hit, sol.id, sol.mass_convention, sol.provenance)
+    assert same == sol and hash(same) == hash(sol)
+    renamed = solution_from_hit(hit, "FLAT_CSV_COPY", sol.mass_convention, sol.provenance)
+    assert renamed != sol and renamed.u == sol.u
+    assert sol != hit and hit != sol
+    assert scale_flat_solution(sol, 2.0) != sol
+    assert sol._replace(scale=2.0) == scale_flat_solution(sol, 2.0)
+    assert pickle.loads(pickle.dumps(sol)) == sol
+    with pytest.raises(TypeError):
+        Solution(*hit, "FLAT_CSV", "FULL", "")  # the record's fields are keyword-only
+    with pytest.raises(AttributeError):
+        sol.id = "OTHER"
+
+
 def test_from_json_rejects_a_record_its_derivation_disagrees_with():
     obj = get_solution("FLAT_CSV").to_json_obj()
     edited_v = json.loads(json.dumps(obj))
@@ -387,7 +406,7 @@ def test_every_derived_catalog_cell_is_a_hit_of_the_classification():
     assert len(derived) == 22
     for sol in derived:
         hits = derivation._search(sol.family, sol.regime, [sol.n], [sol.dim], sol.mode)
-        fields_of_hit = {f.name: getattr(sol, f.name) for f in fields(DerivationHit)}
+        fields_of_hit = {name: getattr(sol, name) for name in DerivationHit._fields}
         assert hits == [DerivationHit(**fields_of_hit)], sol.id
 
 

@@ -280,6 +280,12 @@ _BAD_HITS = {
     "FLOAT_RHO_BASE": (_rho_term(lambda t: t.update(base=-6.5)), "background", "malformed"),
     "FLOAT_RHO_POWERS": (_rho_term(lambda t: t.update(odd=0.5, kappa=0.5, amp=0.5)), "background", "malformed"),
     "FLOAT_RHO_ALPHA": (_rho_term(lambda t: t.update(alpha=-1.5)), "background", "malformed"),
+    # a zero denominator is malformed input, not a failed verification (exit 1)
+    "ZERO_DENOM_X_LAW": (lambda hit: hit["x_law"].update(coef="1/0"), "homogeneous", "malformed"),
+    "ZERO_DENOM_OMEGA": (lambda hit: hit["omega"].update(coef="1/0"), "homogeneous", "malformed"),
+    "ZERO_DENOM_RHO": (_rho_term(lambda t: t.update(coeff="1/0")), "background", "malformed"),
+    "UNKNOWN_MODE": (lambda hit: hit.update(mode="bogus"), "homogeneous", "malformed"),
+    "NOTES_NOT_A_STRING": (lambda hit: hit.update(notes=3), "homogeneous", "malformed"),
 }
 
 

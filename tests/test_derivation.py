@@ -378,8 +378,6 @@ def test_hit_json_round_trip():
 
 def test_amplitude_free_hit_json_round_trip():
     # SPH_TRIVIAL has no amplitude law: x_law is null and either sign works
-    from dataclasses import fields
-
     from ccsp.catalog import get_solution
     from ccsp.derivation import DerivationHit
 
@@ -387,7 +385,7 @@ def test_amplitude_free_hit_json_round_trip():
     obj = DerivationHit.to_json_obj(sol)
     assert obj["x_law"] is None and obj["alpha_sign"] == "any"
     assert json.loads(json.dumps(obj)) == obj
-    hit = DerivationHit(**{f.name: getattr(sol, f.name) for f in fields(DerivationHit)})
+    hit = DerivationHit(**{name: getattr(sol, name) for name in DerivationHit._fields})
     assert DerivationHit.from_json_obj(obj) == hit
     assert classify_alpha_sign(hit).notes == "coupling sign: any; background source is negative"
 

@@ -115,3 +115,5 @@ def test_space_invariants():
         Space(Regime.FLAT, 0.5, 3)
     with pytest.raises(ValueError):
         Space.flat(0)
+    with pytest.raises(ValueError):
+        Space.flat(3)._replace(kappa=-1.0)

@@ -14,6 +14,16 @@ import pytest
 import ccsp
 from ccsp import numeric
 
+
+def _run(code: str) -> str:
+    """The stdout of `code` in a fresh interpreter that imports this ccsp."""
+    src = str(Path(ccsp.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 EXACT_LAYER_RUN = """
 import sys
 
@@ -34,19 +44,33 @@ print(",".join(m for m in ("numpy", "ccsp.numeric") if m in sys.modules))
 
 
 def test_exact_layer_does_not_import_numpy():
-    src = str(Path(ccsp.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run(
-        [sys.executable, "-c", EXACT_LAYER_RUN], capture_output=True, text=True, env=env, timeout=120
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "", f"the exact layer loaded {proc.stdout.strip()}"
+    out = _run(EXACT_LAYER_RUN)
+    assert out.strip() == "", f"the exact layer loaded {out.strip()}"
     # the package still serves the float layer's names, on first use
     assert ccsp.mass is numeric.mass
     assert ccsp.Divergent is numeric.Divergent
     assert ccsp.verify_solution is numeric.verify_solution
     with pytest.raises(AttributeError):
         ccsp.no_such_name
+
+
+BOUNDARY_RUN = """
+import sys
+
+import ccsp
+
+print(",".join(m for m in ("dataclasses", "inspect") if m in sys.modules))
+import ccsp.cli
+
+print(",".join(m for m in ("dataclasses",) if m in sys.modules))
+"""
+
+
+def test_package_loads_neither_dataclasses_nor_inspect():
+    # the value types are NamedTuples: `import ccsp` needs neither module,
+    # and the CLI, whose numpy loads inspect, still needs no dataclasses
+    out = _run(BOUNDARY_RUN)
+    assert out.split("\n")[:2] == ["", ""], f"loaded: {out!r}"
 
 
 FLOAT_LAYER_RUN = """
@@ -63,10 +87,5 @@ print("numpy.polynomial" in sys.modules and not loaded)
 def test_float_layer_does_not_import_numpy_polynomial():
     # every quadrature rule is built from exp and sinh: nothing loads
     # numpy.polynomial (numpy 1.x loads it with numpy itself, numpy 2 lazily)
-    src = str(Path(ccsp.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run(
-        [sys.executable, "-c", FLOAT_LAYER_RUN], capture_output=True, text=True, env=env, timeout=120
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False", "ccsp.numeric loaded numpy.polynomial"
+    out = _run(FLOAT_LAYER_RUN)
+    assert out.strip() == "False", "ccsp.numeric loaded numpy.polynomial"

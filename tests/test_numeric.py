@@ -1,6 +1,5 @@
 import math
 import warnings
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -56,6 +55,18 @@ def test_integrate_finite_interval():
     f = lambda r: np.sin(r)
     got = integrate_radial(f, 0.0, math.pi)
     assert got == pytest.approx(2.0, rel=1e-10)
+
+
+def test_divergent_is_an_immutable_value_but_not_a_tuple():
+    # a tuple result means a stacked integral, and the CLI writes tuples as lists
+    d = Divergent("small-r")
+    assert not isinstance(d, tuple)
+    assert d == Divergent("small-r") and hash(d) == hash(Divergent("small-r"))
+    assert d != Divergent("large-r") and d != "small-r"
+    assert str(d) == "divergent:small-r" and repr(d) == "Divergent(where='small-r')"
+    with pytest.raises(AttributeError):
+        d.where = "large-r"
+    assert d.where == "small-r"
 
 
 def test_integrate_detects_small_r_divergence():
@@ -251,7 +262,7 @@ def test_integrand_call_counts(monkeypatch):
         tables.clear()
         evaluated.clear()
         numeric.fd_residual(sol, kappa, sol.default_alpha, grid)
-        odd = any(t.odd for expr in sol._fields for t in expr.terms)
+        odd = any(t.odd for expr in sol._field_exprs for t in expr.terms)
         assert tables == [7], sol.id
         assert evaluated == ["base"] + ["odd"] * odd, sol.id
 
@@ -657,7 +668,7 @@ def test_fd_residual_detects_perturbation():
     from ccsp.symbolic import Graded
 
     sol = get_solution("FLAT_CSV")
-    bad = replace(sol, x_law=Graded(F(-576) * F(101, 100) ** 2))
+    bad = sol._replace(x_law=Graded(F(-576) * F(101, 100) ** 2))
     _, poisson = numeric.fd_residual(bad, 0.0, -1.0)
     assert poisson > 1e-3
 
@@ -686,8 +697,8 @@ def test_field_table_matches_each_field_compiled_alone():
         for kappa, alpha in _lattice(sol):
             r = default_grid(sol, kappa)
             got = sol.fields_fn(kappa, alpha)(r)
-            assert len(got) == len(sol._fields) == 7
-            for field, expr, power in zip(got, sol._fields, (-2, -3, -4, -2, -3, -4, None)):
+            assert len(got) == len(sol._field_exprs) == 7
+            for field, expr, power in zip(got, sol._field_exprs, (-2, -3, -4, -2, -3, -4, None)):
                 want = sol._field_fn(expr, kappa, alpha, power)(r)
                 assert field.tobytes() == want.tobytes(), (sol.id, sol.scale, kappa, alpha, str(expr))
             points += 1
@@ -735,7 +746,7 @@ def test_residuals_at_roundoff_and_sensitive_to_shifts(monkeypatch):
         x_law = sol.x_law
         x_shifted = None
         if x_law is not None:
-            x_shifted = replace(sol, x_law=Graded(x_law.coef * Fraction(1000001, 1000000), x_law.kappa))
+            x_shifted = sol._replace(x_law=Graded(x_law.coef * Fraction(1000001, 1000000), x_law.kappa))
         for kappa, alpha in _lattice(sol):
             points += 1
             base = max(numeric.fd_residual(sol, kappa, alpha))

@@ -308,6 +308,16 @@ def test_graded_sign_flips_odd_grades_on_the_sphere():
     assert Graded(F(-2), 3).sign(Regime.SPHERICAL) == 1
 
 
+def test_graded_normal_form():
+    # the coefficient is a Fraction, and zero carries no power of kappa,
+    # however the value is built
+    assert Graded(1, 2).coef == 1 and type(Graded(1, 2).coef) is F
+    assert Graded("1/2") == Graded(F(1, 2), 0)
+    assert Graded(0, 3) == Graded(F(0)) and Graded(0, 3).kappa == 0
+    assert Graded(F(1), 2)._replace(coef=0).kappa == 0
+    assert str(Graded(F(-3, 2), 2)) == "-3/2*(-kappa)^2"
+
+
 # -- ring axioms and normal form ---------------------------------------------
 
 
