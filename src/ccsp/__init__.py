@@ -7,7 +7,7 @@ derivation, catalog); the numerical layer :mod:`ccsp.numeric`, and with it
 numpy, loads when one of its names is first read from here or when it is
 imported itself."""
 
-from .geometry import Regime, Space, metric_C, metric_S, metric_T, sphere_area
+from .geometry import Regime, Space, sphere_area
 from .symbolic import Basis, Graded, Monomial, RadialExpr
 from .derivation import (
     AlphaSign,

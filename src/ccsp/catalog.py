@@ -29,7 +29,6 @@ re-applied through it when the record is loaded.
 
 from __future__ import annotations
 
-import json
 import math
 from fractions import Fraction
 from functools import cached_property
@@ -253,9 +252,6 @@ class Solution(DerivationHit):
             "scale": self.scale,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), separators=(",", ":"))
-
     @classmethod
     def from_json_obj(cls, obj: dict) -> "Solution":
         """Re-derive a record from its cell: the hit is rebuilt from u's
@@ -282,10 +278,6 @@ class Solution(DerivationHit):
         if sol.to_json_obj() != obj:
             raise ValueError(f"{sol.id}: the record disagrees with its derivation")
         return sol
-
-    @classmethod
-    def from_json(cls, text: str) -> "Solution":
-        return cls.from_json_obj(json.loads(text))
 
 
 def solution_from_hit(

@@ -20,20 +20,14 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import numeric
-from .catalog import (
-    NotScalableError,
-    Solution,
-    catalog_list,
-    get_solution,
-    solution_from_hit,
-)
+from .catalog import Solution, catalog_list, get_solution, solution_from_hit
 from .derivation import (
     AlphaSign,
     DerivationHit,
     solve_background,
     solve_homogeneous,
 )
-from .geometry import PoleError, Regime, Space, sphere_area
+from .geometry import Regime, Space, sphere_area
 from .symbolic import Basis
 
 _RANGE_FLAGS = ("-n", "--n-range", "-D", "--dim-range", "--r")
@@ -431,7 +425,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return _COMMANDS[args.command](args)
-    except (ValueError, KeyError, PoleError, NotScalableError) as exc:
+    except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

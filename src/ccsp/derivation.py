@@ -76,7 +76,7 @@ from functools import cache
 from typing import NamedTuple, Optional, Sequence
 
 from .geometry import Regime, sphere_area
-from .symbolic import Basis, Graded, Monomial, RadialExpr, ZERO_GRADED, json_int
+from .symbolic import Basis, Graded, RadialExpr, ZERO_GRADED, json_int
 
 __all__ = [
     "AnsatzFamily",
@@ -524,16 +524,6 @@ def _classification(
     return exceptional, _evaluate(fam, regime, m + 1, mode, max_rho_terms).status
 
 
-def _check_ranges(n_range: Sequence[int], d_range: Sequence[int]) -> None:
-    # sizes only: a lazy range is never materialized before the cap
-    if not n_range or not d_range:
-        raise ValueError("empty search range")
-    if len(n_range) > _MAX_RANGE or len(d_range) > _MAX_RANGE:
-        raise ValueError(f"search range wider than {_MAX_RANGE}")
-    if min(d_range) < 1:
-        raise ValueError("dimensions must be >= 1")
-
-
 def _search(
     family: Basis,
     regime: Regime,
@@ -542,7 +532,13 @@ def _search(
     mode: str,
     max_rho_terms: int = 1,
 ) -> list[DerivationHit]:
-    _check_ranges(n_range, d_range)
+    # sizes only: a lazy range is never materialized before the cap
+    if not n_range or not d_range:
+        raise ValueError("empty search range")
+    if len(n_range) > _MAX_RANGE or len(d_range) > _MAX_RANGE:
+        raise ValueError(f"search range wider than {_MAX_RANGE}")
+    if min(d_range) < 1:
+        raise ValueError("dimensions must be >= 1")
     _check_search(family, regime, mode, max_rho_terms)
     ds = sorted(set(d_range))
     hits = []

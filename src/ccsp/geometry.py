@@ -1,4 +1,4 @@
-"""Constant-curvature geometry: the curvature regimes and their metric functions.
+"""Constant-curvature geometry: the curvature regimes and their spaces.
 
 The three maximally symmetric spaces are described by a signed sectional
 curvature kappa (zero: Euclidean, negative: hyperbolic, positive: sphere).
@@ -12,12 +12,9 @@ Radial formulas use the curvature-scaled functions
 
 which satisfy S' = C, C' = -kappa*S and C^2 - (-kappa)*S^2 = 1 in every
 regime, so each identity in this package is stated once with a signed
-curvature.  The scalar functions here use :mod:`math` only; the array
-forms of S, C and 1/T belong to the float layer
-(:func:`ccsp.numeric.metric`), so this module, like the rest of the exact
-layer, does not import numpy.  All functions here are pure; callers are
-responsible for keeping numerical grids away from the coordinate
-singularities.
+curvature.  S, C and 1/T are evaluated in one place only, as array
+functions of the float layer (:func:`ccsp.numeric.metric`), so this
+module, like the rest of the exact layer, does not import numpy.
 """
 
 from __future__ import annotations
@@ -31,10 +28,6 @@ class Regime(str, Enum):
     FLAT = "flat"
     HYPERBOLIC = "hyperbolic"
     SPHERICAL = "spherical"
-
-
-class PoleError(ValueError):
-    """A metric factor vanishes where a division is required."""
 
 
 class _SpaceFields(NamedTuple):
@@ -104,50 +97,17 @@ class Space(_SpaceFields):
         return 1.0 if self.regime is Regime.FLAT else 1.0 / math.sqrt(abs(self.kappa))
 
 
-def _check_r(space: Space, r: float) -> None:
-    if r < 0:
-        raise ValueError(f"radius must be nonnegative, got {r}")
-    if space.regime is Regime.SPHERICAL and r > space.r_max * (1 + 1e-12):
-        raise ValueError(f"radius {r} beyond antipode {space.r_max}")
-
-
-def metric_S(space: Space, r: float) -> float:
-    """Curvature-scaled sine: the radius of the geodesic sphere at r."""
-    _check_r(space, r)
-    if space.regime is Regime.FLAT:
-        return float(r)
-    if space.regime is Regime.HYPERBOLIC:
-        lam = math.sqrt(-space.kappa)
-        return math.sinh(lam * r) / lam
-    mu = math.sqrt(space.kappa)
-    return math.sin(mu * r) / mu
-
-
-def metric_C(space: Space, r: float) -> float:
-    """Derivative of metric_S; equals 1 identically in flat space."""
-    _check_r(space, r)
-    if space.regime is Regime.FLAT:
-        return 1.0
-    if space.regime is Regime.HYPERBOLIC:
-        return math.cosh(math.sqrt(-space.kappa) * r)
-    return math.cos(math.sqrt(space.kappa) * r)
-
-
-def metric_T(space: Space, r: float) -> float:
-    """S/C; has a pole on the spherical equator r = pi/(2 sqrt(kappa))."""
-    c = metric_C(space, r)
-    if abs(c) < 1e-14:
-        raise PoleError(f"metric_T pole at r = {r} (equator)")
-    return metric_S(space, r) / c
-
-
 def sphere_area(dim: int) -> float:
     """Area of the unit sphere in `dim` dimensions: 2 pi^(D/2)/Gamma(D/2).
 
     dim == 1 gives 2, the counting measure of the two-point 0-sphere, which
     is what makes one-dimensional masses come out as two-sided line
-    integrals.
+    integrals.  Past D = 343, where Gamma(D/2) overflows, the same value
+    comes from log-Gamma, so the area is finite for every D >= 1.
     """
     if dim < 1:
         raise ValueError(f"dimension must be >= 1, got {dim}")
-    return 2.0 * math.pi ** (dim / 2.0) / math.gamma(dim / 2.0)
+    try:
+        return 2.0 * math.pi ** (dim / 2.0) / math.gamma(dim / 2.0)
+    except OverflowError:  # Gamma(D/2) exceeds the float range from D = 344
+        return 2.0 * math.exp(dim / 2.0 * math.log(math.pi) - math.lgamma(dim / 2.0))

@@ -36,13 +36,12 @@ immutable values; everything here is pure and safe to share across threads.
 
 from __future__ import annotations
 
-import json
 import math
 from enum import Enum
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
-from .geometry import PoleError, Regime, Space
+from .geometry import Regime, Space
 
 __all__ = [
     "Basis",
@@ -65,7 +64,10 @@ def json_int(value) -> int:
 
 
 def json_fraction(value) -> Fraction:
-    """A JSON rational field, "p/q"; a zero denominator raises ValueError."""
+    """A JSON rational field, the string "p/q"; anything else (a number, a
+    bool) raises TypeError, and a zero denominator raises ValueError."""
+    if type(value) is not str:
+        raise TypeError(f"expected a rational as a string, got {value!r}")
     try:
         return Fraction(value)
     except ZeroDivisionError:
@@ -418,10 +420,6 @@ class RadialExpr(NamedTuple):
             )
         return RadialExpr.from_terms(self.basis, out)
 
-    def collect(self) -> list[tuple[tuple[int, int, int, int, int], Fraction]]:
-        """Deterministically ordered (key, coefficient) pairs."""
-        return [(t.key, t.coeff) for t in self.terms]
-
     # -- evaluation ----------------------------------------------------
 
     def compile(self, space: Space, alpha: float, amp_sq: float) -> Callable:
@@ -429,14 +427,6 @@ class RadialExpr(NamedTuple):
         the one-expression case of :func:`compile_table`."""
         table = compile_table((self,), space, alpha, amp_sq)
         return lambda r: table(r)[0]
-
-    def eval(self, space: Space, r: float, alpha: float = 1.0, amp_sq: float = 1.0) -> float:
-        """Scalar evaluation; raises PoleError where a base function vanishes
-        under a negative power."""
-        value = float(self.compile(space, alpha, amp_sq)(float(r)))
-        if not math.isfinite(value):
-            raise PoleError(f"expression has a pole at r = {r}")
-        return value
 
     # -- serialization ---------------------------------------------------
 
@@ -456,9 +446,6 @@ class RadialExpr(NamedTuple):
             ],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), separators=(",", ":"))
-
     @classmethod
     def from_json_obj(cls, obj: dict) -> "RadialExpr":
         return cls.from_terms(
@@ -468,10 +455,6 @@ class RadialExpr(NamedTuple):
                 for t in obj["terms"]
             ),
         )
-
-    @classmethod
-    def from_json(cls, text: str) -> "RadialExpr":
-        return cls.from_json_obj(json.loads(text))
 
     def __str__(self) -> str:
         if not self.terms:

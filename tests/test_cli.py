@@ -286,6 +286,12 @@ _BAD_HITS = {
     "ZERO_DENOM_RHO": (_rho_term(lambda t: t.update(coeff="1/0")), "background", "malformed"),
     "UNKNOWN_MODE": (lambda hit: hit.update(mode="bogus"), "homogeneous", "malformed"),
     "NOTES_NOT_A_STRING": (lambda hit: hit.update(notes=3), "homogeneous", "malformed"),
+    # a rational field must be a string: a float would be read as a binary
+    # fraction the file never wrote (-576.0 used to verify and pass)
+    "FLOAT_X_LAW_COEF": (lambda hit: hit["x_law"].update(coef=-576.0), "homogeneous", "malformed"),
+    "INT_X_LAW_COEF": (lambda hit: hit["x_law"].update(coef=-576), "homogeneous", "malformed"),
+    "BOOL_OMEGA_COEF": (lambda hit: hit["omega"].update(coef=True), "homogeneous", "malformed"),
+    "FLOAT_RHO_COEFF": (_rho_term(lambda t: t.update(coeff=256.0)), "background", "malformed"),
 }
 
 
@@ -331,6 +337,20 @@ def _sign_in_regime(x_law, regime):
     neg_kappa = {"flat": 0, "hyperbolic": 1, "spherical": -1}[regime]
     x = F(x_law["coef"]) * F(neg_kappa) ** x_law["kappa_pow"]
     return "repulsive" if x > 0 else "attractive"
+
+
+def test_derive_verify_pipe_past_the_sphere_area_overflow():
+    # Gamma(D/2) overflows from D = 344; the pipe used to end in an
+    # OverflowError traceback with exit 1, the code of a failed verification
+    derive = ["derive", "--family", "curved-c", "--regime", "hyperbolic", "--mode", "background"]
+    code, hits, _ = run([*derive, "-D", "340..349"])
+    assert code == 0 and {h["dim"] for h in json.loads(hits)} >= {343, 344, 349}
+    code, out, err = run(["verify", "--hit-file", "-"], stdin_text=hits)
+    assert code == 0 and err == "", err
+    assert len(json.loads(out)) == len(json.loads(hits))
+    code, hits, _ = run(["derive", "--family", "flat-r", "-D", "1000..1001"])
+    assert code == 0 and len(json.loads(hits)) == 2
+    assert run(["verify", "--hit-file", "-"], stdin_text=hits)[0] == 0
 
 
 def test_json_sign_and_convention_follow_the_amplitude_law_and_regime():

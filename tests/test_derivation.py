@@ -376,6 +376,24 @@ def test_hit_json_round_trip():
         assert back == hit
 
 
+@pytest.mark.parametrize("value", [-576.0, -576, True], ids=["float", "int", "bool"])
+def test_rational_fields_must_be_strings(value):
+    from ccsp.derivation import DerivationHit
+
+    hits = _all_default_hits()
+    homogeneous = hits[0].to_json_obj()
+    background = next(h for h in hits if h.mode == "background" and h.rho.terms).to_json_obj()
+    for obj, edit in (
+        (homogeneous, lambda o: o["x_law"].update(coef=value)),
+        (homogeneous, lambda o: o["omega"].update(coef=value)),
+        (background, lambda o: o["rho"]["terms"][0].update(coeff=value)),
+    ):
+        bad = json.loads(json.dumps(obj))
+        edit(bad)
+        with pytest.raises(TypeError, match="as a string"):
+            DerivationHit.from_json_obj(bad)
+
+
 def test_amplitude_free_hit_json_round_trip():
     # SPH_TRIVIAL has no amplitude law: x_law is null and either sign works
     from ccsp.catalog import get_solution

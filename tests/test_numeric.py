@@ -5,10 +5,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from conftest import scalar_T
 from ccsp import numeric
 from ccsp.catalog import CATALOG, Solution, get_solution, scale_flat_solution
 from ccsp.derivation import AlphaSign
-from ccsp.geometry import Regime, Space, metric_T, sphere_area
+from ccsp.geometry import Regime, Space, sphere_area
 from ccsp.numeric import Divergent, default_grid, integrate_radial, mass
 from ccsp.symbolic import Graded
 
@@ -985,7 +986,7 @@ def test_poisson_invert_fd_round_trip():
         v = numeric.poisson_invert(f, space, sol.dim)
         for r in np.linspace(0.5, 5.0, 7):
             vp, v0, vm = float(v(r + h)), float(v(r)), float(v(r - h))
-            lap = (vp - 2 * v0 + vm) / h**2 + (sol.dim - 1) / metric_T(space, r) * (vp - vm) / (2 * h)
+            lap = (vp - 2 * v0 + vm) / h**2 + (sol.dim - 1) / scalar_T(space, r) * (vp - vm) / (2 * h)
             assert abs(-lap - float(f(r))) <= 1e-5
 
 
