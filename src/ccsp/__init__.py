@@ -13,10 +13,6 @@ from .derivation import (
     AlphaSign,
     AnsatzFamily,
     DerivationHit,
-    classify_alpha_sign,
-    consistency_residual,
-    omega_of,
-    potential_term,
     solve_background,
     solve_homogeneous,
 )

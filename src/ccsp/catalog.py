@@ -158,11 +158,6 @@ class Solution(DerivationHit):
     def finite_mass(self) -> bool:
         return self.mass is not None
 
-    @property
-    def default_alpha(self) -> float:
-        """Unit coupling of the required sign; attractive when either works."""
-        return 1.0 if self.alpha_sign is AlphaSign.REPULSIVE else -1.0
-
     # -- parameter handling -------------------------------------------
 
     def space(self, kappa: float) -> Space:
@@ -172,17 +167,11 @@ class Solution(DerivationHit):
         """The space's length unit times the scale (every curved scale is 1)."""
         return self.space(kappa).length * self.scale
 
-    def _field_fn(
-        self, expr: RadialExpr, kappa: float, alpha: float, power: Optional[int] = None
-    ) -> Callable:
-        """expr as a function of r at (kappa, alpha).  A field with a scale
-        `power` follows the flat scaling family, a^power expr(r/a); rho has
-        none, since only homogeneous entries scale."""
-        fn = expr.compile(self.space(kappa), alpha, self.amp_sq_value(kappa, alpha))
-        if power is None or self.scale == 1.0:
-            return fn
-        a, factor = self.scale, self.scale**power
-        return lambda r: fn(r / a) * factor
+    def _field_fn(self, expr: RadialExpr, kappa: float, alpha: float, power: int) -> Callable:
+        """expr as a function of r at (kappa, alpha): a one-row
+        :meth:`_table_fn`."""
+        table = self._table_fn((expr,), (power,), kappa, alpha)
+        return lambda r: table(r)[0]
 
     def u_fn(self, kappa: float, alpha: float) -> Callable:
         return self._field_fn(self.u, kappa, alpha, -2)
@@ -191,13 +180,14 @@ class Solution(DerivationHit):
         return self._field_fn(self.V, kappa, alpha, -2)
 
     def rho_fn(self, kappa: float, alpha: float) -> Callable:
-        return self._field_fn(self.rho, kappa, alpha)
+        return self._field_fn(self.rho, kappa, alpha, 0)
 
     def _table_fn(self, exprs: tuple[RadialExpr, ...], powers: tuple[int, ...], kappa: float, alpha: float) -> Callable:
         """r -> [each of exprs] at (kappa, alpha), from one table
         (:func:`ccsp.symbolic.compile_table`), each field bit for bit its
-        expression compiled alone.  The flat scale acts once, as r/a, and
-        each field takes its power of a as in :meth:`_field_fn`."""
+        expression compiled alone.  A field with a scale `power` follows the
+        flat scaling family, a^power expr(r/a): the scale acts once, as r/a
+        (rho takes power 0, since only homogeneous entries scale)."""
         table = compile_table(exprs, self.space(kappa), alpha, self.amp_sq_value(kappa, alpha))
         if self.scale == 1.0:
             return table
@@ -272,7 +262,9 @@ class Solution(DerivationHit):
             rho=RadialExpr.zero(u.basis) if rho is None else RadialExpr.from_json_obj(rho),
         )
         sol = solution_from_hit(hit, obj["id"], obj["mass_convention"], obj["provenance"])
-        scale = float(obj["scale"])
+        scale = obj["scale"]
+        if type(scale) not in (int, float):
+            raise ValueError(f"{sol.id}: scale must be a number, got {scale!r}")
         if scale != 1.0:
             sol = scale_flat_solution(sol, scale)
         if sol.to_json_obj() != obj:
@@ -288,6 +280,8 @@ def solution_from_hit(
 ) -> Solution:
     """Materialize a derivation hit into a full record, re-checking both
     field equations symbolically; the mass is the hit's exact Beta value."""
+    if mass_convention not in (FULL, RADIAL_INTEGRAL):
+        raise ValueError(f"{id}: unknown mass convention {mass_convention!r}")
     sol = Solution(
         *hit[:_HIT_FIELDS],
         id=id,

@@ -3,7 +3,7 @@
 All results go to stdout in json, csv or table form; diagnostics go to
 stderr.  Exit codes: 0 for success (a divergent integral is a correct
 answer, not a failure), 1 when a verification does not pass, 2 for usage
-and domain errors.  Floats are printed with 12 significant digits so
+and domain errors, 141 when stdout closes before the output is written.  Floats are printed with 12 significant digits so
 output diffs are stable across platforms.
 """
 
@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from contextlib import nullcontext
 from functools import cache
@@ -179,7 +180,12 @@ def _default_params(sol: Solution, kappa: Optional[float], R: Optional[float], a
             raise ValueError("give either --kappa or --R, not both")
         if not (R > 0):
             raise ValueError("--R must be positive")
-        kappa = -1.0 / R**2
+        try:
+            kappa = -1.0 / R**2
+        except (ZeroDivisionError, OverflowError):  # R^2 underflows to 0 or overflows
+            kappa = math.nan
+        if not (math.isfinite(kappa) and kappa != 0.0):
+            raise ValueError(f"--R = {R} is outside the float range: kappa = -1/R^2 must be finite and nonzero")
     if kappa is None:
         kappa = Space.unit_kappa(sol.regime)
     sol.space(kappa)  # validates kappa for the regime
@@ -431,4 +437,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def entrypoint() -> None:  # console script
-    raise SystemExit(main())
+    try:
+        code = main()
+        sys.stdout.flush()  # a closed stdout raises here, not in the exit flush
+    except BrokenPipeError:
+        # the reader went away: stdout now points at devnull, so the exit
+        # flush cannot raise again, and the code is 128 + SIGPIPE, as a shell
+        # reports a tool that SIGPIPE killed
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    raise SystemExit(code)

@@ -87,12 +87,10 @@ __all__ = [
     "Candidate",
     "potential_term",
     "omega_of",
-    "consistency_residual",
     "evaluate_candidate",
     "exact_mass",
     "solve_homogeneous",
     "solve_background",
-    "classify_alpha_sign",
     "solution_exprs",
     "resubstitution_defects",
 ]
@@ -104,10 +102,6 @@ _MODES = ("homogeneous", "background")
 class AlphaSign(str, Enum):
     ATTRACTIVE = "attractive"  # alpha < 0
     REPULSIVE = "repulsive"    # alpha > 0
-
-    @property
-    def sign(self) -> int:
-        return -1 if self is AlphaSign.ATTRACTIVE else 1
 
     @classmethod
     def of(cls, x_law: Optional[Graded], regime: Regime) -> Optional["AlphaSign"]:
@@ -158,6 +152,11 @@ class DerivationHit(NamedTuple):
     def alpha_sign(self) -> Optional[AlphaSign]:
         """None: valid for either coupling sign."""
         return AlphaSign.of(self.x_law, self.regime)
+
+    @property
+    def default_alpha(self) -> float:
+        """Unit coupling of the required sign; attractive when either works."""
+        return 1.0 if self.alpha_sign is AlphaSign.REPULSIVE else -1.0
 
     def amp_sq_value(self, kappa: float, alpha: float) -> float:
         """Numeric A^2 = X/alpha (1 when amplitude-free); raises if alpha is
@@ -316,19 +315,6 @@ def omega_of(fam: AnsatzFamily, regime: Regime, dim: int) -> Graded:
 def _geometry_part(fam: AnsatzFamily, dim: int) -> RadialExpr:
     # alpha*Lap(V) = Lap(Lap(u)/u): the constant omega drops under Lap.
     return _at_dimension(_geometry_parts(fam), dim)
-
-
-def consistency_residual(fam: AnsatzFamily, regime: Regime, dim: int) -> RadialExpr:
-    """Residual alpha*u^2 + alpha*Lap(V), linear in X = alpha*A^2.
-
-    The X term appears with grades (alpha=1, amp=2); the geometric part
-    carries no coupling or amplitude grades.  The candidate is a solution
-    exactly when a choice of X empties this expression (homogeneous mode).
-    """
-    fam.family.check_regime(regime)
-    geom = _geometry_part(fam, dim)
-    x_term = RadialExpr.monomial(fam.family, 1, base=2 * fam.n, alpha=1, amp=2)
-    return geom + x_term
 
 
 # zeros of the base function on the closed domain, keyed like _MASS_BETA:
@@ -594,23 +580,6 @@ def solve_background(
     return _search(family, regime, n_range, d_range, "background", max_rho_terms)
 
 
-def classify_alpha_sign(hit: DerivationHit) -> DerivationHit:
-    """Annotate a hit with the sign of its background source under the
-    coupling sign that makes A^2 positive (alpha > 0 for an amplitude-free
-    hit)."""
-    sign = hit.alpha_sign
-    note = f"coupling sign: {sign.value if sign else 'any'}"
-    if not hit.rho.is_zero:
-        lead = hit.rho.terms[0]
-        s = Graded(lead.coeff, lead.kappa).sign(hit.regime) * (sign.sign if sign else 1) ** lead.alpha
-        note += f"; background source is {'positive' if s > 0 else 'negative'}"
-    elif hit.mode == "background":
-        note += "; background source vanishes"
-    if hit.notes:
-        note = hit.notes + " | " + note
-    return hit._replace(notes=note)
-
-
 # -- materialization ----------------------------------------------------
 
 
@@ -619,7 +588,7 @@ def solution_exprs(hit: DerivationHit) -> tuple[RadialExpr, RadialExpr]:
     amplitude-free) and V = (Lap(u)/u + omega)/alpha."""
     u = RadialExpr.monomial(hit.family, 1, base=hit.n, amp=0 if hit.x_law is None else 1)
     pot = potential_term(AnsatzFamily(hit.family, hit.n), hit.regime, hit.dim)
-    alpha_v = pot + RadialExpr.const(hit.family, hit.omega)
+    alpha_v = pot + RadialExpr.monomial(hit.family, hit.omega.coef, kappa=hit.omega.kappa)
     v = alpha_v.scale_grades(alpha=-1)
     return u, v
 
@@ -639,7 +608,7 @@ def resubstitution_defects(
     """
     basis = u.basis
     schro = -u.laplacian(dim) + v.scale_grades(alpha=1) * u \
-        - RadialExpr.const(basis, omega) * u
+        - RadialExpr.monomial(basis, omega.coef, kappa=omega.kappa) * u
     u2 = u * u
     if x_law is not None:
         u2 = u2.substitute_amp_sq(x_law)

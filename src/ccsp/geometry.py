@@ -63,18 +63,6 @@ class Space(_SpaceFields):
     def _make(cls, fields) -> "Space":
         return cls(*fields)  # so that _replace checks too
 
-    @classmethod
-    def flat(cls, dim: int) -> "Space":
-        return cls(Regime.FLAT, 0.0, dim)
-
-    @classmethod
-    def hyperbolic(cls, kappa: float, dim: int) -> "Space":
-        return cls(Regime.HYPERBOLIC, kappa, dim)
-
-    @classmethod
-    def spherical(cls, kappa: float, dim: int) -> "Space":
-        return cls(Regime.SPHERICAL, kappa, dim)
-
     @property
     def neg_kappa(self) -> float:
         return -self.kappa

@@ -287,12 +287,6 @@ class RadialExpr(NamedTuple):
     ) -> "RadialExpr":
         return cls.from_terms(basis, [Monomial(Fraction(coeff), base, odd, kappa, alpha, amp)])
 
-    @classmethod
-    def const(cls, basis: Basis, value: Union[RatLike, Graded]) -> "RadialExpr":
-        if isinstance(value, Graded):
-            return cls.monomial(basis, value.coef, kappa=value.kappa)
-        return cls.monomial(basis, value)
-
     # -- ring operations ----------------------------------------------
 
     @property

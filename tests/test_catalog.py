@@ -360,6 +360,20 @@ def test_from_json_checks_the_scale():
     assert Solution.from_json_obj(record("FLAT_CSV", 2.0)) == scaled
 
 
+def test_from_json_rejects_an_unknown_convention_and_a_scale_that_is_no_number():
+    # an unknown convention re-derived, and its mass then lost the sphere
+    # factor (96 for FLAT_CSV's 2976.6); a bool scale re-derived as 1.0
+    obj = get_solution("FLAT_CSV").to_json_obj()
+    bogus = {**obj, "mass_convention": "BOGUS", "mass": {**obj["mass"], "sphere_sub": None}}
+    with pytest.raises(ValueError, match="unknown mass convention 'BOGUS'"):
+        Solution.from_json_obj(bogus)
+    with pytest.raises(ValueError, match="unknown mass convention"):
+        solution_from_hit(get_solution("HYP_U1"), "X", mass_convention="full")
+    for scale in (True, False, "1.0", None):
+        with pytest.raises(ValueError, match="scale must be a number"):
+            Solution.from_json_obj({**obj, "scale": scale})
+
+
 def test_trivial_sphere_mass_keeps_its_value():
     # the amplitude-free hit gives S_2 B(1/2, 3/2) kappa^(-3/2), stored before
     # as the hand-typed 2 pi^2 kappa^(-3/2); the float values are identical

@@ -497,6 +497,17 @@ def test_extreme_curvature_exits_in_one_line():
     assert len(rejected) == 12
 
 
+@pytest.mark.parametrize("R", ["1e-200", "1e-160", "1e200", "inf"])
+def test_r_outside_the_float_range_is_named(R):
+    # R^2 underflows to 0 (1e-200), -1/R^2 overflows (1e-160), R^2 overflows
+    # (1e200) or -1/R^2 is -0 (inf): each is one line that names --R, not a
+    # traceback or a message about kappa
+    for command in ("verify", "mass"):
+        code, out, err = run([command, "HYP_U1", f"--R={R}"])
+        assert code == 2 and out == "" and err.count("\n") == 1, err
+        assert err.startswith("error: --R = "), err
+
+
 def test_underflowing_amplitude_is_named():
     # at |kappa| = 1e-200 the same twelve X underflow to 0: the message
     # names the underflow, where it said the (right) sign was wrong
@@ -682,6 +693,25 @@ def test_python_dash_m_runs_the_cli():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == run(["catalog", "--format", "csv"])[1]
+
+
+def test_closed_stdout_exits_141_without_a_traceback():
+    # the pipe's reader is gone before the CLI writes: no BrokenPipeError
+    # traceback, and 128 + SIGPIPE, the code a shell reports for a tool that
+    # SIGPIPE killed
+    src = str(Path(ccsp.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "ccsp", "derive", "--family", "flat-r", "-D", "1..64"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.stderr == ""
+    assert proc.returncode == 141
 
 
 # -- tolerances and grids that no verdict can be right for -------------------------

@@ -12,8 +12,6 @@ from ccsp.derivation import (
     AlphaSign,
     AnsatzFamily,
     CandidateStatus,
-    classify_alpha_sign,
-    consistency_residual,
     evaluate_candidate,
     exact_mass,
     omega_of,
@@ -49,7 +47,7 @@ def test_potential_term_curved_c_with_fd_oracle():
     got = potential_term(fam, Regime.HYPERBOLIC, 3)
     assert got == mono(Basis.CURVED_C, -6, base=-2, kappa=1)
     # brute-force check of Lap(u)/u at sample radii
-    space = Space.hyperbolic(-1.0, 3)
+    space = Space(Regime.HYPERBOLIC, -1.0, 3)
     u = lambda r: math.cosh(r) ** -2
     fn = got.compile(space, 1.0, 1.0)
     for r in (0.6, 1.1, 2.3):
@@ -59,7 +57,7 @@ def test_potential_term_curved_c_with_fd_oracle():
 def test_potential_term_inverse_s_coefficients_fixed_by_oracle():
     # oracle first: finite differences on u = 1/S determine both
     # coefficients of Lap(u)/u = a/S^2 + b*(-kappa) before any assertion
-    space = Space.hyperbolic(-1.0, 4)
+    space = Space(Regime.HYPERBOLIC, -1.0, 4)
     u = lambda r: 1.0 / math.sinh(r)
     samples = []
     for r in (0.8, 1.7):
@@ -94,7 +92,7 @@ def test_omega_curved_values():
     w = omega_of(AnsatzFamily(Basis.CURVED_S, -1), Regime.HYPERBOLIC, 4)
     assert w == Graded(F(2), 1)
     # numeric limit of -Lap(u)/u at large r
-    space = Space.hyperbolic(-1.0, 4)
+    space = Space(Regime.HYPERBOLIC, -1.0, 4)
     u = lambda r: 1.0 / math.sinh(r)
     limit = -fd_laplacian(u, space, 30.0) / u(30.0)
     assert w.evaluate(1.0) == pytest.approx(limit, abs=1e-7)
@@ -124,17 +122,15 @@ def test_omega_spherical_is_conventional():
     assert w.evaluate(-1.0) == -2.0  # kappa = +1
 
 
-# -- consistency residual --------------------------------------------------------
+# -- geometric part and amplitude law --------------------------------------------
 
 
 def test_residual_curved_c_n2_d3():
-    res = consistency_residual(AnsatzFamily(Basis.CURVED_C, -2), Regime.HYPERBOLIC, 3)
-    # (36 (-kappa)^2 + X) / C^4
-    expected = mono(Basis.CURVED_C, 36, base=-4, kappa=2) + mono(
-        Basis.CURVED_C, 1, base=-4, alpha=1, amp=2
-    )
-    assert res == expected
-    assert res.substitute_amp_sq(Graded(F(-36), 2)).is_zero
+    fam = AnsatzFamily(Basis.CURVED_C, -2)
+    # alpha*Lap(V) = 36 (-kappa)^2 / C^4, and the amplitude term X/C^4 cancels it
+    assert derivation._geometry_part(fam, 3) == mono(Basis.CURVED_C, 36, base=-4, kappa=2)
+    cand = evaluate_candidate(fam, Regime.HYPERBOLIC, 3, "homogeneous")
+    assert cand.hit.x_law == Graded(F(-36), 2)
 
 
 def test_residual_inverse_s_d3_has_no_solution():
@@ -275,31 +271,35 @@ def test_negative_rho_cap_is_rejected():
     assert solve_background(Basis.CURVED_C, Regime.HYPERBOLIC, range(-2, 0), range(1, 5), max_rho_terms=0)
 
 
-# -- alpha-sign classification ----------------------------------------------------
+# -- coupling sign and the sign of the source --------------------------------------
+
+RADII = (0.0, 0.5, 1.0, 2.0, 5.0)
+
+
+def _rho_values(hit):
+    sol = solution_from_hit(hit, id=f"{hit.family.value}:n{hit.n}:D{hit.dim}")
+    return sol.rho_fn(Space.unit_kappa(hit.regime), hit.default_alpha)(RADII)
 
 
 def test_classify_inverse_c_n1():
     hits = solve_background(Basis.CURVED_C, Regime.HYPERBOLIC, [-1], [5])
-    h = classify_alpha_sign(hits[0])
-    assert h.alpha_sign is AlphaSign.ATTRACTIVE
-    assert "positive" in h.notes
+    assert hits[0].alpha_sign is AlphaSign.ATTRACTIVE
+    assert (_rho_values(hits[0]) > 0).all()
     cand = evaluate_candidate(AnsatzFamily(Basis.CURVED_C, -1), Regime.HYPERBOLIC, 3, "background")
     assert cand.status is CandidateStatus.NO_SOLUTION
     hits = solve_background(Basis.CURVED_C, Regime.HYPERBOLIC, [-1], [2])
-    h = classify_alpha_sign(hits[0])
-    assert h.alpha_sign is AlphaSign.REPULSIVE
-    assert "negative" in h.notes
+    assert hits[0].alpha_sign is AlphaSign.REPULSIVE
+    assert (_rho_values(hits[0]) < 0).all()
 
 
 def test_classify_inverse_c_n2():
     for d in (3, 4, 5):
         hits = solve_background(Basis.CURVED_C, Regime.HYPERBOLIC, [-2], [d])
-        h = classify_alpha_sign(hits[0])
-        assert h.alpha_sign is AlphaSign.ATTRACTIVE
+        assert hits[0].alpha_sign is AlphaSign.ATTRACTIVE
         if d == 3:
-            assert "vanishes" in h.notes
+            assert hits[0].rho.is_zero
         else:
-            assert "positive" in h.notes
+            assert (_rho_values(hits[0]) > 0).all()
 
 
 # -- structural invariants -----------------------------------------------------------
@@ -328,7 +328,7 @@ def test_resubstitution_is_exact_for_every_hit():
 
 def test_sign_soundness():
     for hit in _all_default_hits():
-        good = hit.alpha_sign.sign * 1.0
+        good = hit.default_alpha
         kappa = {Regime.FLAT: 0.0, Regime.HYPERBOLIC: -1.0, Regime.SPHERICAL: 1.0}[hit.regime]
         assert hit.amp_sq_value(kappa, good) > 0
         with pytest.raises(ValueError):
@@ -341,8 +341,8 @@ def test_omega_agreement_with_numeric_limit():
     hits = [h for h in _all_default_hits() if h.regime is Regime.HYPERBOLIC]
     assert hits
     for hit in hits:
-        space = Space.hyperbolic(-1.0, hit.dim)
-        alpha = hit.alpha_sign.sign * 1.0
+        space = Space(Regime.HYPERBOLIC, -1.0, hit.dim)
+        alpha = hit.default_alpha
         amp_sq = hit.amp_sq_value(-1.0, alpha)
         u, _ = solution_exprs(hit)
         fn = u.compile(space, alpha, amp_sq)
@@ -405,7 +405,9 @@ def test_amplitude_free_hit_json_round_trip():
     assert json.loads(json.dumps(obj)) == obj
     hit = DerivationHit(**{name: getattr(sol, name) for name in DerivationHit._fields})
     assert DerivationHit.from_json_obj(obj) == hit
-    assert classify_alpha_sign(hit).notes == "coupling sign: any; background source is negative"
+    # the amplitude-free source is negative for either coupling sign
+    for alpha in (1.0, -1.0):
+        assert (sol.rho_fn(1.0, alpha)((0.0, 0.5, 1.5)) < 0).all()
 
 
 # -- the search against the direct-Laplacian oracle ---------------------------
@@ -636,7 +638,7 @@ def test_exact_mass_agrees_with_quadrature():
     for hit in hits:
         sol = solution_from_hit(hit, id=f"{hit.family.value}:n{hit.n}:D{hit.dim}")
         kappa = {Regime.FLAT: 0.0, Regime.HYPERBOLIC: -1.0, Regime.SPHERICAL: 1.0}[hit.regime]
-        alpha = float(hit.alpha_sign.sign)
+        alpha = hit.default_alpha
         got = numeric.mass(sol, kappa, alpha)
         assert isinstance(got, numeric.Divergent) == (sol.mass is None), sol.id
         if sol.mass is not None:

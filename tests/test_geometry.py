@@ -7,9 +7,9 @@ from conftest import scalar_T, scalar_metric
 from ccsp import numeric
 from ccsp.geometry import Regime, Space, sphere_area
 
-HYP = Space.hyperbolic(-1.0, 3)
-SPH = Space.spherical(1.0, 3)
-FLAT = Space.flat(6)
+HYP = Space(Regime.HYPERBOLIC, -1.0, 3)
+SPH = Space(Regime.SPHERICAL, 1.0, 3)
+FLAT = Space(Regime.FLAT, 0.0, 6)
 
 
 def S(space, r):
@@ -28,7 +28,7 @@ def test_metric_s_values():
     assert S(HYP, 0.0) == 0.0
     assert S(SPH, math.pi / 2) == pytest.approx(1.0, rel=1e-14)
     # scalar-math oracle: sinh(2)/2
-    assert S(Space.hyperbolic(-4.0, 3), 1.0) == pytest.approx(math.sinh(2.0) / 2.0, rel=1e-14)
+    assert S(Space(Regime.HYPERBOLIC, -4.0, 3), 1.0) == pytest.approx(math.sinh(2.0) / 2.0, rel=1e-14)
     assert S(FLAT, 2.5) == 2.5
 
 
@@ -69,7 +69,7 @@ def test_sphere_area():
 
 @pytest.mark.parametrize(
     "space",
-    [FLAT, HYP, SPH, Space.hyperbolic(-4.0, 5), Space.spherical(2.25, 4)],
+    [FLAT, HYP, SPH, Space(Regime.HYPERBOLIC, -4.0, 5), Space(Regime.SPHERICAL, 2.25, 4)],
 )
 def test_structure_identity(space):
     # (-kappa) S^2 = C^2 - 1 in every regime (flat: 0 = 0)
@@ -81,7 +81,7 @@ def test_structure_identity(space):
         assert -space.kappa * s * s == pytest.approx(c * c - 1.0, rel=1e-13, abs=1e-13)
 
 
-@pytest.mark.parametrize("space", [FLAT, HYP, SPH, Space.spherical(2.25, 4)])
+@pytest.mark.parametrize("space", [FLAT, HYP, SPH, Space(Regime.SPHERICAL, 2.25, 4)])
 def test_vectorized_metric(space):
     # the float layer's array S and C agree with the scalar oracle, and 1/T = C/S
     r_hi = space.r_max if math.isfinite(space.r_max) else 5.0
@@ -92,7 +92,7 @@ def test_vectorized_metric(space):
     assert np.allclose(m.inv_T(r) * m.S(r), m.C(r), rtol=1e-14, atol=0.0)
 
 
-@pytest.mark.parametrize("space", [HYP, SPH, Space.hyperbolic(-0.25, 2)])
+@pytest.mark.parametrize("space", [HYP, SPH, Space(Regime.HYPERBOLIC, -0.25, 2)])
 def test_derivative_relations(space):
     # S' = C and C' = -kappa S by central differences
     h = 1e-5
@@ -126,6 +126,6 @@ def test_space_invariants():
     with pytest.raises(ValueError):
         Space(Regime.FLAT, 0.5, 3)
     with pytest.raises(ValueError):
-        Space.flat(0)
+        Space(Regime.FLAT, 0.0, 0)
     with pytest.raises(ValueError):
-        Space.flat(3)._replace(kappa=-1.0)
+        Space(Regime.FLAT, 0.0, 3)._replace(kappa=-1.0)

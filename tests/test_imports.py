@@ -4,6 +4,7 @@
 evaluate a float array; numpy arrives only with `ccsp.numeric` (or the CLI).
 """
 
+import importlib
 import os
 import subprocess
 import sys
@@ -62,14 +63,21 @@ def test_public_names():
     names = {n for n in dir(ccsp) if not n.startswith("_") and not isinstance(getattr(ccsp, n), ModuleType)}
     assert names | ccsp._NUMERIC_NAMES == {
         "AlphaSign", "AnsatzFamily", "Basis", "CATALOG", "DerivationHit", "Graded", "GradedMass",
-        "Monomial", "RadialExpr", "Regime", "Solution", "Space", "catalog_list", "classify_alpha_sign",
-        "consistency_residual", "get_solution", "omega_of", "potential_term", "scale_flat_solution",
-        "solution_from_hit", "solve_background", "solve_homogeneous", "sphere_area",
+        "Monomial", "RadialExpr", "Regime", "Solution", "Space", "catalog_list", "get_solution",
+        "scale_flat_solution", "solution_from_hit", "solve_background", "solve_homogeneous", "sphere_area",
         # the float layer's names, loaded on first use
         "Divergent", "PohozaevFunctionals", "VerificationReport", "compactness_obstruction_check",
         "default_grid", "fd_residual", "integrate_radial", "mass", "pohozaev_check",
         "pohozaev_functionals", "poisson_invert", "verify_solution",
     }
+
+
+@pytest.mark.parametrize("module", ["symbolic", "derivation", "catalog", "numeric"])
+def test_module_all_names_exist(module):
+    # a name deleted from a module leaves no stale entry in its __all__
+    mod = importlib.import_module(f"ccsp.{module}")
+    missing = [name for name in mod.__all__ if not hasattr(mod, name)]
+    assert not missing, f"ccsp.{module}.__all__ names undefined {missing}"
 
 
 BOUNDARY_RUN = """

@@ -13,8 +13,8 @@ from ccsp.geometry import Regime, Space, sphere_area
 from ccsp.numeric import Divergent, default_grid, integrate_radial, mass
 from ccsp.symbolic import Graded
 
-HYP3 = Space.hyperbolic(-1.0, 3)
-FLAT6 = Space.flat(6)
+HYP3 = Space(Regime.HYPERBOLIC, -1.0, 3)
+FLAT6 = Space(Regime.FLAT, 0.0, 6)
 
 
 def _params(sol, curved_kappa=-1.0):
@@ -686,8 +686,8 @@ def _lattice(sol):
 
 def test_field_table_matches_each_field_compiled_alone():
     # u, u', u'', V, V', V'' and rho from one table, bit for bit each
-    # expression compiled alone (RadialExpr.compile through _field_fn, with
-    # its flat-scale power), on the verify lattice and on flat entries scaled
+    # expression compiled alone (RadialExpr.compile, with its flat-scale
+    # power: a^power expr(r/a)), on the verify lattice and on flat entries scaled
     scaled = [
         scale_flat_solution(get_solution(sid), a)
         for sid in ("FLAT_CSV", "FLAT_SINGULAR_D6", "FLAT_SINGULAR_D3")
@@ -699,8 +699,9 @@ def test_field_table_matches_each_field_compiled_alone():
             r = default_grid(sol, kappa)
             got = sol.fields_fn(kappa, alpha)(r)
             assert len(got) == len(sol._field_exprs) == 7
-            for field, expr, power in zip(got, sol._field_exprs, (-2, -3, -4, -2, -3, -4, None)):
-                want = sol._field_fn(expr, kappa, alpha, power)(r)
+            a, amp_sq = sol.scale, sol.amp_sq_value(kappa, alpha)
+            for field, expr, power in zip(got, sol._field_exprs, (-2, -3, -4, -2, -3, -4, 0)):
+                want = expr.compile(sol.space(kappa), alpha, amp_sq)(r / a) * a**power
                 assert field.tobytes() == want.tobytes(), (sol.id, sol.scale, kappa, alpha, str(expr))
             points += 1
     assert points == 840 + 45
@@ -879,7 +880,7 @@ def test_poisson_invert_slowly_decaying_potential():
     # -Lap of 18/(1+r^2) at D = 4 is 144 (1+r^2)^-3; the potential has an
     # r^-2 tail, so V(r) integrates M(s) s^-3 far past r
     f = lambda r: 144.0 / (1.0 + np.asarray(r, dtype=float) ** 2) ** 3
-    v = numeric.poisson_invert(f, Space.flat(4), 4)
+    v = numeric.poisson_invert(f, Space(Regime.FLAT, 0.0, 4), 4)
     rs = np.array([0.1, 0.5, 1.0, 2.0, 3.0, 5.0, 10.0])
     expected = 18.0 / (1.0 + rs**2)
     assert np.max(np.abs(v(rs) - expected) / expected) < 1e-8
@@ -921,7 +922,7 @@ def test_poisson_invert_zero_net_source():
     rs = np.array([0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 100.0, 1000.0])
     expected = (1.0 + rs**2) ** -3.0
     assert np.max(np.abs(v(rs) - expected) / expected) < 1e-12
-    v = numeric.poisson_invert(lambda r: (6.0 - 4.0 * x(r)) * np.exp(-x(r)), Space.flat(3), 3)
+    v = numeric.poisson_invert(lambda r: (6.0 - 4.0 * x(r)) * np.exp(-x(r)), Space(Regime.FLAT, 0.0, 3), 3)
     rs = np.linspace(0.1, 4.0, 14)
     expected = np.exp(-(rs**2))
     assert np.max(np.abs(v(rs) - expected) / expected) < 1e-9
@@ -967,7 +968,7 @@ def test_poisson_invert_hyperbolic_overflow(monkeypatch):
     # the total charge diverges, a verdict from the first level's 27 nodes
     calls.clear()
     with pytest.raises(ValueError, match="inversion tail diverges"):
-        numeric.poisson_invert(f, Space.hyperbolic(-1.0, 22), 22)
+        numeric.poisson_invert(f, Space(Regime.HYPERBOLIC, -1.0, 22), 22)
     assert calls == [27]
 
 

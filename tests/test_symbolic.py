@@ -11,9 +11,9 @@ from ccsp.geometry import Regime, Space
 from ccsp.numeric import _BASIS_FNS, metric
 from ccsp.symbolic import Basis, ClosureError, Graded, Monomial, RadialExpr
 
-FLAT = Space.flat(6)
-HYP = Space.hyperbolic(-1.0, 3)
-SPH = Space.spherical(1.0, 4)
+FLAT = Space(Regime.FLAT, 0.0, 6)
+HYP = Space(Regime.HYPERBOLIC, -1.0, 3)
+SPH = Space(Regime.SPHERICAL, 1.0, 4)
 
 
 def mono(basis, coeff, **kw):
@@ -102,7 +102,7 @@ def test_laplacian_curved_c_rule(n, dim):
 
 def test_laplacian_pure_power_fd_oracle():
     # oracle first: the finite-difference Laplacian of r^-2 in D = 6
-    space = Space.flat(6)
+    space = Space(Regime.FLAT, 0.0, 6)
     f = lambda r: r**-2.0
     for r in (0.7, 1.3, 2.9):
         oracle = fd_laplacian(f, space, r)
@@ -154,10 +154,10 @@ def test_div_rejects_polynomials():
 def test_collect_cleared_flat_consistency_polynomial(n, dim):
     # clearing denominators of the flat residual must give exactly
     # 24n(n-2) + 4n(Dn-8n-4D+16) c^2 - 2n(D-4)(D+n-2) c^4 + X c^(2n+8)
-    from ccsp.derivation import AnsatzFamily, consistency_residual
+    from ccsp.derivation import AnsatzFamily, CandidateStatus, _geometry_part, evaluate_candidate
 
-    res = consistency_residual(AnsatzFamily(Basis.FLAT_C, n), Regime.FLAT, dim)
-    cleared = res * mono(Basis.FLAT_C, 1, base=8)
+    fam = AnsatzFamily(Basis.FLAT_C, n)
+    cleared = _geometry_part(fam, dim) * mono(Basis.FLAT_C, 1, base=8)
     got = {(t.key[0], t.key[3], t.key[4]): t.coeff for t in cleared.terms}
     expect = {
         0: F(24 * n * (n - 2)),
@@ -169,9 +169,18 @@ def test_collect_cleared_flat_consistency_polynomial(n, dim):
             assert (power, 0, 0) not in got
         else:
             assert got[(power, 0, 0)] == value
-    # the amplitude term sits at c^(2n+8) with grades alpha=1, amp=2
-    assert got[(2 * n + 8, 1, 2)] == F(1)
-    assert len(got) == 1 + sum(1 for v in expect.values() if v != 0)
+    assert len(got) == sum(1 for v in expect.values() if v != 0)
+    # the amplitude term X c^(2n+8) cancels the geometric term at its power,
+    # and what is left is -alpha rho: a hit wherever that term is there
+    cand = evaluate_candidate(fam, Regime.FLAT, dim, "background", max_rho_terms=3)
+    x_term = got.get((2 * n + 8, 0, 0))
+    assert (cand.status is CandidateStatus.HIT) == (x_term is not None)
+    if x_term is not None:
+        assert cand.hit.x_law == Graded(-x_term)
+        rho = cand.hit.rho * mono(Basis.FLAT_C, 1, base=8)
+        assert {(t.key[0], t.key[3]): t.coeff for t in rho.terms} == {
+            (p, -1): -v for p, v in expect.items() if v != 0 and p != 2 * n + 8
+        }
 
 
 def test_collect_zero():
@@ -185,10 +194,10 @@ def test_collect_s_profile_condition(n, dim):
     # The rational coefficients match the classical form; the curvature
     # grades (0 on S^0, 1 on S^2) follow from the metric normalization of S
     # and are what the finite-difference oracle reproduces.
-    from ccsp.derivation import AnsatzFamily, consistency_residual
+    from ccsp.derivation import AnsatzFamily, _geometry_part, evaluate_candidate
 
-    res = consistency_residual(AnsatzFamily(Basis.CURVED_S, n), Regime.HYPERBOLIC, dim)
-    cleared = res * mono(Basis.CURVED_S, 1, base=4)
+    fam = AnsatzFamily(Basis.CURVED_S, n)
+    cleared = _geometry_part(fam, dim) * mono(Basis.CURVED_S, 1, base=4)
     got = {(t.key[0], t.key[2], t.key[3], t.key[4]): t.coeff for t in cleared.terms}
     c0 = F(-2 * n * (dim + n - 2) * (dim - 4))
     c2 = F(-2 * n * (dim + n - 2) * (dim - 3))
@@ -196,8 +205,14 @@ def test_collect_s_profile_condition(n, dim):
         assert got[(0, 0, 0, 0)] == c0
     if c2:
         assert got[(2, 1, 0, 0)] == c2
-    assert got[(2 * n + 4, 0, 1, 2)] == F(1)
-    assert len(got) == 1 + (c0 != 0) + (c2 != 0)
+    assert len(got) == (c0 != 0) + (c2 != 0)
+    # the amplitude term X S^(2n+4) empties the residual exactly when the
+    # geometric part is one term at that power: then X is minus that term
+    hit = evaluate_candidate(fam, Regime.HYPERBOLIC, dim, "homogeneous").hit
+    (power, kappa, _, _), coef = next(iter(got.items()))
+    assert (hit is not None) == (len(got) == 1 and power == 2 * n + 4)
+    if hit is not None:
+        assert hit.x_law == Graded(-coef, kappa)
 
 
 # -- eval -------------------------------------------------------------------
@@ -212,7 +227,7 @@ def test_eval_amplitude_profile_at_center():
     # inverse-C-squared profile with A^2 = 36 (-kappa)^2/(-alpha)
     u = mono(Basis.CURVED_C, 1, base=-2, amp=1)
     amp_sq = 36.0 * 1.0**2 / 1.0  # kappa = -1, alpha = -1
-    assert float(u.compile(Space.hyperbolic(-1.0, 3), -1.0, amp_sq)(0.0)) == pytest.approx(6.0)
+    assert float(u.compile(Space(Regime.HYPERBOLIC, -1.0, 3), -1.0, amp_sq)(0.0)) == pytest.approx(6.0)
 
 
 def test_eval_inverse_s_on_equator():
@@ -224,7 +239,7 @@ def test_eval_inverse_s_on_equator():
 
 def test_eval_pole_is_inf():
     e = mono(Basis.FLAT_R, 1, base=-2)
-    assert float(e.compile(Space.flat(3), 1.0, 1.0)(0.0)) == math.inf
+    assert float(e.compile(Space(Regime.FLAT, 0.0, 3), 1.0, 1.0)(0.0)) == math.inf
 
 
 def _reference_compile(expr, space, alpha, amp_sq):
@@ -387,8 +402,8 @@ def test_flat_even_closure():
 
 def _spaces_for(basis):
     if basis.is_flat:
-        return [Space.flat(3), Space.flat(6)]
-    return [Space.hyperbolic(-1.0, 3), Space.hyperbolic(-2.25, 4), Space.spherical(1.0, 4)]
+        return [Space(Regime.FLAT, 0.0, 3), Space(Regime.FLAT, 0.0, 6)]
+    return [Space(Regime.HYPERBOLIC, -1.0, 3), Space(Regime.HYPERBOLIC, -2.25, 4), Space(Regime.SPHERICAL, 1.0, 4)]
 
 
 def test_laplacian_matches_fd_oracle():
@@ -431,8 +446,8 @@ def test_diff_and_div_T_match_fd_oracle(basis):
     # d/dr against a central difference of the compiled monomial, and 1/T
     # against value * metric.inv_T; 1/T of an even flat-c or curved-c term
     # would need 1/r resp. 1/S and must be refused
-    spaces = [Space.flat(3)] if basis.is_flat else [
-        Space.hyperbolic(-2.25, 3), Space.spherical(2.0, 4)
+    spaces = [Space(Regime.FLAT, 0.0, 3)] if basis.is_flat else [
+        Space(Regime.HYPERBOLIC, -2.25, 3), Space(Regime.SPHERICAL, 2.0, 4)
     ]
     h = 1e-5
     checked = 0
@@ -490,8 +505,8 @@ def test_diff_matches_mpmath(basis):
     import mpmath as mp
 
     rng = random.Random(2026 + list(Basis).index(basis))
-    spaces = [Space.flat(3)] if basis.is_flat else [
-        Space.hyperbolic(-1.0, 3), Space.hyperbolic(-2.25, 4), Space.spherical(2.0, 4)
+    spaces = [Space(Regime.FLAT, 0.0, 3)] if basis.is_flat else [
+        Space(Regime.HYPERBOLIC, -1.0, 3), Space(Regime.HYPERBOLIC, -2.25, 4), Space(Regime.SPHERICAL, 2.0, 4)
     ]
     checked = 0
     with mp.workdps(30):
