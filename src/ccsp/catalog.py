@@ -29,7 +29,7 @@ re-applied through it when the record is loaded.
 
 from __future__ import annotations
 
-import math
+import sys
 from fractions import Fraction
 from functools import cached_property
 from operator import itemgetter
@@ -573,7 +573,8 @@ def scale_flat_solution(sol: Solution, a: float) -> Solution:
     Masses transform as N[u_a] = a^(D-4) N[u] (a^2 N[u] in six dimensions).
     Curved solutions admit no such family and are rejected.
     """
-    if not (a > 0) or not math.isfinite(a):
+    # compared exactly, so an int past the float range is rejected, not converted
+    if not (0.0 < a <= sys.float_info.max):
         raise ValueError(f"scale factor must be positive and finite, got {a}")
     if sol.regime is not Regime.FLAT:
         raise NotScalableError(

@@ -338,7 +338,7 @@ def _cmd_verify(args) -> int:
         }
         for r in reports
     ]
-    payload = [r.to_json_obj() for r in reports]
+    payload = [r._asdict() for r in reports]
     _emit_rows(rows, args.format, payload[0] if len(payload) == 1 else payload)
     return 0 if all_passed else 1
 
@@ -370,16 +370,8 @@ def _cmd_pohozaev(args) -> int:
     sol = get_solution(args.id)
     kappa, alpha = _default_params(sol, args.kappa, args.R, args.alpha)
     rep = numeric.pohozaev_check(sol, kappa, alpha)
-    payload = {"id": sol.id, "kappa": kappa, "alpha": alpha, **rep.to_json_obj()}
-    rows = [
-        {
-            "id": sol.id,
-            "T": rep.functionals.kinetic_T,
-            "N": rep.functionals.N,
-            "Q": rep.functionals.Q,
-            "defect": "-" if rep.defect is None else rep.defect,
-        }
-    ]
+    payload = {"id": sol.id, "kappa": kappa, "alpha": alpha, **rep._asdict()}
+    rows = [{"id": sol.id, "T": rep.T, "N": rep.N, "Q": rep.Q, "defect": "-" if rep.defect is None else rep.defect}]
     _emit_rows(rows, args.format, payload)
     return 0
 

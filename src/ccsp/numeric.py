@@ -50,6 +50,7 @@ with independent machinery:
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_left
 from itertools import pairwise
 from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Union
@@ -170,35 +171,28 @@ def evaluator(basis: Basis, space: Space, table: list[list[tuple[float, float, i
 # -- quadrature -------------------------------------------------------------
 
 
-class Divergent:
-    """Marker value for integrals whose terms do not decay at an end.
+class Divergent(str):
+    """Marker value for integrals whose terms do not decay at an end: the
+    string ``divergent:<where>`` the CLI prints, so a result is its own JSON.
 
     Not a tuple, unlike the other value types: a tuple of results is a
     stacked integral's (:func:`_manifold_integral`), and the CLI's JSON
     writes a tuple as a list."""
 
-    __slots__ = ("where",)
+    __slots__ = ()
 
-    def __init__(self, where: str) -> None:
-        object.__setattr__(self, "where", where)  # "small-r" | "large-r" | "endpoint" | "r=..."
+    def __new__(cls, where: str) -> "Divergent":  # "small-r" | "large-r" | "endpoint" | "r=..."
+        return super().__new__(cls, f"divergent:{where}")
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to {name!r}: Divergent is immutable")
+    @property
+    def where(self) -> str:
+        return self[len("divergent:"):]
 
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete {name!r}: Divergent is immutable")
-
-    def __eq__(self, other):
-        return other.where == self.where if type(other) is Divergent else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.where)
+    def __getnewargs__(self) -> tuple[str]:
+        return (self.where,)
 
     def __repr__(self) -> str:
         return f"Divergent(where={self.where!r})"
-
-    def __str__(self) -> str:
-        return f"divergent:{self.where}"
 
 
 Quadrature = Union[float, Divergent]
@@ -206,11 +200,6 @@ Quadrature = Union[float, Divergent]
 
 class QuadratureError(ValueError):
     """An integral the rule can call neither convergent nor divergent."""
-
-
-def _json_value(x):
-    """A quadrature result as JSON: Divergent values print as their tag."""
-    return str(x) if isinstance(x, Divergent) else x
 
 
 def _de_nodes(t: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -776,10 +765,6 @@ class PohozaevFunctionals(NamedTuple):
     N: Quadrature
     Q: Quadrature
 
-    @property
-    def all_finite(self) -> bool:
-        return all(not isinstance(x, Divergent) for x in (self.kinetic_T, self.N, self.Q))
-
 
 def pohozaev_functionals(
     sol: "Solution",
@@ -797,7 +782,8 @@ def pohozaev_functionals(
     at an end where u^2 K r^(D-1) does not decay.  T, N and Q are the rows
     of one stacked integral (:func:`integrate_radial`), each bit for bit
     its integral alone; where several fail, T's error comes before N's and
-    N's before Q's.
+    N's before Q's.  A finite T, N or Q below the normal doubles (Q goes as
+    alpha^-2, so from |alpha| about 1e155) raises ValueError naming alpha.
     """
     if sol.regime is not Regime.FLAT:
         raise ValueError("functional identities are derived in the flat case")
@@ -814,22 +800,21 @@ def pohozaev_functionals(
     t_val, n_val, q_val = _manifold_integral(sol, kappa, rows, NESTED_REL_TOL)
     if not isinstance(q_val, Divergent):
         q_val *= 2.0 / (sol.dim - 2)
-    return PohozaevFunctionals(t_val, n_val, q_val)
+    fns = PohozaevFunctionals(t_val, n_val, q_val)
+    for name, x in zip("TNQ", fns):
+        if not isinstance(x, Divergent) and abs(x) < sys.float_info.min:
+            raise ValueError(f"{name} = {x!r} is below the normal doubles at alpha = {alpha!r}")
+    return fns
 
 
 class PohozaevReport(NamedTuple):
-    functionals: PohozaevFunctionals
+    """T, N, Q and the identities: its fields are its JSON keys."""
+
+    T: Quadrature
+    N: Quadrature
+    Q: Quadrature
     identities: Optional[dict]
     defect: Optional[Quadrature]
-
-    def to_json_obj(self) -> dict:
-        return {
-            "T": _json_value(self.functionals.kinetic_T),
-            "N": _json_value(self.functionals.N),
-            "Q": _json_value(self.functionals.Q),
-            "identities": self.identities,
-            "defect": _json_value(self.defect),
-        }
 
 
 def pohozaev_check(sol: "Solution", kappa: float, alpha: float) -> PohozaevReport:
@@ -845,10 +830,10 @@ def pohozaev_check(sol: "Solution", kappa: float, alpha: float) -> PohozaevRepor
     """
     fns = pohozaev_functionals(sol, kappa, alpha)
     if not sol.rho.is_zero:
-        return PohozaevReport(fns, None, None)
-    if not fns.all_finite:
-        return PohozaevReport(fns, None, Divergent("functionals"))
-    t, n, q = fns.kinetic_T, fns.N, fns.Q
+        return PohozaevReport(*fns, None, None)
+    if any(isinstance(x, Divergent) for x in fns):
+        return PohozaevReport(*fns, None, Divergent("functionals"))
+    t, n, q = fns
     omega = sol.omega_value(kappa)
     d = sol.dim
     ids = {
@@ -857,13 +842,15 @@ def pohozaev_check(sol: "Solution", kappa: float, alpha: float) -> PohozaevRepor
         "third": 4.0 * t + (d - 2) * alpha * q,
     }
     defect = max(abs(x) for x in ids.values()) / max(t, 1e-300)
-    return PohozaevReport(fns, ids, defect)
+    return PohozaevReport(*fns, ids, defect)
 
 
 # -- verification reports ---------------------------------------------------
 
 
 class VerificationReport(NamedTuple):
+    """One entry's verdict: its fields are its JSON keys."""
+
     solution_id: str
     kappa: float
     alpha: float
@@ -874,22 +861,7 @@ class VerificationReport(NamedTuple):
     pohozaev_defect: Optional[Quadrature]
     passed: bool
     tolerances: dict
-    grid_meta: dict
-
-    def to_json_obj(self) -> dict:
-        return {
-            "solution_id": self.solution_id,
-            "kappa": self.kappa,
-            "alpha": self.alpha,
-            "schrodinger_residual_max": self.schrodinger_residual_max,
-            "poisson_residual_max": self.poisson_residual_max,
-            "mass_numeric": _json_value(self.mass_numeric),
-            "mass_expected": self.mass_expected,
-            "pohozaev_defect": _json_value(self.pohozaev_defect),
-            "passed": self.passed,
-            "tolerances": self.tolerances,
-            "grid": self.grid_meta,
-        }
+    grid: dict
 
 
 def verify_solution(
@@ -946,7 +918,7 @@ def verify_solution(
         pohozaev_defect=p_defect,
         passed=ok,
         tolerances={"residual": residual_tol, "mass_rel": MASS_REL_TOL},
-        grid_meta={
+        grid={
             "points": len(grid),
             "r_min": float(grid[0]),
             "r_max": float(grid[-1]),

@@ -360,6 +360,16 @@ def test_from_json_checks_the_scale():
     assert Solution.from_json_obj(record("FLAT_CSV", 2.0)) == scaled
 
 
+def test_a_scale_past_the_float_range_is_a_value_error():
+    # an int past the float range raised OverflowError from its conversion
+    csv = get_solution("FLAT_CSV")
+    with pytest.raises(ValueError, match="scale factor must be positive and finite"):
+        scale_flat_solution(csv, 10**400)
+    with pytest.raises(ValueError, match="scale factor must be positive and finite"):
+        Solution.from_json_obj({**csv.to_json_obj(), "scale": 10**400})
+    assert scale_flat_solution(csv, 2**1000).scale == 2.0**1000
+
+
 def test_from_json_rejects_an_unknown_convention_and_a_scale_that_is_no_number():
     # an unknown convention re-derived, and its mass then lost the sphere
     # factor (96 for FLAT_CSV's 2976.6); a bool scale re-derived as 1.0

@@ -556,6 +556,27 @@ def test_negative_exponent_value_after_flag(argv, flag, value):
     assert spaced[1] == glued[1]
 
 
+def test_pohozaev_divergent_functionals_print_their_tag():
+    code, out, _ = run(["pohozaev", "FLAT_SINGULAR_D6"])
+    assert code == 0 and '"defect": "divergent:functionals"' in out.splitlines()[-2]
+    payload = json.loads(out)
+    assert (payload["T"], payload["N"], payload["Q"]) == ("divergent:small-r", "divergent:large-r", "divergent:small-r")
+    assert payload["identities"] is None
+
+
+@pytest.mark.parametrize("argv", [
+    ["pohozaev", "FLAT_CSV", "--alpha=-1e200"],
+    ["pohozaev", "BG_FLAT_N3_D4", "--alpha=1e200"],
+    ["verify", "FLAT_CSV", "--alpha=-1e200", "--with-pohozaev"],
+])
+def test_q_below_the_normal_doubles_exits_in_one_line(argv):
+    # Q underflowed to 0.0: pohozaev printed it (with the defect 4.0 for
+    # FLAT_CSV's exact solution) and verify failed the solution
+    code, out, err = run(argv)
+    assert (code, out) == (2, ""), err
+    assert err == f"error: Q = 0.0 is below the normal doubles at alpha = {float(argv[2][8:])!r}\n"
+
+
 def test_verify_with_pohozaev():
     code, out, _ = run(["verify", "FLAT_CSV", "--with-pohozaev"])
     assert code == 0 and json.loads(out)["pohozaev_defect"] <= 1e-6

@@ -1,4 +1,8 @@
+import copy
+import json
 import math
+import pickle
+import re
 import warnings
 from fractions import Fraction
 
@@ -68,6 +72,19 @@ def test_divergent_is_an_immutable_value_but_not_a_tuple():
     with pytest.raises(AttributeError):
         d.where = "large-r"
     assert d.where == "small-r"
+
+
+def test_divergent_is_its_json_tag():
+    # a Divergent is the string the CLI prints, so a report's fields are its
+    # JSON, and it still takes no part in float arithmetic
+    d = Divergent("r=1.5708")
+    for back in (pickle.loads(pickle.dumps(d)), copy.deepcopy(d), copy.copy(d)):
+        assert type(back) is Divergent and back == d and back.where == "r=1.5708"
+    assert json.dumps(d) == '"divergent:r=1.5708"' and json.dumps({"mass": d}) == '{"mass": "divergent:r=1.5708"}'
+    with pytest.raises(TypeError):
+        1.0 + d
+    with pytest.raises(TypeError):
+        d * 2.0
 
 
 def test_integrate_detects_small_r_divergence():
@@ -734,7 +751,7 @@ def test_hyperbolic_entries_verify_far_from_unit_curvature(kappa):
     for sol in checked:
         report = numeric.verify_solution(sol, kappa, sol.default_alpha)
         assert report.passed, (sol.id, report.schrodinger_residual_max, report.poisson_residual_max)
-        assert report.grid_meta["r_max"] == pytest.approx(9.9 / math.sqrt(-kappa), rel=1e-15)
+        assert report.grid["r_max"] == pytest.approx(9.9 / math.sqrt(-kappa), rel=1e-15)
 
 
 def test_residuals_at_roundoff_and_sensitive_to_shifts(monkeypatch):
@@ -775,7 +792,7 @@ def test_residuals_at_roundoff_and_sensitive_to_shifts(monkeypatch):
 
 
 def _bg_flat_n3_d4_charge():
-    # BG_FLAT_N3_D4's charge at alpha = 1, built as pohozaev_functionals does
+    # BG_FLAT_N3_D4's charge of u^2 at alpha = 1, built as poisson_invert builds it for f = u^2
     sol = get_solution("BG_FLAT_N3_D4")
     u = sol.u_fn(0.0, 1.0)
     density = numeric._weighted(sol.space(0.0), lambda t: u(t) ** 2, sol.dim - 1)
@@ -1060,7 +1077,7 @@ def test_pohozaev_identities_skip_background_entries():
     # the identities are derived for rho = 0; a source adds terms they omit
     rep = numeric.pohozaev_check(get_solution("BG_FLAT_N3_D4"), 0.0, 1.0)
     assert rep.identities is None and rep.defect is None
-    assert rep.to_json_obj()["defect"] is None
+    assert rep._asdict()["defect"] is None
 
 
 def test_pohozaev_singular_profile_diverges():
@@ -1072,6 +1089,27 @@ def test_pohozaev_singular_profile_diverges():
     assert fns.Q == Divergent("small-r")
     fns = numeric.pohozaev_functionals(get_solution("FLAT_SINGULAR_D3"), 0.0, -1.0)
     assert fns.kinetic_T == fns.N == fns.Q == Divergent("small-r")
+
+
+@pytest.mark.parametrize("sid", ["FLAT_SINGULAR_D3", "FLAT_SINGULAR_D6"])
+def test_pohozaev_check_of_divergent_functionals(sid):
+    # a homogeneous entry whose functionals diverge has no identities, and
+    # its defect is the divergence
+    rep = numeric.pohozaev_check(get_solution(sid), 0.0, -1.0)
+    assert rep.identities is None and rep.defect == Divergent("functionals")
+    assert rep.T == Divergent("small-r") and rep.Q == Divergent("small-r")
+
+
+def test_pohozaev_functionals_below_the_normal_doubles_raise():
+    # Q goes as alpha^-2 and leaves the normal doubles from |alpha| about
+    # 5.7e155 (FLAT_CSV): it underflowed to 0.0 and FLAT_CSV's exact
+    # solution printed the defect 4.0
+    for sid, alpha in (("FLAT_CSV", -1e200), ("FLAT_CSV", -6e155), ("BG_FLAT_N3_D4", 1e200)):
+        with pytest.raises(ValueError, match=rf"^Q = \S+ is below the normal doubles at alpha = {re.escape(repr(alpha))}$"):
+            numeric.pohozaev_functionals(get_solution(sid), 0.0, alpha)
+    # and just inside, Q is still its closed form
+    q = numeric.pohozaev_functionals(get_solution("FLAT_CSV"), 0.0, -1e155).Q
+    assert q == pytest.approx(1152.0 * math.pi**3 / 5.0 * 1e-310, rel=1e-8)
 
 
 def test_pohozaev_requires_flat_high_dimension():
@@ -1112,7 +1150,7 @@ def test_verify_solution_report():
     rep = numeric.verify_solution(get_solution("FLAT_CSV"), 0.0, -1.0)
     assert rep.passed
     assert rep.mass_expected == pytest.approx(96 * math.pi**3)
-    obj = rep.to_json_obj()
+    obj = rep._asdict()
     assert obj["passed"] is True and obj["grid"]["points"] > 0
 
 
