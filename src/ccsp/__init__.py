@@ -3,9 +3,8 @@ flat, hyperbolic and spherical spaces: an exact derivation engine, a
 verified solution catalog, and a numerical checking layer.
 
 Importing the package loads the exact layer only (geometry, symbolic,
-derivation, catalog); the numerical layer :mod:`ccsp.numeric`, and with it
-numpy, loads when one of its names is first read from here or when it is
-imported itself."""
+derivation, catalog); the float layer's names are read from
+:mod:`ccsp.numeric`, which loads numpy when it is imported."""
 
 from .geometry import Regime, Space, sphere_area
 from .symbolic import Basis, Graded, Monomial, RadialExpr
@@ -25,30 +24,5 @@ from .catalog import (
     scale_flat_solution,
     solution_from_hit,
 )
-
-_NUMERIC_NAMES = frozenset({
-    "Divergent",
-    "PohozaevFunctionals",
-    "VerificationReport",
-    "compactness_obstruction_check",
-    "default_grid",
-    "fd_residual",
-    "integrate_radial",
-    "mass",
-    "pohozaev_check",
-    "pohozaev_functionals",
-    "poisson_invert",
-    "verify_solution",
-})
-
-
-def __getattr__(name: str):
-    """The float layer's names, imported on first use (PEP 562)."""
-    if name in _NUMERIC_NAMES:
-        from . import numeric
-
-        return getattr(numeric, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 
 __version__ = "0.1.0"

@@ -49,7 +49,7 @@ from .derivation import (
     solution_exprs,
 )
 from .geometry import Regime, Space, sphere_area
-from .symbolic import Basis, Graded, RadialExpr, ZERO_GRADED, compile_table, json_int
+from .symbolic import Basis, Graded, RadialExpr, ZERO_GRADED, json_int
 
 __all__ = [
     "GradedMass",
@@ -184,10 +184,12 @@ class Solution(DerivationHit):
 
     def _table_fn(self, exprs: tuple[RadialExpr, ...], powers: tuple[int, ...], kappa: float, alpha: float) -> Callable:
         """r -> [each of exprs] at (kappa, alpha), from one table
-        (:func:`ccsp.symbolic.compile_table`), each field bit for bit its
+        (:func:`ccsp.numeric.compile_table`), each field bit for bit its
         expression compiled alone.  A field with a scale `power` follows the
         flat scaling family, a^power expr(r/a): the scale acts once, as r/a
         (rho takes power 0, since only homogeneous entries scale)."""
+        from .numeric import compile_table
+
         table = compile_table(exprs, self.space(kappa), alpha, self.amp_sq_value(kappa, alpha))
         if self.scale == 1.0:
             return table

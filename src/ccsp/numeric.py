@@ -7,11 +7,12 @@ with independent machinery:
 
 * array evaluation: S, C and 1/T of a space (the one regime branch for
   arrays), the array functions of each basis' base and odd factor, and
-  the evaluator that :func:`ccsp.symbolic.compile_table` returns: for a
-  table of fields over one basis, it evaluates B(r) and O(r) once per call
-  and each distinct B^p once, whichever fields share it, and sums each
-  field's terms scale * B^p (times O) from 0.0, so every field has the
-  bits of its expression compiled alone;
+  :func:`compile_table`, which turns the exact coefficients of several
+  expressions over one basis into floats and returns their evaluator: it
+  evaluates B(r) and O(r) once per call and each distinct B^p once,
+  whichever fields share it, and sums each field's terms scale * B^p
+  (times O) from 0.0, so every field has the bits of its expression
+  compiled alone;
 * one double-exponential rule for every improper radial integral
   (Takahasi & Mori 1974): exp-sinh toward infinity, tanh-sinh on a finite
   interval, levels of halved step whose new nodes are evaluated in one
@@ -53,12 +54,12 @@ import math
 import sys
 from bisect import bisect_left
 from itertools import pairwise
-from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Union
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
 from .geometry import Regime, Space, sphere_area
-from .symbolic import Basis
+from .symbolic import Basis, RadialExpr, _power
 
 if TYPE_CHECKING:  # pragma: no cover
     from .catalog import Solution
@@ -66,7 +67,7 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "Metric",
     "metric",
-    "evaluator",
+    "compile_table",
     "Divergent",
     "default_grid",
     "integrate_radial",
@@ -133,11 +134,40 @@ _BASIS_FNS: dict[Basis, Callable[[Metric], tuple[Callable, Callable]]] = {
 }
 
 
-def evaluator(basis: Basis, space: Space, table: list[list[tuple[float, float, int]]]) -> Callable:
-    """r -> the list of the fields of `table`, each the sum of scale *
-    B^base * O^odd over its (scale, base, odd) terms, for expressions over
-    `basis`, on arrays (poles become inf/nan).  B and O are evaluated once
-    per call, and so is each distinct power of B, whichever fields share it."""
+def compile_table(exprs: Sequence[RadialExpr], space: Space, alpha: float, amp_sq: float) -> Callable:
+    """r -> [value of each of `exprs`] on arrays (poles become inf/nan),
+    for expressions over one basis.
+
+    Each term becomes a float scale times B^base O^odd.  B and O are
+    evaluated once per call, and so is each distinct power of B, whichever
+    fields share it."""
+    if amp_sq < 0:
+        raise ValueError(f"amplitude squared must be nonnegative, got {amp_sq}")
+    basis = exprs[0].basis
+    for expr in exprs[1:]:
+        exprs[0]._require_same_basis(expr)
+    basis.check_regime(space.regime)
+    nk = space.neg_kappa
+    amp = math.sqrt(amp_sq)
+    table = []
+    for expr in exprs:
+        pre = []
+        for t in expr.terms:
+            if t.kappa != 0 and space.regime is Regime.FLAT:
+                raise ValueError("flat evaluation of a curvature-graded term")
+            if t.alpha != 0 and alpha == 0:
+                raise ValueError("alpha == 0 with a coupling-graded term")
+            if t.amp != 0 and amp == 0.0 and t.amp < 0:
+                raise ValueError("zero amplitude with negative amplitude grade")
+            scale = float(t.coeff)
+            if t.kappa:
+                scale *= _power(nk, t.kappa)
+            if t.alpha:
+                scale *= _power(alpha, t.alpha)
+            if t.amp:
+                scale *= _power(amp, t.amp)
+            pre.append((scale, float(t.base), t.odd))
+        table.append(pre)
     base_fn, odd_fn = _BASIS_FNS[basis](metric(space))
     has_odd = any(op for pre in table for _, _, op in pre)
 

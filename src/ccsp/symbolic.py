@@ -25,12 +25,10 @@ an odd power would turn negative (1/T of an even flat-c or curved-c term
 needs 1/r resp. 1/S).  The curved relations
 use the *signed* quantity (-kappa) (positive hyperbolic, negative
 spherical), so a single expression serves both curved regimes and is
-evaluated with the right signs by :func:`compile_table`, which turns the
-exact coefficients of several expressions into floats at once
-(:meth:`RadialExpr.compile` is its one-expression case); the array
-evaluation itself belongs to the float layer
-(:func:`ccsp.numeric.evaluator`), imported on first use, so this module
-does not import numpy.  Expressions are
+evaluated with the right signs by the float layer (:mod:`ccsp.numeric`),
+which turns exact coefficients into floats and evaluates them on arrays;
+:meth:`RadialExpr.compile` imports it on first use, so this module does
+not import numpy.  Expressions are
 immutable values; everything here is pure and safe to share across threads.
 """
 
@@ -39,7 +37,7 @@ from __future__ import annotations
 import math
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Union
 
 from .geometry import Regime, Space
 
@@ -48,7 +46,6 @@ __all__ = [
     "Monomial",
     "RadialExpr",
     "Graded",
-    "compile_table",
 ]
 
 
@@ -418,7 +415,9 @@ class RadialExpr(NamedTuple):
 
     def compile(self, space: Space, alpha: float, amp_sq: float) -> Callable:
         """Vectorized evaluator r -> value (floats; poles become inf/nan):
-        the one-expression case of :func:`compile_table`."""
+        the one-expression case of :func:`ccsp.numeric.compile_table`."""
+        from .numeric import compile_table
+
         table = compile_table((self,), space, alpha, amp_sq)
         return lambda r: table(r)[0]
 
@@ -469,42 +468,3 @@ class RadialExpr(NamedTuple):
                 bits.append(f"{base_name[0]}^{t.base}" if t.base != 1 else base_name[0])
             parts.append("*".join(bits))
         return " + ".join(parts)
-
-
-def compile_table(exprs: Sequence[RadialExpr], space: Space, alpha: float, amp_sq: float) -> Callable:
-    """Vectorized evaluator r -> [value of each of `exprs`] (floats; poles
-    become inf/nan), for expressions over one basis.
-
-    Each term becomes a float scale times B^base O^odd here; the array
-    function comes from the float layer, which evaluates B, O and each
-    power of B once for all the expressions."""
-    from .numeric import evaluator
-
-    if amp_sq < 0:
-        raise ValueError(f"amplitude squared must be nonnegative, got {amp_sq}")
-    basis = exprs[0].basis
-    for expr in exprs[1:]:
-        exprs[0]._require_same_basis(expr)
-    basis.check_regime(space.regime)
-    nk = space.neg_kappa
-    amp = math.sqrt(amp_sq)
-    table: list[list[tuple[float, float, int]]] = []
-    for expr in exprs:
-        pre = []
-        for t in expr.terms:
-            if t.kappa != 0 and space.regime is Regime.FLAT:
-                raise ValueError("flat evaluation of a curvature-graded term")
-            if t.alpha != 0 and alpha == 0:
-                raise ValueError("alpha == 0 with a coupling-graded term")
-            if t.amp != 0 and amp == 0.0 and t.amp < 0:
-                raise ValueError("zero amplitude with negative amplitude grade")
-            scale = float(t.coeff)
-            if t.kappa:
-                scale *= _power(nk, t.kappa)
-            if t.alpha:
-                scale *= _power(alpha, t.alpha)
-            if t.amp:
-                scale *= _power(amp, t.amp)
-            pre.append((scale, float(t.base), t.odd))
-        table.append(pre)
-    return evaluator(basis, space, table)

@@ -20,7 +20,9 @@ from ccsp import derivation
 from ccsp.derivation import (
     AlphaSign,
     DerivationHit,
+    exact_mass,
     resubstitution_defects,
+    solution_exprs,
     solve_background,
     solve_homogeneous,
 )
@@ -95,6 +97,51 @@ def test_every_entry_resubstitutes_exactly():
     for s in CATALOG:
         schro, poisson = resubstitution_defects(s.u, s.V, s.rho, s.omega, s.x_law, s.dim)
         assert schro.is_zero and poisson.is_zero, s.id
+
+
+def _kappa_grade_faults(hit, mass):
+    """Every grade of a curved hit whose length dimension is wrong.
+
+    S has dimension length, C and (-kappa) S^2 none, and alpha none, so
+    a term C^b S^o (-kappa)^k (curved-c) has dimension o - 2k and
+    S^b C^o (-kappa)^k (curved-s) has b - 2k.  u = A B^n has dimension -2,
+    so X = alpha A^2 carries (-kappa)^2 (curved-c) or (-kappa)^(2 + n)
+    (curved-s); V and omega have dimension -2, rho and u^2 -4, and the mass
+    int u^2 dvol D - 4 = -kappa_pow2.  The amplitude-free constant profile
+    has u, rho and A of dimension 0."""
+    def length_dim(t):
+        return (t.odd if hit.family is Basis.CURVED_C else t.base) - 2 * t.kappa + t.amp * amp_dim
+
+    faults = []
+    if hit.x_law is None:
+        amp_dim, want_u, want_rho, want_mass = 0, 0, 0, -hit.dim
+    else:
+        x_kappa = 2 if hit.family is Basis.CURVED_C else 2 + hit.n
+        if hit.x_law.kappa != x_kappa:
+            faults.append(("X", hit.x_law))
+        amp_dim, want_u, want_rho, want_mass = -x_kappa, -2, -4, 4 - hit.dim
+    u, v = solution_exprs(hit)
+    for name, expr, want in (("u", u, want_u), ("V", v, -2), ("rho", hit.rho, want_rho)):
+        faults += [(name, t) for t in expr.terms if length_dim(t) != want]
+    if not hit.omega.is_zero and hit.omega.kappa != 1:
+        faults.append(("omega", hit.omega))
+    if mass is not None and mass.kappa_pow2 != want_mass:
+        faults.append(("mass", mass))
+    return faults
+
+
+def test_every_curved_grade_has_its_length_dimension():
+    # exact and float-free: this checks the curvature grades, not the coefficients
+    entries = [s for s in CATALOG if not s.family.is_flat]
+    hits = []
+    for family in (Basis.CURVED_C, Basis.CURVED_S):
+        for regime in (Regime.HYPERBOLIC, Regime.SPHERICAL):
+            hits += solve_homogeneous(family, regime, range(-64, 0), range(1, 65))
+            hits += solve_background(family, regime, range(-64, 0), range(1, 65), 3)
+    assert (len(entries), len(hits)) == (17, 133)
+    faults = [(s.id, f) for s in entries for f in _kappa_grade_faults(s, s.mass)]
+    faults += [((h.family, h.n, h.dim), f) for h in hits for f in _kappa_grade_faults(h, exact_mass(h))]
+    assert faults == []
 
 
 def test_key_amplitudes_and_frequencies():
@@ -278,6 +325,16 @@ def test_compactness_charge_balance_is_relative_to_the_mass(monkeypatch):
     rep = compactness_obstruction_check(sol, 1e8)
     assert rep.total_charge == pytest.approx(-2.0 * math.pi**2 * 1e8**-1.5, rel=1e-10)
     assert not rep.consistent
+
+
+def test_compactness_flags_a_divergent_charge(monkeypatch):
+    # the S^2 weight of the 3-sphere leaves -(pi - r)^-4 non-integrable at
+    # the antipode (-(pi - r)^-2 stays finite)
+    monkeypatch.setattr(Solution, "rho_fn", lambda self, kappa, alpha: lambda r: -(math.pi - r) ** -4.0)
+    rep = compactness_obstruction_check(get_solution("SPH_TRIVIAL"))
+    assert not rep.consistent
+    assert rep.total_charge is None
+    assert rep.detail == "charge integral diverges"
 
 
 def test_compactness_flags_regular_homogeneous(monkeypatch):

@@ -533,6 +533,7 @@ BIG = 10**20
         ((-208, 48, 0), set()),                       # linear, root 13/3
         ((7, 0, 0), set()),                           # nonzero constant
         ((0, 0, 0), set()),                           # the zero polynomial
+        ((1, 0, 1), set()),                           # discriminant -4: no real root
         (((BIG + 1) * (BIG + 3), -2 * BIG - 4, 1), {BIG + 1, BIG + 3}),
         ((-(BIG**2) - 1, 0, 1), set()),               # a float sqrt would give 1e20
         ((-3 * (BIG + 1), 3, 0), {BIG + 1}),
@@ -562,6 +563,34 @@ def test_search_evaluates_only_exceptional_cells(monkeypatch):
     hits = solve_homogeneous(Basis.FLAT_C, Regime.FLAT, range(-8, 0), range(1, 65))
     assert sorted(cells) == [(-4, 4), (-4, 6), (-3, 4), (-3, 5), (-2, 4)]
     assert [(h.n, h.dim) for h in hits] == [(-4, 6)]
+
+
+def test_classification_probes_past_an_exceptional_zero(monkeypatch):
+    # no real row has 0 in E; forcing it only adds exceptional cells, so the
+    # probe moves to the first D - 1 outside E and the search is unchanged
+    roots = derivation._nonnegative_integer_roots
+    monkeypatch.setattr(derivation, "_nonnegative_integer_roots", lambda *c: roots(*c) | {0})
+    probes = []
+    evaluate = derivation._evaluate
+
+    def probed(fam, regime, dim, mode, max_rho_terms):
+        probes.append(dim)
+        return evaluate(fam, regime, dim, mode, max_rho_terms)
+
+    fam = AnsatzFamily(Basis.FLAT_C, -4)
+    derivation._classification.cache_clear()
+    try:
+        monkeypatch.setattr(derivation, "_evaluate", probed)
+        got = derivation._classification(fam, Regime.FLAT, "homogeneous", 1)
+        assert got == (frozenset({0, 3, 5}), CandidateStatus.LEFTOVER_TERMS)
+        assert probes == [2]
+        monkeypatch.setattr(derivation, "_evaluate", evaluate)
+        ds = range(1, 65)
+        brute = [c.hit for d in ds if (c := evaluate_candidate(fam, Regime.FLAT, d)).status is CandidateStatus.HIT]
+        assert solve_homogeneous(Basis.FLAT_C, Regime.FLAT, [-4], ds) == brute
+    finally:
+        monkeypatch.undo()
+        derivation._classification.cache_clear()
 
 
 @pytest.mark.parametrize("family, regime, mode", COMBOS, ids=lambda x: getattr(x, "value", x))

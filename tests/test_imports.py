@@ -14,7 +14,6 @@ from types import ModuleType
 import pytest
 
 import ccsp
-from ccsp import numeric
 
 
 def _run(code: str) -> str:
@@ -48,12 +47,9 @@ print(",".join(m for m in ("numpy", "ccsp.numeric") if m in sys.modules))
 def test_exact_layer_does_not_import_numpy():
     out = _run(EXACT_LAYER_RUN)
     assert out.strip() == "", f"the exact layer loaded {out.strip()}"
-    # the package still serves the float layer's names, on first use
-    assert ccsp.mass is numeric.mass
-    assert ccsp.Divergent is numeric.Divergent
-    assert ccsp.verify_solution is numeric.verify_solution
-    with pytest.raises(AttributeError):
-        ccsp.no_such_name
+    # the float layer's names are read from ccsp.numeric, not from the package
+    assert not hasattr(ccsp, "mass")
+    assert not hasattr(ccsp, "__getattr__")
 
 
 def test_public_names():
@@ -61,14 +57,10 @@ def test_public_names():
     # CI or the benchmark uses it: a new export is a deliberate edit here.
     # Submodules are left out, as which of them are loaded depends on the run
     names = {n for n in dir(ccsp) if not n.startswith("_") and not isinstance(getattr(ccsp, n), ModuleType)}
-    assert names | ccsp._NUMERIC_NAMES == {
+    assert names == {
         "AlphaSign", "AnsatzFamily", "Basis", "CATALOG", "DerivationHit", "Graded", "GradedMass",
         "Monomial", "RadialExpr", "Regime", "Solution", "Space", "catalog_list", "get_solution",
         "scale_flat_solution", "solution_from_hit", "solve_background", "solve_homogeneous", "sphere_area",
-        # the float layer's names, loaded on first use
-        "Divergent", "PohozaevFunctionals", "VerificationReport", "compactness_obstruction_check",
-        "default_grid", "fd_residual", "integrate_radial", "mass", "pohozaev_check",
-        "pohozaev_functionals", "poisson_invert", "verify_solution",
     }
 
 

@@ -256,11 +256,11 @@ def test_integrand_call_counts(monkeypatch):
     # fd_residual evaluates one table of u, u', u'', V, V', V'' and rho,
     # with the basis' base and odd functions evaluated once each
     tables, evaluated = [], []
-    make = numeric.evaluator
+    make = numeric.compile_table
 
-    def counting(basis, space, table):
-        tables.append(len(table))
-        return make(basis, space, table)
+    def counting(exprs, space, alpha, amp_sq):
+        tables.append(len(exprs))
+        return make(exprs, space, alpha, amp_sq)
 
     def counted(fns):
         def both(m):
@@ -272,7 +272,7 @@ def test_integrand_call_counts(monkeypatch):
 
         return both
 
-    monkeypatch.setattr(numeric, "evaluator", counting)
+    monkeypatch.setattr(numeric, "compile_table", counting)
     monkeypatch.setattr(numeric, "_BASIS_FNS", {b: counted(fns) for b, fns in numeric._BASIS_FNS.items()})
     for sol in CATALOG:
         kappa, _ = _params(sol)
@@ -1158,3 +1158,11 @@ def test_verify_divergent_mass_entry_passes():
     rep = numeric.verify_solution(get_solution("HYP_U2"), -1.0, -1.0)
     assert rep.passed
     assert isinstance(rep.mass_numeric, Divergent)
+
+
+def test_verify_fails_a_finite_mass_that_quadrature_calls_divergent(monkeypatch):
+    monkeypatch.setattr(numeric, "mass", lambda sol, kappa, alpha: Divergent("large-r"))
+    sol = get_solution("HYP_U1")
+    rep = numeric.verify_solution(sol, -1.0, sol.default_alpha)
+    assert not rep.passed
+    assert rep.mass_numeric == "divergent:large-r"

@@ -8,7 +8,7 @@ import pytest
 
 from conftest import fd_laplacian
 from ccsp.geometry import Regime, Space
-from ccsp.numeric import _BASIS_FNS, metric
+from ccsp.numeric import _BASIS_FNS, compile_table, metric
 from ccsp.symbolic import Basis, ClosureError, Graded, Monomial, RadialExpr
 
 FLAT = Space(Regime.FLAT, 0.0, 6)
@@ -240,6 +240,35 @@ def test_eval_inverse_s_on_equator():
 def test_eval_pole_is_inf():
     e = mono(Basis.FLAT_R, 1, base=-2)
     assert float(e.compile(Space(Regime.FLAT, 0.0, 3), 1.0, 1.0)(0.0)) == math.inf
+
+
+@pytest.mark.parametrize(
+    "refused, match",
+    [
+        (lambda: compile_table((mono(Basis.FLAT_C, 1, base=-2),), FLAT, 1.0, -1.0),
+         "amplitude squared must be nonnegative"),
+        (lambda: compile_table((mono(Basis.FLAT_C, 1, kappa=1),), FLAT, 1.0, 1.0),
+         "flat evaluation of a curvature-graded term"),
+        (lambda: compile_table((mono(Basis.FLAT_C, 1, alpha=-1),), FLAT, 0.0, 1.0),
+         "alpha == 0 with a coupling-graded term"),
+        (lambda: compile_table((mono(Basis.FLAT_C, 1, amp=-2),), FLAT, 1.0, 0.0),
+         "zero amplitude with negative amplitude grade"),
+        (lambda: RadialExpr.from_terms(Basis.FLAT_C, [Monomial(F(1), 0, 2, 0, 0, 0)]),
+         "odd power must be 0 or 1"),
+        (lambda: RadialExpr.from_terms(Basis.FLAT_R, [Monomial(F(1), 0, 1, 0, 0, 0)]),
+         "flat-r basis has no odd factor"),
+        (lambda: mono(Basis.CURVED_C, 1, base=-1).laplacian(0), "dimension must be >= 1"),
+        (lambda: mono(Basis.CURVED_C, 1).div_monomial(mono(Basis.CURVED_C, 1, odd=1)),
+         "negative odd power"),
+        (lambda: mono(Basis.FLAT_C, 1, amp=1).substitute_amp_sq(Graded(-576)),
+         "odd amplitude grade"),
+    ],
+    ids=["negative-amp-sq", "flat-kappa", "alpha-zero", "zero-amp", "odd-squared",
+         "flat-r-odd", "laplacian-0", "div-negative-odd", "odd-amp-substitution"],
+)
+def test_refusals(refused, match):
+    with pytest.raises(ValueError, match=match):
+        refused()
 
 
 def _reference_compile(expr, space, alpha, amp_sq):
