@@ -14,12 +14,11 @@ exact graded constants (rational * sphere area * pi^p * |kappa|^(k/2) *
 |alpha|^a), so the numerical layer can verify them at any curvature and
 coupling.
 
-Every field (u, u', V, rho) is its expression compiled at (kappa, alpha)
-in one place, where the flat scale acts; the residual check and `eval`
-read u, u', u'', V, V', V'' and rho from one table of them
-(`Solution.fields_fn`).  A flat entry's tail integral
-K(r) = int_r^inf u^2 t dt, from which the float layer takes Q, is one
-monomial of the term algebra (`Solution.K`), built on first use, never
+The float layer reads every field by name (`Solution.fields_fn`): the named
+expressions compiled at (kappa, alpha) as one table, the flat scale applied
+once with each field's power from `_SCALE_POWERS`.  A flat entry's tail
+integral K(r) = int_r^inf u^2 t dt, from which the float layer takes Q, is
+one monomial of the term algebra (`Solution.K`), built on first use, never
 while the catalog builds.  Flat homogeneous entries form a scaling family
 u_a(r) = a^-2 u(r/a); the curved entries do not scale (the
 curved Laplacian has no scale symmetry), and :func:`scale_flat_solution`
@@ -70,9 +69,9 @@ class NotScalableError(ValueError):
     """Only flat homogeneous solutions form a scaling family."""
 
 
-# the flat-scale powers of u, u', u'', V, V', V'' and rho: rho has none, and
-# is zero wherever a scale acts, since only homogeneous entries scale
-_FIELD_POWERS = (-2, -3, -4, -2, -3, -4, 0)
+# each field's flat-scale power: u, V and K take -2, each d/dr -1, and rho its
+# length dimension -4 (rho is zero wherever a scale acts: only homogeneous entries scale)
+_SCALE_POWERS = {"u": -2, "du": -3, "d2u": -4, "V": -2, "dV": -3, "d2V": -4, "K": -2, "rho": -4}
 
 # halving r_max is exact, so the equator is bit-identical to pi/(2 sqrt(kappa))
 _TAG_RADII: dict[str, Callable[[Space], float]] = {
@@ -121,10 +120,10 @@ class Solution(DerivationHit):
         return solution_exprs(self)
 
     @cached_property
-    def _field_exprs(self) -> tuple[RadialExpr, ...]:
-        """u, u', u'', V, V', V'' and rho."""
+    def _derivatives(self) -> dict[str, RadialExpr]:
+        """u', u'', V' and V'' by field name: reading u or V differentiates nothing."""
         du, dv = self.u.diff(), self.V.diff()
-        return self.u, du, du.diff(), self.V, dv, dv.diff(), self.rho
+        return {"du": du, "d2u": du.diff(), "dV": dv, "d2V": dv.diff()}
 
     @property
     def u(self) -> RadialExpr:
@@ -167,45 +166,35 @@ class Solution(DerivationHit):
         """The space's length unit times the scale (every curved scale is 1)."""
         return self.space(kappa).length * self.scale
 
-    def _field_fn(self, expr: RadialExpr, kappa: float, alpha: float, power: int) -> Callable:
-        """expr as a function of r at (kappa, alpha): a one-row
-        :meth:`_table_fn`."""
-        table = self._table_fn((expr,), (power,), kappa, alpha)
-        return lambda r: table(r)[0]
-
-    def u_fn(self, kappa: float, alpha: float) -> Callable:
-        return self._field_fn(self.u, kappa, alpha, -2)
-
-    def v_fn(self, kappa: float, alpha: float) -> Callable:
-        return self._field_fn(self.V, kappa, alpha, -2)
-
-    def rho_fn(self, kappa: float, alpha: float) -> Callable:
-        return self._field_fn(self.rho, kappa, alpha, 0)
-
-    def _table_fn(self, exprs: tuple[RadialExpr, ...], powers: tuple[int, ...], kappa: float, alpha: float) -> Callable:
-        """r -> [each of exprs] at (kappa, alpha), from one table
-        (:func:`ccsp.numeric.compile_table`), each field bit for bit its
-        expression compiled alone.  A field with a scale `power` follows the
-        flat scaling family, a^power expr(r/a): the scale acts once, as r/a
-        (rho takes power 0, since only homogeneous entries scale)."""
+    def fields_fn(self, kappa: float, alpha: float, *names: str) -> Callable:
+        """r -> [each named field, a key of `_SCALE_POWERS`] at (kappa, alpha),
+        from one table (:func:`ccsp.numeric.compile_table`), each field bit for
+        bit its expression compiled alone.  A scaled field is a^power f(r/a),
+        the scale acting once, as r/a; an a^power past the floats raises ValueError."""
         from .numeric import compile_table
 
+        exprs = [getattr(self, name) if name in ("u", "V", "K", "rho") else self._derivatives[name] for name in names]
         table = compile_table(exprs, self.space(kappa), alpha, self.amp_sq_value(kappa, alpha))
         if self.scale == 1.0:
             return table
         a = self.scale
-        factors = [a**power for power in powers]
+        try:
+            factors = [a ** _SCALE_POWERS[name] for name in names]
+        except OverflowError:
+            raise ValueError(f"{self.id}: scale {a!r} puts a field outside the float range") from None
         return lambda r: [v * factor for v, factor in zip(table(r / a), factors)]
 
-    def fields_fn(self, kappa: float, alpha: float) -> Callable:
-        """r -> [u, u', u'', V, V', V'', rho] at (kappa, alpha) from one
-        table (:meth:`_table_fn`)."""
-        return self._table_fn(self._field_exprs, _FIELD_POWERS, kappa, alpha)
+    def u_fn(self, kappa: float, alpha: float) -> Callable:
+        fields = self.fields_fn(kappa, alpha, "u")
+        return lambda r: fields(r)[0]
 
-    def virial_fn(self, kappa: float, alpha: float) -> Callable:
-        """r -> [u', u, K] at (kappa, alpha) from one table (:meth:`_table_fn`),
-        the fields of T, N and Q; the tail integral :attr:`K` scales like V."""
-        return self._table_fn((self._field_exprs[1], self.u, self.K), (-3, -2, -2), kappa, alpha)
+    def v_fn(self, kappa: float, alpha: float) -> Callable:
+        fields = self.fields_fn(kappa, alpha, "V")
+        return lambda r: fields(r)[0]
+
+    def rho_fn(self, kappa: float, alpha: float) -> Callable:
+        fields = self.fields_fn(kappa, alpha, "rho")
+        return lambda r: fields(r)[0]
 
     # only flat entries scale, and their omega is 0 and their one pole the origin
     def omega_value(self, kappa: float) -> float:
@@ -222,7 +211,10 @@ class Solution(DerivationHit):
         v = self.mass.value(kappa, alpha)
         if self.mass_convention == RADIAL_INTEGRAL:
             v *= sphere_area(self.dim)
-        return v * self.scale ** (self.dim - 4)
+        v *= self.scale ** (self.dim - 4)
+        if abs(v) < sys.float_info.min:
+            raise ValueError(f"closed-form mass = {v!r} is below the normal doubles at kappa = {kappa!r}, alpha = {alpha!r}")
+        return v
 
     # -- serialization -------------------------------------------------
 

@@ -151,7 +151,7 @@ def _build_parser() -> argparse.ArgumentParser:
     params(sp)
     sp.add_argument("id", nargs="?", help="catalog id")
     sp.add_argument("--hit-file", help="JSON hits from `derive` ('-' for stdin)")
-    sp.add_argument("--residual-tol", type=float, default=1e-6)
+    sp.add_argument("--residual-tol", type=float, default=numeric.RESIDUAL_TOL)
     sp.add_argument("--with-pohozaev", action="store_true")
 
     sp = sub.add_parser("mass", help="total mass integral of u^2")
@@ -390,7 +390,7 @@ def _cmd_eval(args) -> int:
     for s in sol.singular_radii_values(kappa):
         if rs[0] - margin <= s <= rs[-1] + margin:
             raise ValueError(f"grid crosses the singular radius r = {s:.6g} of {sol.id}")
-    u, _, _, v, _, _, rho = sol.fields_fn(kappa, alpha)(rs)
+    u, v, rho = sol.fields_fn(kappa, alpha, "u", "V", "rho")(rs)
     if sol.rho.is_zero:
         rho = [None] * len(rs)
     columns = ["r", "u", "V", "rho"]

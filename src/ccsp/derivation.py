@@ -146,7 +146,6 @@ class DerivationHit(NamedTuple):
     x_law: Optional[Graded]        # X = alpha * A^2, exact; None: amplitude-free
     omega: Graded
     rho: RadialExpr                # empty in homogeneous mode
-    notes: str = ""
 
     @property
     def alpha_sign(self) -> Optional[AlphaSign]:
@@ -207,7 +206,7 @@ class DerivationHit(NamedTuple):
             "amp_sq": self.amp_sq_str(),
             "omega": omega_json(self.omega, self.regime),
             "rho": self.rho.to_json_obj(),
-            "notes": self.notes,
+            "notes": "",  # a hit has none; the key keeps derive's JSON stable
         }
 
     @classmethod
@@ -227,7 +226,6 @@ class DerivationHit(NamedTuple):
             x_law=None if obj["x_law"] is None else Graded.from_json_obj(obj["x_law"]),
             omega=Graded.from_json_obj(obj["omega"]),
             rho=RadialExpr.from_json_obj(obj["rho"]),
-            notes=notes,
         )
 
 
@@ -257,16 +255,14 @@ def _check_search(family: Basis, regime: Regime, mode: str, max_rho_terms: int) 
 def _potential_parts(fam: AnsatzFamily) -> tuple[RadialExpr, RadialExpr]:
     """(a, b) with Lap(u)/u = a + (D-1) b: a = u''/u, b = (u'/T)/u."""
     shape = RadialExpr.monomial(fam.family, 1, base=fam.n)
-    d1 = shape.diff()
-    return d1.diff().div_monomial(shape), d1.div_T().div_monomial(shape)
+    return tuple(part.div_monomial(shape) for part in shape.laplacian_parts())
 
 
 @cache
 def _geometry_parts(fam: AnsatzFamily) -> tuple[RadialExpr, RadialExpr, RadialExpr]:
     """(A0, A1, A2) with Lap(Lap(u)/u) = A0 + (D-1) A1 + (D-1)^2 A2."""
-    a, b = _potential_parts(fam)
-    da, db = a.diff(), b.diff()
-    return da.diff(), da.div_T() + db.diff(), db.div_T()
+    (a2, a_t), (b2, b_t) = (part.laplacian_parts() for part in _potential_parts(fam))
+    return a2, a_t + b2, b_t
 
 
 def _at_dimension(parts: tuple[RadialExpr, ...], dim: int) -> RadialExpr:

@@ -76,7 +76,6 @@ __all__ = [
     "compactness_obstruction_check",
     "fd_residual",
     "poisson_invert",
-    "PohozaevFunctionals",
     "pohozaev_functionals",
     "PohozaevReport",
     "pohozaev_check",
@@ -87,6 +86,7 @@ __all__ = [
 DEFAULT_REL_TOL = 1e-10
 NESTED_REL_TOL = 1e-11  # poisson_invert and its charge; T, N and Q of pohozaev_functionals
 MASS_REL_TOL = 1e-8     # verify: quadrature mass against the closed form
+RESIDUAL_TOL = 1e-6     # verify: max-norm residuals of both field equations
 DE_T_MAX = 6.8          # |t| of the outermost double-exponential node: exp(pi/2 sinh t) < 1e307
 DE_LEVELS = 8           # levels of the double-exponential rule, step 1/2 down to 1/256
 CHARGE_LEVELS = 4       # levels of the charge's fixed node set, step 1/2 down to 1/16
@@ -473,10 +473,13 @@ def mass(
 
     Rejects parameters whose signs are incompatible with the solution's
     amplitude law.  Divergence is a legitimate answer, tagged with the
-    offending end of the domain.
+    offending end of the domain; a finite one below the normal doubles raises.
     """
     u = sol.u_fn(kappa, alpha)
-    return _manifold_integral(sol, kappa, lambda r: u(r) ** 2, rel_tol, sphere_factor=include_sphere_factor)
+    m = _manifold_integral(sol, kappa, lambda r: u(r) ** 2, rel_tol, sphere_factor=include_sphere_factor)
+    if not isinstance(m, Divergent) and abs(m) < sys.float_info.min:
+        raise ValueError(f"mass = {m!r} is below the normal doubles at kappa = {kappa!r}, alpha = {alpha!r}")
+    return m
 
 
 def _weighted(space: Space, g: Callable, power: int) -> Callable:
@@ -563,10 +566,13 @@ def compactness_obstruction_check(sol: "Solution", kappa: float = 1.0, alpha: Op
         detail = ("singular set nonempty, as the charge-balance obstruction requires" if has_sing
                   else "CONTRADICTION: regular homogeneous solution on a compact manifold")
         return CompactnessReport(sol.id, has_sing, has_sing, None, detail)
-    u = sol.u_fn(kappa, alpha)
-    rho = sol.rho_fn(kappa, alpha)
-    # the charge and the mass it is judged against: one stacked integral
-    total, charge = _manifold_integral(sol, kappa, lambda r: np.array([u(r) ** 2 + rho(r), u(r) ** 2]), 1e-12)
+    fields = sol.fields_fn(kappa, alpha, "u", "rho")
+
+    def rows(r):  # the charge and the mass it is judged against: one stacked integral
+        u, rho = fields(r)
+        return np.array([u**2 + rho, u**2])
+
+    total, charge = _manifold_integral(sol, kappa, rows, 1e-12)
     if isinstance(total, Divergent) or isinstance(charge, Divergent):
         return CompactnessReport(sol.id, has_sing, False, None, "charge integral diverges")
     return CompactnessReport(sol.id, has_sing, abs(total) <= 1e-10 * charge, total,
@@ -609,7 +615,7 @@ def fd_residual(
     :func:`default_grid`), normalized by max(|u|, 1).
 
     u', u'', V' and V'' are the exact derivatives of the term algebra, read
-    with u, V and rho from one field table
+    by name with u, V and rho from one field table
     (:meth:`ccsp.catalog.Solution.fields_fn`), and each Laplacian is
     assembled here in floats as f'' + (D-1) f' / T, so neither 1/T nor the
     assembly comes from :meth:`ccsp.symbolic.RadialExpr.laplacian`.  (The
@@ -618,7 +624,7 @@ def fd_residual(
     if r is None:
         r = default_grid(sol, kappa)
     inv_t = metric(sol.space(kappa)).inv_T(r)
-    u, du, d2u, v, dv, d2v, rho = sol.fields_fn(kappa, alpha)(r)
+    u, du, d2u, v, dv, d2v, rho = sol.fields_fn(kappa, alpha, "u", "du", "d2u", "V", "dV", "d2V", "rho")(r)
     m = sol.dim - 1
     with np.errstate(over="ignore", invalid="ignore"):
         # fields near the end of the doubles overflow: an inf or NaN residual fails
@@ -788,20 +794,13 @@ def poisson_invert(
 # -- variational functionals ----------------------------------------------
 
 
-class PohozaevFunctionals(NamedTuple):
-    """Kinetic, mass and nonlocal functionals; fields may be Divergent."""
-
-    kinetic_T: Quadrature
-    N: Quadrature
-    Q: Quadrature
-
-
 def pohozaev_functionals(
     sol: "Solution",
     kappa: float,
     alpha: float,
-) -> PohozaevFunctionals:
-    """T = int |grad u|^2, N = int u^2, Q = int u^2 (-Lap)^-1 u^2 (flat, D > 2).
+) -> "PohozaevReport":
+    """T = int |grad u|^2, N = int u^2, Q = int u^2 (-Lap)^-1 u^2 (flat, D > 2),
+    as a :class:`PohozaevReport` whose identities and defect are None.
 
     In flat space the decaying W = (-Lap)^-1 u^2 is
     (r^(2-D) M(r) + K(r))/(D - 2), with M(r) = int_0^r u^2 t^(D-1) dt the
@@ -820,7 +819,7 @@ def pohozaev_functionals(
     if sol.dim <= 2:
         raise ValueError("functional identities require D > 2")
     # u and K as fields apart: the grade A^4 of u^2 K would overflow first
-    fields = sol.virial_fn(kappa, alpha)
+    fields = sol.fields_fn(kappa, alpha, "du", "u", "K")
 
     def rows(r):
         du, u, k = fields(r)
@@ -830,15 +829,14 @@ def pohozaev_functionals(
     t_val, n_val, q_val = _manifold_integral(sol, kappa, rows, NESTED_REL_TOL)
     if not isinstance(q_val, Divergent):
         q_val *= 2.0 / (sol.dim - 2)
-    fns = PohozaevFunctionals(t_val, n_val, q_val)
-    for name, x in zip("TNQ", fns):
+    for name, x in zip("TNQ", (t_val, n_val, q_val)):
         if not isinstance(x, Divergent) and abs(x) < sys.float_info.min:
             raise ValueError(f"{name} = {x!r} is below the normal doubles at alpha = {alpha!r}")
-    return fns
+    return PohozaevReport(t_val, n_val, q_val, None, None)
 
 
 class PohozaevReport(NamedTuple):
-    """T, N, Q and the identities: its fields are its JSON keys."""
+    """T, N, Q and the identities (None unless :func:`pohozaev_check` sets them): its fields are its JSON keys."""
 
     T: Quadrature
     N: Quadrature
@@ -858,12 +856,12 @@ def pohozaev_check(sol: "Solution", kappa: float, alpha: float) -> PohozaevRepor
     identities hold for the homogeneous system only: for an entry with a
     background source rho, identities and defect are None.
     """
-    fns = pohozaev_functionals(sol, kappa, alpha)
+    rep = pohozaev_functionals(sol, kappa, alpha)
     if not sol.rho.is_zero:
-        return PohozaevReport(*fns, None, None)
-    if any(isinstance(x, Divergent) for x in fns):
-        return PohozaevReport(*fns, None, Divergent("functionals"))
-    t, n, q = fns
+        return rep
+    t, n, q = rep.T, rep.N, rep.Q
+    if any(isinstance(x, Divergent) for x in (t, n, q)):
+        return rep._replace(defect=Divergent("functionals"))
     omega = sol.omega_value(kappa)
     d = sol.dim
     ids = {
@@ -872,7 +870,7 @@ def pohozaev_check(sol: "Solution", kappa: float, alpha: float) -> PohozaevRepor
         "third": 4.0 * t + (d - 2) * alpha * q,
     }
     defect = max(abs(x) for x in ids.values()) / max(t, 1e-300)
-    return PohozaevReport(*fns, ids, defect)
+    return rep._replace(identities=ids, defect=defect)
 
 
 # -- verification reports ---------------------------------------------------
@@ -898,7 +896,7 @@ def verify_solution(
     sol: "Solution",
     kappa: float,
     alpha: float,
-    residual_tol: float = 1e-6,
+    residual_tol: float = RESIDUAL_TOL,
     with_pohozaev: bool = False,
 ) -> VerificationReport:
     """Full numerical verification of one catalog entry.
@@ -920,7 +918,7 @@ def verify_solution(
     if sol.finite_mass:
         if isinstance(m_num, Divergent):
             ok = False
-        elif m_exp:
+        else:
             ok = ok and abs(m_num - m_exp) <= MASS_REL_TOL * abs(m_exp)
     else:
         ok = ok and isinstance(m_num, Divergent)

@@ -348,6 +348,11 @@ class RadialExpr(NamedTuple):
             (m for t in self.terms for m in _times_unit(rules, t.coeff, t, rules.inv_T)),
         )
 
+    def laplacian_parts(self) -> tuple["RadialExpr", "RadialExpr"]:
+        """(f'', f'/T): the radial Laplacian is f'' + (D-1) f'/T."""
+        d1 = self.diff()
+        return d1.diff(), d1.div_T()
+
     def laplacian(self, dim: int) -> "RadialExpr":
         """Radial Laplace-Beltrami image: f'' + (D-1)/T f'.
 
@@ -357,11 +362,10 @@ class RadialExpr(NamedTuple):
         """
         if dim < 1:
             raise ValueError(f"dimension must be >= 1, got {dim}")
-        d1 = self.diff()
-        d2 = d1.diff()
-        if dim == 1:
-            return d2
-        return d2 + (dim - 1) * d1.div_T()
+        if dim == 1:  # no f'/T term, which leaves the family for an odd flat-c or curved-c f
+            return self.diff().diff()
+        d2, d1_t = self.laplacian_parts()
+        return d2 + (dim - 1) * d1_t
 
     def div_monomial(self, divisor: "RadialExpr") -> "RadialExpr":
         """Exact quotient by a single-monomial expression."""

@@ -185,7 +185,7 @@ def test_criterion_7_pohozaev():
     t0 = time.time()
     sol = get_solution("FLAT_CSV")
     fns = numeric.pohozaev_functionals(sol, 0.0, -1.0)
-    t, q = fns.kinetic_T, fns.Q
+    t, q = fns.T, fns.Q
     dt = time.time() - t0
     ok = (
         not isinstance(t, Divergent)

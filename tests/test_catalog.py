@@ -27,7 +27,7 @@ from ccsp.derivation import (
     solve_homogeneous,
 )
 from ccsp.geometry import Regime
-from ccsp.numeric import compactness_obstruction_check
+from ccsp.numeric import compactness_obstruction_check, verify_solution
 from ccsp.symbolic import Basis, Graded, RadialExpr
 
 ALL_IDS = [s.id for s in CATALOG]
@@ -314,23 +314,27 @@ def test_compactness_trivial_charge_balance():
     assert rep.consistent
 
 
-def test_compactness_charge_balance_is_relative_to_the_mass(monkeypatch):
+def test_compactness_charge_balance_is_relative_to_the_mass():
     # at kappa = 1e8 the 3-sphere's volume, int u^2 of SPH_TRIVIAL, is
     # 1.97e-11: a source doubled to rho = -2 leaves a net charge of -int u^2,
     # below the absolute 1e-10 but not below 1e-10 int u^2
     sol = get_solution("SPH_TRIVIAL")
     assert compactness_obstruction_check(sol, 1e8).consistent
-    rho_fn = Solution.rho_fn
-    monkeypatch.setattr(Solution, "rho_fn", lambda self, kappa, alpha: lambda r: 2.0 * rho_fn(self, kappa, alpha)(r))
-    rep = compactness_obstruction_check(sol, 1e8)
+    rep = compactness_obstruction_check(sol._replace(rho=sol.rho * 2), 1e8)
     assert rep.total_charge == pytest.approx(-2.0 * math.pi**2 * 1e8**-1.5, rel=1e-10)
     assert not rep.consistent
 
 
 def test_compactness_flags_a_divergent_charge(monkeypatch):
     # the S^2 weight of the 3-sphere leaves -(pi - r)^-4 non-integrable at
-    # the antipode (-(pi - r)^-2 stays finite)
-    monkeypatch.setattr(Solution, "rho_fn", lambda self, kappa, alpha: lambda r: -(math.pi - r) ** -4.0)
+    # the antipode (-(pi - r)^-2 stays finite): it replaces rho's row
+    fields_fn = Solution.fields_fn
+
+    def patched(self, kappa, alpha, *names):
+        fields = fields_fn(self, kappa, alpha, *names)
+        return lambda r: [-(math.pi - r) ** -4.0 if name == "rho" else row for name, row in zip(names, fields(r))]
+
+    monkeypatch.setattr(Solution, "fields_fn", patched)
     rep = compactness_obstruction_check(get_solution("SPH_TRIVIAL"))
     assert not rep.consistent
     assert rep.total_charge is None
@@ -425,6 +429,22 @@ def test_a_scale_past_the_float_range_is_a_value_error():
     with pytest.raises(ValueError, match="scale factor must be positive and finite"):
         Solution.from_json_obj({**csv.to_json_obj(), "scale": 10**400})
     assert scale_flat_solution(csv, 2**1000).scale == 2.0**1000
+
+
+def test_a_scale_that_puts_a_field_outside_the_float_range_is_a_value_error():
+    # a^-4 of u'' and V'' is 1e320 at a = 1e-80, which raised OverflowError
+    sol = scale_flat_solution(get_solution("FLAT_CSV"), 1e-80)
+    with pytest.raises(ValueError, match=r"^FLAT_CSV: scale 1e-80 puts a field outside the float range$"):
+        verify_solution(sol, 0.0, -1.0)
+    # u alone: a^-2 is 1e400 at a = 1e-200
+    with pytest.raises(ValueError, match="FLAT_CSV: scale 1e-200 puts a field outside the float range"):
+        scale_flat_solution(get_solution("FLAT_CSV"), 1e-200).u_fn(0.0, -1.0)
+
+
+def test_a_closed_form_mass_below_the_normal_doubles_is_a_value_error():
+    # 2 pi^2 kappa^(-3/2) underflows to 0.0 at kappa = 1e300
+    with pytest.raises(ValueError, match=r"^closed-form mass = 0\.0 is below the normal doubles at kappa = 1e\+300, alpha = -1\.0$"):
+        get_solution("SPH_TRIVIAL").expected_mass_value(1e300, -1.0)
 
 
 def test_from_json_rejects_an_unknown_convention_and_a_scale_that_is_no_number():

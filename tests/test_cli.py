@@ -577,6 +577,16 @@ def test_q_below_the_normal_doubles_exits_in_one_line(argv):
     assert err == f"error: Q = 0.0 is below the normal doubles at alpha = {float(argv[2][8:])!r}\n"
 
 
+@pytest.mark.parametrize("command", ["mass", "verify"])
+def test_a_mass_below_the_normal_doubles_exits_in_one_line(command):
+    # the 3-sphere's volume 2 pi^2 kappa^(-3/2) underflowed to 0.0 at
+    # kappa = 1e300: mass printed 0 against 0, and verify skipped its mass
+    # comparison and passed
+    code, out, err = run([command, "SPH_TRIVIAL", "--kappa=1e300"])
+    assert (code, out) == (2, ""), err
+    assert err == "error: mass = 0.0 is below the normal doubles at kappa = 1e+300, alpha = -1.0\n"
+
+
 def test_verify_with_pohozaev():
     code, out, _ = run(["verify", "FLAT_CSV", "--with-pohozaev"])
     assert code == 0 and json.loads(out)["pohozaev_defect"] <= 1e-6

@@ -21,6 +21,21 @@ HYP3 = Space(Regime.HYPERBOLIC, -1.0, 3)
 FLAT6 = Space(Regime.FLAT, 0.0, 6)
 
 
+# every field the float layer reads, by name: its expression, taken from the
+# record's own u, V, rho and K, and its flat-scale power
+_FIELDS = {
+    "u": (lambda sol: sol.u, -2),
+    "du": (lambda sol: sol.u.diff(), -3),
+    "d2u": (lambda sol: sol.u.diff().diff(), -4),
+    "V": (lambda sol: sol.V, -2),
+    "dV": (lambda sol: sol.V.diff(), -3),
+    "d2V": (lambda sol: sol.V.diff().diff(), -4),
+    "rho": (lambda sol: sol.rho, -4),
+    "K": (lambda sol: sol.K, -2),
+}
+_RESIDUAL_FIELDS = ("u", "du", "d2u", "V", "dV", "d2V", "rho")
+
+
 def _params(sol, curved_kappa=-1.0):
     kappa = {Regime.FLAT: 0.0, Regime.HYPERBOLIC: curved_kappa, Regime.SPHERICAL: 1.0}[sol.regime]
     alpha = -1.0 if sol.alpha_sign in (AlphaSign.ATTRACTIVE, None) else 1.0
@@ -280,7 +295,7 @@ def test_integrand_call_counts(monkeypatch):
         tables.clear()
         evaluated.clear()
         numeric.fd_residual(sol, kappa, sol.default_alpha, grid)
-        odd = any(t.odd for expr in sol._field_exprs for t in expr.terms)
+        odd = any(t.odd for name in _RESIDUAL_FIELDS for t in _FIELDS[name][0](sol).terms)
         assert tables == [7], sol.id
         assert evaluated == ["base"] + ["odd"] * odd, sol.id
 
@@ -702,26 +717,35 @@ def _lattice(sol):
 
 
 def test_field_table_matches_each_field_compiled_alone():
-    # u, u', u'', V, V', V'' and rho from one table, bit for bit each
-    # expression compiled alone (RadialExpr.compile, with its flat-scale
-    # power: a^power expr(r/a)), on the verify lattice and on flat entries scaled
+    # every named field from one table, bit for bit each expression compiled
+    # alone (RadialExpr.compile, with its flat-scale power: a^power
+    # expr(r/a)), on the verify lattice and on flat entries scaled; K where
+    # it exists (flat, n < -1: every flat entry)
     scaled = [
         scale_flat_solution(get_solution(sid), a)
         for sid in ("FLAT_CSV", "FLAT_SINGULAR_D6", "FLAT_SINGULAR_D3")
         for a in (2.0, 0.5, 3.0)
     ]
-    points = 0
+    points = with_k = 0
     for sol in list(CATALOG) + scaled:
+        names = _RESIDUAL_FIELDS + (("K",) if sol.regime is Regime.FLAT and sol.n < -1 else ())
+        with_k += "K" in names
         for kappa, alpha in _lattice(sol):
             r = default_grid(sol, kappa)
-            got = sol.fields_fn(kappa, alpha)(r)
-            assert len(got) == len(sol._field_exprs) == 7
+            got = sol.fields_fn(kappa, alpha, *names)(r)
+            assert len(got) == len(names)
             a, amp_sq = sol.scale, sol.amp_sq_value(kappa, alpha)
-            for field, expr, power in zip(got, sol._field_exprs, (-2, -3, -4, -2, -3, -4, 0)):
+            for field, name in zip(got, names):
+                expr, power = _FIELDS[name][0](sol), _FIELDS[name][1]
                 want = expr.compile(sol.space(kappa), alpha, amp_sq)(r / a) * a**power
-                assert field.tobytes() == want.tobytes(), (sol.id, sol.scale, kappa, alpha, str(expr))
+                assert field.tobytes() == want.tobytes(), (sol.id, sol.scale, kappa, alpha, name)
             points += 1
     assert points == 840 + 45
+    assert with_k == 6 + 9
+    # reading u, V and rho differentiates nothing
+    fresh = get_solution("FLAT_CSV")._replace()
+    fresh.fields_fn(0.0, -1.0, "u", "V", "rho")
+    assert "_derivatives" not in vars(fresh)
 
 
 @pytest.mark.parametrize("size", [0.25, 4.0])
@@ -1016,7 +1040,7 @@ def test_pohozaev_flat_csv():
     fns = numeric.pohozaev_functionals(sol, 0.0, -1.0)
     pi3 = math.pi**3
     # exact values: T = Q = 1152/5 pi^3, N = 96 pi^3 (Beta-integral oracles)
-    assert fns.kinetic_T == pytest.approx(1152.0 / 5.0 * pi3, rel=1e-9)
+    assert fns.T == pytest.approx(1152.0 / 5.0 * pi3, rel=1e-9)
     assert fns.N == pytest.approx(96.0 * pi3, rel=1e-9)
     assert fns.Q == pytest.approx(1152.0 / 5.0 * pi3, rel=1e-8)
     rep = numeric.pohozaev_check(sol, 0.0, -1.0)
@@ -1082,13 +1106,13 @@ def test_pohozaev_identities_skip_background_entries():
 
 def test_pohozaev_singular_profile_diverges():
     fns = numeric.pohozaev_functionals(get_solution("FLAT_SINGULAR_D6"), 0.0, -1.0)
-    assert isinstance(fns.kinetic_T, Divergent)
+    assert isinstance(fns.T, Divergent)
     # u^2 K r^(D-1) goes as 1/r at D = 6 (and 1/r^4 at D = 3): Q's one
     # integral diverges at the origin, though N at D = 6 diverges at infinity
     assert fns.N == Divergent("large-r")
     assert fns.Q == Divergent("small-r")
     fns = numeric.pohozaev_functionals(get_solution("FLAT_SINGULAR_D3"), 0.0, -1.0)
-    assert fns.kinetic_T == fns.N == fns.Q == Divergent("small-r")
+    assert fns.T == fns.N == fns.Q == Divergent("small-r")
 
 
 @pytest.mark.parametrize("sid", ["FLAT_SINGULAR_D3", "FLAT_SINGULAR_D6"])
