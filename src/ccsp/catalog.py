@@ -28,6 +28,7 @@ re-applied through it when the record is loaded.
 
 from __future__ import annotations
 
+import math
 import sys
 from fractions import Fraction
 from functools import cached_property
@@ -211,7 +212,12 @@ class Solution(DerivationHit):
         v = self.mass.value(kappa, alpha)
         if self.mass_convention == RADIAL_INTEGRAL:
             v *= sphere_area(self.dim)
-        v *= self.scale ** (self.dim - 4)
+        try:
+            v *= self.scale ** (self.dim - 4)
+        except OverflowError:
+            v = math.inf
+        if not math.isfinite(v):  # the scale's mass factor a^(D-4), or its product, leaves the floats
+            raise ValueError(f"{self.id}: scale {self.scale!r} puts the mass outside the float range")
         if abs(v) < sys.float_info.min:
             raise ValueError(f"closed-form mass = {v!r} is below the normal doubles at kappa = {kappa!r}, alpha = {alpha!r}")
         return v

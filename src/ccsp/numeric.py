@@ -25,7 +25,12 @@ with independent machinery:
   DIVERGENT -- a result, not an error.  Not finite is not divergent: an
   end that never settles, or levels that never agree (an interior pole),
   raise.  A value that is not finite is an integrand's one way to fail;
-  an exception it raises propagates;
+  an exception it raises propagates.  A level costs a fixed number of
+  numpy calls for all rows: each side of a row holds its terms and their
+  sizes as two rows of one array, merged with the level's new terms in one
+  pass and summed by one np.add.reduce per run of sides with one count,
+  which has the bits of each row's own sum; the decisions are a few
+  scalars per side;
 * one weighted integral S_(D-1) int g S^(D-1) dr over the manifold (S the
   curvature-scaled sine), for the mass, for T, N and Q as one stack, and
   for the charge balance int (u^2 + rho) = 0 that a compact manifold
@@ -53,6 +58,7 @@ from __future__ import annotations
 import math
 import sys
 from bisect import bisect_left
+from functools import lru_cache
 from itertools import pairwise
 from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence, Union
 
@@ -251,6 +257,7 @@ def _de_nodes(t: np.ndarray) -> tuple[np.ndarray, ...]:
 _DE_LEVELS = [
     _de_nodes(0.5 ** (j + 1) * np.arange(1, int(DE_T_MAX * 2 ** (j + 1)) + 1, 1 if j == 0 else 2)) for j in range(DE_LEVELS)
 ]
+_DE_T = [level[0].tolist() for level in _DE_LEVELS]  # their |t| as floats, to bisect
 
 
 def _remainder(last: float, prev: float, dt: float) -> float:
@@ -266,78 +273,33 @@ def _remainder(last: float, prev: float, dt: float) -> float:
     return last * dt / math.log(prev / last)
 
 
-class _Side:
-    """One side of t = 0 of the double-exponential rule, for each row of
-    the integrand (one until f's first call gives their number): row i's
-    terms f(r) dr/dt at the multiples 1 .. count[i] of the step h in |t|,
-    short of its `reach`, the |t| of its first node that is not finite or
-    whose r rounds onto an end (`stop` says which) or past which it was
-    trimmed once settled."""
+@lru_cache(maxsize=256)
+def _de_call(level: int, n0: int, n1: int, finite: bool) -> tuple[np.ndarray, ...]:
+    """A level's call of f: the middle node at level 0, then side 0's first n0
+    new nodes and side 1's first n1, as exp-sinh x = r - r_lo and dr/dt, or
+    tanh-sinh +-q and dr/dt over the width, and whether a node is side 1's."""
+    _, x_lo, w_lo, x_hi, w_hi, q, wq = _DE_LEVELS[level]
+    sides = ((q, -q, 0.5), (wq, wq, 0.25 * math.pi)) if finite else ((x_lo, x_hi, 1.0), (w_lo, w_hi, 0.5 * math.pi))
+    x, w = (np.concatenate(([mid] if level == 0 else [], a[:n0], b[:n1])) for a, b, mid in sides)
+    hi = np.arange(len(x)) >= len(x) - n1
+    for a in (x, w, hi):
+        a.flags.writeable = False  # shared by every call that hits the cache
+    return x, w, hi
 
-    def __init__(self, where: str, sign: float) -> None:
-        self.where, self.sign = where, sign
-        self.reach, self.stop = [math.inf], [""]
 
-    def nodes(self, level: int, r_lo: float, r_hi: float, live: list[int]) -> tuple[np.ndarray, np.ndarray]:
-        """r and dr/dt of the level's new nodes that the live rows need, each
-        row (`need`) those short of its reach: exp-sinh r = r_lo + exp(+-u)
-        toward infinity, tanh-sinh on a finite interval.  r moves toward the
-        end with |t|, so the nodes whose r rounds onto it come last: the first
-        of them among a row's becomes its reach."""
-        t, x_lo, w_lo, x_hi, w_hi, q, wq = _DE_LEVELS[level]
-        self.need = [bisect_left(t, reach) if i in live else 0 for i, reach in enumerate(self.reach)]
-        n = max(self.need)
-        if math.isinf(r_hi):
-            x, w = (x_lo, w_lo) if self.sign < 0 else (x_hi, w_hi)
-            r, w = r_lo + x[:n], w[:n]
-        else:
-            width = r_hi - r_lo
-            r, w = (r_lo + width * q[:n] if self.sign < 0 else r_hi - width * q[:n]), width * wq[:n]
-        # r is monotone in |t|, so if its first and last node are inside, all are
-        if n and not (r_lo < r[0] < r_hi and r_lo < r[-1] < r_hi):
-            inside = (r > r_lo) & (r < r_hi)
-            for i in live:
-                m = int(np.count_nonzero(inside[: self.need[i]]))
-                if m < self.need[i]:
-                    self.reach[i], self.stop[i], self.need[i] = t[m], f"r = {r[m]} rounds onto an end", m
-        n = max(self.need)
-        return r[:n], w[:n]
-
-    def add(self, level: int, r: np.ndarray, terms: np.ndarray, finite: bool, live: list[int]) -> list[int]:
-        """Merge a level's new terms, rows x the nodes of :meth:`nodes`: they
-        are the odd multiples of h, and the earlier terms the even ones.
-        Unless all are `finite`, a term that is not ends its row short of its
-        reach.  Returns the rows whose reach now drops terms of earlier levels."""
-        t, h, rows = _DE_LEVELS[level][0], 0.5 ** (level + 1), len(terms)
-        if level == 0:
-            self.count, self.settled = [0] * rows, [False] * rows
-            self.need, self.reach, self.stop = self.need * rows, self.reach * rows, self.stop * rows
-        if not finite:
-            for i in live:
-                bad = ~np.isfinite(terms[i, : self.need[i]])
-                if bad.any():
-                    k = int(bad.argmax())
-                    self.reach[i], self.stop[i] = t[k], f"integrand not finite at r = {r[k]}"
-        size = int(DE_T_MAX * 2 ** (level + 1))  # the level's multiples of h, as in _DE_LEVELS
-        merged = np.empty((rows, size))
-        if level == 0:
-            merged[:, : terms.shape[1]] = terms
-        else:
-            merged[:, 0 : 2 * terms.shape[1] : 2] = terms
-            merged[:, 1::2] = self.terms
-        # every multiple of h short of the reach, itself one if inside
-        count = [min(size, int(reach / h) - 1) if reach <= size * h else size for reach in self.reach]
-        lost = [i for i in live if 2 * self.count[i] > count[i]]
-        self.terms, self.sizes, self.count = merged, np.abs(merged), count
-        return lost
-
-    def trim(self, i: int, h: float, budget: float) -> None:
-        """Drop row i's outermost terms that sum to at most `budget`, and
-        evaluate no later node past them."""
-        tail = h * np.cumsum(self.sizes[i, : self.count[i]][::-1])[::-1]
-        n = int(np.count_nonzero(tail > budget))
-        if n < self.count[i]:
-            self.reach[i], self.count[i] = (n + 1) * h, n
+def _run_sums(block: np.ndarray, pairs: list[int], count: list[int]) -> list[float]:
+    """np.add.reduce of rows 2p and 2p + 1 of `block` over their first count[p]
+    columns, at 2p and 2p + 1 of the list returned, for each pair p of `pairs`
+    (ascending; other places are not set): one reduce along axis 1 per run of
+    pairs with one count, with the bits of each row's own 1-D reduce."""
+    out, k = np.empty(len(block)), 0
+    while k < len(pairs):
+        j, c = k + 1, count[pairs[k]]
+        while j < len(pairs) and pairs[j] == pairs[j - 1] + 1 and count[pairs[j]] == c:
+            j += 1
+        np.add.reduce(block[2 * pairs[k] : 2 * pairs[j - 1] + 2, :c], 1, None, out[2 * pairs[k] : 2 * pairs[j - 1] + 2])
+        k = j
+    return out.tolist()
 
 
 def integrate_radial(
@@ -348,114 +310,159 @@ def integrate_radial(
 ) -> Union[Quadrature, tuple[Quadrature, ...]]:
     """Integrate f(r) dr over (r_lo, r_hi), endpoints treated as improper.
 
-    f must accept numpy arrays of any m radii in (r_lo, r_hi), and fails by a
-    value that is not finite: an exception it raises propagates.
-    0 <= r_lo < r_hi <= inf; rel_tol must be finite and positive.  Returns
-    a float or :class:`Divergent` tagged with the offending end; an end
-    that the rule can call neither convergent nor divergent, or a pole in
-    the open interior, raises :class:`QuadratureError`.
+    f takes numpy arrays of radii in (r_lo, r_hi) and fails by a value that is
+    not finite (an exception it raises propagates); 0 <= r_lo < r_hi <= inf,
+    and rel_tol is finite and positive.  Returns a float or a
+    :class:`Divergent` tagged with the offending end; an end the rule can
+    call neither convergent nor divergent, or an interior pole, raises
+    :class:`QuadratureError`.  A stacked f returns k rows, shape (k, m), for
+    a tuple of k results, each row bit for bit its own integral alone; the
+    error raised is the first failing row's.
 
-    A stacked f returns k rows, shape (k, m), for a tuple of k results, each
-    row bit for bit its own integral alone (ends, settling, divergence and
-    agreement its own).  Each level calls f once, on the nodes that the rows
-    not yet done need; a row takes those short of its own reach.  The error
-    raised is that of the first failing row, once the rows before it are done.
+    One double-exponential rule (Takahasi & Mori 1974): exp-sinh
+    r = r_lo + exp(pi/2 sinh t) toward infinity, tanh-sinh on a finite
+    interval, t in [-DE_T_MAX, DE_T_MAX].  Level 0 has the step h = 1/2; each
+    later level halves h and calls f once, on the new nodes the rows not yet
+    done need.  Each side of t = 0 ends at its first node that is not finite
+    or whose r rounds onto an end.  Against A = h sum |terms|, a side is
+    settled once the integral past its outermost term, bounded through the
+    decay of its last two terms, is below 1e-3 rel_tol A; it is then trimmed
+    to where the terms it drops sum to no more, and a later node inside it
+    that is not finite raises.  At level 0 or 1 a side whose outermost terms
+    do not decay is divergent; one not settled by the last level raises.  The
+    value is accepted when both sides are settled and two levels agree to
+    1e-2 sqrt(rel_tol) A (the error about squares per level) or 1e-14 A.
 
-    One double-exponential rule on t in [-DE_T_MAX, DE_T_MAX] (Takahasi &
-    Mori 1974): exp-sinh r = r_lo + exp(pi/2 sinh t) toward infinity,
-    tanh-sinh on a finite interval.  Level 0 has the step h = 1/2; each
-    later level halves h and evaluates only its new nodes, in one call of
-    f.  Each side of t = 0 is summed outward to its first node that is not
-    finite or whose r rounds onto an end.  Against A = h sum |terms| (the
-    sum itself may cancel to about 0), a side is settled once the integral
-    past its outermost term, bounded through the decay of its last two
-    terms, is below 1e-3 rel_tol A; it is then trimmed to where the terms
-    it drops sum to no more, and a later node inside it that is not finite
-    raises.  At level 0 or 1, a side whose outermost terms do not decay is
-    divergent; a side not settled by the last level raises.  The value is
-    accepted when both sides are settled and two levels agree to
-    1e-2 sqrt(rel_tol) A (the error about squares per level) or to 1e-14 A,
-    roundoff.
+    Pair p = s rows + i is side s (0 toward r_lo) of row i: its terms f(r) dr/dt
+    at the multiples 1 .. count[p] of h in |t|, short of its reach[p], the |t|
+    of its first node that is not finite or rounds onto an end (stop[p] says
+    which) or past which it was trimmed.  Rows 2p and 2p + 1 of `flat` hold
+    p's terms and sizes, merged for all pairs in a fixed number of numpy
+    calls a level, and summed in one reduce per run of pairs with one count.
 
-    The rule assumes that f is resolved by the nodes of levels 0 and 1
-    (step 1/4 in t): smooth, with no feature much narrower than their
-    spacing, which toward infinity from r_lo is about 0.4 in r at
-    r - r_lo = 1 and about 3 at r - r_lo = 5.  A feature that all those
-    nodes miss is not seen at all: both sides settle on terms of about 0
-    and the levels agree, so a wrong value is returned without an error.
-    On (0, inf), exp(-((r - 0.3)/0.003)^2) and exp(-((r - 5)/0.03)^2),
-    whose integrals are 5.3e-3 and 5.3e-2, integrate to 0.0.  The callers
-    pass profiles of the term algebra in units of the space's length,
-    which vary on the scale 1.
+    f must be resolved by the nodes of levels 0 and 1, about 0.4 apart in r
+    at r - r_lo = 1 and 3 at r - r_lo = 5 toward infinity: a feature they all
+    miss is not seen, and a wrong value is returned without an error (on
+    (0, inf), exp(-((r - 0.3)/0.003)^2) and exp(-((r - 5)/0.03)^2) integrate
+    to 0.0, not 5.3e-3 and 5.3e-2).  The callers pass profiles of the term
+    algebra in units of the space's length, which vary on the scale 1.
     """
     if not (0.0 <= r_lo < r_hi):
         raise ValueError(f"bad interval ({r_lo}, {r_hi})")
     if not (0.0 < rel_tol < math.inf):
         raise ValueError(f"relative tolerance must be finite and positive, got {rel_tol}")
-    if math.isinf(r_hi):
-        r_mid, w_mid = r_lo + 1.0, 0.5 * math.pi
-    else:
-        r_mid, w_mid = r_lo + 0.5 * (r_hi - r_lo), 0.25 * math.pi * (r_hi - r_lo)
-    sides = [_Side("small-r", -1.0), _Side("large-r", 1.0)]
-    agree, live = max(1e-2 * math.sqrt(rel_tol), 1e-14), [0]
+    finite, width, where = r_hi < math.inf, r_hi - r_lo, ("small-r", "large-r")
+    agree, rows, live = max(1e-2 * math.sqrt(rel_tol), 1e-14), 1, [0]
+    reach, stop, count, settled = [math.inf] * 2, [("the range of doubles ends",)] * 2, [0] * 2, [False] * 2
     with np.errstate(all="ignore"):
         for level in range(DE_LEVELS):
-            h = 0.5 ** (level + 1)
-            (r0, w0), (r1, w1) = (side.nodes(level, r_lo, r_hi, live) for side in sides)
-            middle = [r_mid] if level == 0 else []
-            fx = np.asarray(f(np.concatenate((middle, r0, r1))), dtype=float)
+            t, h, size = _DE_T[level], 0.5 ** (level + 1), int(DE_T_MAX * 2 ** (level + 1))
+            need = [0] * (2 * rows)  # per pair, the new nodes short of its reach; none unless live
+            for i in live:
+                need[i], need[rows + i] = bisect_left(t, reach[i]), bisect_left(t, reach[rows + i])
+            for cut in (False, True):
+                n0, n1 = max(need[:rows]), max(need[rows:])
+                x, w, hi = _de_call(level, n0, n1, finite)
+                r, w = (np.where(hi, r_hi, r_lo) + width * x, width * w) if finite else (r_lo + x, w)
+                start = (1, 1 + n0) if level == 0 else (0, n0)
+                # r moves toward the end with |t|: if a side's first and last node are inside, all
+                # are; else the first of a pair's that rounds onto it is its reach, and a pass again
+                if cut or all(r_lo < r[a + k] < r_hi for a, n in zip(start, (n0, n1)) if n for k in (0, n - 1)):
+                    break
+                inside = (r > r_lo) & (r < r_hi)
+                for s, (a, n) in enumerate(zip(start, (n0, n1))):
+                    so_far = np.cumsum(inside[a : a + n]).tolist()  # how many of the side's nodes are inside
+                    for p in (s * rows + i for i in live):
+                        m = so_far[need[p] - 1] if need[p] else 0
+                        if m < need[p]:
+                            reach[p], stop[p], need[p] = t[m], ("r = {} rounds onto an end", r[a + m]), m
+            fx = np.asarray(f(r), dtype=float)
             if level == 0:
                 stacked, rows = fx.ndim > 1, len(fx) if fx.ndim > 1 else 1
                 live, previous, results = list(range(rows)), [math.nan] * rows, [None] * rows
-            terms = fx.reshape(rows, -1) * np.concatenate(([w_mid] if middle else [], w0, w1))
-            finite = bool(np.isfinite(terms).all())
-            if level == 0:
-                centers, terms = terms[:, 0].tolist(), terms[:, 1:]
-            n = len(r0)
-            lost = [side.add(level, r_side, block, finite, live)
-                    for side, r_side, block in zip(sides, (r0, r1), (terms[:, :n], terms[:, n:]))]
-            for i in live:
+                reach, stop, need, count, settled = (
+                    x[:1] * rows + x[1:] * rows for x in (reach, stop, need, count, settled))
+            terms = fx.reshape(rows, -1) * w
+            ok = np.isfinite(terms)
+            if level == 0:  # the middle node's terms
+                centers, terms, ok = terms[:, 0].tolist(), terms[:, 1:], ok[:, 1:]
+                for i in live:
+                    if not math.isfinite(centers[i]):
+                        results[i] = QuadratureError(f"integrand not finite at r = {float(r[0])}")
+            # a term that is not finite among those a pair needs ends it short of its reach
+            for i, k in enumerate(ok.argmin(axis=1).tolist() if ok.size else ()):
+                if not ok[i, k]:
+                    k1 = (int(ok[i, n0:].argmin()) if n1 else 0) if k < n0 else k - n0
+                    for p, s, bad in ((i, 0, k), (rows + i, 1, k1 if k1 < n1 and not ok[i, n0 + k1] else n1)):
+                        if bad < need[p]:
+                            reach[p], stop[p] = t[bad], ("integrand not finite at r = {}", r[start[s] + bad])
+            # the new terms are the odd multiples of h, the earlier ones the even
+            step, old, merged = 2 if level else 1, count, np.empty((4 * rows, size))
+            if level:
+                merged[:, 1::2] = flat
+            flat, new = merged, slice(0, step * max(n0, n1), step)
+            flat[0 : 2 * rows : 2, : step * n0 : step] = terms[:, :n0]
+            flat[2 * rows :: 2, : step * n1 : step] = terms[:, n0:]
+            np.abs(flat[0::2, new], out=flat[1::2, new])
+            count = [int(x / h) - 1 if x <= size * h else size for x in reach]  # the multiples of h short of it
+            act = [i for i in live if results[i] is None]
+            sums = _run_sums(flat, act + [rows + i for i in act], count)
+            ends, going = [], []
+            for i in act:
                 center = centers[i]
-                if not math.isfinite(center):
-                    results[i] = QuadratureError(f"integrand not finite at r = {r_mid}")
-                    continue
-                scale = h * (abs(center) + sum(np.add.reduce(side.sizes[i, : side.count[i]]) for side in sides))
+                scale = h * (abs(center) + (sums[2 * i + 1] + sums[2 * (rows + i) + 1]))
                 budget = 1e-3 * rel_tol * scale
-                for side, dropped in zip(sides, lost):
-                    if side.settled[i]:
-                        if i in dropped:
-                            results[i] = QuadratureError(f"{side.stop[i]}, inside the settled {side.where} end")
+                for s, p in enumerate((i, rows + i)):
+                    if settled[p]:
+                        if 2 * old[p] > count[p]:  # its reach dropped terms of earlier levels
+                            results[i] = QuadratureError(f"{str.format(*stop[p])}, inside the settled {where[s]} end")
                             break
                         continue
-                    # the integral past the outermost term, the middle one standing
-                    # before the first; NaN with no term
-                    count = side.count[i]
-                    prev = abs(float(side.terms[i, count - 2])) if count > 1 else abs(center)
-                    rest = _remainder(abs(float(side.terms[i, count - 1])), prev, h) if count else math.nan
+                    # the integral past the outermost term, the middle one before the first
+                    c = count[p]
+                    prev = float(flat[2 * p + 1, c - 2]) if c > 1 else abs(center)
+                    rest = _remainder(float(flat[2 * p + 1, c - 1]), prev, h) if c else math.nan
                     if rest <= budget:
-                        side.settled[i] = True
-                        side.trim(i, h, budget)
+                        settled[p] = True
+                        ends.append((p, budget))
                     elif rest == math.inf and level <= 1:
-                        results[i] = Divergent(side.where)
+                        results[i] = Divergent(where[s])
                         break
                 else:
-                    total = h * (center + sum(np.add.reduce(side.terms[i, : side.count[i]]) for side in sides))
-                    if all(side.settled[i] for side in sides) and abs(total - previous[i]) <= agree * scale:
-                        results[i] = float(total)
-                    previous[i] = total
+                    going.append((i, scale))
+            if ends:  # trimmed as it settles, a pair evaluates no later node past its terms
+                sizes, trimmed = flat[1::2, : max(count[p] for p, _ in ends)].tolist(), []
+                for p, budget in ends:  # the outermost terms summing to <= budget go
+                    n, tail = count[p], 0.0
+                    for term in reversed(sizes[p][: count[p]]):  # added as np.cumsum of them reversed
+                        tail += term
+                        if h * tail > budget:
+                            break
+                        n -= 1
+                    if n < count[p]:
+                        reach[p], count[p] = (n + 1) * h, n
+                        trimmed.append(p)
+                resum = _run_sums(flat, sorted(trimmed), count)
+                for p in trimmed:
+                    sums[2 * p] = resum[2 * p]
+            for i, scale in going:
+                total = h * (centers[i] + ((0.0 + sums[2 * i]) + sums[2 * (rows + i)]))
+                if settled[i] and settled[rows + i] and abs(total - previous[i]) <= agree * scale:
+                    results[i] = total
+                previous[i] = total
             # the rows not done, before the first that failed: its error is raised
             failed = next((i for i, x in enumerate(results) if isinstance(x, QuadratureError)), len(results))
             live = [i for i in range(failed) if results[i] is None]
             if not live:
                 break
         for i in live:
-            side = next((side for side in sides if not side.settled[i]), None)
-            results[i] = QuadratureError(
-                f"the {side.where} end does not settle: {side.stop[i] or 'the range of doubles ends'}" if side
-                else f"no convergence after {DE_LEVELS} levels of the double-exponential rule on ({r_lo}, {r_hi})")
-    for result in results:
-        if isinstance(result, QuadratureError):
-            raise result
+            s = next((s for s in (0, 1) if not settled[s * rows + i]), None)
+            results[i] = QuadratureError(f"the {where[s]} end does not settle: {str.format(*stop[s * rows + i])}"
+                                         if s is not None else f"no convergence after {DE_LEVELS} levels of the "
+                                         f"double-exponential rule on ({r_lo}, {r_hi})")
+    error = next((x for x in results if isinstance(x, QuadratureError)), None)
+    if error is not None:
+        raise error
     return tuple(results) if stacked else results[0]
 
 
@@ -473,13 +480,23 @@ def mass(
 
     Rejects parameters whose signs are incompatible with the solution's
     amplitude law.  Divergence is a legitimate answer, tagged with the
-    offending end of the domain; a finite one below the normal doubles raises.
+    offending end of the domain; a finite one below the normal doubles raises,
+    and so does a QuadratureError, naming the entry, kappa and alpha.
     """
     u = sol.u_fn(kappa, alpha)
-    m = _manifold_integral(sol, kappa, lambda r: u(r) ** 2, rel_tol, sphere_factor=include_sphere_factor)
+    try:
+        m = _manifold_integral(sol, kappa, lambda r: u(r) ** 2, rel_tol, sphere_factor=include_sphere_factor)
+    except QuadratureError as error:
+        raise _named(error, sol, kappa, alpha) from None
     if not isinstance(m, Divergent) and abs(m) < sys.float_info.min:
         raise ValueError(f"mass = {m!r} is below the normal doubles at kappa = {kappa!r}, alpha = {alpha!r}")
     return m
+
+
+def _named(error: QuadratureError, sol: "Solution", kappa: float, alpha: float) -> QuadratureError:
+    """`error` with the entry, kappa and alpha (and a flat scale) it was raised at."""
+    scale = f", scale = {sol.scale!r}" if sol.scale != 1.0 else ""
+    return QuadratureError(f"{sol.id} at kappa = {kappa!r}, alpha = {alpha!r}{scale}: {error}")
 
 
 def _weighted(space: Space, g: Callable, power: int) -> Callable:
@@ -518,11 +535,12 @@ def _manifold_integral(
     space = sol.space(kappa)
     f = _weighted(space, g, sol.dim - 1)
     length = sol.length(kappa)
+    unit = f if length == 1.0 else lambda s: f(length * s) * length  # times 1.0 would change no bit
     totals: list = []  # per row, its sum so far or its divergence
     for lo, hi in pairwise(_cuts(space.r_max, sol.singular_radii_values(kappa))):
         live = [i for i, total in enumerate(totals) if not isinstance(total, Divergent)]
-        pick = live if len(live) < len(totals) else slice(None)
-        parts = integrate_radial(lambda s: f(length * s)[pick] * length, lo / length, hi / length, rel_tol)
+        rows = unit if len(live) == len(totals) else lambda s: unit(s)[live]
+        parts = integrate_radial(rows, lo / length, hi / length, rel_tol)
         stacked = isinstance(parts, tuple)
         parts = parts if stacked else (parts,)
         totals = totals or [0.0] * len(parts)
@@ -811,8 +829,9 @@ def pohozaev_functionals(
     at an end where u^2 K r^(D-1) does not decay.  T, N and Q are the rows
     of one stacked integral (:func:`integrate_radial`), each bit for bit
     its integral alone; where several fail, T's error comes before N's and
-    N's before Q's.  A finite T, N or Q below the normal doubles (Q goes as
-    alpha^-2, so from |alpha| about 1e155) raises ValueError naming alpha.
+    N's before Q's, naming the entry, kappa and alpha.  A finite T, N or Q
+    below the normal doubles (Q goes as alpha^-2, so from |alpha| about
+    1e155) raises ValueError naming alpha.
     """
     if sol.regime is not Regime.FLAT:
         raise ValueError("functional identities are derived in the flat case")
@@ -826,7 +845,10 @@ def pohozaev_functionals(
         u2 = u**2
         return np.array([du**2, u2, u2 * k])
 
-    t_val, n_val, q_val = _manifold_integral(sol, kappa, rows, NESTED_REL_TOL)
+    try:
+        t_val, n_val, q_val = _manifold_integral(sol, kappa, rows, NESTED_REL_TOL)
+    except QuadratureError as error:
+        raise _named(error, sol, kappa, alpha) from None
     if not isinstance(q_val, Divergent):
         q_val *= 2.0 / (sol.dim - 2)
     for name, x in zip("TNQ", (t_val, n_val, q_val)):

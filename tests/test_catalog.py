@@ -1,6 +1,7 @@
 import json
 import math
 import pickle
+import re
 from fractions import Fraction as F
 
 import numpy as np
@@ -439,6 +440,15 @@ def test_a_scale_that_puts_a_field_outside_the_float_range_is_a_value_error():
     # u alone: a^-2 is 1e400 at a = 1e-200
     with pytest.raises(ValueError, match="FLAT_CSV: scale 1e-200 puts a field outside the float range"):
         scale_flat_solution(get_solution("FLAT_CSV"), 1e-200).u_fn(0.0, -1.0)
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e154])
+def test_a_scale_that_puts_the_mass_outside_the_float_range_is_a_value_error(scale):
+    # FLAT_CSV's mass goes as a^(D-4) = a^2: a^2 = 1e400 raised OverflowError,
+    # and 2977 a^2 = 3e311 at a = 1e154 was returned as inf
+    sol = scale_flat_solution(get_solution("FLAT_CSV"), scale)
+    with pytest.raises(ValueError, match=rf"^FLAT_CSV: scale {re.escape(repr(scale))} puts the mass outside the float range$"):
+        sol.expected_mass_value(0.0, -1.0)
 
 
 def test_a_closed_form_mass_below_the_normal_doubles_is_a_value_error():

@@ -587,6 +587,20 @@ def test_a_mass_below_the_normal_doubles_exits_in_one_line(command):
     assert err == "error: mass = 0.0 is below the normal doubles at kappa = 1e+300, alpha = -1.0\n"
 
 
+@pytest.mark.parametrize("argv, err", [
+    (["verify", "HYP_U3", "--kappa=-1e200"], "HYP_U3 at kappa = -1e+200, alpha = -1.0: integrand not finite at r = 1.0"),
+    (["mass", "HYP_U2", "--kappa=-1e160"], "HYP_U2 at kappa = -1e+160, alpha = -1.0: integrand not finite at r = 1.0"),
+    (["mass", "HYP_U3", "--kappa=-1e-200"], "HYP_U3 at kappa = -1e-200, alpha = -1.0: no convergence after 8 levels "
+                                            "of the double-exponential rule on (0.0, inf)"),
+    (["pohozaev", "FLAT_CSV", "--alpha=-1e160"], "FLAT_CSV at kappa = 0.0, alpha = -1e+160: no convergence after 8 "
+                                                 "levels of the double-exponential rule on (0.0, inf)"),
+])
+def test_a_quadrature_error_names_the_entry_kappa_and_alpha(argv, err):
+    # the rule's own message named neither the entry nor the point
+    code, out, got = run(argv)
+    assert (code, out, got) == (2, "", f"error: {err}\n")
+
+
 def test_verify_with_pohozaev():
     code, out, _ = run(["verify", "FLAT_CSV", "--with-pohozaev"])
     assert code == 0 and json.loads(out)["pohozaev_defect"] <= 1e-6
