@@ -44,6 +44,7 @@ from .derivation import (
     evaluate_candidate,
     exact_mass,
     omega_json,
+    omega_of,
     resubstitution_defects,
     singular_radius_tags,
     solution_exprs,
@@ -279,7 +280,10 @@ def solution_from_hit(
     provenance: str = "",
 ) -> Solution:
     """Materialize a derivation hit into a full record, re-checking both
-    field equations symbolically; the mass is the hit's exact Beta value."""
+    field equations symbolically; the mass is the hit's exact Beta value.
+    omega must be the frequency of the hit's cell (:func:`ccsp.derivation.omega_of`):
+    a constant shift of omega (and with it of V) also solves both equations,
+    so only this check catches it."""
     if mass_convention not in (FULL, RADIAL_INTEGRAL):
         raise ValueError(f"{id}: unknown mass convention {mass_convention!r}")
     sol = Solution(
@@ -291,6 +295,9 @@ def solution_from_hit(
     schro, poisson = resubstitution_defects(sol.u, sol.V, sol.rho, sol.omega, sol.x_law, sol.dim)
     if not schro.is_zero or not poisson.is_zero:
         raise ValueError(f"{id}: re-substitution defect (schro={schro}, poisson={poisson})")
+    omega = omega_of(AnsatzFamily(sol.family, sol.n), sol.regime, sol.dim)
+    if sol.omega != omega:
+        raise ValueError(f"{id}: omega = {sol.omega} is not the frequency {omega} of its cell")
     return sol
 
 

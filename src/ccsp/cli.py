@@ -44,18 +44,19 @@ def _fmt(x) -> str:
 
 
 def _jenc(obj):
-    """JSON-encode with stable key order and 12-digit floats."""
+    """JSON-encode with stable key order and 12-digit floats; a float that is
+    not finite, which JSON cannot hold, is the string `_fmt` prints."""
 
     def walk(x):
         if isinstance(x, float):
-            return float(f"{x:.12g}")
+            return float(f"{x:.12g}") if math.isfinite(x) else _fmt(x)
         if isinstance(x, dict):
             return {k: walk(v) for k, v in x.items()}
         if isinstance(x, (list, tuple)):
             return [walk(v) for v in x]
         return x
 
-    return json.dumps(walk(obj), indent=2)
+    return json.dumps(walk(obj), indent=2, allow_nan=False)
 
 
 def _parse_int_range(text: str) -> range:

@@ -1,6 +1,5 @@
 """Numerical verification layer: array evaluation, quadrature, PDE
-residuals, inversion.  This is the only module besides the CLI that
-imports numpy.
+residuals.  This is the only module besides the CLI that imports numpy.
 
 Everything here treats the symbolic layer as ground truth and checks it
 with independent machinery:
@@ -39,18 +38,10 @@ with independent machinery:
 * PDE residuals of both field equations on grids clear of the profile's
   poles (the unit-size grid times L), each Laplacian assembled in floats
   as f'' + (D-1) f' / T from the exact derivatives of u and V;
-* the charge M(r) = int_0^r of an S-weighted density, for the inversion
-  of -Lap below, at every r of a call from one fixed node set of the same
-  rule (step 1/16), on one outer x inner grid in one call: r int_0^1 by
-  tanh-sinh inside the length unit, the total less r int_1^inf by exp-sinh
-  beyond it, so M is a pure function of r, and NaN where its inner error
-  is not negligible against the larger of |total| and its own sum |terms|;
-* radial inversion of -Lap with decay normalization, V(r) one integral of
-  S^(1-D) M from r;
 * the variational functionals T, N, Q and their flat-space identities, the
   rows of one weighted integral: Q = 2/(D-2) S_(D-1) int u^2 K r^(D-1) dr, with
-  K(r) = int_r^inf u^2 t dt one monomial of the term algebra, so neither
-  the charge nor a float inversion of -Lap enters Q.
+  K(r) = int_r^inf u^2 t dt one monomial of the term algebra, so no float
+  inversion of -Lap enters Q.
 """
 
 from __future__ import annotations
@@ -81,7 +72,6 @@ __all__ = [
     "CompactnessReport",
     "compactness_obstruction_check",
     "fd_residual",
-    "poisson_invert",
     "pohozaev_functionals",
     "PohozaevReport",
     "pohozaev_check",
@@ -90,12 +80,11 @@ __all__ = [
 ]
 
 DEFAULT_REL_TOL = 1e-10
-NESTED_REL_TOL = 1e-11  # poisson_invert and its charge; T, N and Q of pohozaev_functionals
+NESTED_REL_TOL = 1e-11  # T, N and Q of pohozaev_functionals
 MASS_REL_TOL = 1e-8     # verify: quadrature mass against the closed form
 RESIDUAL_TOL = 1e-6     # verify: max-norm residuals of both field equations
 DE_T_MAX = 6.8          # |t| of the outermost double-exponential node: exp(pi/2 sinh t) < 1e307
 DE_LEVELS = 8           # levels of the double-exponential rule, step 1/2 down to 1/256
-CHARGE_LEVELS = 4       # levels of the charge's fixed node set, step 1/2 down to 1/16
 GRID_R_CAP = 10.0       # noncompact default grids end here, in units of the length
 GRID_POINTS = 2000      # radii of a default grid, shared among its smooth segments
 
@@ -655,158 +644,14 @@ def fd_residual(
     )
 
 
-# -- the charge inside a radius, and radial inversion of -Lap -------------
+# -- a removed name ----------------------------------------------------------
 
 
-class _ChargeRule(NamedTuple):
-    """Levels 0 .. CHARGE_LEVELS - 1 of the double-exponential rule as one
-    fixed node set on (0, 1) (tanh-sinh) or (1, inf) (exp-sinh): the middle
-    node, then the small-r and the large-r side, each in ascending |t| up to
-    its first node that rounds onto an end.  Per column its node x, its
-    weight dx/dt and its |t| (0 at the middle); the column slices of the two
-    sides; and the columns of the step 2h."""
-
-    x: np.ndarray
-    w: np.ndarray
-    t: np.ndarray
-    sides: tuple
-    coarse: np.ndarray
-
-
-def _charge_rule(tail: bool) -> _ChargeRule:
-    # |t| = k h at the step h of the last level: the middle node at k = 0,
-    # then each side from k = 1 on, and the step 2h at even k
-    k = np.arange(int(DE_T_MAX * 2**CHARGE_LEVELS) + 1)
-    t, x_lo, w_lo, x_hi, w_hi, q, wq = _de_nodes(0.5**CHARGE_LEVELS * k)
-    if tail:
-        lo, hi, ((x0, w0), (x1, w1)) = 1.0, math.inf, ((1.0 + x_lo, w_lo), (1.0 + x_hi, w_hi))
-    else:
-        lo, hi, ((x0, w0), (x1, w1)) = 0.0, 1.0, ((q, wq), (1.0 - q, wq))
-    n0, n1 = (int(np.count_nonzero((x > lo) & (x < hi))) for x in (x0, x1))
-    cols = np.r_[0:n0, 1:n1]
-    x, w = np.concatenate((x0[:n0], x1[1:n1])), np.concatenate((w0[:n0], w1[1:n1]))
-    return _ChargeRule(x, w, t[cols], (slice(1, n0), slice(n0, n0 + n1 - 1)), k[cols] % 2 == 0)
-
-
-_CHARGE_RULES = _charge_rule(False), _charge_rule(True)
-
-
-def _charge_rows(values: np.ndarray, rule: _ChargeRule) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per row of density values on the rule's columns: the integral at the
-    step h = 2^-CHARGE_LEVELS (NaN where the row fails), its difference from
-    the integral at the step 2h over the same nodes, and h sum |terms|.
-
-    As in :func:`integrate_radial`, each side ends at its first term that is
-    not finite, and a side so cut must be settled: the integral past its
-    outermost term, by :func:`_remainder`, at most 1e-3 NESTED_REL_TOL
-    h sum |terms|.
-    A row whose middle term is not finite fails too."""
-    h = 0.5**CHARGE_LEVELS
-    terms = values * rule.w
-    ok = np.isfinite(terms[:, 0])
-    cuts = []
-    for side in rule.sides:
-        block = terms[:, side]  # a view: the side's terms past its cut become 0
-        bad = ~np.isfinite(block)
-        n = np.where(bad.any(axis=1), bad.argmax(axis=1), block.shape[1])
-        block[np.arange(block.shape[1]) >= n[:, None]] = 0.0
-        cuts.append(n)
-    abs_sum = h * np.abs(terms).sum(axis=1)
-    for side, n in zip(rule.sides, cuts):
-        rows = np.flatnonzero(n < side.stop - side.start)
-        if rows.size:
-            # the middle term stands before a side's first
-            sized = np.abs(np.concatenate((terms[rows, :1], terms[rows, side]), axis=1))
-            t = np.concatenate(([0.0], rule.t[side]))
-            k = n[rows]
-            last, prev = sized[np.arange(rows.size), k], sized[np.arange(rows.size), k - 1]
-            ends = zip(last.tolist(), prev.tolist(), (t[k] - t[k - 1]).tolist())
-            rest = np.array([_remainder(*end) for end in ends])
-            ok[rows] &= (k > 0) & (rest <= 1e-3 * NESTED_REL_TOL * abs_sum[rows])
-    fine = h * terms.sum(axis=1)
-    coarse = 2.0 * h * terms[:, rule.coarse].sum(axis=1)
-    return np.where(ok, fine, math.nan), fine - coarse, abs_sum
-
-
-def _charge(density: Callable, total: float, length: float) -> Callable:
-    """r -> M(r) = integral_0^r density, a pure function of each r > 0,
-    with `total` the integral over (0, inf) and `length` the space's unit.
-
-    M(r) = r int_0^1 density(r x) dx for r <= length, and beyond it
-    total - r int_1^inf density(r y) dy, each by one fixed node set of the
-    double-exponential rule (:class:`_ChargeRule`), and every r of a call
-    on one outer x inner grid in one call of density.  The inner error is
-    judged against a magnitude: the larger of |total| and the row's own
-    h r sum |terms|, so neither a charge that underflows toward r = 0 nor
-    a density whose total is negative or cancels to about 0 makes the test
-    impossible.  M is NaN where its steps h and 2h differ by more than
-    max(1e-2 sqrt(NESTED_REL_TOL), 1e-14) times that magnitude, or its row
-    fails (:func:`_charge_rows`)."""
-    agree = max(1e-2 * math.sqrt(NESTED_REL_TOL), 1e-14)
-
-    def charge(r):
-        r = np.asarray(r, dtype=float)
-        flat = r.ravel()
-        beyond = flat > length
-        masks = (~beyond, beyond)
-        out = np.empty_like(flat)
-        with np.errstate(all="ignore"):
-            grids = [flat[mask][:, None] * rule.x for mask, rule in zip(masks, _CHARGE_RULES)]
-            values = np.asarray(density(np.concatenate([grid.ravel() for grid in grids])), dtype=float)
-            parts = zip(masks, grids, _CHARGE_RULES, np.split(values, [grids[0].size]))
-            for k, (mask, grid, rule, vals) in enumerate(parts):
-                s = flat[mask]
-                fine, diff, abs_sum = _charge_rows(vals.reshape(grid.shape), rule)
-                scale = np.maximum(abs(total), s * abs_sum)
-                m = s * fine if k == 0 else total - s * fine
-                out[mask] = np.where(s * np.abs(diff) <= agree * scale, m, math.nan)
-        return out.reshape(r.shape)
-
-    return charge
-
-
-def poisson_invert(
-    f: Callable,
-    space: Space,
-    dim: int,
-) -> Callable:
-    """Return V with -Lap(V) = f and V -> 0 at infinity (radial, decaying).
-
-        V(r) = integral_r^inf S(s)^(1-D) M(s) ds,  M(s) = integral_0^s f(t) S(t)^(D-1) dt
-
-    M is the charge of :func:`_charge`, against the total charge by
-    :func:`integrate_radial`, and each V(r) is one :func:`integrate_radial`
-    from r, both over s = r / L with L the space's length unit.  Flat and
-    hyperbolic regimes only (the sphere has no decay normalization).  V
-    raises ValueError where it is not finite (the inner charge overflows).
-    """
-    if space.regime is Regime.SPHERICAL:
-        raise ValueError("decay-normalized inversion needs a noncompact space")
-    if dim < 2:
-        raise ValueError("radial inversion requires D >= 2")
-    length = space.length
-    density = _weighted(space, f, dim - 1)
-    total = integrate_radial(lambda s: density(length * s) * length, 0.0, math.inf, NESTED_REL_TOL)
-    if isinstance(total, Divergent):
-        raise ValueError("inversion tail diverges")
-    outer = _weighted(space, _charge(density, total, length), 1 - dim)
-
-    def v_fn(r):
-        r = np.asarray(r, dtype=float)
-        out = np.empty(r.shape)
-        for i, point in enumerate(r.flat):
-            try:
-                value = integrate_radial(lambda s: outer(length * s) * length, point / length, math.inf, NESTED_REL_TOL)
-            except QuadratureError:
-                value = math.nan
-            if isinstance(value, Divergent):
-                raise ValueError("inversion tail diverges")
-            if not math.isfinite(value):
-                raise ValueError(f"V is not finite at r = {point}")
-            out.flat[i] = value
-        return out if out.shape else float(out)
-
-    return v_fn
+def poisson_invert(*args, **kwargs):
+    """Removed: Q comes from the tail integral :attr:`ccsp.catalog.Solution.K`.
+    The name stays only for perfbench's tracer wrapper (``perfbench/tracing.py``),
+    and the two go together."""
+    raise NotImplementedError("poisson_invert is removed; Q comes from Solution.K")
 
 
 # -- variational functionals ----------------------------------------------

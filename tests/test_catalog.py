@@ -403,6 +403,22 @@ def test_from_json_rejects_a_record_its_derivation_disagrees_with():
     assert Solution.from_json_obj(obj) == get_solution("FLAT_CSV")
 
 
+@pytest.mark.parametrize("sid, kappa_pow", [("FLAT_CSV", 0), ("HYP_U1", 1)])
+def test_from_json_rejects_a_record_whose_omega_is_not_its_cells_frequency(sid, kappa_pow):
+    # omega and V shifted by one gauge constant c (V by c/alpha) still solve
+    # both equations exactly, so only the frequency of the cell catches it
+    sol = get_solution(sid)
+    assert sol.omega.is_zero
+    shifted = sol._replace(omega=Graded(1, kappa_pow))
+    assert shifted.V != sol.V
+    assert all(d.is_zero for d in resubstitution_defects(shifted.u, shifted.V, shifted.rho, shifted.omega,
+                                                         shifted.x_law, shifted.dim))
+    with pytest.raises(ValueError, match=f"^{sid}: omega = .* is not the frequency .* of its cell$"):
+        Solution.from_json_obj(json.loads(json.dumps(shifted.to_json_obj())))
+    with pytest.raises(ValueError, match="omega"):
+        solution_from_hit(shifted, sid)
+
+
 def test_from_json_checks_the_scale():
     # a scale other than 1 goes through scale_flat_solution: a scaled curved
     # or background record is no solution, and the factor must be positive

@@ -353,6 +353,49 @@ def test_derive_verify_pipe_past_the_sphere_area_overflow():
     assert run(["verify", "--hit-file", "-"], stdin_text=hits)[0] == 0
 
 
+# the eleven default-grid derive queries, as family, regime, mode
+_DEFAULT_QUERIES = [
+    ("flat-c", "flat", "homogeneous"), ("flat-c", "flat", "background"), ("flat-r", "flat", "homogeneous"),
+    ("curved-c", "hyperbolic", "homogeneous"), ("curved-c", "hyperbolic", "background"),
+    ("curved-c", "spherical", "homogeneous"), ("curved-c", "spherical", "background"),
+    ("curved-s", "hyperbolic", "homogeneous"), ("curved-s", "hyperbolic", "background"),
+    ("curved-s", "spherical", "homogeneous"), ("curved-s", "spherical", "background"),
+]
+
+
+def test_a_hit_whose_omega_is_not_its_cells_frequency_exits_2():
+    # omega + 1, with V = (Lap u/u + omega)/alpha shifted along, still solves
+    # both equations (a gauge), but it is not the frequency derive defines
+    hits = []
+    for family, regime, mode in _DEFAULT_QUERIES:
+        code, out, _ = run(["derive", "--family", family, "--regime", regime, "--mode", mode])
+        assert code == 0
+        hits += json.loads(out)
+    assert len(hits) == 45
+    for hit in hits:
+        hit["omega"]["coef"] = str(F(hit["omega"]["coef"]) + 1)
+        code, out, err = run(["verify", "--hit-file", "-"], stdin_text=json.dumps([hit]))
+        assert code == 2 and out == "", (hit, code)
+        assert err.count("\n") == 1 and "omega" in err and "is not the frequency" in err, err
+    # a background cell with two source monomials passes unshifted
+    code, hits, _ = run(["derive", "--family", "flat-c", "--mode", "background", "-n", "-4..-4", "-D", "7..7",
+                         "--max-rho-terms", "2"])
+    assert code == 0 and len(json.loads(hits)) == 1
+    assert run(["verify", "--hit-file", "-"], stdin_text=hits)[0] == 0
+
+
+def test_json_writes_a_non_finite_float_as_its_string():
+    # the residuals leave the doubles; JSON (RFC 8259) has no Infinity or NaN
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    code, out, err = run(["verify", "HYP_U2", "--kappa=-1e+155", "--alpha=-1e+20"])
+    assert code == 1 and err == ""
+    report = json.loads(out, parse_constant=reject)
+    assert report["schrodinger_residual_max"] == "inf" and report["poisson_residual_max"] == "inf"
+    assert not report["passed"]
+
+
 def test_json_sign_and_convention_follow_the_amplitude_law_and_regime():
     _, out, _ = run(["catalog", "--format", "json"])
     records = [(s["amp_law"], s) for s in json.loads(out)]

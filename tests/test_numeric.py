@@ -9,16 +9,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import scalar_T
 from ccsp import numeric
 from ccsp.catalog import CATALOG, Solution, get_solution, scale_flat_solution
 from ccsp.derivation import AlphaSign
 from ccsp.geometry import Regime, Space, sphere_area
 from ccsp.numeric import Divergent, default_grid, integrate_radial, mass
 from ccsp.symbolic import Graded
-
-HYP3 = Space(Regime.HYPERBOLIC, -1.0, 3)
-FLAT6 = Space(Regime.FLAT, 0.0, 6)
 
 
 # every field the float layer reads, by name: its expression, taken from the
@@ -204,13 +200,9 @@ def test_end_that_does_not_settle_raises():
     assert got == pytest.approx(2.0 * math.sqrt(math.pi), rel=1e-14)
 
 
-def _hex(values):
-    return [float(v).hex() for v in values]
-
-
 def _count_calls(monkeypatch):
     # the size of every call of an S-weighted integrand: the integrands of
-    # the manifold integrals, of the charge and of the inversion
+    # the manifold integrals
     sizes = []
     weighted = numeric._weighted
 
@@ -812,226 +804,6 @@ def test_residuals_at_roundoff_and_sensitive_to_shifts(monkeypatch):
     assert points == 840 and shifted == {"X": 750, "omega": 750}
 
 
-# -- the charge inside a radius -------------------------------------------------------
-
-
-def _bg_flat_n3_d4_charge():
-    # BG_FLAT_N3_D4's charge of u^2 at alpha = 1, built as poisson_invert builds it for f = u^2
-    sol = get_solution("BG_FLAT_N3_D4")
-    u = sol.u_fn(0.0, 1.0)
-    density = numeric._weighted(sol.space(0.0), lambda t: u(t) ** 2, sol.dim - 1)
-    total = mass(sol, 0.0, 1.0, numeric.NESTED_REL_TOL, include_sphere_factor=False)
-    return numeric._charge(density, total, sol.scale)
-
-
-def test_cumulative_charge_of_an_integrable_singularity():
-    # M(s) = sqrt(pi) erf(sqrt(s)) for the density t^(-1/2) e^(-t), on both
-    # sides of the length 1: s int_0^1 by tanh-sinh, whose end takes the
-    # singularity, and beyond, the total sqrt(pi) less s int_1^inf by exp-sinh
-    s = np.array([1e-200, 1e-20, 1e-6, 0.3, 1.0, 1.5, 7.0, 40.0, 1e4])
-    charge = numeric._charge(lambda t: t**-0.5 * np.exp(-t), math.sqrt(math.pi), 1.0)
-    want = np.array([math.sqrt(math.pi) * math.erf(math.sqrt(x)) for x in s])
-    assert np.max(np.abs(charge(s) / want - 1.0)) <= 1e-13
-
-
-def test_charge_of_bg_flat_n3_d4_is_its_closed_form():
-    # M(r) = 36 r^4 / (1 + r^2)^2, the Beta integral of u^2 r^3
-    r = np.logspace(-6, 6, 241)
-    want = 36.0 * r**4 / (1.0 + r**2) ** 2
-    assert np.max(np.abs(_bg_flat_n3_d4_charge()(r) / want - 1.0)) <= 1e-12
-
-
-@pytest.mark.parametrize("power", [0.0, 1.0])
-def test_cumulative_is_a_pure_function_of_the_point(power):
-    # the charge of t^power e^-t (total 1): each row of the outer x inner
-    # grid is reduced alone, so a permuted batch and 17 chunks in random
-    # order give the bits of one call, at points on both sides of the
-    # length, at it and duplicated
-    charge = numeric._charge(lambda t: t**power * np.exp(-t), 1.0, 1.0)
-    rng = np.random.default_rng(7)
-    points = np.concatenate([[1.0, 1.0, 1e-13, 0.5, 2.0], np.logspace(-8, 8, 61), rng.uniform(0.01, 12.0, 60)])
-    want = _hex(charge(points))
-    assert "nan" not in want
-    order = rng.permutation(len(points))
-    got = np.empty(len(points))
-    got[order] = charge(points[order])
-    assert _hex(got) == want
-    got[:] = math.nan
-    for chunk in np.array_split(rng.permutation(len(points)), 17):
-        got[chunk] = charge(points[chunk])
-    assert _hex(got) == want
-    # shape is kept, a scalar gives a 0-d array
-    grid = charge(points[:4].reshape(2, 2))
-    assert grid.shape == (2, 2) and _hex(grid.ravel()) == want[:4]
-    assert charge(points[5]).shape == () and float(charge(points[5])).hex() == want[5]
-    # and the values are the lower incomplete gamma function
-    closed = -np.expm1(-points) - (points * np.exp(-points) if power else 0.0)
-    assert np.max(np.abs(got - closed)) <= 1e-15
-
-
-def test_charge_with_an_unsettled_cut_is_nan():
-    # the density e^-t is NaN from t = 23 on, where its terms are still
-    # about 1e-10 of the charge: the steps 1/16 and 1/8 agree on the sum up
-    # to the cut, but the cut side has not settled, so every r past the
-    # length, whose exp-sinh nodes reach t = 23, is NaN instead of wrong
-    charge = numeric._charge(lambda t: np.where(t < 23.0, np.exp(-t), np.nan), 1.0, 1.0)
-    s = np.logspace(-3, 1.3, 400)
-    got = charge(s)
-    assert np.array_equal(np.isnan(got), s > 1.0)
-    assert np.max(np.abs(got[s <= 1.0] + np.expm1(-s[s <= 1.0]))) <= 1e-15
-
-
-def test_charge_of_a_too_narrow_density_is_nan():
-    # a bump of width 0.03 at t = 0.7 is too narrow for the fixed node set:
-    # where the steps 1/16 and 1/8 disagree M is NaN, wherever it is finite
-    # it is the closed form, and a Q of it raises instead of being wrong
-    width, center = 0.03, 0.7
-    total = width * math.sqrt(math.pi) / 2.0 * (1.0 + math.erf(center / width))
-    charge = numeric._charge(lambda t: np.exp(-(((t - center) / width) ** 2)), total, 1.0)
-    s = np.logspace(-3, 3, 2001)
-    got = charge(s)
-    want = total - width * math.sqrt(math.pi) / 2.0 * np.array([math.erfc((x - center) / width) for x in s])
-    nan = np.isnan(got)
-    assert 0.01 < nan.mean() < 0.5
-    assert np.max(np.abs(got[~nan] - want[~nan])) <= 1e-12 * total
-    with pytest.raises(numeric.QuadratureError):
-        integrate_radial(lambda r: charge(r) ** 2 * r**-3.0, 0.0, math.inf)
-
-
-# -- inversion ----------------------------------------------------------------------
-
-
-def test_poisson_invert_flat_oracle():
-    # -Lap of 24 c^-4 is the squared six-dimensional profile, and it decays:
-    # the closed form is the oracle for the inverter
-    sol = get_solution("FLAT_CSV")
-    u = sol.u_fn(0.0, -1.0)
-    sizes = []
-    v = numeric.poisson_invert(lambda r: sizes.append(np.size(r)) or u(r) ** 2, FLAT6, 6)
-    rs = np.linspace(0.1, 10.0, 23)
-    expected = 24.0 / (1.0 + rs**2) ** 2
-    sizes.clear()
-    assert np.max(np.abs(v(rs) - expected) / expected) < 1e-7
-    # each V(r) is its own outer rule of about 60 nodes, each a row of
-    # about 220 charge nodes: 13,200 source points per V(r) measured
-    assert sum(sizes) <= 16_000 * len(rs)
-
-
-def test_poisson_invert_slowly_decaying_potential():
-    # -Lap of 18/(1+r^2) at D = 4 is 144 (1+r^2)^-3; the potential has an
-    # r^-2 tail, so V(r) integrates M(s) s^-3 far past r
-    f = lambda r: 144.0 / (1.0 + np.asarray(r, dtype=float) ** 2) ** 3
-    v = numeric.poisson_invert(f, Space(Regime.FLAT, 0.0, 4), 4)
-    rs = np.array([0.1, 0.5, 1.0, 2.0, 3.0, 5.0, 10.0])
-    expected = 18.0 / (1.0 + rs**2)
-    assert np.max(np.abs(v(rs) - expected) / expected) < 1e-8
-
-
-def test_poisson_invert_keeps_the_input_shape():
-    v = numeric.poisson_invert(lambda r: 144.0 / (1.0 + np.asarray(r, dtype=float) ** 2) ** 4, FLAT6, 6)
-    rs = np.array([[0.5, 1.0, 2.0], [3.0, 5.0, 0.5]])
-    grid = v(rs)
-    assert grid.shape == (2, 3)
-    assert _hex(grid.ravel()) == _hex(v(rs.ravel()))
-    scalar = v(2.0)
-    assert type(scalar) is float and scalar.hex() == float(grid[0, 2]).hex()
-
-
-def test_poisson_invert_zero():
-    v = numeric.poisson_invert(lambda r: np.zeros_like(np.asarray(r, dtype=float)), FLAT6, 6)
-    assert abs(float(v(1.0))) < 1e-12
-
-
-def test_poisson_invert_negative_source():
-    # the charge's inner error is judged against |total|, so a source of
-    # negative total charge inverts to exactly the negated potential
-    f = lambda r: 144.0 / (1.0 + np.asarray(r, dtype=float) ** 2) ** 4
-    v = numeric.poisson_invert(f, FLAT6, 6)
-    minus = numeric.poisson_invert(lambda r: -f(r), FLAT6, 6)
-    rs = np.linspace(0.1, 10.0, 11)
-    assert _hex(minus(rs)) == _hex(-v(rs))
-
-
-def test_poisson_invert_zero_net_source():
-    # -Lap of (1+r^2)^-3 at D = 6 is (36 - 12 r^2)(1+r^2)^-5, and -Lap of
-    # e^(-r^2) at D = 3 is (6 - 4 r^2) e^(-r^2): their charges 6 r^6
-    # (1+r^2)^-4 and 2 r^3 e^(-r^2) return to 0, so the total cancels to
-    # roundoff, and each row of the charge is judged against its own
-    # h r sum |terms|
-    x = lambda r: np.asarray(r, dtype=float) ** 2
-    v = numeric.poisson_invert(lambda r: (36.0 - 12.0 * x(r)) / (1.0 + x(r)) ** 5, FLAT6, 6)
-    rs = np.array([0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 100.0, 1000.0])
-    expected = (1.0 + rs**2) ** -3.0
-    assert np.max(np.abs(v(rs) - expected) / expected) < 1e-12
-    v = numeric.poisson_invert(lambda r: (6.0 - 4.0 * x(r)) * np.exp(-x(r)), Space(Regime.FLAT, 0.0, 3), 3)
-    rs = np.linspace(0.1, 4.0, 14)
-    expected = np.exp(-(rs**2))
-    assert np.max(np.abs(v(rs) - expected) / expected) < 1e-9
-
-
-def test_poisson_invert_hyperbolic_oracle():
-    sol = get_solution("HYP_U1")
-    u = sol.u_fn(-1.0, -1.0)
-    v = numeric.poisson_invert(lambda r: u(r) ** 2, HYP3, 3)
-    rs = np.linspace(0.1, 8.0, 17)
-    expected = 6.0 / np.cosh(rs) ** 2
-    assert np.max(np.abs(v(rs) - expected) / expected) < 1e-7
-
-
-def test_poisson_invert_far_from_unit_curvature():
-    # at kappa = -1e6 both integrals run over s = r / L with L = 1e-3; in
-    # absolute r the total charge's middle node r = 1 overflowed sinh(1000 r)
-    sol = get_solution("HYP_U1")
-    kappa = -1e6
-    u = sol.u_fn(kappa, -1.0)
-    v = numeric.poisson_invert(lambda r: u(r) ** 2, sol.space(kappa), sol.dim)
-    rs = 1e-3 * np.array([0.3, 1.0, 3.0])
-    assert np.max(np.abs(v(rs) / sol.v_fn(kappa, -1.0)(rs) - 1.0)) <= 1e-12
-
-
-def test_poisson_invert_hyperbolic_overflow(monkeypatch):
-    # past r ~ 355 the charge's density is NaN at its middle node (cosh^-4
-    # underflows where sinh^2 overflows), so M is NaN there: the side of
-    # each V(r) stops at the first such node, long settled, and
-    # V = 1/(6 cosh^2) is right wherever it is finite
-    calls = _count_calls(monkeypatch)
-    f = lambda r: 1.0 / np.cosh(r) ** 4
-    v = numeric.poisson_invert(f, HYP3, 3)
-    assert 0 < len(calls) <= 6  # the total charge (4 measured)
-    rs = np.linspace(0.1, 20.0, 50)
-    calls.clear()
-    assert np.max(np.abs(v(rs) * 6.0 * np.cosh(rs) ** 2 - 1.0)) < 1e-12
-    assert len(calls) <= 50 * 10  # per point, two calls per level (8 measured)
-    # V is not finite past the overflow, and says so
-    with pytest.raises(ValueError, match="V is not finite at r = 1000.0"):
-        v(np.array([1.0, 1000.0]))
-    # at D = 22 the density f S^21 grows like e^(17 r) until S^21 overflows:
-    # the total charge diverges, a verdict from the first level's 27 nodes
-    calls.clear()
-    with pytest.raises(ValueError, match="inversion tail diverges"):
-        numeric.poisson_invert(f, Space(Regime.HYPERBOLIC, -1.0, 22), 22)
-    assert calls == [27]
-
-
-def test_poisson_invert_fd_round_trip():
-    # -Lap_h(V_f) - f small on an interior grid, for both oracle cases;
-    # h = 1e-4 keeps the stencil truncation below the 1e-5 target
-    cases = [
-        ("FLAT_CSV", FLAT6, 0.0, -1.0),
-        ("HYP_U1", HYP3, -1.0, -1.0),
-    ]
-    h = 1e-4
-    for sid, space, kappa, alpha in cases:
-        sol = get_solution(sid)
-        u = sol.u_fn(kappa, alpha)
-        f = lambda r: u(r) ** 2
-        v = numeric.poisson_invert(f, space, sol.dim)
-        for r in np.linspace(0.5, 5.0, 7):
-            vp, v0, vm = float(v(r + h)), float(v(r)), float(v(r - h))
-            lap = (vp - 2 * v0 + vm) / h**2 + (sol.dim - 1) / scalar_T(space, r) * (vp - vm) / (2 * h)
-            assert abs(-lap - float(f(r))) <= 1e-5
-
-
 # -- variational functionals ----------------------------------------------------------
 
 
@@ -1045,23 +817,15 @@ def test_pohozaev_flat_csv():
     assert fns.Q == pytest.approx(1152.0 / 5.0 * pi3, rel=1e-8)
     rep = numeric.pohozaev_check(sol, 0.0, -1.0)
     assert rep.defect <= 1e-6
-    # independent route: Q = S_5 int u^2 V r^(D-1) with V from the nested
-    # float inversion of -Lap, not from the term algebra.  V is not finite where
-    # the inner charge's r^5 overflows (r ~ 1e61), which the rule's nodes
-    # on (0, inf) reach, so the route drops r >= 2^20 (without evaluating V
-    # there): the remainder, about 576^2 24 r^-6 / 6 = 2e-31, is below
-    # roundoff.  Exp-sinh on (0, inf) evaluates V at about 40 points, where
-    # tanh-sinh on (0, 2^20) took about 460
-    u = sol.u_fn(0.0, -1.0)
-    v = numeric.poisson_invert(lambda r: u(r) ** 2, FLAT6, 6)
+    # independent route: Q = S_5 int u^2 W r^5 dr, with S_5 = pi^3,
+    # u = 24 (1 + r^2)^-2 and its decaying potential W = (-Lap)^-1 u^2 =
+    # 24 (1 + r^2)^-2 typed in, neither from the term algebra, by 30-digit
+    # mpmath quad
+    import mpmath as mp
 
-    def energy(r):
-        out, near = np.zeros_like(r), r < 2.0**20
-        out[near] = u(r[near]) ** 2 * v(r[near]) * r[near] ** 5
-        return out
-
-    direct = integrate_radial(energy, 0.0, math.inf, rel_tol=1e-9) * sphere_area(6)
-    assert fns.Q == pytest.approx(direct, rel=1e-7)
+    with mp.workdps(30):
+        direct = mp.pi**3 * mp.quad(lambda r: 24**3 * (1 + r**2) ** -6 * r**5, [0, 1, mp.inf])
+    assert fns.Q == pytest.approx(float(direct), rel=1e-7)
 
 
 _Q_CLOSED_FORMS = [
