@@ -172,31 +172,28 @@ class Solution(DerivationHit):
         """r -> [each named field, a key of `_SCALE_POWERS`] at (kappa, alpha),
         from one table (:func:`ccsp.numeric.compile_table`), each field bit for
         bit its expression compiled alone.  A scaled field is a^power f(r/a),
-        the scale acting once, as r/a; an a^power past the floats raises ValueError."""
+        the scale acting once, as r/a: a^power outside the normal doubles raises
+        ValueError (:meth:`_scale_power`), and a product past the floats is inf."""
         from .numeric import compile_table
 
         exprs = [getattr(self, name) if name in ("u", "V", "K", "rho") else self._derivatives[name] for name in names]
         table = compile_table(exprs, self.space(kappa), alpha, self.amp_sq_value(kappa, alpha))
         if self.scale == 1.0:
             return table
+        import numpy as np  # loaded with compile_table
+
         a = self.scale
+        factors = [self._scale_power(_SCALE_POWERS[name], "a field") for name in names]
+        return np.errstate(over="ignore", invalid="ignore")(lambda r: [v * f for v, f in zip(table(r / a), factors)])
+
+    def _scale_power(self, k: int, what: str) -> float:
+        """a^k of the flat scale a; outside the normal doubles it raises ValueError."""
         try:
-            factors = [a ** _SCALE_POWERS[name] for name in names]
+            if (power := self.scale**k) >= sys.float_info.min:
+                return power
         except OverflowError:
-            raise ValueError(f"{self.id}: scale {a!r} puts a field outside the float range") from None
-        return lambda r: [v * factor for v, factor in zip(table(r / a), factors)]
-
-    def u_fn(self, kappa: float, alpha: float) -> Callable:
-        fields = self.fields_fn(kappa, alpha, "u")
-        return lambda r: fields(r)[0]
-
-    def v_fn(self, kappa: float, alpha: float) -> Callable:
-        fields = self.fields_fn(kappa, alpha, "V")
-        return lambda r: fields(r)[0]
-
-    def rho_fn(self, kappa: float, alpha: float) -> Callable:
-        fields = self.fields_fn(kappa, alpha, "rho")
-        return lambda r: fields(r)[0]
+            pass
+        raise ValueError(f"{self.id}: scale {self.scale!r} puts {what} outside the float range")
 
     # only flat entries scale, and their omega is 0 and their one pole the origin
     def omega_value(self, kappa: float) -> float:
@@ -213,11 +210,8 @@ class Solution(DerivationHit):
         v = self.mass.value(kappa, alpha)
         if self.mass_convention == RADIAL_INTEGRAL:
             v *= sphere_area(self.dim)
-        try:
-            v *= self.scale ** (self.dim - 4)
-        except OverflowError:
-            v = math.inf
-        if not math.isfinite(v):  # the scale's mass factor a^(D-4), or its product, leaves the floats
+        v *= self._scale_power(self.dim - 4, "the mass")
+        if not math.isfinite(v):  # the product with the scale's mass factor a^(D-4) leaves the floats
             raise ValueError(f"{self.id}: scale {self.scale!r} puts the mass outside the float range")
         if abs(v) < sys.float_info.min:
             raise ValueError(f"closed-form mass = {v!r} is below the normal doubles at kappa = {kappa!r}, alpha = {alpha!r}")

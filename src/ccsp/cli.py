@@ -334,7 +334,7 @@ def _cmd_verify(args) -> int:
             "id": r.solution_id,
             "schrodinger": r.schrodinger_residual_max,
             "poisson": r.poisson_residual_max,
-            "mass": r.mass_numeric if r.mass_numeric is not None else "-",
+            "mass": r.mass_numeric,
             "passed": r.passed,
         }
         for r in reports

@@ -1,5 +1,5 @@
 """Numerical verification layer: array evaluation, quadrature, PDE
-residuals.  This is the only module besides the CLI that imports numpy.
+residuals.  Besides the CLI, only this module imports numpy on load.
 
 Everything here treats the symbolic layer as ground truth and checks it
 with independent machinery:
@@ -472,9 +472,9 @@ def mass(
     offending end of the domain; a finite one below the normal doubles raises,
     and so does a QuadratureError, naming the entry, kappa and alpha.
     """
-    u = sol.u_fn(kappa, alpha)
+    fields = sol.fields_fn(kappa, alpha, "u")
     try:
-        m = _manifold_integral(sol, kappa, lambda r: u(r) ** 2, rel_tol, sphere_factor=include_sphere_factor)
+        m = _manifold_integral(sol, kappa, lambda r: fields(r)[0] ** 2, rel_tol, sphere_factor=include_sphere_factor)
     except QuadratureError as error:
         raise _named(error, sol, kappa, alpha) from None
     if not isinstance(m, Divergent) and abs(m) < sys.float_info.min:
@@ -558,22 +558,20 @@ class CompactnessReport(NamedTuple):
     detail: str
 
 
-def compactness_obstruction_check(sol: "Solution", kappa: float = 1.0, alpha: Optional[float] = None) -> CompactnessReport:
+def compactness_obstruction_check(sol: "Solution", kappa: float = 1.0) -> CompactnessReport:
     """On the sphere a regular homogeneous solution would force
     integral(u^2) = 0, a contradiction; so homogeneous entries must be
     singular somewhere, and background entries must balance charge:
     integral(u^2 + rho) = 0 over the whole manifold, to 1e-10 integral(u^2)."""
     if sol.regime is not Regime.SPHERICAL:
         raise ValueError("compactness check applies to spherical solutions")
-    if alpha is None:
-        alpha = sol.default_alpha
     sol.space(kappa)  # an invalid kappa raises before anything else
     has_sing = bool(sol.singular_radii)
     if sol.rho.is_zero:
         detail = ("singular set nonempty, as the charge-balance obstruction requires" if has_sing
                   else "CONTRADICTION: regular homogeneous solution on a compact manifold")
         return CompactnessReport(sol.id, has_sing, has_sing, None, detail)
-    fields = sol.fields_fn(kappa, alpha, "u", "rho")
+    fields = sol.fields_fn(kappa, sol.default_alpha, "u", "rho")
 
     def rows(r):  # the charge and the mass it is judged against: one stacked integral
         u, rho = fields(r)
@@ -597,16 +595,13 @@ def default_grid(sol: "Solution", kappa: float) -> np.ndarray:
     endpoints and by ~1 from genuine poles of the profile."""
     unit = sol.space(Space.unit_kappa(sol.regime))
     sing = sol.singular_radii_values(unit.kappa)
+    # the insets take at most 0.9 of a segment, each at least pi/2 wide: none is empty
     segments = []
     for a, b in pairwise(_cuts(min(unit.r_max, GRID_R_CAP), sing)):
         width = b - a
         inset_a = min(1.0, 0.45 * width) if a in sing else min(0.1, 0.25 * width)
         inset_b = min(1.0, 0.45 * width) if b in sing else min(0.1, 0.25 * width)
-        aa, bb = a + inset_a, b - inset_b
-        if bb > aa:
-            segments.append((aa, bb))
-    if not segments:
-        raise ValueError("no smooth segment wide enough for a grid")
+        segments.append((a + inset_a, b - inset_b))
     per = max(8, GRID_POINTS // len(segments))
     # the segments are disjoint and increasing, so the radii already are
     return sol.length(kappa) * np.concatenate([np.linspace(a, b, per) for a, b in segments])
@@ -751,7 +746,7 @@ class VerificationReport(NamedTuple):
     alpha: float
     schrodinger_residual_max: float
     poisson_residual_max: float
-    mass_numeric: Optional[Quadrature]
+    mass_numeric: Quadrature
     mass_expected: Optional[float]
     pohozaev_defect: Optional[Quadrature]
     passed: bool

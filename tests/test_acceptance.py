@@ -155,10 +155,10 @@ def _central_difference_residual(sol, kappa, alpha, h):
     # Laplacian at step h, on verify's grid, normalized as fd_residual is
     space = sol.space(kappa)
     r = numeric.default_grid(sol, kappa)
-    u_fn, v_fn = sol.u_fn(kappa, alpha), sol.v_fn(kappa, alpha)
-    u, v = u_fn(r), v_fn(r)
-    schro = -fd_laplacian(u_fn, space, r, h) + alpha * v * u - sol.omega_value(kappa) * u
-    poisson = -fd_laplacian(v_fn, space, r, h) - u**2 - sol.rho_fn(kappa, alpha)(r)
+    fields = sol.fields_fn(kappa, alpha, "u", "V", "rho")
+    u, v, rho = fields(r)
+    schro = -fd_laplacian(lambda x: fields(x)[0], space, r, h) + alpha * v * u - sol.omega_value(kappa) * u
+    poisson = -fd_laplacian(lambda x: fields(x)[1], space, r, h) - u**2 - rho
     return max(np.max(np.abs(schro)), np.max(np.abs(poisson))) / max(np.max(np.abs(u)), 1.0)
 
 

@@ -2,13 +2,16 @@ import json
 import math
 import pickle
 import re
+import warnings
 from fractions import Fraction as F
+from itertools import product
 
 import numpy as np
 import pytest
 
 from ccsp.catalog import (
     CATALOG,
+    _SCALE_POWERS,
     GradedMass,
     NotScalableError,
     Solution,
@@ -28,7 +31,7 @@ from ccsp.derivation import (
     solve_homogeneous,
 )
 from ccsp.geometry import Regime
-from ccsp.numeric import compactness_obstruction_check, verify_solution
+from ccsp.numeric import compactness_obstruction_check, fd_residual, verify_solution
 from ccsp.symbolic import Basis, Graded, RadialExpr
 
 ALL_IDS = [s.id for s in CATALOG]
@@ -148,11 +151,11 @@ def test_every_curved_grade_has_its_length_dimension():
 def test_key_amplitudes_and_frequencies():
     csv = get_solution("FLAT_CSV")
     assert csv.x_law == Graded(F(-576))
-    assert csv.u_fn(0.0, -1.0)(0.0) == pytest.approx(24.0)
+    assert csv.fields_fn(0.0, -1.0, "u")(0.0) == [pytest.approx(24.0)]
     assert csv.omega_value(0.0) == 0.0
 
     u1 = get_solution("HYP_U1")
-    assert u1.u_fn(-1.0, -1.0)(0.0) == pytest.approx(6.0)
+    assert u1.fields_fn(-1.0, -1.0, "u")(0.0) == [pytest.approx(6.0)]
     assert u1.omega_value(-1.0) == 0.0
 
     u3 = get_solution("HYP_U3")
@@ -161,10 +164,10 @@ def test_key_amplitudes_and_frequencies():
     sph3 = get_solution("SPH_U3")
     assert sph3.alpha_sign is AlphaSign.REPULSIVE
     assert sph3.omega_value(1.0) == pytest.approx(-2.0)
-    assert sph3.u_fn(1.0, 1.0)(math.pi / 2) == pytest.approx(math.sqrt(2.0))
+    assert sph3.fields_fn(1.0, 1.0, "u")(math.pi / 2) == [pytest.approx(math.sqrt(2.0))]
 
     sech = get_solution("BG_1D_SECH")
-    assert sech.u_fn(-1.0, 1.0)(0.0) == pytest.approx(math.sqrt(8.0))
+    assert sech.fields_fn(-1.0, 1.0, "u")(0.0) == [pytest.approx(math.sqrt(8.0))]
 
 
 def test_singular_radii():
@@ -241,10 +244,10 @@ def test_scale_identity():
 def test_scale_profile_and_mass_law():
     csv = get_solution("FLAT_CSV")
     scaled = scale_flat_solution(csv, 2.0)
-    u = scaled.u_fn(0.0, -1.0)
+    u = scaled.fields_fn(0.0, -1.0, "u")
     # u_a(r) = a^-2 u(r/a)
-    assert u(0.0) == pytest.approx(6.0)
-    assert u(2.0) == pytest.approx(0.25 * 24.0 / (1 + 1.0) ** 2)
+    assert u(0.0) == [pytest.approx(6.0)]
+    assert u(2.0) == [pytest.approx(0.25 * 24.0 / (1 + 1.0) ** 2)]
     assert scaled.expected_mass_value(0.0, -1.0) == pytest.approx(4.0 * csv.expected_mass_value(0.0, -1.0))
     assert scale_flat_solution(scaled, 3.0).scale == 6.0
     # the scale never acts on omega, the poles or rho: flat omega is 0, the
@@ -255,7 +258,8 @@ def test_scale_profile_and_mass_law():
         scaled = scale_flat_solution(sol, 2.0)
         assert scaled.omega_value(0.0) == sol.omega_value(0.0) == 0.0
         assert scaled.singular_radii_values(0.0) == sol.singular_radii_values(0.0)
-        assert list(scaled.rho_fn(0.0, -1.0)(rs)) == list(sol.rho_fn(0.0, -1.0)(rs)) == [0.0] * len(rs)
+        (rho,), (scaled_rho,) = sol.fields_fn(0.0, -1.0, "rho")(rs), scaled.fields_fn(0.0, -1.0, "rho")(rs)
+        assert list(scaled_rho) == list(rho) == [0.0] * len(rs)
     assert get_solution("FLAT_SINGULAR_D6").singular_radii_values(0.0) == (0.0,)
 
 
@@ -266,6 +270,69 @@ def test_scale_rejects_curved():
         scale_flat_solution(get_solution("BG_FLAT_N3_D4"), 2.0)
     with pytest.raises(ValueError):
         scale_flat_solution(get_solution("FLAT_CSV"), -1.0)
+
+
+def _tangent_defects(sol, p, q):
+    # L1 and L2, the field equations linearized at (u, V) and applied to the
+    # tangent d/da (a^p u(r/a), a^q V(r/a)) at a = 1: (p u - r u', q V - r V')
+    basis = sol.family
+    r = RadialExpr.monomial(basis, 1, odd=1) if basis is Basis.FLAT_C else RadialExpr.monomial(basis, 1, base=1)
+    u, v = sol.u, sol.V
+    phi, psi = u * p - r * u.diff(), v * q - r * v.diff()
+    omega = RadialExpr.monomial(basis, sol.omega.coef, kappa=sol.omega.kappa)
+    l1 = -phi.laplacian(sol.dim) + (v * phi + u * psi).scale_grades(alpha=1) - omega * phi
+    l2 = -psi.laplacian(sol.dim) - (u * phi * 2).substitute_amp_sq(sol.x_law)
+    return l1, l2
+
+
+@pytest.mark.parametrize("sid", ["FLAT_CSV", "FLAT_SINGULAR_D3", "FLAT_SINGULAR_D6"])
+def test_scale_powers_are_the_exact_tangent_of_the_scaling_family(sid):
+    # the scaled pair solves both equations for every a exactly when its
+    # tangent at a = 1 does: at the table's (p, q), and at no neighbour
+    sol = get_solution(sid)
+    p, q = _SCALE_POWERS["u"], _SCALE_POWERS["V"]
+    assert all(defect.is_zero for defect in _tangent_defects(sol, p, q))
+    for dp, dq in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+        assert not all(defect.is_zero for defect in _tangent_defects(sol, p + dp, q + dq)), (dp, dq)
+    powers = {"du": p - 1, "d2u": p - 2, "dV": q - 1, "d2V": q - 2, "K": 2 * p + 2, "rho": q - 2}
+    assert {name: _SCALE_POWERS[name] for name in powers} == powers
+
+
+def _exact_value(expr, b2, neg_kappa, alpha):
+    # an amplitude-free expression of even base powers and no odd factor, at B^2 = b2
+    assert all(t.base % 2 == 0 and t.odd == 0 and t.amp == 0 for t in expr.terms), expr
+    return sum(t.coeff * b2 ** (t.base // 2) * neg_kappa**t.kappa * alpha**t.alpha for t in expr.terms)
+
+
+def _conformal_image_faults(hyp):
+    # the points where hyp (kappa = -lam^2) is not the conformal image of
+    # FLAT_CSV scaled by a = 1/lam: with t = tanh(lam r / 2), the ball radius
+    # is t/lam, C = cosh(lam r) = (1 + t^2)/(1 - t^2) and the factor 1 + C
+    flat = get_solution("FLAT_CSV")
+    u2_hyp = (hyp.u * hyp.u).substitute_amp_sq(hyp.x_law)
+    u2_flat = (flat.u * flat.u).substitute_amp_sq(flat.x_law)
+    faults = []
+    for lam, alpha, t in product((F(1), F(2), F(1, 3)), (F(-1), F(-5, 2)), (F(1, 5), F(1, 2), F(7, 9))):
+        a, c = 1 / lam, (1 + t**2) / (1 - t**2)
+        flat_b2 = 1 + (t / lam / a) ** 2  # c^2 at rho/a
+        v_image = (1 + c) ** -2 * a ** _SCALE_POWERS["V"] * _exact_value(flat.V, flat_b2, 0, alpha)
+        u_image = (1 + c) ** -2 * a ** _SCALE_POWERS["u"]
+        if (_exact_value(hyp.V, c**2, lam**2, alpha) != v_image
+                or _exact_value(u2_hyp, c**2, lam**2, alpha) != u_image**2 * _exact_value(u2_flat, flat_b2, 0, alpha)):
+            faults.append((lam, alpha, t))
+    return faults
+
+
+def test_hyperbolic_d6_background_is_the_conformal_image_of_the_scaled_flat_bubble():
+    # in D = 6 the hyperbolic ball is conformal to the flat one, and fields of
+    # length dimension -2 carry the factor (1 + C)^-2; u is compared through
+    # u^2, where A^2 = X/alpha is rational
+    hyp = get_solution("BG_HYP_N2_D6")
+    assert _conformal_image_faults(hyp) == []
+    assert hyp.omega == Graded(6, 1)
+    assert hyp.rho == hyp.V.scale_grades(kappa=1) * 6
+    # omega shifted by (-kappa) moves V by a constant, which the image has not
+    assert len(_conformal_image_faults(hyp._replace(omega=Graded(7, 1)))) == 18
 
 
 # -- the tail integral K ---------------------------------------------------------
@@ -403,6 +470,14 @@ def test_from_json_rejects_a_record_its_derivation_disagrees_with():
     assert Solution.from_json_obj(obj) == get_solution("FLAT_CSV")
 
 
+def test_from_json_rejects_a_profile_of_two_terms():
+    obj = get_solution("FLAT_CSV").to_json_obj()
+    term = obj["u"]["terms"][0]
+    two_terms = {**obj, "u": {**obj["u"], "terms": [term, {**term, "base": -2}]}}
+    with pytest.raises(ValueError, match=r"^FLAT_CSV: u must be a single monomial A\*base\^n$"):
+        Solution.from_json_obj(two_terms)
+
+
 @pytest.mark.parametrize("sid, kappa_pow", [("FLAT_CSV", 0), ("HYP_U1", 1)])
 def test_from_json_rejects_a_record_whose_omega_is_not_its_cells_frequency(sid, kappa_pow):
     # omega and V shifted by one gauge constant c (V by c/alpha) still solve
@@ -455,7 +530,7 @@ def test_a_scale_that_puts_a_field_outside_the_float_range_is_a_value_error():
         verify_solution(sol, 0.0, -1.0)
     # u alone: a^-2 is 1e400 at a = 1e-200
     with pytest.raises(ValueError, match="FLAT_CSV: scale 1e-200 puts a field outside the float range"):
-        scale_flat_solution(get_solution("FLAT_CSV"), 1e-200).u_fn(0.0, -1.0)
+        scale_flat_solution(get_solution("FLAT_CSV"), 1e-200).fields_fn(0.0, -1.0, "u")
 
 
 @pytest.mark.parametrize("scale", [1e200, 1e154])
@@ -465,6 +540,30 @@ def test_a_scale_that_puts_the_mass_outside_the_float_range_is_a_value_error(sca
     sol = scale_flat_solution(get_solution("FLAT_CSV"), scale)
     with pytest.raises(ValueError, match=rf"^FLAT_CSV: scale {re.escape(repr(scale))} puts the mass outside the float range$"):
         sol.expected_mass_value(0.0, -1.0)
+
+
+def test_a_power_of_the_scale_below_the_normal_doubles_is_a_value_error():
+    # a^-4 of u'' and V'' is 1e-400 at a = 1e100, which rounded to 0.0: every
+    # field was 0 and fd_residual returned (0.0, 0.0), checking nothing
+    csv = get_solution("FLAT_CSV")
+    with pytest.raises(ValueError, match=r"^FLAT_CSV: scale 1e\+100 puts a field outside the float range$"):
+        fd_residual(scale_flat_solution(csv, 1e100), 0.0, -1.0)
+    # u alone: a^-2 is 1e-400 at a = 1e200
+    with pytest.raises(ValueError, match=r"^FLAT_CSV: scale 1e\+200 puts a field outside the float range$"):
+        scale_flat_solution(csv, 1e200).fields_fn(0.0, -1.0, "u")
+    # the mass factor a^2 is 1e-400 at a = 1e-200: the message named kappa and alpha, not the scale
+    with pytest.raises(ValueError, match=r"^FLAT_CSV: scale 1e-200 puts the mass outside the float range$"):
+        scale_flat_solution(csv, 1e-200).expected_mass_value(0.0, -1.0)
+
+
+def test_a_scaled_field_past_the_floats_is_inf_without_a_warning():
+    # at a = 1e-77 every a^power is finite (a^-4 = 1e308), but u'' a^-4 is not:
+    # the scaled product overflowed outside any errstate and warned
+    sol = scale_flat_solution(get_solution("FLAT_CSV"), 1e-77)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        residuals = fd_residual(sol, 0.0, -1.0)
+    assert not any(math.isfinite(x) for x in residuals), residuals
 
 
 def test_a_closed_form_mass_below_the_normal_doubles_is_a_value_error():

@@ -292,6 +292,7 @@ _BAD_HITS = {
     "INT_X_LAW_COEF": (lambda hit: hit["x_law"].update(coef=-576), "homogeneous", "malformed"),
     "BOOL_OMEGA_COEF": (lambda hit: hit["omega"].update(coef=True), "homogeneous", "malformed"),
     "FLOAT_RHO_COEFF": (_rho_term(lambda t: t.update(coeff=256.0)), "background", "malformed"),
+    "ZERO_DIM": (lambda hit: hit.update(dim=0), "homogeneous", "dimension must be >= 1, got 0"),
 }
 
 
@@ -823,3 +824,31 @@ def test_verify_rejects_a_residual_tol_that_is_not_finite_and_nonnegative(value)
 def test_eval_grid_bounds_must_be_finite(grid):
     code, out, _ = run(["eval", "FLAT_CSV", "--r", grid])
     assert code == 2 and out == ""
+
+
+# -- parameter errors: one line each, exit 2 ----------------------------------------
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["mass", "HYP_U1", "--kappa=-1", "--R=1"], "give either --kappa or --R, not both"),
+    (["mass", "HYP_U1", "--R=0"], "--R must be positive"),
+    (["verify"], "give a catalog id or --hit-file"),
+    (["verify", "FLAT_CSV", "--alpha=0"], "alpha must be finite and nonzero"),
+    (["verify", "FLAT_CSV", "--alpha=nan"], "alpha must be finite and nonzero"),
+    (["mass", "HYP_U1", "--kappa=inf"], "kappa must be finite"),
+    (["mass", "HYP_U1", "--kappa=nan"], "kappa must be finite"),
+])
+def test_a_bad_parameter_is_a_one_line_error(argv, message):
+    code, out, err = run(argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv, flag, message", [
+    (["derive", "--family", "flat-c", "-n", "5"], "-n/--n-range", "expected a..b, got '5'"),
+    (["derive", "--family", "flat-c", "-n", "3..1"], "-n/--n-range", "empty range '3..1'"),
+    (["eval", "FLAT_CSV", "--r", "0:1"], "--r", "expected lo:hi:count, got '0:1'"),
+])
+def test_a_malformed_range_names_its_flag(argv, flag, message):
+    code, out, err = run(argv)
+    assert code == 2 and out == ""
+    assert err.splitlines()[-1] == f"ccsp {argv[0]}: error: argument {flag}: {message}", err

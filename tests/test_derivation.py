@@ -278,7 +278,7 @@ RADII = (0.0, 0.5, 1.0, 2.0, 5.0)
 
 def _rho_values(hit):
     sol = solution_from_hit(hit, id=f"{hit.family.value}:n{hit.n}:D{hit.dim}")
-    return sol.rho_fn(Space.unit_kappa(hit.regime), hit.default_alpha)(RADII)
+    return sol.fields_fn(Space.unit_kappa(hit.regime), hit.default_alpha, "rho")(RADII)[0]
 
 
 def test_classify_inverse_c_n1():
@@ -407,7 +407,7 @@ def test_amplitude_free_hit_json_round_trip():
     assert DerivationHit.from_json_obj(obj) == hit
     # the amplitude-free source is negative for either coupling sign
     for alpha in (1.0, -1.0):
-        assert (sol.rho_fn(1.0, alpha)((0.0, 0.5, 1.5)) < 0).all()
+        assert (sol.fields_fn(1.0, alpha, "rho")((0.0, 0.5, 1.5))[0] < 0).all()
 
 
 # -- the search against the direct-Laplacian oracle ---------------------------

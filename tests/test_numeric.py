@@ -46,7 +46,7 @@ def test_flat_entry_rejects_nonzero_kappa():
     with pytest.raises(ValueError):
         numeric.fd_residual(sol, 5.0, -1.0)
     with pytest.raises(ValueError):
-        sol.u_fn(5.0, -1.0)
+        sol.fields_fn(5.0, -1.0, "u")
 
 
 # -- quadrature ----------------------------------------------------------------
@@ -374,7 +374,7 @@ def test_stacked_manifold_integral_drops_a_diverged_row(monkeypatch):
     # SPH_U1's u^2 diverges at its pole on the equator, the end of the first
     # segment; the constant row goes on into the second alone
     sol = get_solution("SPH_U1")
-    u = sol.u_fn(1.0, -1.0)
+    fields = sol.fields_fn(1.0, -1.0, "u")
     rows = []
     integrate = numeric.integrate_radial
 
@@ -383,7 +383,7 @@ def test_stacked_manifold_integral_drops_a_diverged_row(monkeypatch):
 
     monkeypatch.setattr(numeric, "integrate_radial", counted)
     with np.errstate(all="ignore"):
-        got = numeric._manifold_integral(sol, 1.0, lambda r: np.array([u(r) ** 2, np.ones_like(r)]), 1e-10)
+        got = numeric._manifold_integral(sol, 1.0, lambda r: np.array([fields(r)[0] ** 2, np.ones_like(r)]), 1e-10)
     monkeypatch.undo()
     assert got[0] == Divergent("r=1.5708") == mass(sol, 1.0, -1.0, 1e-10)
     assert got[1] == numeric._manifold_integral(sol, 1.0, lambda r: np.ones_like(r), 1e-10)
@@ -463,11 +463,11 @@ def test_divergence_probe_stops_at_first_non_finite_node(kappa):
     # overflow once took about 25,000 panels)
     sizes = []
     sol = get_solution("BG_HYP_N1_D6")
-    u = sol.u_fn(kappa, sol.default_alpha)
+    fields = sol.fields_fn(kappa, sol.default_alpha, "u")
 
     def g(r):
         sizes.append(np.size(r))
-        return u(r) ** 2
+        return fields(r)[0] ** 2
 
     assert numeric._manifold_integral(sol, kappa, g, numeric.DEFAULT_REL_TOL) == Divergent("large-r")
     assert sizes == [27]
@@ -668,8 +668,8 @@ def test_divergence_tag_comes_from_the_segment(monkeypatch, sid, kappa, segment,
 
 def test_charge_balance_sech():
     sol = get_solution("BG_1D_SECH")
-    rho = sol.rho_fn(-1.0, 1.0)
-    neg_rho_total = integrate_radial(lambda r: -rho(r), 0.0, math.inf)
+    fields = sol.fields_fn(-1.0, 1.0, "rho")
+    neg_rho_total = integrate_radial(lambda r: -fields(r)[0], 0.0, math.inf)
     neg_rho_total *= sphere_area(1)
     m = mass(sol, -1.0, 1.0)
     assert m == pytest.approx(neg_rho_total, rel=1e-8)
@@ -791,7 +791,7 @@ def test_residuals_at_roundoff_and_sensitive_to_shifts(monkeypatch):
                 assert by_x > 0 and by_x >= 1e3 * base, (sol.id, kappa, alpha, base, by_x)
                 shifted["X"] += 1
             omega = omega_value(sol, kappa)
-            v = sol.v_fn(kappa, alpha)(default_grid(sol, kappa))
+            (v,) = sol.fields_fn(kappa, alpha, "V")(default_grid(sol, kappa))
             d_omega = 1e-6 * max(abs(omega), float(np.max(np.abs(alpha * v - omega))))
             if d_omega:
                 # shift the value fd_residual reads: shifting omega in the
