@@ -50,7 +50,7 @@ from .derivation import (
     solution_exprs,
 )
 from .geometry import Regime, Space, sphere_area
-from .symbolic import Basis, Graded, RadialExpr, ZERO_GRADED, json_int
+from .symbolic import Basis, Graded, RadialExpr, ZERO_GRADED, _float_result, json_int
 
 __all__ = [
     "GradedMass",
@@ -204,18 +204,16 @@ class Solution(DerivationHit):
         return tuple(sorted(_TAG_RADII[t](space) for t in self.singular_radii))
 
     def expected_mass_value(self, kappa: float, alpha: float) -> Optional[float]:
-        """Closed-form full-manifold mass, or None for infinite-mass entries."""
+        """Closed-form full-manifold mass, or None for infinite-mass entries; outside the normal doubles, ValueError."""
         if self.mass is None:
             return None
         v = self.mass.value(kappa, alpha)
         if self.mass_convention == RADIAL_INTEGRAL:
             v *= sphere_area(self.dim)
         v *= self._scale_power(self.dim - 4, "the mass")
-        if not math.isfinite(v):  # the product with the scale's mass factor a^(D-4) leaves the floats
+        if not math.isfinite(v) and self.scale != 1.0:  # the product with the scale's mass factor a^(D-4)
             raise ValueError(f"{self.id}: scale {self.scale!r} puts the mass outside the float range")
-        if abs(v) < sys.float_info.min:
-            raise ValueError(f"closed-form mass = {v!r} is below the normal doubles at kappa = {kappa!r}, alpha = {alpha!r}")
-        return v
+        return _float_result("closed-form mass", v, f"kappa = {kappa!r}, alpha = {alpha!r}")
 
     # -- serialization -------------------------------------------------
 

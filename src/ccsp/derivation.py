@@ -103,15 +103,6 @@ class AlphaSign(str, Enum):
     ATTRACTIVE = "attractive"  # alpha < 0
     REPULSIVE = "repulsive"    # alpha > 0
 
-    @classmethod
-    def of(cls, x_law: Optional[Graded], regime: Regime) -> Optional["AlphaSign"]:
-        """The coupling sign that makes A^2 = X/alpha positive: the sign of
-        X in `regime`.  None for an amplitude-free solution, which works
-        with either sign."""
-        if x_law is None:
-            return None
-        return cls.REPULSIVE if x_law.sign(regime) > 0 else cls.ATTRACTIVE
-
 
 class AnsatzFamily(NamedTuple):
     """A trial-profile family together with its integer exponent."""
@@ -149,8 +140,12 @@ class DerivationHit(NamedTuple):
 
     @property
     def alpha_sign(self) -> Optional[AlphaSign]:
-        """None: valid for either coupling sign."""
-        return AlphaSign.of(self.x_law, self.regime)
+        """The coupling sign that makes A^2 = X/alpha positive: the sign of
+        X in the regime.  None for an amplitude-free solution, which works
+        with either sign."""
+        if self.x_law is None:
+            return None
+        return AlphaSign.REPULSIVE if self.x_law.sign(self.regime) > 0 else AlphaSign.ATTRACTIVE
 
     @property
     def default_alpha(self) -> float:
@@ -212,12 +207,13 @@ class DerivationHit(NamedTuple):
     @classmethod
     def from_json_obj(cls, obj: dict) -> "DerivationHit":
         """A hit from its `to_json_obj` form; a malformed field raises
-        TypeError or ValueError (a missing one KeyError)."""
+        TypeError or ValueError (a missing one KeyError), and so does a
+        homogeneous hit with a source."""
         mode, notes = obj["mode"], obj.get("notes", "")
         _check_mode(mode)
         if type(notes) is not str:
             raise TypeError(f"notes must be a string, got {notes!r}")
-        return cls(
+        hit = cls(
             family=Basis(obj["family"]),
             n=json_int(obj["n"]),
             dim=json_int(obj["dim"]),
@@ -227,6 +223,9 @@ class DerivationHit(NamedTuple):
             omega=Graded.from_json_obj(obj["omega"]),
             rho=RadialExpr.from_json_obj(obj["rho"]),
         )
+        if mode == "homogeneous" and not hit.rho.is_zero:  # the search never writes one
+            raise ValueError(f"a homogeneous hit has the source rho = {hit.rho}")
+        return hit
 
 
 class Candidate(NamedTuple):
@@ -343,16 +342,14 @@ class GradedMass(NamedTuple):
     alpha_pow: int = -1
 
     def value(self, kappa: float, alpha: float) -> float:
+        """The float value; inf where a float power overflows."""
         v = float(self.coef)
         if self.sphere_sub is not None:
             v *= sphere_area(self.sphere_sub + 1)
-        if self.pi_pow:
-            v *= math.pi**self.pi_pow
-        if self.kappa_pow2:
-            v *= abs(kappa) ** (self.kappa_pow2 / 2.0)
-        if self.alpha_pow:
-            v *= abs(alpha) ** self.alpha_pow
-        return v
+        try:
+            return v * math.pi**self.pi_pow * abs(kappa) ** (self.kappa_pow2 / 2.0) * abs(alpha) ** self.alpha_pow
+        except OverflowError:
+            return math.inf
 
     def to_json_obj(self) -> dict:
         return {

@@ -63,10 +63,6 @@ class Space(_SpaceFields):
     def _make(cls, fields) -> "Space":
         return cls(*fields)  # so that _replace checks too
 
-    @property
-    def neg_kappa(self) -> float:
-        return -self.kappa
-
     @staticmethod
     def unit_kappa(regime: Regime) -> float:
         """The default curvature of a regime: 0, -1 or +1."""

@@ -47,7 +47,6 @@ with independent machinery:
 from __future__ import annotations
 
 import math
-import sys
 from bisect import bisect_left
 from functools import lru_cache
 from itertools import pairwise
@@ -56,7 +55,7 @@ from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence, Unio
 import numpy as np
 
 from .geometry import Regime, Space, sphere_area
-from .symbolic import Basis, RadialExpr, _power
+from .symbolic import Basis, RadialExpr, _float_result, _power
 
 if TYPE_CHECKING:  # pragma: no cover
     from .catalog import Solution
@@ -142,7 +141,7 @@ def compile_table(exprs: Sequence[RadialExpr], space: Space, alpha: float, amp_s
     for expr in exprs[1:]:
         exprs[0]._require_same_basis(expr)
     basis.check_regime(space.regime)
-    nk = space.neg_kappa
+    nk = -space.kappa
     amp = math.sqrt(amp_sq)
     table = []
     for expr in exprs:
@@ -469,36 +468,21 @@ def mass(
 
     Rejects parameters whose signs are incompatible with the solution's
     amplitude law.  Divergence is a legitimate answer, tagged with the
-    offending end of the domain; a finite one below the normal doubles raises,
-    and so does a QuadratureError, naming the entry, kappa and alpha.
+    offending end of the domain; a finite one outside the normal doubles
+    raises, and so does a QuadratureError, naming the entry, kappa and alpha.
     """
     fields = sol.fields_fn(kappa, alpha, "u")
     try:
         m = _manifold_integral(sol, kappa, lambda r: fields(r)[0] ** 2, rel_tol, sphere_factor=include_sphere_factor)
     except QuadratureError as error:
         raise _named(error, sol, kappa, alpha) from None
-    if not isinstance(m, Divergent) and abs(m) < sys.float_info.min:
-        raise ValueError(f"mass = {m!r} is below the normal doubles at kappa = {kappa!r}, alpha = {alpha!r}")
-    return m
+    return m if isinstance(m, Divergent) else _float_result("mass", m, f"kappa = {kappa!r}, alpha = {alpha!r}")
 
 
 def _named(error: QuadratureError, sol: "Solution", kappa: float, alpha: float) -> QuadratureError:
     """`error` with the entry, kappa and alpha (and a flat scale) it was raised at."""
     scale = f", scale = {sol.scale!r}" if sol.scale != 1.0 else ""
     return QuadratureError(f"{sol.id} at kappa = {kappa!r}, alpha = {alpha!r}{scale}: {error}")
-
-
-def _weighted(space: Space, g: Callable, power: int) -> Callable:
-    """r -> g(r) S(r)^power, with S the space's curvature-scaled sine.
-    Overflow and poles give inf or nan, which the quadrature reports (it
-    evaluates f with floating-point errors ignored)."""
-    s_fn = metric(space).S
-
-    def f(r):
-        r = np.asarray(r, dtype=float)
-        return g(r) * s_fn(r) ** power
-
-    return f
 
 
 def _cuts(r_max: float, poles: tuple[float, ...]) -> list[float]:
@@ -522,7 +506,10 @@ def _manifold_integral(
     endpoint, and a divergence is tagged with the offending end of the
     domain; a row that diverges takes no part in the later segments."""
     space = sol.space(kappa)
-    f = _weighted(space, g, sol.dim - 1)
+    s_fn, power = metric(space).S, sol.dim - 1
+    # overflow and poles give inf or nan, which the quadrature reports (it
+    # evaluates f with floating-point errors ignored)
+    f = lambda r: g(r) * s_fn(r) ** power
     length = sol.length(kappa)
     unit = f if length == 1.0 else lambda s: f(length * s) * length  # times 1.0 would change no bit
     totals: list = []  # per row, its sum so far or its divergence
@@ -562,7 +549,8 @@ def compactness_obstruction_check(sol: "Solution", kappa: float = 1.0) -> Compac
     """On the sphere a regular homogeneous solution would force
     integral(u^2) = 0, a contradiction; so homogeneous entries must be
     singular somewhere, and background entries must balance charge:
-    integral(u^2 + rho) = 0 over the whole manifold, to 1e-10 integral(u^2)."""
+    integral(u^2 + rho) = 0 over the whole manifold, to 1e-10 integral(u^2);
+    an integral(u^2) outside the normal doubles raises ValueError."""
     if sol.regime is not Regime.SPHERICAL:
         raise ValueError("compactness check applies to spherical solutions")
     sol.space(kappa)  # an invalid kappa raises before anything else
@@ -580,6 +568,7 @@ def compactness_obstruction_check(sol: "Solution", kappa: float = 1.0) -> Compac
     total, charge = _manifold_integral(sol, kappa, rows, 1e-12)
     if isinstance(total, Divergent) or isinstance(charge, Divergent):
         return CompactnessReport(sol.id, has_sing, False, None, "charge integral diverges")
+    _float_result("int u^2", charge, f"kappa = {kappa!r}, alpha = {sol.default_alpha!r}")
     return CompactnessReport(sol.id, has_sing, abs(total) <= 1e-10 * charge, total,
                              f"total charge {total:.3e} against int u^2 = {charge:.3e}")
 
@@ -670,8 +659,9 @@ def pohozaev_functionals(
     of one stacked integral (:func:`integrate_radial`), each bit for bit
     its integral alone; where several fail, T's error comes before N's and
     N's before Q's, naming the entry, kappa and alpha.  A finite T, N or Q
-    below the normal doubles (Q goes as alpha^-2, so from |alpha| about
-    1e155) raises ValueError naming alpha.
+    outside the normal doubles (Q goes as alpha^-2: FLAT_CSV's is below
+    them from |alpha| about 6e155 up, past them from about 6e-153 down)
+    raises ValueError naming alpha.
     """
     if sol.regime is not Regime.FLAT:
         raise ValueError("functional identities are derived in the flat case")
@@ -692,8 +682,8 @@ def pohozaev_functionals(
     if not isinstance(q_val, Divergent):
         q_val *= 2.0 / (sol.dim - 2)
     for name, x in zip("TNQ", (t_val, n_val, q_val)):
-        if not isinstance(x, Divergent) and abs(x) < sys.float_info.min:
-            raise ValueError(f"{name} = {x!r} is below the normal doubles at alpha = {alpha!r}")
+        if not isinstance(x, Divergent):
+            _float_result(name, x, f"alpha = {alpha!r}")
     return PohozaevReport(t_val, n_val, q_val, None, None)
 
 

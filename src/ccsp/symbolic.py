@@ -25,21 +25,20 @@ an odd power would turn negative (1/T of an even flat-c or curved-c term
 needs 1/r resp. 1/S).  The curved relations
 use the *signed* quantity (-kappa) (positive hyperbolic, negative
 spherical), so a single expression serves both curved regimes and is
-evaluated with the right signs by the float layer (:mod:`ccsp.numeric`),
-which turns exact coefficients into floats and evaluates them on arrays;
-:meth:`RadialExpr.compile` imports it on first use, so this module does
-not import numpy.  Expressions are
-immutable values; everything here is pure and safe to share across threads.
+evaluated with the right signs by the float layer (:mod:`ccsp.numeric`).
+Expressions are immutable values; everything here is pure and safe to
+share across threads.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
-from .geometry import Regime, Space
+from .geometry import Regime
 
 __all__ = [
     "Basis",
@@ -139,8 +138,6 @@ class Graded(_GradedFields):
 
     def evaluate(self, neg_kappa: float) -> float:
         """The value at (-kappa) = neg_kappa; +-inf where the power overflows."""
-        if self.kappa == 0:
-            return float(self.coef)
         return float(self.coef) * _power(neg_kappa, self.kappa)
 
     def sign(self, regime: Regime) -> int:
@@ -172,6 +169,15 @@ def _power(x: float, k: int) -> float:
         return x**k
     except OverflowError:
         return -math.inf if x < 0 and k % 2 else math.inf
+
+
+def _float_result(name: str, x: float, at: str) -> float:
+    """x, a float result of the checks; outside the normal doubles in
+    magnitude it raises ValueError naming it and where (`at`) it was taken."""
+    if not sys.float_info.min <= abs(x) <= sys.float_info.max:
+        fault = "below the normal doubles" if abs(x) < sys.float_info.min else "past the floats"
+        raise ValueError(f"{name} = {x!r} is {fault} at {at}")
+    return x
 
 
 _Unit = tuple[int, int, int]  # powers (base, odd, kappa) of a unit monomial
@@ -215,13 +221,6 @@ def _normal(
     return tuple(
         Monomial(coeff * sign, base + dbase, 0, kappa + dkappa, alpha, amp)
         for sign, dbase, dkappa in rules.odd_sq
-    )
-
-
-def _mul_monomials(rules: _Rules, a: Monomial, b: Monomial) -> tuple[Monomial, ...]:
-    return _normal(
-        rules, a.coeff * b.coeff, a.base + b.base, a.odd + b.odd,
-        a.kappa + b.kappa, a.alpha + b.alpha, a.amp + b.amp,
     )
 
 
@@ -318,7 +317,8 @@ class RadialExpr(NamedTuple):
         out: list[Monomial] = []
         for a in self.terms:
             for b in other.terms:
-                out.extend(_mul_monomials(rules, a, b))
+                out.extend(_normal(rules, a.coeff * b.coeff, a.base + b.base, a.odd + b.odd,
+                                   a.kappa + b.kappa, a.alpha + b.alpha, a.amp + b.amp))
         return RadialExpr.from_terms(self.basis, out)
 
     __rmul__ = __mul__
@@ -417,13 +417,11 @@ class RadialExpr(NamedTuple):
 
     # -- evaluation ----------------------------------------------------
 
-    def compile(self, space: Space, alpha: float, amp_sq: float) -> Callable:
-        """Vectorized evaluator r -> value (floats; poles become inf/nan):
-        the one-expression case of :func:`ccsp.numeric.compile_table`."""
-        from .numeric import compile_table
-
-        table = compile_table((self,), space, alpha, amp_sq)
-        return lambda r: table(r)[0]
+    def compile(self, *args, **kwargs):
+        """Removed: :func:`ccsp.numeric.compile_table` is the one evaluator.  The name
+        stays only for perfbench's tracer wrapper (``perfbench/tracing.py``), and the
+        two go together (ROADMAP item 13a)."""
+        raise NotImplementedError("RadialExpr.compile is removed; use ccsp.numeric.compile_table")
 
     # -- serialization ---------------------------------------------------
 

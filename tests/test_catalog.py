@@ -423,6 +423,13 @@ def test_compactness_rejects_noncompact():
         compactness_obstruction_check(get_solution("HYP_U1"))
 
 
+def test_compactness_refuses_a_mass_past_the_floats():
+    # the 3-sphere's volume, int u^2 of SPH_TRIVIAL, is past the floats at
+    # kappa = 1e-205: the check reported consistent=True against int u^2 = inf
+    with pytest.raises(ValueError, match=r"^int u\^2 = inf is past the floats at kappa = 1e-205, alpha = -1\.0$"):
+        compactness_obstruction_check(get_solution("SPH_TRIVIAL"), 1e-205)
+
+
 # -- serialization ------------------------------------------------------------
 
 
@@ -454,6 +461,16 @@ def test_solution_equality_covers_the_record():
         Solution(*hit, "FLAT_CSV", "FULL", "")  # the record's fields are keyword-only
     with pytest.raises(AttributeError):
         sol.id = "OTHER"
+
+
+def test_solution_repr_names_every_field_in_order():
+    # the hit's own NamedTuple repr would print only its eight fields
+    sol = scale_flat_solution(get_solution("FLAT_CSV"), 2.0)
+    text, at = repr(sol), 0
+    assert text.startswith("Solution(") and len(Solution._fields) == 12
+    for name in Solution._fields:
+        at = text.index(f"{name}={getattr(sol, name)!r}", at)
+    assert text.endswith(", scale=2.0)")
 
 
 def test_from_json_rejects_a_record_its_derivation_disagrees_with():
@@ -570,6 +587,16 @@ def test_a_closed_form_mass_below_the_normal_doubles_is_a_value_error():
     # 2 pi^2 kappa^(-3/2) underflows to 0.0 at kappa = 1e300
     with pytest.raises(ValueError, match=r"^closed-form mass = 0\.0 is below the normal doubles at kappa = 1e\+300, alpha = -1\.0$"):
         get_solution("SPH_TRIVIAL").expected_mass_value(1e300, -1.0)
+
+
+def test_a_closed_form_mass_past_the_floats_is_a_value_error():
+    # kappa^(-3/2) of the 3-sphere's volume overflows at kappa = 3e-206: the
+    # float power raised OverflowError, and at scale 1 the message blamed the scale
+    sol = get_solution("SPH_TRIVIAL")
+    assert sol.mass.value(3e-206, -1.0) == math.inf
+    for kappa in (3e-206, 1e-205):
+        with pytest.raises(ValueError, match=rf"^closed-form mass = inf is past the floats at kappa = {kappa!r}, alpha = -1\.0$"):
+            sol.expected_mass_value(kappa, -1.0)
 
 
 def test_from_json_rejects_an_unknown_convention_and_a_scale_that_is_no_number():

@@ -293,6 +293,8 @@ _BAD_HITS = {
     "BOOL_OMEGA_COEF": (lambda hit: hit["omega"].update(coef=True), "homogeneous", "malformed"),
     "FLOAT_RHO_COEFF": (_rho_term(lambda t: t.update(coeff=256.0)), "background", "malformed"),
     "ZERO_DIM": (lambda hit: hit.update(dim=0), "homogeneous", "dimension must be >= 1, got 0"),
+    # the search never writes a homogeneous hit with a source: it used to verify and pass
+    "HOMOGENEOUS_WITH_RHO": (lambda hit: hit.update(mode="homogeneous"), "background", "malformed"),
 }
 
 
@@ -629,6 +631,24 @@ def test_a_mass_below_the_normal_doubles_exits_in_one_line(command):
     code, out, err = run([command, "SPH_TRIVIAL", "--kappa=1e300"])
     assert (code, out) == (2, ""), err
     assert err == "error: mass = 0.0 is below the normal doubles at kappa = 1e+300, alpha = -1.0\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["mass", "BG_HYP_N2_D5", "--kappa=-1e-125", "--alpha=-1e-244"],
+    ["verify", "BG_HYP_N2_D5", "--kappa=-1e-125", "--alpha=-1e-244"],
+    ["pohozaev", "FLAT_CSV", "--alpha=-3.162277660168379e-153"],
+    ["pohozaev", "FLAT_SINGULAR_D6", "--alpha=-1e-152"],
+    ["mass", "SPH_TRIVIAL", "--kappa=1e-205"],
+])
+def test_a_result_past_the_floats_exits_in_one_line(argv):
+    # mass and pohozaev printed inf as an answer and exited 0 (verify failed
+    # an exact solution), and SPH_TRIVIAL's message blamed a scale it does not have
+    code, out, err = run(argv)
+    assert (code, out) == (2, ""), err
+    assert err.startswith("error: ") and err.count("\n") == 1 and " is past the floats at " in err, err
+    for arg in argv[2:]:
+        name, value = arg[2:].split("=")
+        assert f"{name} = {float(value)!r}" in err, err
 
 
 @pytest.mark.parametrize("argv, err", [

@@ -49,9 +49,9 @@ def test_potential_term_curved_c_with_fd_oracle():
     # brute-force check of Lap(u)/u at sample radii
     space = Space(Regime.HYPERBOLIC, -1.0, 3)
     u = lambda r: math.cosh(r) ** -2
-    fn = got.compile(space, 1.0, 1.0)
+    table = numeric.compile_table((got,), space, 1.0, 1.0)
     for r in (0.6, 1.1, 2.3):
-        assert float(fn(r)) == pytest.approx(fd_laplacian(u, space, r) / u(r), rel=1e-6)
+        assert float(table(r)[0]) == pytest.approx(fd_laplacian(u, space, r) / u(r), rel=1e-6)
 
 
 def test_potential_term_inverse_s_coefficients_fixed_by_oracle():
@@ -345,9 +345,9 @@ def test_omega_agreement_with_numeric_limit():
         alpha = hit.default_alpha
         amp_sq = hit.amp_sq_value(-1.0, alpha)
         u, _ = solution_exprs(hit)
-        fn = u.compile(space, alpha, amp_sq)
+        table = numeric.compile_table((u,), space, alpha, amp_sq)
         r, h = 30.0, 1e-3
-        f = lambda x: float(fn(x))
+        f = lambda x: float(table(x)[0])
         lap_h = fd_laplacian(f, space, r, h=h)
         lap_2h = fd_laplacian(f, space, r, h=2 * h)
         limit = -(4.0 * lap_h - lap_2h) / 3.0 / f(r)

@@ -4,6 +4,7 @@
 evaluate a float array; numpy arrives only with `ccsp.numeric` (or the CLI).
 """
 
+import ast
 import importlib
 import os
 import subprocess
@@ -62,6 +63,19 @@ def test_public_names():
         "Monomial", "RadialExpr", "Regime", "Solution", "Space", "catalog_list", "get_solution",
         "scale_flat_solution", "solution_from_hit", "solve_background", "solve_homogeneous", "sphere_area",
     }
+
+
+def test_term_algebra_imports_no_float_layer():
+    # the exact term algebra imports neither numpy nor ccsp.numeric, not even
+    # inside a function: compile_table is the one evaluator
+    tree = ast.parse(Path(ccsp.__file__).with_name("symbolic.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):  # `from . import numeric` reads "None.numeric"
+            imported.update(f"{node.module}.{alias.name}" for alias in node.names)
+    assert imported and not {name for name in imported if name.split(".")[0] == "numpy" or "numeric" in name}, imported
 
 
 @pytest.mark.parametrize("module", ["symbolic", "derivation", "catalog", "numeric"])

@@ -10,11 +10,11 @@ import numpy as np
 import pytest
 
 from ccsp import numeric
-from ccsp.catalog import CATALOG, Solution, get_solution, scale_flat_solution
-from ccsp.derivation import AlphaSign
+from ccsp.catalog import CATALOG, Solution, get_solution, scale_flat_solution, solution_from_hit
+from ccsp.derivation import AlphaSign, solve_homogeneous
 from ccsp.geometry import Regime, Space, sphere_area
 from ccsp.numeric import Divergent, default_grid, integrate_radial, mass
-from ccsp.symbolic import Graded
+from ccsp.symbolic import Basis, Graded
 
 
 # every field the float layer reads, by name: its expression, taken from the
@@ -201,16 +201,15 @@ def test_end_that_does_not_settle_raises():
 
 
 def _count_calls(monkeypatch):
-    # the size of every call of an S-weighted integrand: the integrands of
-    # the manifold integrals
+    # the size of every call of an integrand of integrate_radial: the
+    # integrands of the manifold integrals
     sizes = []
-    weighted = numeric._weighted
+    integrate = numeric.integrate_radial
 
-    def counted(space, g, power):
-        f = weighted(space, g, power)
-        return lambda r: sizes.append(np.size(r)) or f(r)
+    def counted(f, *args):
+        return integrate(lambda r: sizes.append(np.size(r)) or f(r), *args)
 
-    monkeypatch.setattr(numeric, "_weighted", counted)
+    monkeypatch.setattr(numeric, "integrate_radial", counted)
     return sizes
 
 
@@ -241,13 +240,7 @@ def test_integrand_that_raises_propagates(error):
 
 def test_integrand_call_counts(monkeypatch):
     # the masses of the catalog: one integrand call per level of the rule
-    sizes = []
-    integrate = numeric.integrate_radial
-
-    def counted(f, *args):
-        return integrate(lambda r: sizes.append(np.size(r)) or f(r), *args)
-
-    monkeypatch.setattr(numeric, "integrate_radial", counted)
+    sizes = _count_calls(monkeypatch)
     for sol in CATALOG:
         kappa, _ = _params(sol)
         with np.errstate(all="ignore"):
@@ -729,7 +722,7 @@ def test_field_table_matches_each_field_compiled_alone():
             a, amp_sq = sol.scale, sol.amp_sq_value(kappa, alpha)
             for field, name in zip(got, names):
                 expr, power = _FIELDS[name][0](sol), _FIELDS[name][1]
-                want = expr.compile(sol.space(kappa), alpha, amp_sq)(r / a) * a**power
+                want = numeric.compile_table((expr,), sol.space(kappa), alpha, amp_sq)(r / a)[0] * a**power
                 assert field.tobytes() == want.tobytes(), (sol.id, sol.scale, kappa, alpha, name)
             points += 1
     assert points == 840 + 45
@@ -901,8 +894,12 @@ def test_pohozaev_functionals_below_the_normal_doubles_raise():
 
 
 def test_pohozaev_requires_flat_high_dimension():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="derived in the flat case"):
         numeric.pohozaev_functionals(get_solution("HYP_U1"), -1.0, -1.0)
+    # the flat-r hit at D = 2, a record of no catalog entry
+    (hit,) = solve_homogeneous(Basis.FLAT_R, Regime.FLAT, range(-2, -1), range(2, 3))
+    with pytest.raises(ValueError, match="require D > 2"):
+        numeric.pohozaev_functionals(solution_from_hit(hit, "FLAT_R_D2", "FULL", "test"), 0.0, hit.default_alpha)
 
 
 def test_third_identity_sign_infeasibility():

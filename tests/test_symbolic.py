@@ -220,26 +220,26 @@ def test_collect_s_profile_condition(n, dim):
 
 def test_eval_simple():
     e = mono(Basis.FLAT_C, 24, base=-4)
-    assert float(e.compile(FLAT, 1.0, 1.0)(1.0)) == pytest.approx(6.0, rel=1e-12)
+    assert float(compile_table((e,), FLAT, 1.0, 1.0)(1.0)[0]) == pytest.approx(6.0, rel=1e-12)
 
 
 def test_eval_amplitude_profile_at_center():
     # inverse-C-squared profile with A^2 = 36 (-kappa)^2/(-alpha)
     u = mono(Basis.CURVED_C, 1, base=-2, amp=1)
     amp_sq = 36.0 * 1.0**2 / 1.0  # kappa = -1, alpha = -1
-    assert float(u.compile(Space(Regime.HYPERBOLIC, -1.0, 3), -1.0, amp_sq)(0.0)) == pytest.approx(6.0)
+    assert float(compile_table((u,), Space(Regime.HYPERBOLIC, -1.0, 3), -1.0, amp_sq)(0.0)[0]) == pytest.approx(6.0)
 
 
 def test_eval_inverse_s_on_equator():
     u = mono(Basis.CURVED_S, 1, base=-1, amp=1)
     # S(pi/2) = 1 at kappa = 1; amplitude sqrt(2)
-    got = float(u.compile(SPH, 1.0, 2.0)(math.pi / 2))
+    got = float(compile_table((u,), SPH, 1.0, 2.0)(math.pi / 2)[0])
     assert got == pytest.approx(math.sqrt(2.0), rel=1e-12)
 
 
 def test_eval_pole_is_inf():
     e = mono(Basis.FLAT_R, 1, base=-2)
-    assert float(e.compile(Space(Regime.FLAT, 0.0, 3), 1.0, 1.0)(0.0)) == math.inf
+    assert float(compile_table((e,), Space(Regime.FLAT, 0.0, 3), 1.0, 1.0)(0.0)[0]) == math.inf
 
 
 @pytest.mark.parametrize(
@@ -273,9 +273,9 @@ def test_refusals(refused, match):
 
 def _reference_compile(expr, space, alpha, amp_sq):
     # the evaluator as first written (zeros start, one full_like per term):
-    # the oracle that RadialExpr.compile must match bit for bit
+    # the oracle that compile_table must match bit for bit
     base_fn, odd_fn = _BASIS_FNS[expr.basis](metric(space))
-    nk, amp = space.neg_kappa, math.sqrt(amp_sq)
+    nk, amp = -space.kappa, math.sqrt(amp_sq)
     pre = []
     for t in expr.terms:
         scale = float(t.coeff)
@@ -325,10 +325,10 @@ def test_compile_matches_reference_evaluator():
         edges = [0.0, *sol.singular_radii_values(kappa)]
         radii = np.concatenate([default_grid(sol, kappa), edges])
         for expr in (sol.u, sol.V, sol.rho):
-            fn, ref = expr.compile(space, alpha, amp_sq), _reference_compile(expr, space, alpha, amp_sq)
-            _assert_same_bits(fn(radii), ref(radii))
+            table, ref = compile_table((expr,), space, alpha, amp_sq), _reference_compile(expr, space, alpha, amp_sq)
+            _assert_same_bits(table(radii)[0], ref(radii))
             for r in (0.0, 0.5, radii[-1]):
-                _assert_same_bits(fn(r), ref(r))
+                _assert_same_bits(table(r)[0], ref(r))
     # no terms, and single terms that are -0.0 at r = 0 (the sum must give +0.0)
     for expr, space in [
         (RadialExpr.zero(Basis.CURVED_C), HYP),
@@ -336,7 +336,7 @@ def test_compile_matches_reference_evaluator():
         (mono(Basis.FLAT_R, -2, base=1), FLAT),
     ]:
         for r in (0.0, 0.7, np.linspace(0.0, 2.0, 5)):
-            _assert_same_bits(expr.compile(space, 1.0, 1.0)(r), _reference_compile(expr, space, 1.0, 1.0)(r))
+            _assert_same_bits(compile_table((expr,), space, 1.0, 1.0)(r)[0], _reference_compile(expr, space, 1.0, 1.0)(r))
 
 
 # -- graded constants ---------------------------------------------------------
@@ -359,6 +359,17 @@ def test_graded_normal_form():
     assert Graded(0, 3) == Graded(F(0)) and Graded(0, 3).kappa == 0
     assert Graded(F(1), 2)._replace(coef=0).kappa == 0
     assert str(Graded(F(-3, 2), 2)) == "-3/2*(-kappa)^2"
+
+
+def test_str_prints_the_amplitude_and_the_odd_factor():
+    assert str(mono(Basis.CURVED_C, 2, base=-2, odd=1, amp=1)) == "(2)*A*S*C^-2"
+    assert str(mono(Basis.FLAT_C, 1, base=-4, odd=1, amp=2)) == "(1)*A^2*r*c^-4"
+
+
+def test_compile_is_a_removed_name():
+    # compile_table is the one evaluator; the name stays for perfbench's tracer
+    with pytest.raises(NotImplementedError, match="compile_table"):
+        getattr(mono(Basis.FLAT_C, 24, base=-4), "compile")(FLAT, 1.0, 1.0)
 
 
 # -- ring axioms and normal form ---------------------------------------------
@@ -456,15 +467,15 @@ def test_laplacian_matches_fd_oracle():
             ],
         )
         for space in _spaces_for(basis):
-            sym = m.laplacian(space.dim).compile(space, 1.0, 1.0)
-            num = m.compile(space, 1.0, 1.0)
+            sym = compile_table((m.laplacian(space.dim),), space, 1.0, 1.0)
+            num = compile_table((m,), space, 1.0, 1.0)
             r_hi = min(3.0, space.r_max * 0.45 if math.isfinite(space.r_max) else 3.0)
             for k in range(20):
                 r = 0.5 + (r_hi - 0.5) * k / 19.0
-                oracle = fd_laplacian(lambda x: float(num(x)), space, r, h=1e-4)
-                value = float(sym(r))
+                oracle = fd_laplacian(lambda x: float(num(x)[0]), space, r, h=1e-4)
+                value = float(sym(r)[0])
                 # noise floor scales with the function magnitude (FD roundoff)
-                floor = 1e-5 * max(1.0, abs(float(num(r))))
+                floor = 1e-5 * max(1.0, abs(float(num(r)[0])))
                 assert abs(value - oracle) <= max(1e-5 * abs(oracle), floor)
                 checked += 1
     assert checked >= 50 * 20
@@ -489,17 +500,17 @@ def test_diff_and_div_T_match_fd_oracle(basis):
         for odd in (0, 1) if basis.has_odd else (0,):
             for base in range(-5, 4):
                 m = mono(basis, F(-3, 2), base=base, odd=odd, kappa=0 if basis.is_flat else 1)
-                f = m.compile(space, 1.0, 1.0)
-                df = m.diff().compile(space, 1.0, 1.0)
-                oracle = (f(radii + h) - f(radii - h)) / (2.0 * h)
-                scale = np.maximum(np.maximum(abs(oracle), abs(f(radii))), 1.0)
-                assert np.all(abs(df(radii) - oracle) <= 1e-7 * scale), (space, odd, base)
+                f = compile_table((m,), space, 1.0, 1.0)
+                df = compile_table((m.diff(),), space, 1.0, 1.0)
+                oracle = (f(radii + h)[0] - f(radii - h)[0]) / (2.0 * h)
+                scale = np.maximum(np.maximum(abs(oracle), abs(f(radii)[0])), 1.0)
+                assert np.all(abs(df(radii)[0] - oracle) <= 1e-7 * scale), (space, odd, base)
                 if odd == 0 and basis in (Basis.FLAT_C, Basis.CURVED_C):
                     with pytest.raises(ClosureError):
                         m.div_T()
                 else:
-                    got = m.div_T().compile(space, 1.0, 1.0)(radii)
-                    assert np.allclose(got, f(radii) * inv_t, rtol=1e-12, atol=0.0)
+                    got = compile_table((m.div_T(),), space, 1.0, 1.0)(radii)[0]
+                    assert np.allclose(got, f(radii)[0] * inv_t, rtol=1e-12, atol=0.0)
                 checked += 1
     assert checked == len(spaces) * 9 * (2 if basis.has_odd else 1)
 
@@ -550,14 +561,14 @@ def test_diff_matches_mpmath(basis):
                     kappa=0 if basis.is_flat else rng.randint(-2, 2),
                 )
                 m, d1 = e.terms[0], e.diff()
-                derivatives = (d1.compile(space, 1.0, 1.0), d1.diff().compile(space, 1.0, 1.0))
+                derivatives = compile_table((d1, d1.diff()), space, 1.0, 1.0)
                 for _ in range(5):
                     r = rng.uniform(r_lo, r_hi)
                     x = mp.mpf(r)
                     f = abs(_mp_monomial(basis, space, m, x))
-                    for order, fn in enumerate(derivatives, start=1):
+                    for order, value in enumerate(derivatives(r), start=1):
                         want = mp.diff(lambda t: _mp_monomial(basis, space, m, t), x, order)
-                        got = float(fn(r))
+                        got = float(value)
                         scale = max(abs(got), float(f), 1.0)
                         assert abs(got - float(want)) <= 1e-12 * scale, (basis, space, m, r, order, got, want)
                     checked += 1
