@@ -1,10 +1,10 @@
 """Verified records of every closed-form solution the package knows.
 
-An entry is a derivation hit plus its record (id, mass convention,
-provenance, scale).  Each is materialized by actually running the
-derivation engine for its (family, exponent, dimension) cell and
-re-substituting the resulting profile into both field equations
-symbolically; construction fails loudly if either residual is nonzero.
+An entry is a derivation hit plus its record (id, provenance, scale).
+Each is materialized by actually running the derivation engine for its
+(family, exponent, dimension) cell and re-substituting the resulting
+profile into both field equations symbolically; construction fails
+loudly if either residual is nonzero.
 SPH_TRIVIAL is the one hand-written hit: the amplitude-free constant
 profile, which the search cannot return (X = 0 at n = 0).
 
@@ -49,7 +49,7 @@ from .derivation import (
     singular_radius_tags,
     solution_exprs,
 )
-from .geometry import Regime, Space, sphere_area
+from .geometry import Regime, Space
 from .symbolic import Basis, Graded, RadialExpr, ZERO_GRADED, _float_result, json_int
 
 __all__ = [
@@ -62,10 +62,6 @@ __all__ = [
     "solution_from_hit",
     "scale_flat_solution",
 ]
-
-FULL = "FULL"
-RADIAL_INTEGRAL = "RADIAL_INTEGRAL"
-
 
 class NotScalableError(ValueError):
     """Only flat homogeneous solutions form a scaling family."""
@@ -87,26 +83,23 @@ _HIT_FIELDS = len(DerivationHit._fields)
 
 
 class Solution(DerivationHit):
-    """A derivation hit plus its record: every field but `id`,
-    `mass_convention`, `provenance` and `scale` is the hit's, and u, V, the
-    singular set and the mass are functions of it.
+    """A derivation hit plus its record: every field but `id`, `provenance`
+    and `scale` is the hit's, and u, V, the singular set and the mass are
+    functions of it.
 
     The record's fields are keyword-only and follow the hit's in the
     tuple, so equality and hash cover them and a Solution never equals
     its bare hit.  Unlike the other value types it keeps an instance
     dict, where its cached properties live."""
 
-    _fields = DerivationHit._fields + ("id", "mass_convention", "provenance", "scale")
+    _fields = DerivationHit._fields + ("id", "provenance", "scale")
     id = property(itemgetter(_HIT_FIELDS))
-    mass_convention = property(itemgetter(_HIT_FIELDS + 1))
-    provenance = property(itemgetter(_HIT_FIELDS + 2))
-    scale = property(itemgetter(_HIT_FIELDS + 3))
+    provenance = property(itemgetter(_HIT_FIELDS + 1))
+    scale = property(itemgetter(_HIT_FIELDS + 2))
 
-    def __new__(
-        cls, *hit_args, id: str, mass_convention: str, provenance: str, scale: float = 1.0, **hit_fields
-    ) -> "Solution":
+    def __new__(cls, *hit_args, id: str, provenance: str, scale: float = 1.0, **hit_fields) -> "Solution":
         hit = DerivationHit(*hit_args, **hit_fields)
-        return tuple.__new__(cls, (*hit, id, mass_convention, provenance, scale))
+        return tuple.__new__(cls, (*hit, id, provenance, scale))
 
     def __getnewargs_ex__(self):
         return tuple(self[:_HIT_FIELDS]), dict(zip(self._fields[_HIT_FIELDS:], self[_HIT_FIELDS:]))
@@ -153,7 +146,7 @@ class Solution(DerivationHit):
     @cached_property
     def mass(self) -> Optional[GradedMass]:
         """None: the mass diverges."""
-        return exact_mass(self, sphere_factor=self.mass_convention == FULL)
+        return exact_mass(self)
 
     @property
     def finite_mass(self) -> bool:
@@ -207,10 +200,7 @@ class Solution(DerivationHit):
         """Closed-form full-manifold mass, or None for infinite-mass entries; outside the normal doubles, ValueError."""
         if self.mass is None:
             return None
-        v = self.mass.value(kappa, alpha)
-        if self.mass_convention == RADIAL_INTEGRAL:
-            v *= sphere_area(self.dim)
-        v *= self._scale_power(self.dim - 4, "the mass")
+        v = self.mass.value(kappa, alpha) * self._scale_power(self.dim - 4, "the mass")
         if not math.isfinite(v) and self.scale != 1.0:  # the product with the scale's mass factor a^(D-4)
             raise ValueError(f"{self.id}: scale {self.scale!r} puts the mass outside the float range")
         return _float_result("closed-form mass", v, f"kappa = {kappa!r}, alpha = {alpha!r}")
@@ -230,7 +220,6 @@ class Solution(DerivationHit):
             "amp_law": self.x_law.to_json_obj() if self.x_law else None,
             "singular_radii": list(self.singular_radii),
             "mass": self.mass.to_json_obj() if self.mass else None,
-            "mass_convention": self.mass_convention,
             "provenance": self.provenance,
             "scale": self.scale,
         }
@@ -254,7 +243,7 @@ class Solution(DerivationHit):
             omega=Graded.from_json_obj(obj["omega"]),
             rho=RadialExpr.zero(u.basis) if rho is None else RadialExpr.from_json_obj(rho),
         )
-        sol = solution_from_hit(hit, obj["id"], obj["mass_convention"], obj["provenance"])
+        sol = solution_from_hit(hit, obj["id"], obj["provenance"])
         scale = obj["scale"]
         if type(scale) not in (int, float):
             raise ValueError(f"{sol.id}: scale must be a number, got {scale!r}")
@@ -265,25 +254,13 @@ class Solution(DerivationHit):
         return sol
 
 
-def solution_from_hit(
-    hit: DerivationHit,
-    id: str,
-    mass_convention: str = FULL,
-    provenance: str = "",
-) -> Solution:
+def solution_from_hit(hit: DerivationHit, id: str, provenance: str = "") -> Solution:
     """Materialize a derivation hit into a full record, re-checking both
     field equations symbolically; the mass is the hit's exact Beta value.
     omega must be the frequency of the hit's cell (:func:`ccsp.derivation.omega_of`):
     a constant shift of omega (and with it of V) also solves both equations,
     so only this check catches it."""
-    if mass_convention not in (FULL, RADIAL_INTEGRAL):
-        raise ValueError(f"{id}: unknown mass convention {mass_convention!r}")
-    sol = Solution(
-        *hit[:_HIT_FIELDS],
-        id=id,
-        mass_convention=mass_convention,
-        provenance=provenance,
-    )
+    sol = Solution(*hit[:_HIT_FIELDS], id=id, provenance=provenance)
     schro, poisson = resubstitution_defects(sol.u, sol.V, sol.rho, sol.omega, sol.x_law, sol.dim)
     if not schro.is_zero or not poisson.is_zero:
         raise ValueError(f"{id}: re-substitution defect (schro={schro}, poisson={poisson})")
@@ -300,13 +277,12 @@ def _entry(
     regime: Regime,
     dim: int,
     mode: str,
-    mass_convention: str = FULL,
     provenance: str = "",
 ) -> Solution:
     cand = evaluate_candidate(AnsatzFamily(family, n), regime, dim, mode)
     if cand.status is not CandidateStatus.HIT:
         raise AssertionError(f"{id}: expected a hit, got {cand.status.value} ({cand.detail})")
-    return solution_from_hit(cand.hit, id, mass_convention, provenance)
+    return solution_from_hit(cand.hit, id, provenance)
 
 
 def _trivial_sphere_entry() -> Solution:
@@ -511,7 +487,6 @@ def _build_catalog() -> tuple[Solution, ...]:
         ),
         _entry(
             "SPH_U3", Basis.CURVED_S, -1, Regime.SPHERICAL, 4, "homogeneous",
-            mass_convention=RADIAL_INTEGRAL,
             provenance=(
                 "Spherical inverse-S profile at D = 4.  Direct substitution forces the "
                 "repulsive sign: alpha A^2 = 2 kappa > 0 and omega = -2 kappa; the "
@@ -519,8 +494,8 @@ def _build_catalog() -> tuple[Solution, ...]:
                 "Singular at both antipodes.  The radial mass integral is exactly "
                 "4/alpha (kappa-independent); quotes of 4 kappa/(-alpha) use the "
                 "unscaled-sin normalization with the attractive sign and agree in "
-                "magnitude at |kappa| = |alpha| = 1.  Stored value uses the "
-                "radial-integral convention (multiply by S_3 for the full mass)."
+                "magnitude at |kappa| = |alpha| = 1.  Full mass N = 4 S_3/alpha = "
+                "8 pi^2/alpha."
             ),
         ),
         _trivial_sphere_entry(),

@@ -312,10 +312,13 @@ def _geometry_part(fam: AnsatzFamily, dim: int) -> RadialExpr:
     return _at_dimension(_geometry_parts(fam), dim)
 
 
-# zeros of the base function on the closed domain, keyed like _MASS_BETA:
-# there u = base^n with n < 0 has its poles
+# zeros of the base function on the closed domain, one row per (basis, regime)
+# that Basis.check_regime admits, keyed like _MASS_BETA: there u = base^n with
+# n < 0 has its poles
 _BASE_ZEROS = {
+    (Basis.FLAT_C, Regime.FLAT): (),
     (Basis.FLAT_R, Regime.FLAT): ("origin",),
+    (Basis.CURVED_C, Regime.HYPERBOLIC): (),
     (Basis.CURVED_C, Regime.SPHERICAL): ("equator",),
     (Basis.CURVED_S, Regime.HYPERBOLIC): ("origin",),
     (Basis.CURVED_S, Regime.SPHERICAL): ("origin", "antipode"),
@@ -324,28 +327,25 @@ _BASE_ZEROS = {
 
 def singular_radius_tags(fam: AnsatzFamily, regime: Regime) -> tuple[str, ...]:
     """Symbolic labels of the genuine poles of u = base^n."""
-    return _BASE_ZEROS.get((fam.family, regime), ()) if fam.n < 0 else ()
+    return _BASE_ZEROS[fam.family, regime] if fam.n < 0 else ()
 
 
 class GradedMass(NamedTuple):
     """Exact closed-form mass: coef * S_sub * pi^p * |kappa|^(k2/2) * |alpha|^a.
 
     sphere_sub is the subscript of the unit-sphere area factor (S_5 for six
-    ambient dimensions), or None when no sphere factor is included (the
-    radial-integral convention).
+    ambient dimensions).
     """
 
     coef: Fraction
-    sphere_sub: Optional[int] = None
+    sphere_sub: int
     pi_pow: int = 0
     kappa_pow2: int = 0
     alpha_pow: int = -1
 
     def value(self, kappa: float, alpha: float) -> float:
         """The float value; inf where a float power overflows."""
-        v = float(self.coef)
-        if self.sphere_sub is not None:
-            v *= sphere_area(self.sphere_sub + 1)
+        v = float(self.coef) * sphere_area(self.sphere_sub + 1)
         try:
             return v * math.pi**self.pi_pow * abs(kappa) ** (self.kappa_pow2 / 2.0) * abs(alpha) ** self.alpha_pow
         except OverflowError:
@@ -364,12 +364,15 @@ class GradedMass(NamedTuple):
 _HALF = Fraction(1, 2)
 
 # int u^2 S^(D-1) dr = |X/alpha| f B(x, y) lambda^p with lambda = |kappa|^(1/2);
-# (x, y, f, p) from (n, h = D/2).  flat-r and hyperbolic curved-s are never
-# integrable: S^(2n+D-1) fails at the origin or at infinity.
+# (x, y, f, p) from (n, h = D/2), one row per admitted (basis, regime).  flat-r
+# and hyperbolic curved-s are never integrable (None): S^(2n+D-1) fails at the
+# origin or at infinity.
 _MASS_BETA = {
     (Basis.FLAT_C, Regime.FLAT): lambda n, h: (h, -n - h, _HALF, 0),
+    (Basis.FLAT_R, Regime.FLAT): None,
     (Basis.CURVED_C, Regime.HYPERBOLIC): lambda n, h: (h, _HALF - n - h, _HALF, -2 * h),
     (Basis.CURVED_C, Regime.SPHERICAL): lambda n, h: (n + _HALF, h, 1, -2 * h),
+    (Basis.CURVED_S, Regime.HYPERBOLIC): None,
     (Basis.CURVED_S, Regime.SPHERICAL): lambda n, h: (_HALF, n + h, 1, -2 * (n + h)),
 }
 
@@ -382,15 +385,14 @@ def _gamma_half(z: Fraction) -> tuple[Fraction, int]:
     return Fraction(math.factorial(2 * k), 4**k * math.factorial(k)), 1
 
 
-def exact_mass(hit: DerivationHit, sphere_factor: bool = True) -> Optional[GradedMass]:
+def exact_mass(hit: DerivationHit) -> Optional[GradedMass]:
     """Closed-form mass int u^2 dvol of a hit, or None where it diverges.
 
     The integral is finite exactly when both Beta arguments are positive.
     They are half-integers, so B(x, y) is a rational times pi^0 or pi^1.
-    Without `sphere_factor` the mass is the bare radial integral.  An
-    amplitude-free hit has A = 1: X = 1 and no power of alpha.
+    An amplitude-free hit has A = 1: X = 1 and no power of alpha.
     """
-    rule = _MASS_BETA.get((hit.family, hit.regime))
+    rule = _MASS_BETA[hit.family, hit.regime]
     if rule is None:
         return None
     x, y, f, p = rule(hit.n, Fraction(hit.dim, 2))
@@ -400,7 +402,7 @@ def exact_mass(hit: DerivationHit, sphere_factor: bool = True) -> Optional[Grade
     x_law = Graded(Fraction(1)) if hit.x_law is None else hit.x_law
     return GradedMass(
         abs(x_law.coef) * f * gx * gy / gxy,
-        sphere_sub=hit.dim - 1 if sphere_factor else None,
+        sphere_sub=hit.dim - 1,
         pi_pow=(kx + ky - kxy) // 2,
         kappa_pow2=2 * x_law.kappa + int(p),
         alpha_pow=0 if hit.x_law is None else -1,

@@ -37,7 +37,8 @@ with independent machinery:
   length L (1/sqrt|kappa| curved, the flat scale flat), as are the grids;
 * PDE residuals of both field equations on grids clear of the profile's
   poles (the unit-size grid times L), each Laplacian assembled in floats
-  as f'' + (D-1) f' / T from the exact derivatives of u and V;
+  as f'' + (D-1) f' / T from the exact derivatives of u and V, and each
+  residual judged against the terms it sums;
 * the variational functionals T, N, Q and their flat-space identities, the
   rows of one weighted integral: Q = 2/(D-2) S_(D-1) int u^2 K r^(D-1) dr, with
   K(r) = int_r^inf u^2 t dt one monomial of the term algebra, so no float
@@ -81,7 +82,7 @@ __all__ = [
 DEFAULT_REL_TOL = 1e-10
 NESTED_REL_TOL = 1e-11  # T, N and Q of pohozaev_functionals
 MASS_REL_TOL = 1e-8     # verify: quadrature mass against the closed form
-RESIDUAL_TOL = 1e-6     # verify: max-norm residuals of both field equations
+RESIDUAL_TOL = 1e-10    # verify: residuals of both field equations against the terms they sum
 DE_T_MAX = 6.8          # |t| of the outermost double-exponential node: exp(pi/2 sinh t) < 1e307
 DE_LEVELS = 8           # levels of the double-exponential rule, step 1/2 down to 1/256
 GRID_R_CAP = 10.0       # noncompact default grids end here, in units of the length
@@ -602,8 +603,13 @@ def fd_residual(
     alpha: float,
     r: Optional[np.ndarray] = None,
 ) -> tuple[float, float]:
-    """Max-norm residuals of both field equations on the radii r (default:
-    :func:`default_grid`), normalized by max(|u|, 1).
+    """Residuals of both field equations on the radii r (default:
+    :func:`default_grid`): the max over r of |sum of the terms| / sum of
+    their |terms|, with the terms u'', (D-1) u'/T, alpha V u and omega u
+    (Schroedinger) and V'', (D-1) V'/T, u^2 and rho (Poisson).  Every term
+    of one equation carries the same powers of the amplitude and the length,
+    so the quotient does not depend on kappa, alpha or the scale.  A radius
+    where every term is 0 counts 0, one where a term is not finite inf.
 
     u', u'', V' and V'' are the exact derivatives of the term algebra, read
     by name with u, V and rho from one field table
@@ -618,14 +624,16 @@ def fd_residual(
     u, du, d2u, v, dv, d2v, rho = sol.fields_fn(kappa, alpha, "u", "du", "d2u", "V", "dV", "d2V", "rho")(r)
     m = sol.dim - 1
     with np.errstate(over="ignore", invalid="ignore"):
-        # fields near the end of the doubles overflow: an inf or NaN residual fails
-        res_schro = -(d2u + m * inv_t * du) + alpha * v * u - sol.omega_value(kappa) * u
-        res_poisson = -(d2v + m * inv_t * dv) - u**2 - rho
-    norm = max(float(np.max(np.abs(u))), 1.0)
-    return (
-        float(np.max(np.abs(res_schro))) / norm,
-        float(np.max(np.abs(res_poisson))) / norm,
-    )
+        # fields near the end of the doubles overflow: an inf or NaN term fails
+        equations = ((d2u, m * inv_t * du, -alpha * v * u, sol.omega_value(kappa) * u),
+                     (d2v, m * inv_t * dv, u**2, rho))
+        worst = []
+        for a, b, c, d in equations:
+            size = np.abs(a) + np.abs(b) + np.abs(c) + np.abs(d)
+            # where every term is 0 the quotient is 0/0, a NaN that fmax passes over
+            quotient = float(np.fmax.reduce(np.abs(a + b + c + d) / size, initial=0.0))
+            worst.append(quotient if math.isfinite(size.max()) else math.inf)
+    return tuple(worst)
 
 
 # -- a removed name ----------------------------------------------------------

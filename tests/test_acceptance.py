@@ -152,7 +152,8 @@ def test_criterion_5_divergence_classification():
 
 def _central_difference_residual(sol, kappa, alpha, h):
     # both field equations under the test's own central-difference
-    # Laplacian at step h, on verify's grid, normalized as fd_residual is
+    # Laplacian at step h, on verify's grid, divided by max(|u|, 1): only the
+    # ratio of two steps is read, as a convergence order
     space = sol.space(kappa)
     r = numeric.default_grid(sol, kappa)
     fields = sol.fields_fn(kappa, alpha, "u", "V", "rho")

@@ -91,10 +91,12 @@ def test_masses_from_the_exponents_equal_the_closed_forms():
         "BG_HYP_N2_D4": (F(24), 3, 0, 0),
         "BG_HYP_N1_D2": (F(4), 1, 0, 2),
         "BG_1D_SECH": (F(8), 0, 0, 3),
-        "SPH_U3": (F(4), None, 0, 0),  # radial-integral convention
+        "SPH_U3": (F(4), 3, 0, 0),
     }
     for sid, (coef, sub, pi_pow, kappa_pow2) in expected.items():
         assert get_solution(sid).mass == GradedMass(coef, sub, pi_pow, kappa_pow2), sid
+    # every stored mass is the full mass: SPH_U3's radial 4/alpha times S_3 = 2 pi^2
+    assert get_solution("SPH_U3").expected_mass_value(1.0, 1.0) == pytest.approx(8 * math.pi**2, rel=1e-15, abs=0)
 
 
 def test_every_entry_resubstitutes_exactly():
@@ -449,16 +451,16 @@ def test_solution_equality_covers_the_record():
     # both, and a record never equals its bare hit
     sol = get_solution("FLAT_CSV")
     hit = DerivationHit(**{name: getattr(sol, name) for name in DerivationHit._fields})
-    same = solution_from_hit(hit, sol.id, sol.mass_convention, sol.provenance)
+    same = solution_from_hit(hit, sol.id, sol.provenance)
     assert same == sol and hash(same) == hash(sol)
-    renamed = solution_from_hit(hit, "FLAT_CSV_COPY", sol.mass_convention, sol.provenance)
+    renamed = solution_from_hit(hit, "FLAT_CSV_COPY", sol.provenance)
     assert renamed != sol and renamed.u == sol.u
     assert sol != hit and hit != sol
     assert scale_flat_solution(sol, 2.0) != sol
     assert sol._replace(scale=2.0) == scale_flat_solution(sol, 2.0)
     assert pickle.loads(pickle.dumps(sol)) == sol
     with pytest.raises(TypeError):
-        Solution(*hit, "FLAT_CSV", "FULL", "")  # the record's fields are keyword-only
+        Solution(*hit, "FLAT_CSV", "")  # the record's fields are keyword-only
     with pytest.raises(AttributeError):
         sol.id = "OTHER"
 
@@ -467,7 +469,7 @@ def test_solution_repr_names_every_field_in_order():
     # the hit's own NamedTuple repr would print only its eight fields
     sol = scale_flat_solution(get_solution("FLAT_CSV"), 2.0)
     text, at = repr(sol), 0
-    assert text.startswith("Solution(") and len(Solution._fields) == 12
+    assert text.startswith("Solution(") and len(Solution._fields) == 11
     for name in Solution._fields:
         at = text.index(f"{name}={getattr(sol, name)!r}", at)
     assert text.endswith(", scale=2.0)")
@@ -600,14 +602,11 @@ def test_a_closed_form_mass_past_the_floats_is_a_value_error():
 
 
 def test_from_json_rejects_an_unknown_convention_and_a_scale_that_is_no_number():
-    # an unknown convention re-derived, and its mass then lost the sphere
-    # factor (96 for FLAT_CSV's 2976.6); a bool scale re-derived as 1.0
+    # every stored mass is the full mass: a record that still names a
+    # convention is no record of this catalog; a bool scale re-derived as 1.0
     obj = get_solution("FLAT_CSV").to_json_obj()
-    bogus = {**obj, "mass_convention": "BOGUS", "mass": {**obj["mass"], "sphere_sub": None}}
-    with pytest.raises(ValueError, match="unknown mass convention 'BOGUS'"):
-        Solution.from_json_obj(bogus)
-    with pytest.raises(ValueError, match="unknown mass convention"):
-        solution_from_hit(get_solution("HYP_U1"), "X", mass_convention="full")
+    with pytest.raises(ValueError, match="disagrees with its derivation"):
+        Solution.from_json_obj({**obj, "mass_convention": "FULL"})
     for scale in (True, False, "1.0", None):
         with pytest.raises(ValueError, match="scale must be a number"):
             Solution.from_json_obj({**obj, "scale": scale})
@@ -618,11 +617,11 @@ def test_trivial_sphere_mass_keeps_its_value():
     # as the hand-typed 2 pi^2 kappa^(-3/2); the float values are identical
     sol = get_solution("SPH_TRIVIAL")
     assert sol.mass == GradedMass(F(1, 2), 2, pi_pow=1, kappa_pow2=-3, alpha_pow=0)
-    hand_typed = GradedMass(F(2), None, pi_pow=2, kappa_pow2=-3, alpha_pow=0)
     for kappa in (0.25, 1.0, 4.0):
         for alpha in (1.0, -1.0):
-            assert sol.mass.value(kappa, alpha) == hand_typed.value(kappa, alpha)
-            assert sol.expected_mass_value(kappa, alpha) == hand_typed.value(kappa, alpha)
+            hand_typed = 2.0 * math.pi**2 * abs(kappa) ** (-3 / 2.0) * abs(alpha) ** 0
+            assert sol.mass.value(kappa, alpha) == hand_typed
+            assert sol.expected_mass_value(kappa, alpha) == hand_typed
 
 
 def test_json_field_order():
@@ -639,12 +638,10 @@ def test_json_field_order():
         "amp_law",
         "singular_radii",
         "mass",
-        "mass_convention",
         "provenance",
         "scale",
     ]
     assert obj["rho"] is None  # homogeneous
-    assert get_solution("SPH_U3").mass_convention == "RADIAL_INTEGRAL"
 
 
 # -- catalog equals the derivation union ----------------------------------------

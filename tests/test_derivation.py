@@ -642,6 +642,22 @@ def test_universe_hits_equal_the_reference():
 # -- masses from the exponents ------------------------------------------------
 
 
+def test_mass_and_pole_tables_have_a_row_for_every_admitted_pair():
+    # indexed directly: a (basis, regime) without a row raises, and never
+    # reads as "the mass diverges" or "no poles"
+    admitted = set()
+    for basis in Basis:
+        for regime in Regime:
+            try:
+                basis.check_regime(regime)
+            except ValueError:
+                continue
+            admitted.add((basis, regime))
+    assert len(admitted) == 6
+    assert set(derivation._MASS_BETA) == admitted
+    assert set(derivation._BASE_ZEROS) == admitted
+
+
 def test_exact_mass_equals_the_reference():
     ref = json.loads(REFERENCE.read_text())
     finite = 0

@@ -763,6 +763,25 @@ def test_hyperbolic_entries_verify_far_from_unit_curvature(kappa):
         assert report.grid["r_max"] == pytest.approx(9.9 / math.sqrt(-kappa), rel=1e-15)
 
 
+def test_exact_solutions_verify_far_from_unit_coupling_and_curvature():
+    # far from kappa, alpha = 1 the residual's roundoff grows with powers of
+    # the amplitude and of 1/length; so do the terms it is judged against
+    points = [
+        (sol, Space.unit_kappa(sol.regime), size * sol.default_alpha)
+        for sol in CATALOG
+        for size in (1e-20, 1e-60, 1e-100)
+    ] + [
+        (sol, size * Space.unit_kappa(sol.regime), sol.default_alpha)
+        for sol in CATALOG
+        if sol.regime is not Regime.FLAT
+        for size in (1e9, 1e10, 2.0**40)
+    ]
+    assert len(points) == 120
+    for sol, kappa, alpha in points:
+        report = numeric.verify_solution(sol, kappa, alpha)
+        assert report.passed, (sol.id, kappa, alpha, report.schrodinger_residual_max, report.poisson_residual_max)
+
+
 def test_residuals_at_roundoff_and_sensitive_to_shifts(monkeypatch):
     # exact derivatives leave only roundoff at every lattice point, and a
     # relative 1e-6 shift of X, or of omega on the scale of the Schrodinger
@@ -782,6 +801,7 @@ def test_residuals_at_roundoff_and_sensitive_to_shifts(monkeypatch):
             if x_shifted is not None:
                 by_x = max(numeric.fd_residual(x_shifted, kappa, alpha))
                 assert by_x > 0 and by_x >= 1e3 * base, (sol.id, kappa, alpha, base, by_x)
+                assert by_x > numeric.RESIDUAL_TOL, (sol.id, kappa, alpha, by_x)
                 shifted["X"] += 1
             omega = omega_value(sol, kappa)
             (v,) = sol.fields_fn(kappa, alpha, "V")(default_grid(sol, kappa))
@@ -793,6 +813,7 @@ def test_residuals_at_roundoff_and_sensitive_to_shifts(monkeypatch):
                     patched.setattr(Solution, "omega_value", lambda self, k: omega_value(self, k) + d_omega)
                     by_omega = max(numeric.fd_residual(sol, kappa, alpha))
                 assert by_omega > 0 and by_omega >= 1e3 * base, (sol.id, kappa, alpha, base, by_omega)
+                assert by_omega > numeric.RESIDUAL_TOL, (sol.id, kappa, alpha, by_omega)
                 shifted["omega"] += 1
     assert points == 840 and shifted == {"X": 750, "omega": 750}
 
@@ -899,7 +920,7 @@ def test_pohozaev_requires_flat_high_dimension():
     # the flat-r hit at D = 2, a record of no catalog entry
     (hit,) = solve_homogeneous(Basis.FLAT_R, Regime.FLAT, range(-2, -1), range(2, 3))
     with pytest.raises(ValueError, match="require D > 2"):
-        numeric.pohozaev_functionals(solution_from_hit(hit, "FLAT_R_D2", "FULL", "test"), 0.0, hit.default_alpha)
+        numeric.pohozaev_functionals(solution_from_hit(hit, "FLAT_R_D2", "test"), 0.0, hit.default_alpha)
 
 
 def test_third_identity_sign_infeasibility():
