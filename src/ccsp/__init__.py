@@ -2,12 +2,13 @@
 flat, hyperbolic and spherical spaces: an exact derivation engine, a
 verified solution catalog, and a numerical checking layer.
 
-Importing the package loads the exact layer only (geometry, symbolic,
-derivation, catalog); the float layer's names are read from
+Importing the package loads the exact layer only (geometry, bases,
+symbolic, derivation, catalog); the float layer's names are read from
 :mod:`ccsp.numeric`, which loads numpy when it is imported."""
 
 from .geometry import Regime, Space, sphere_area
-from .symbolic import Basis, Graded, Monomial, RadialExpr
+from .bases import Basis
+from .symbolic import Graded, Monomial, RadialExpr
 from .derivation import (
     AlphaSign,
     AnsatzFamily,

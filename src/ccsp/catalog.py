@@ -35,6 +35,7 @@ from functools import cached_property
 from operator import itemgetter
 from typing import Callable, Optional
 
+from .bases import poles
 from .derivation import (
     AlphaSign,
     AnsatzFamily,
@@ -46,7 +47,6 @@ from .derivation import (
     omega_json,
     omega_of,
     resubstitution_defects,
-    singular_radius_tags,
     solution_exprs,
 )
 from .geometry import Regime, Space
@@ -70,14 +70,6 @@ class NotScalableError(ValueError):
 # each field's flat-scale power: u, V and K take -2, each d/dr -1, and rho its
 # length dimension -4 (rho is zero wherever a scale acts: only homogeneous entries scale)
 _SCALE_POWERS = {"u": -2, "du": -3, "d2u": -4, "V": -2, "dV": -3, "d2V": -4, "K": -2, "rho": -4}
-
-# halving r_max is exact, so the equator is bit-identical to pi/(2 sqrt(kappa))
-_TAG_RADII: dict[str, Callable[[Space], float]] = {
-    "origin": lambda space: 0.0,
-    "equator": lambda space: space.r_max / 2,
-    "antipode": lambda space: space.r_max,
-}
-
 
 _HIT_FIELDS = len(DerivationHit._fields)
 
@@ -141,7 +133,7 @@ class Solution(DerivationHit):
 
     @property
     def singular_radii(self) -> tuple[str, ...]:
-        return singular_radius_tags(AnsatzFamily(self.family, self.n), self.regime)
+        return tuple(tag for tag, _ in poles(self.family, self.regime, self.n))
 
     @cached_property
     def mass(self) -> Optional[GradedMass]:
@@ -193,8 +185,9 @@ class Solution(DerivationHit):
         return self.omega.evaluate(-kappa)
 
     def singular_radii_values(self, kappa: float) -> tuple[float, ...]:
-        space = self.space(kappa)
-        return tuple(sorted(_TAG_RADII[t](space) for t in self.singular_radii))
+        # a pole off the origin is on the sphere, at x times its end r_max = pi L (exact for x = 1/2, 1)
+        r_max = self.space(kappa).r_max
+        return tuple(sorted(float(x) * r_max if x else 0.0 for _, x in poles(self.family, self.regime, self.n)))
 
     def expected_mass_value(self, kappa: float, alpha: float) -> Optional[float]:
         """Closed-form full-manifold mass, or None for infinite-mass entries; outside the normal doubles, ValueError."""

@@ -21,6 +21,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import numeric
+from .bases import SPECS, Basis
 from .catalog import Solution, catalog_list, get_solution, solution_from_hit
 from .derivation import (
     AlphaSign,
@@ -29,7 +30,6 @@ from .derivation import (
     solve_homogeneous,
 )
 from .geometry import Regime, Space, sphere_area
-from .symbolic import Basis
 
 _RANGE_FLAGS = ("-n", "--n-range", "-D", "--dim-range", "--r")
 
@@ -250,10 +250,7 @@ def _cmd_catalog(args) -> int:
 
 def _cmd_derive(args) -> int:
     family = Basis(args.family)
-    if args.regime is None:
-        regime = Regime.FLAT if family.is_flat else Regime.HYPERBOLIC
-    else:
-        regime = Regime(args.regime)
+    regime = next(iter(SPECS[family].regimes)) if args.regime is None else Regime(args.regime)
     if args.mode == "homogeneous":
         if args.max_rho_terms is not None:
             raise ValueError("--max-rho-terms applies to --mode background only")

@@ -75,8 +75,9 @@ from fractions import Fraction
 from functools import cache
 from typing import NamedTuple, Optional, Sequence
 
+from .bases import SPECS, Basis, poles
 from .geometry import Regime, sphere_area
-from .symbolic import Basis, Graded, RadialExpr, ZERO_GRADED, json_int
+from .symbolic import Graded, RadialExpr, ZERO_GRADED, json_int
 
 __all__ = [
     "AnsatzFamily",
@@ -312,24 +313,6 @@ def _geometry_part(fam: AnsatzFamily, dim: int) -> RadialExpr:
     return _at_dimension(_geometry_parts(fam), dim)
 
 
-# zeros of the base function on the closed domain, one row per (basis, regime)
-# that Basis.check_regime admits, keyed like _MASS_BETA: there u = base^n with
-# n < 0 has its poles
-_BASE_ZEROS = {
-    (Basis.FLAT_C, Regime.FLAT): (),
-    (Basis.FLAT_R, Regime.FLAT): ("origin",),
-    (Basis.CURVED_C, Regime.HYPERBOLIC): (),
-    (Basis.CURVED_C, Regime.SPHERICAL): ("equator",),
-    (Basis.CURVED_S, Regime.HYPERBOLIC): ("origin",),
-    (Basis.CURVED_S, Regime.SPHERICAL): ("origin", "antipode"),
-}
-
-
-def singular_radius_tags(fam: AnsatzFamily, regime: Regime) -> tuple[str, ...]:
-    """Symbolic labels of the genuine poles of u = base^n."""
-    return _BASE_ZEROS[fam.family, regime] if fam.n < 0 else ()
-
-
 class GradedMass(NamedTuple):
     """Exact closed-form mass: coef * S_sub * pi^p * |kappa|^(k2/2) * |alpha|^a.
 
@@ -361,38 +344,23 @@ class GradedMass(NamedTuple):
         }
 
 
-_HALF = Fraction(1, 2)
-
-# int u^2 S^(D-1) dr = |X/alpha| f B(x, y) lambda^p with lambda = |kappa|^(1/2);
-# (x, y, f, p) from (n, h = D/2), one row per admitted (basis, regime).  flat-r
-# and hyperbolic curved-s are never integrable (None): S^(2n+D-1) fails at the
-# origin or at infinity.
-_MASS_BETA = {
-    (Basis.FLAT_C, Regime.FLAT): lambda n, h: (h, -n - h, _HALF, 0),
-    (Basis.FLAT_R, Regime.FLAT): None,
-    (Basis.CURVED_C, Regime.HYPERBOLIC): lambda n, h: (h, _HALF - n - h, _HALF, -2 * h),
-    (Basis.CURVED_C, Regime.SPHERICAL): lambda n, h: (n + _HALF, h, 1, -2 * h),
-    (Basis.CURVED_S, Regime.HYPERBOLIC): None,
-    (Basis.CURVED_S, Regime.SPHERICAL): lambda n, h: (_HALF, n + h, 1, -2 * (n + h)),
-}
-
-
 def _gamma_half(z: Fraction) -> tuple[Fraction, int]:
     """Gamma(z) for z in Z/2, z > 0, as (q, k) with Gamma(z) = q sqrt(pi)^k."""
     if z.denominator == 1:
         return Fraction(math.factorial(int(z) - 1)), 0
-    k = int(z - _HALF)
+    k = int(z)  # z = k + 1/2
     return Fraction(math.factorial(2 * k), 4**k * math.factorial(k)), 1
 
 
 def exact_mass(hit: DerivationHit) -> Optional[GradedMass]:
     """Closed-form mass int u^2 dvol of a hit, or None where it diverges.
 
-    The integral is finite exactly when both Beta arguments are positive.
+    The integral (the mass rule of :mod:`ccsp.bases`) is finite exactly when
+    both Beta arguments are positive.
     They are half-integers, so B(x, y) is a rational times pi^0 or pi^1.
     An amplitude-free hit has A = 1: X = 1 and no power of alpha.
     """
-    rule = _MASS_BETA[hit.family, hit.regime]
+    rule = SPECS[hit.family].regimes[hit.regime].mass
     if rule is None:
         return None
     x, y, f, p = rule(hit.n, Fraction(hit.dim, 2))
@@ -439,7 +407,7 @@ def _evaluate(fam: AnsatzFamily, regime: Regime, dim: int, mode: str, max_rho_te
             return Candidate(CandidateStatus.LEFTOVER_TERMS, detail=f"residual leftover: {rest}")
         rho = RadialExpr.zero(fam.family)
     else:
-        if singular_radius_tags(fam, regime):
+        if poles(fam.family, regime, fam.n):
             return Candidate(CandidateStatus.SINGULAR_U, detail="profile has poles on the closed domain")
         rho = (-rest).scale_grades(alpha=-1)
         if len(rho.terms) > max_rho_terms:

@@ -5,7 +5,8 @@ Everything here treats the symbolic layer as ground truth and checks it
 with independent machinery:
 
 * array evaluation: S, C and 1/T of a space (the one regime branch for
-  arrays), the array functions of each basis' base and odd factor, and
+  arrays), the array function of each definition of a base B or odd
+  factor O in terms of S and C (:mod:`ccsp.bases`), and
   :func:`compile_table`, which turns the exact coefficients of several
   expressions over one basis into floats and returns their evaluator: it
   evaluates B(r) and O(r) once per call and each distinct B^p once,
@@ -55,8 +56,9 @@ from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence, Unio
 
 import numpy as np
 
+from .bases import SPECS
 from .geometry import Regime, Space, sphere_area
-from .symbolic import Basis, RadialExpr, _float_result, _power
+from .symbolic import RadialExpr, _float_result, _power
 
 if TYPE_CHECKING:  # pragma: no cover
     from .catalog import Solution
@@ -83,6 +85,9 @@ DEFAULT_REL_TOL = 1e-10
 NESTED_REL_TOL = 1e-11  # T, N and Q of pohozaev_functionals
 MASS_REL_TOL = 1e-8     # verify: quadrature mass against the closed form
 RESIDUAL_TOL = 1e-10    # verify: residuals of both field equations against the terms they sum
+POHOZAEV_TOL = 1e-6     # verify --with-pohozaev: the largest identity defect, relative to T
+CHARGE_TOL = 1e-10      # sphere: |int (u^2 + rho)| against int u^2
+CHARGE_REL_TOL = 1e-12  # the quadrature tolerance of that charge balance
 DE_T_MAX = 6.8          # |t| of the outermost double-exponential node: exp(pi/2 sinh t) < 1e307
 DE_LEVELS = 8           # levels of the double-exponential rule, step 1/2 down to 1/256
 GRID_R_CAP = 10.0       # noncompact default grids end here, in units of the length
@@ -120,12 +125,11 @@ def metric(space: Space) -> Metric:
     )
 
 
-# the array functions of each basis' base B and odd factor O, from a metric
-_BASIS_FNS: dict[Basis, Callable[[Metric], tuple[Callable, Callable]]] = {
-    Basis.FLAT_C: lambda m: ((lambda r: np.sqrt(1.0 + r * r)), m.S),
-    Basis.FLAT_R: lambda m: (m.S, m.C),
-    Basis.CURVED_C: lambda m: (m.C, m.S),
-    Basis.CURVED_S: lambda m: (m.S, m.C),
+# the array function of each definition of a basis' B or O (ccsp.bases), from a metric
+_DEFINITION_FNS: dict[str, Callable[[Metric], Callable]] = {
+    "S": lambda m: m.S,
+    "C": lambda m: m.C,
+    "sqrt(1 + S^2)": lambda m: lambda r: np.sqrt(1.0 + (s := m.S(r)) * s),
 }
 
 
@@ -163,7 +167,8 @@ def compile_table(exprs: Sequence[RadialExpr], space: Space, alpha: float, amp_s
                 scale *= _power(amp, t.amp)
             pre.append((scale, float(t.base), t.odd))
         table.append(pre)
-    base_fn, odd_fn = _BASIS_FNS[basis](metric(space))
+    spec, m = SPECS[basis], metric(space)
+    base_fn, odd_fn = _DEFINITION_FNS[spec.base](m), spec.odd and _DEFINITION_FNS[spec.odd](m)
     has_odd = any(op for pre in table for _, _, op in pre)
 
     def fn(r):
@@ -550,7 +555,7 @@ def compactness_obstruction_check(sol: "Solution", kappa: float = 1.0) -> Compac
     """On the sphere a regular homogeneous solution would force
     integral(u^2) = 0, a contradiction; so homogeneous entries must be
     singular somewhere, and background entries must balance charge:
-    integral(u^2 + rho) = 0 over the whole manifold, to 1e-10 integral(u^2);
+    integral(u^2 + rho) = 0 over the whole manifold, to CHARGE_TOL integral(u^2);
     an integral(u^2) outside the normal doubles raises ValueError."""
     if sol.regime is not Regime.SPHERICAL:
         raise ValueError("compactness check applies to spherical solutions")
@@ -566,11 +571,11 @@ def compactness_obstruction_check(sol: "Solution", kappa: float = 1.0) -> Compac
         u, rho = fields(r)
         return np.array([u**2 + rho, u**2])
 
-    total, charge = _manifold_integral(sol, kappa, rows, 1e-12)
+    total, charge = _manifold_integral(sol, kappa, rows, CHARGE_REL_TOL)
     if isinstance(total, Divergent) or isinstance(charge, Divergent):
         return CompactnessReport(sol.id, has_sing, False, None, "charge integral diverges")
     _float_result("int u^2", charge, f"kappa = {kappa!r}, alpha = {sol.default_alpha!r}")
-    return CompactnessReport(sol.id, has_sing, abs(total) <= 1e-10 * charge, total,
+    return CompactnessReport(sol.id, has_sing, abs(total) <= CHARGE_TOL * charge, total,
                              f"total charge {total:.3e} against int u^2 = {charge:.3e}")
 
 
@@ -729,7 +734,7 @@ def pohozaev_check(sol: "Solution", kappa: float, alpha: float) -> PohozaevRepor
         "second": (d - 2) * t - d * omega * n + 0.5 * (d + 2) * alpha * q,
         "third": 4.0 * t + (d - 2) * alpha * q,
     }
-    defect = max(abs(x) for x in ids.values()) / max(t, 1e-300)
+    defect = max(abs(x) for x in ids.values()) / t
     return rep._replace(identities=ids, defect=defect)
 
 
@@ -764,8 +769,8 @@ def verify_solution(
     Checks the PDE residuals of both equations, the mass against the
     stored closed form (or, for infinite-mass entries, that the divergence
     detector agrees), and optionally the flat variational identities
-    (homogeneous entries only).  residual_tol must be finite and
-    nonnegative.
+    (homogeneous entries only) to POHOZAEV_TOL, printed in `tolerances`.
+    residual_tol must be finite and nonnegative.
     """
     if not (0.0 <= residual_tol < math.inf):
         raise ValueError(f"residual tolerance must be finite and nonnegative, got {residual_tol}")
@@ -793,7 +798,7 @@ def verify_solution(
     ):
         rep = pohozaev_check(sol, kappa, alpha)
         p_defect = rep.defect
-        ok = ok and not isinstance(p_defect, Divergent) and p_defect <= 1e-6
+        ok = ok and not isinstance(p_defect, Divergent) and p_defect <= POHOZAEV_TOL
 
     return VerificationReport(
         solution_id=sol.id,
@@ -805,7 +810,8 @@ def verify_solution(
         mass_expected=m_exp,
         pohozaev_defect=p_defect,
         passed=ok,
-        tolerances={"residual": residual_tol, "mass_rel": MASS_REL_TOL},
+        tolerances={"residual": residual_tol, "mass_rel": MASS_REL_TOL,
+                    **({} if p_defect is None else {"pohozaev": POHOZAEV_TOL})},
         grid={
             "points": len(grid),
             "r_min": float(grid[0]),

@@ -1,23 +1,16 @@
 """Exact term algebra for radial profiles on constant-curvature spaces.
 
-Every profile this package manipulates lives in one of four closed monomial
-families, each generated by a single base function with at most one factor
-of a complementary odd function:
-
-    flat-c    powers of c = sqrt(1 + r^2), odd factor r,   r^2 = c^2 - 1
-    flat-r    pure powers of r (no odd factor)
-    curved-c  powers of C,     odd factor S,   (-kappa) S^2 = C^2 - 1
-    curved-s  powers of S,     odd factor C,   C^2 = 1 + (-kappa) S^2
-
-where S, C are the curvature-scaled metric functions of :mod:`ccsp.geometry`.
+Every profile this package manipulates lives in one of the four closed
+monomial bases of :mod:`ccsp.bases`: powers of a base function B with at
+most one factor of an odd function O.
 Coefficients are exact rationals graded by integer powers of the signed
 curvature (-kappa), the coupling alpha, and the solution amplitude A, so
 addition, multiplication, d/dr and the radial Laplace-Beltrami operator are
 all exact: no floating point enters until evaluation.
 
-The odd exponent is capped at one; squares are reduced eagerly through the
-relations above, which makes the normal form unique.  Each basis is one
-row of `_RULES`: B', O' and 1/T as unit monomials, the O^2 reduction and
+The odd exponent is capped at one; squares are reduced eagerly, which makes
+the normal form unique.  This module alone reads a basis' `Rules`
+(:mod:`ccsp.bases`): B', O' and 1/T as unit monomials, the O^2 reduction and
 the print names.  d/dr is the product rule and 1/T a multiplication by a
 unit monomial; both pass each product through the normal-form step of
 multiplication, which reduces O^2 and raises :class:`ClosureError` where
@@ -34,10 +27,10 @@ from __future__ import annotations
 
 import math
 import sys
-from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Iterator, NamedTuple, Optional, Union
+from typing import Iterable, Iterator, NamedTuple, Union
 
+from .bases import SPECS, Basis, Rules, Unit
 from .geometry import Regime
 
 __all__ = [
@@ -68,27 +61,6 @@ def json_fraction(value) -> Fraction:
         return Fraction(value)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {value!r}") from None
-
-
-class Basis(str, Enum):
-    FLAT_C = "flat-c"
-    FLAT_R = "flat-r"
-    CURVED_C = "curved-c"
-    CURVED_S = "curved-s"
-
-    @property
-    def is_flat(self) -> bool:
-        return self in (Basis.FLAT_C, Basis.FLAT_R)
-
-    @property
-    def has_odd(self) -> bool:
-        return _RULES[self].d_odd is not None
-
-    def check_regime(self, regime: Regime) -> None:
-        """Flat bases live in flat space only, curved bases in curved space only."""
-        if self.is_flat != (regime is Regime.FLAT):
-            need = "the flat regime" if self.is_flat else "a curved regime"
-            raise ValueError(f"{self.value} basis requires {need}, not {regime.value}")
 
 
 RatLike = Union[Fraction, int]
@@ -180,38 +152,8 @@ def _float_result(name: str, x: float, at: str) -> float:
     return x
 
 
-_Unit = tuple[int, int, int]  # powers (base, odd, kappa) of a unit monomial
-
-
-class _Rules(NamedTuple):
-    """Every basis-specific fact, for base function B and odd factor O.
-
-    d_base, d_odd and inv_T are the unit monomials B', O' and 1/T; inv_T
-    may carry O^-1, which only an odd term absorbs.  odd_sq rewrites O^2
-    as (sign, base shift, kappa shift) terms.  names print B and O.
-    """
-
-    d_base: _Unit
-    d_odd: Optional[_Unit]
-    inv_T: _Unit
-    odd_sq: tuple[tuple[int, int, int], ...]
-    names: tuple[str, str]
-
-
-_RULES: dict[Basis, _Rules] = {
-    # c' = r c^-1, r' = 1, 1/T = r^-1; r^2 = c^2 - 1
-    Basis.FLAT_C: _Rules((-1, 1, 0), (0, 0, 0), (0, -1, 0), ((1, 2, 0), (-1, 0, 0)), ("c", "r")),
-    # r' = 1, 1/T = r^-1
-    Basis.FLAT_R: _Rules((0, 0, 0), None, (-1, 0, 0), (), ("r", "")),
-    # C' = (-kappa) S, S' = C, 1/T = C S^-1; S^2 = (C^2 - 1)/(-kappa)
-    Basis.CURVED_C: _Rules((0, 1, 1), (1, 0, 0), (1, -1, 0), ((1, 2, -1), (-1, 0, -1)), ("C", "S")),
-    # S' = C, C' = (-kappa) S, 1/T = C S^-1; C^2 = 1 + (-kappa) S^2
-    Basis.CURVED_S: _Rules((0, 1, 0), (1, 0, 1), (-1, 1, 0), ((1, 0, 0), (1, 2, 1)), ("S", "C")),
-}
-
-
 def _normal(
-    rules: _Rules, coeff: Fraction, base: int, odd: int, kappa: int, alpha: int, amp: int
+    rules: Rules, coeff: Fraction, base: int, odd: int, kappa: int, alpha: int, amp: int
 ) -> tuple[Monomial, ...]:
     """coeff B^base O^odd (-kappa)^kappa alpha^alpha A^amp in normal form."""
     if odd < 0:
@@ -224,13 +166,13 @@ def _normal(
     )
 
 
-def _times_unit(rules: _Rules, coeff: Fraction, m: Monomial, unit: _Unit) -> tuple[Monomial, ...]:
+def _times_unit(rules: Rules, coeff: Fraction, m: Monomial, unit: Unit) -> tuple[Monomial, ...]:
     """coeff times m's powers times unit (m's own coefficient is not used)."""
     base, odd, kappa = unit
     return _normal(rules, coeff, m.base + base, m.odd + odd, m.kappa + kappa, m.alpha, m.amp)
 
 
-def _diff_monomial(rules: _Rules, m: Monomial) -> Iterator[Monomial]:
+def _diff_monomial(rules: Rules, m: Monomial) -> Iterator[Monomial]:
     # product rule on B^b O^o: b B^(b-1) O^o B' + o B^b O^(o-1) O', o in {0, 1}
     if m.base:
         base, odd, kappa = rules.d_base
@@ -313,7 +255,7 @@ class RadialExpr(NamedTuple):
                 self.basis, (Monomial(t.coeff * q, *t.key) for t in self.terms)
             )
         self._require_same_basis(other)
-        rules = _RULES[self.basis]
+        rules = SPECS[self.basis].rules
         out: list[Monomial] = []
         for a in self.terms:
             for b in other.terms:
@@ -334,7 +276,7 @@ class RadialExpr(NamedTuple):
         )
 
     def diff(self) -> "RadialExpr":
-        rules = _RULES[self.basis]
+        rules = SPECS[self.basis].rules
         out: list[Monomial] = []
         for t in self.terms:
             out.extend(_diff_monomial(rules, t))
@@ -342,7 +284,7 @@ class RadialExpr(NamedTuple):
 
     def div_T(self) -> "RadialExpr":
         """Exact division by T = S/C (flat: by r)."""
-        rules = _RULES[self.basis]
+        rules = SPECS[self.basis].rules
         return RadialExpr.from_terms(
             self.basis,
             (m for t in self.terms for m in _times_unit(rules, t.coeff, t, rules.inv_T)),
@@ -454,7 +396,7 @@ class RadialExpr(NamedTuple):
     def __str__(self) -> str:
         if not self.terms:
             return "0"
-        base_name = _RULES[self.basis].names
+        base_name = SPECS[self.basis].rules.names
         parts = []
         for t in self.terms:
             bits = [f"({t.coeff})"]

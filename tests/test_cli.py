@@ -674,6 +674,20 @@ def test_verify_with_pohozaev():
     assert json.loads(out)["pohozaev_defect"] is None
 
 
+def test_verify_fails_by_the_pohozaev_bound_it_prints(monkeypatch):
+    # the bound joins the printed tolerances whenever the check ran: FLAT_CSV's
+    # defect (about 5e-15) passes the default bound and fails one of 1e-16
+    from ccsp import numeric
+
+    monkeypatch.setattr(numeric, "POHOZAEV_TOL", 1e-16)
+    code, out, _ = run(["verify", "FLAT_CSV", "--with-pohozaev"])
+    rep = json.loads(out)
+    assert (code, rep["passed"]) == (1, False) and rep["pohozaev_defect"] > 1e-16
+    assert rep["tolerances"] == {"residual": numeric.RESIDUAL_TOL, "mass_rel": numeric.MASS_REL_TOL, "pohozaev": 1e-16}
+    code, out, _ = run(["verify", "FLAT_CSV"])
+    assert code == 0 and "pohozaev" not in json.loads(out)["tolerances"]
+
+
 # -- eval ----------------------------------------------------------------------
 
 

@@ -7,6 +7,7 @@ import pytest
 
 from conftest import fd_laplacian
 from ccsp import derivation, numeric
+from ccsp.bases import SPECS
 from ccsp.catalog import solution_from_hit
 from ccsp.derivation import (
     AlphaSign,
@@ -643,8 +644,9 @@ def test_universe_hits_equal_the_reference():
 
 
 def test_mass_and_pole_tables_have_a_row_for_every_admitted_pair():
-    # indexed directly: a (basis, regime) without a row raises, and never
-    # reads as "the mass diverges" or "no poles"
+    # the admitted (basis, regime) pairs are the spec's keys, so every one has
+    # its zeros and its mass rule: a missing row cannot read as "the mass
+    # diverges" or "no poles"
     admitted = set()
     for basis in Basis:
         for regime in Regime:
@@ -653,9 +655,17 @@ def test_mass_and_pole_tables_have_a_row_for_every_admitted_pair():
             except ValueError:
                 continue
             admitted.add((basis, regime))
-    assert len(admitted) == 6
-    assert set(derivation._MASS_BETA) == admitted
-    assert set(derivation._BASE_ZEROS) == admitted
+    assert admitted == {
+        (Basis.FLAT_C, Regime.FLAT), (Basis.FLAT_R, Regime.FLAT),
+        (Basis.CURVED_C, Regime.HYPERBOLIC), (Basis.CURVED_C, Regime.SPHERICAL),
+        (Basis.CURVED_S, Regime.HYPERBOLIC), (Basis.CURVED_S, Regime.SPHERICAL),
+    }
+    assert admitted == {(basis, regime) for basis, spec in SPECS.items() for regime in spec.regimes}
+    for basis, regime in admitted:
+        facts = SPECS[basis].regimes[regime]
+        assert all(type(tag) is str and type(radius) is F for tag, radius in facts.zeros), (basis, regime)
+        assert [radius for _, radius in facts.zeros] == sorted({radius for _, radius in facts.zeros})
+        assert facts.mass is None or callable(facts.mass), (basis, regime)
 
 
 def test_exact_mass_equals_the_reference():

@@ -78,7 +78,31 @@ def test_term_algebra_imports_no_float_layer():
     assert imported and not {name for name in imported if name.split(".")[0] == "numpy" or "numeric" in name}, imported
 
 
-@pytest.mark.parametrize("module", ["symbolic", "derivation", "catalog", "numeric"])
+def test_only_the_term_algebra_reads_the_basis_rules():
+    # a basis' definitions and its rules are separate fields of its spec: only
+    # ccsp.symbolic reads the rules, so a check built on the definitions
+    # (the float layer, the zeros, the mass rules) shares none of them
+    package = Path(ccsp.__file__).parent
+    for path in package.glob("*.py"):
+        if path.stem in ("symbolic", "bases"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                named = {alias.name for alias in node.names}
+            else:  # an attribute, a name, a parameter or a keyword
+                named = {getattr(node, field, None) for field in ("attr", "id", "arg")}
+            assert not named & {"Rules", "rules"}, (path.name, node.lineno)
+    # and the spec imports neither numpy nor ccsp.numeric
+    imported = set()
+    for node in ast.walk(ast.parse((package / "bases.py").read_text())):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.update(f"{node.module}.{alias.name}" for alias in node.names)
+    assert imported and not {name for name in imported if name.split(".")[0] == "numpy" or "numeric" in name}, imported
+
+
+@pytest.mark.parametrize("module", ["bases", "symbolic", "derivation", "catalog", "numeric"])
 def test_module_all_names_exist(module):
     # a name deleted from a module leaves no stale entry in its __all__
     mod = importlib.import_module(f"ccsp.{module}")

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from ccsp import numeric
+from ccsp.bases import SPECS
 from ccsp.catalog import CATALOG, Solution, get_solution, scale_flat_solution, solution_from_hit
 from ccsp.derivation import AlphaSign, solve_homogeneous
 from ccsp.geometry import Regime, Space, sphere_area
@@ -262,18 +263,15 @@ def test_integrand_call_counts(monkeypatch):
         tables.append(len(exprs))
         return make(exprs, space, alpha, amp_sq)
 
-    def counted(fns):
-        def both(m):
-            base, odd = fns(m)
-            return (
-                lambda r: evaluated.append("base") or base(r),
-                lambda r: evaluated.append("odd") or odd(r),
-            )
+    def counted(definition, fn):
+        def build(m):
+            f = fn(m)
+            return lambda r: evaluated.append(definition) or f(r)
 
-        return both
+        return build
 
     monkeypatch.setattr(numeric, "compile_table", counting)
-    monkeypatch.setattr(numeric, "_BASIS_FNS", {b: counted(fns) for b, fns in numeric._BASIS_FNS.items()})
+    monkeypatch.setattr(numeric, "_DEFINITION_FNS", {d: counted(d, fn) for d, fn in numeric._DEFINITION_FNS.items()})
     for sol in CATALOG:
         kappa, _ = _params(sol)
         grid = default_grid(sol, kappa)
@@ -282,7 +280,8 @@ def test_integrand_call_counts(monkeypatch):
         numeric.fd_residual(sol, kappa, sol.default_alpha, grid)
         odd = any(t.odd for name in _RESIDUAL_FIELDS for t in _FIELDS[name][0](sol).terms)
         assert tables == [7], sol.id
-        assert evaluated == ["base"] + ["odd"] * odd, sol.id
+        spec = SPECS[sol.family]
+        assert evaluated == [spec.base] + [spec.odd] * odd, sol.id
 
 
 # -- stacked integrands -------------------------------------------------------

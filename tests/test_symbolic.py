@@ -8,7 +8,8 @@ import pytest
 
 from conftest import fd_laplacian
 from ccsp.geometry import Regime, Space
-from ccsp.numeric import _BASIS_FNS, compile_table, metric
+from ccsp.bases import SPECS
+from ccsp.numeric import _DEFINITION_FNS, compile_table, metric
 from ccsp.symbolic import Basis, ClosureError, Graded, Monomial, RadialExpr
 
 FLAT = Space(Regime.FLAT, 0.0, 6)
@@ -274,7 +275,8 @@ def test_refusals(refused, match):
 def _reference_compile(expr, space, alpha, amp_sq):
     # the evaluator as first written (zeros start, one full_like per term):
     # the oracle that compile_table must match bit for bit
-    base_fn, odd_fn = _BASIS_FNS[expr.basis](metric(space))
+    spec, m = SPECS[expr.basis], metric(space)
+    base_fn, odd_fn = _DEFINITION_FNS[spec.base](m), spec.odd and _DEFINITION_FNS[spec.odd](m)
     nk, amp = -space.kappa, math.sqrt(amp_sq)
     pre = []
     for t in expr.terms:
@@ -293,7 +295,7 @@ def _reference_compile(expr, space, alpha, amp_sq):
             total = np.zeros_like(r)
             if pre:
                 b = base_fn(r)
-                o = odd_fn(r)
+                o = odd_fn(r) if odd_fn else None
                 for scale, bp, op in pre:
                     term = np.full_like(r, scale)
                     if bp:
